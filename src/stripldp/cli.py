@@ -54,16 +54,6 @@ EXIT_NUMERICAL = 3
 EXIT_BUDGET = 4
 
 
-def _default_threads() -> int:
-    env = os.environ.get("STRIPLDP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def parse_grid(text: str) -> np.ndarray:
     """A:STEP:B inclusive of both endpoints (within fp slack)."""
     parts = text.split(":")
@@ -127,7 +117,6 @@ def cmd_rate(args) -> int:
     if args.kind == "hitting":
         curve = hitting_rate_curve(
             spec, grid, n_levels=args.levels, seed=args.seed, M=args.M,
-            threads=args.threads,
         )
     elif args.kind == "speed":
         curve = speed_rate_curve(spec, grid, n_levels=args.levels, seed=args.seed)
@@ -276,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", type=int, default=levels_default,
                        help="window length / LDP scale n")
         p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--threads", type=int, default=_default_threads())
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("analyze", help="regime, v0, t0, lambda_crit")

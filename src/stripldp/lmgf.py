@@ -138,7 +138,7 @@ def _periodic_directions(phis: np.ndarray, tol: float = 1e-14, max_iter: int = 1
 
 
 # ---------------------------------------------------------------------------
-# evaluator: shared window and kernel caches across lambda sweeps
+# evaluator: shared window, kernel cache and Lambda memo across lambda sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -147,7 +147,10 @@ class LmgfEvaluator:
 
     i.i.d. specs get one window sampled at construction (levels
     [-margin, n_levels)); every lambda is evaluated on that same window, so
-    sweeps and finite differences see a common realization.
+    sweeps and finite differences see a common realization. Two caches live
+    as long as the evaluator: truncated kernels per depth M, and the
+    estimates of `value` per lambda (every grid point of a rate curve, and
+    every Legendre search of an averaged bound, shares them).
     """
 
     def __init__(
@@ -165,12 +168,21 @@ class LmgfEvaluator:
         self.margin = margin if spec.kind != "periodic" else 0
         self.window: EnvironmentWindow | None = None
         self._kernel_cache: dict[int, np.ndarray] = {}
+        self._values: dict[float, LmgfEstimate] = {}
         if spec.kind != "periodic":
             self.window = sample_window(spec, -margin, n_levels, seed=seed)
 
     # -- full ---------------------------------------------------------------
 
     def value(self, lam: float) -> LmgfEstimate:
+        """Lambda(lam), memoized per evaluator: the window is fixed, so a
+        repeated lambda (golden searches from a shared bracket) is a lookup."""
+        est = self._values.get(lam)
+        if est is None:
+            est = self._values[lam] = self._value(lam)
+        return est
+
+    def _value(self, lam: float) -> LmgfEstimate:
         try:
             if self.spec.kind == "periodic":
                 est = self._value_periodic(lam)

@@ -13,6 +13,14 @@ M = e^lambda (r + q Phi_{k-1}), the Neumann series converges iff
 (I - M)^{-1} >= 0 entrywise, and a failure (or an entry above the a-priori
 bound (1/kappa) e^{-lambda} for lambda > 0) certifies supercriticality.
 
+Four loops do all the sweeping: a scalar one and a general one for Phi
+(window passes, the lambda_crit bisection and each cycle of the periodic
+fixed point), the scalar periodic cycle, and one for Phi' (window and
+periodic). Level k of each depends only on level k-1, so once a boundary
+re-solve from a later start equals the main sweep bit for bit at one
+level, it equals it at every later level; the re-solves stop there, and
+the boundary gap they measure past that level is exactly 0.
+
 Truncated matrices Phi_{k,M} are computed exactly by a dynamic program over
 time steps; the term-by-term derivatives Phi'_k come from the forward
 sensitivity of the same fixed point.
@@ -20,6 +28,7 @@ sensitivity of the same fixed point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,8 +93,8 @@ def divergence_bound(kappa: float, lam: float, tol: float = 1e-12) -> float:
     return 1.0 + 10.0 * tol
 
 
-def _sweep_d1(q, r, p, el: float, phi0: float, bound: float):
-    """Scalar fast path ('q','r','p' are flat float lists)."""
+def _sweep_d1(q, r, p, el: float, phi0: float, bound: float, ref=None):
+    """Scalar fast path ('q','r','p' are flat float lists; 'ref' a float list)."""
     n = len(q)
     out = np.empty((n, 1, 1))
     f = phi0
@@ -97,45 +106,85 @@ def _sweep_d1(q, r, p, el: float, phi0: float, bound: float):
         if f > bound:
             return out, k
         out[k, 0, 0] = f
+        if ref is not None and f == ref[k]:
+            return out[:k + 1], -1
     return out, -1
 
 
-def _sweep_general(q, r, p, el: float, phi0: np.ndarray, bound: float):
+try:
+    # the gufunc under np.linalg.solve; the sweeps call it once per level
+    # inside one errstate block rather than paying the wrapper's checks and
+    # errstate each time (same LAPACK call on the same arrays, same bits)
+    from numpy.linalg import _umath_linalg
+
+    _solve = functools.partial(_umath_linalg.solve, signature="dd->d")
+except (ImportError, AttributeError):  # pragma: no cover - numpy moved it
+    _solve = np.linalg.solve
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _linalg_errstate():
+    """np.linalg.solve's error state: a singular matrix raises LinAlgError.
+
+    Held over a whole sweep. With a finite e^lambda and finite, bounded
+    inputs the solve is the only operation in the loop that can raise a
+    floating-point flag, so the wider block changes nothing else.
+    """
+    return np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def _sweep_general(q, r, p, el: float, phi0: np.ndarray, bound: float, ref=None):
+    """One pass of Phi_k = (I - e^l (r_k + q_k Phi_{k-1}))^{-1} e^l p_k, d > 1.
+
+    Each level solves for [Phi_k | (I - M)^{-1}] at once; one test covers
+    the M-matrix certificate (no negative entry in the inverse or in Phi_k)
+    and the a-priori entry bound. With `ref`, the pass returns as soon as a
+    level equals ref at that level bit for bit: from there on it would
+    repeat ref's computation exactly.
+    """
     n, d, _ = q.shape
     out = np.empty((n, d, d))
     eye = np.eye(d)
-    rhs = np.empty((d, 2 * d))
+    rhs = np.empty((n, d, 2 * d))
+    np.multiply(el, p, out=rhs[:, :, :d])
+    rhs[:, :, d:] = eye
     f = phi0
-    for k in range(n):
-        m = el * (r[k] + q[k] @ f)
-        rhs[:, :d] = el * p[k]
-        rhs[:, d:] = eye
-        try:
-            sol = np.linalg.solve(eye - m, rhs)
-        except np.linalg.LinAlgError:
-            return out, k
-        f = sol[:, :d]
-        # inverse nonnegativity <=> spectral radius of m < 1 (M-matrix)
-        if (sol[:, d:] < NEG_ENTRY_TOL).any() or (f < NEG_ENTRY_TOL).any():
-            return out, k
-        if f.max() > bound:
-            return out, k
-        np.maximum(f, 0.0, out=out[k])
-        f = out[k]
+    with _linalg_errstate():
+        for k in range(n):
+            try:
+                sol = _solve(eye - el * (r[k] + q[k] @ f), rhs[k])
+            except np.linalg.LinAlgError:
+                return out, k
+            f = sol[:, :d]
+            # inverse nonnegativity <=> spectral radius of M < 1 (M-matrix)
+            if sol.min() < NEG_ENTRY_TOL or f.max() > bound:
+                return out, k
+            f = np.maximum(f, 0.0, out=out[k])
+            if ref is not None and f.tobytes() == ref[k].tobytes():
+                return out[:k + 1], -1
     return out, -1
 
 
-def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float):
-    """One exact left-to-right pass; returns (phis, bad_level_index or -1)."""
+def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, ref=None):
+    """One exact left-to-right pass; returns (phis, bad_level_index or -1).
+
+    With `ref` (n, d, d) the pass stops after the first level where it
+    agrees with ref bitwise, and phis holds the levels up to that one.
+    """
     el = math.exp(lam)
     if window.d == 1:
         q = window.q[:, 0, 0].tolist()
         r = window.r[:, 0, 0].tolist()
         p = window.p[:, 0, 0].tolist()
         f0 = float(phi0[0, 0]) if isinstance(phi0, np.ndarray) else float(phi0)
-        return _sweep_d1(q, r, p, el, f0, bound)
+        ref1 = None if ref is None else ref[:, 0, 0].tolist()
+        return _sweep_d1(q, r, p, el, f0, bound, ref1)
     f0 = phi0 if isinstance(phi0, np.ndarray) else np.full((window.d, window.d), phi0)
-    return _sweep_general(window.q, window.r, window.p, el, f0, bound)
+    return _sweep_general(window.q, window.r, window.p, el, f0, bound, ref)
 
 
 @dataclass
@@ -193,6 +242,9 @@ def solve_phi_window(
     it is kept for signature parity with the periodic solver. Boundary
     forgetting is measured by re-solving from `shift` levels in and flagging
     as warm-up every level where the two solutions differ by more than tol.
+    The re-solve stops at the first level where it equals the main sweep
+    bit for bit: each level is computed from the one before alone, so from
+    there on it would repeat the main sweep exactly, and its gap is 0.
     `kappa` is the spec's ellipticity constant (measured from the window's
     entry-height conditions when omitted); it calibrates the a-priori
     divergence threshold certifying supercriticality.
@@ -210,10 +262,11 @@ def solve_phi_window(
     warmup = shift
     if shift < n:
         sub = window.sub(window.lo + shift, window.hi)
-        phis2, bad2 = _sweep(sub, lam, phi0, kappa_bound)
+        phis2, bad2 = _sweep(sub, lam, phi0, kappa_bound, ref=phis[shift:])
         if bad2 >= 0:
             raise SupercriticalError(lam, level=sub.lo + bad2)
-        diffs = np.abs(phis[shift:] - phis2).max(axis=(1, 2))
+        diffs = np.zeros(n - shift)
+        diffs[:len(phis2)] = np.abs(phis[shift:shift + len(phis2)] - phis2).max(axis=(1, 2))
         gap[shift:] = diffs
         above = np.nonzero(diffs > 0.5 * tol)[0]
         warmup = n if above.size and (shift + above[-1] + 1 >= n) else (
@@ -359,29 +412,14 @@ def solve_phi_periodic(
             )
         raise ConvergenceError(change, max_iter)
 
-    eye = np.eye(d)
-    rhs = np.empty((d, 2 * d))
+    q, r, p = _stack_slices(spec)
     f = np.zeros((per, d, d))
     for it in range(1, max_iter + 1):
-        change = 0.0
-        carry = f[-1]
-        for k in range(per):
-            s = spec.slices[k]
-            m = el * (s.r + s.q @ carry)
-            rhs[:, :d] = el * s.p
-            rhs[:, d:] = eye
-            try:
-                sol = np.linalg.solve(eye - m, rhs)
-            except np.linalg.LinAlgError:
-                raise SupercriticalError(lam, level=k)
-            new = sol[:, :d]
-            if (sol[:, d:] < NEG_ENTRY_TOL).any() or (new < NEG_ENTRY_TOL).any():
-                raise SupercriticalError(lam, level=k)
-            if new.max() > bound:
-                raise SupercriticalError(lam, level=k)
-            change = max(change, float(np.abs(new - f[k]).max()))
-            f[k] = np.maximum(new, 0.0)
-            carry = f[k]
+        new, bad = _sweep_general(q, r, p, el, f[-1], bound)
+        if bad >= 0:
+            raise SupercriticalError(lam, level=bad)
+        change = float(np.abs(new - f).max())
+        f = new
         if change <= tol:
             return PeriodicPhi(phis=f, lam=lam, iterations=it, residual=change,
                                tail=_tail_estimate(change, prev_change))
@@ -392,24 +430,37 @@ def solve_phi_periodic(
     raise ConvergenceError(change, max_iter)
 
 
+def _stack_slices(spec: EnvironmentSpec):
+    """(q, r, p) of one period as (period, d, d) arrays."""
+    return tuple(np.stack([getattr(s, name) for s in spec.slices])
+                 for name in ("q", "r", "p"))
+
+
 # ---------------------------------------------------------------------------
 # term-by-term derivative Phi'_k (forward sensitivity of the fixed point)
 # ---------------------------------------------------------------------------
 
 
-def _derivative_sweep(window, lam, phis, dphi0):
-    el = math.exp(lam)
-    n, d = window.n_levels, window.d
+def _derivative_sweep(q, r, el: float, phis, phi0, dphi0, ref=None, start: int = 0):
+    """One pass of the Phi' recursion of phi_derivative over the given phis.
+
+    phi0, dphi0 feed level 0 (Phi_{-1}, Phi'_{-1}). With `ref`, the pass
+    returns after the first level k >= start where Phi'_k equals ref[k] bit
+    for bit; the caller guarantees that phis agree with ref's Phi from
+    `start` on, so the rest would repeat ref exactly.
+    """
+    n, d, _ = phis.shape
     eye = np.eye(d)
     out = np.empty((n, d, d))
-    prev_phi = np.zeros((d, d))
-    prev_d = dphi0
-    for k in range(n):
-        cur = phis[k]
-        m = el * (window.r[k] + window.q[k] @ prev_phi)
-        rhs = cur + el * (window.q[k] @ prev_d @ cur)
-        out[k] = np.linalg.solve(eye - m, rhs)
-        prev_phi, prev_d = cur, out[k]
+    prev_phi, prev_d = phi0, dphi0
+    with _linalg_errstate():
+        for k in range(n):
+            cur = phis[k]
+            out[k] = _solve(eye - el * (r[k] + q[k] @ prev_phi),
+                            cur + el * (q[k] @ prev_d @ cur))
+            if ref is not None and k >= start and out[k].tobytes() == ref[k].tobytes():
+                return out[:k + 1]
+            prev_phi, prev_d = cur, out[k]
     return out
 
 
@@ -428,23 +479,37 @@ def phi_derivative(
         (I - e^l (r_k + q_k Phi_{k-1})) Phi'_k = Phi_k + e^l q_k Phi'_{k-1} Phi_k,
 
     solved left to right with Phi'_{lo-1} = 0. Verified elsewhere against
-    central finite differences of the Phi solve.
+    central finite differences of the Phi solve. Boundary forgetting is
+    measured as in solve_phi_window: the re-solve from `shift` levels in
+    stops once both its Phi and its Phi' equal the main sweep's bit for bit,
+    since level k of both recursions depends only on level k-1.
     """
     if phi_solution is None:
         phi_solution = solve_phi_window(window, lam, tol=tol, kappa=kappa)
-    dphis = _derivative_sweep(window, lam, phi_solution.phis, np.zeros((window.d, window.d)))
+    el = math.exp(lam)
+    zero = np.zeros((window.d, window.d))
+    phis = phi_solution.phis
+    dphis = _derivative_sweep(window.q, window.r, el, phis, zero, zero)
     n = window.n_levels
     shift = phi_solution.shift
     gap = np.full(n, np.nan)
     warmup = phi_solution.warmup_levels
     if 0 < shift < n:
         sub = window.sub(window.lo + shift, window.hi)
-        phis2, bad = _sweep(sub, lam, np.zeros((window.d, window.d)),
-                            _window_bound(window, lam, tol, kappa))
+        bound = _window_bound(window, lam, tol, kappa)
+        head, bad = _sweep(sub, lam, zero, bound, ref=phis[shift:])
         if bad >= 0:
             raise SupercriticalError(lam, level=sub.lo + bad)
-        dphis2 = _derivative_sweep(sub, lam, phis2, np.zeros((window.d, window.d)))
-        diffs = np.abs(dphis[shift:] - dphis2).max(axis=(1, 2))
+        # past the head the re-solve repeats the main sweep, which passed the
+        # same certificate but maybe under another bound: apply this one
+        over = np.nonzero(phis[shift + len(head):].max(axis=(1, 2)) > bound)[0]
+        if over.size:
+            raise SupercriticalError(lam, level=sub.lo + len(head) + int(over[0]))
+        phis2 = np.concatenate([head, phis[shift + len(head):]])
+        dphis2 = _derivative_sweep(sub.q, sub.r, el, phis2, zero, zero,
+                                   ref=dphis[shift:], start=len(head) - 1)
+        diffs = np.zeros(n - shift)
+        diffs[:len(dphis2)] = np.abs(dphis[shift:shift + len(dphis2)] - dphis2).max(axis=(1, 2))
         gap[shift:] = diffs
         above = np.nonzero(diffs > 0.5 * max(tol, 1e-11) * max(1.0, np.abs(dphis).max()))[0]
         if above.size:
@@ -464,22 +529,13 @@ def periodic_phi_derivative(
 ) -> np.ndarray:
     """Cyclic analogue of phi_derivative; returns (period, d, d)."""
     el = math.exp(lam)
-    per, d = periodic.period, spec.d
-    eye = np.eye(d)
-    dph = np.zeros((per, d, d))
-    for it in range(max_iter):
-        change = 0.0
-        carry_phi = periodic.phis[-1]
-        carry_d = dph[-1]
-        for k in range(per):
-            s = spec.slices[k]
-            cur = periodic.phis[k]
-            m = el * (s.r + s.q @ carry_phi)
-            rhs = cur + el * (s.q @ carry_d @ cur)
-            new = np.linalg.solve(eye - m, rhs)
-            change = max(change, float(np.abs(new - dph[k]).max()))
-            dph[k] = new
-            carry_phi, carry_d = cur, new
+    q, r, _ = _stack_slices(spec)
+    phis = periodic.phis
+    dph = np.zeros_like(phis)
+    for _ in range(max_iter):
+        new = _derivative_sweep(q, r, el, phis, phis[-1], dph[-1])
+        change = float(np.abs(new - dph).max())
+        dph = new
         if change <= tol * max(1.0, float(np.abs(dph).max())):
             return dph
     raise ConvergenceError(change, max_iter)

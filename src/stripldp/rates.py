@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import EnvironmentSpec, SpecValidationError
-from .lmgf import EnvironmentAnalysis, LmgfEstimate, LmgfEvaluator, analyze_environment
+from .lmgf import EnvironmentAnalysis, LmgfEvaluator, analyze_environment
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LAMBDA_NEG_LIMIT = -30.0  # lambda used for the t = 1 limit
@@ -144,12 +144,8 @@ def legendre_point(
     if t >= t_star and value_at_crit is not None:
         return lambda_crit * t - value_at_crit, lambda_crit, 0.0, 0.0
 
-    cache: dict[float, LmgfEstimate] = {}
-
     def g(lam: float) -> float:
-        if lam not in cache:
-            cache[lam] = value_fn(lam)
-        v = cache[lam].value
+        v = value_fn(lam).value
         return lam * t - v if math.isfinite(v) else -float("inf")
 
     k_t = math.log(kappa) / (t - 1.0)
@@ -157,7 +153,7 @@ def legendre_point(
     # and lambda t - Lambda decreases linearly, so the bracket can stop there
     lo = max(min(-10.0, k_t - 1.0), -37.0)
     lam_star, j = golden_max(g, lo, lambda_crit, xtol=xtol)
-    est = cache.get(lam_star) or value_fn(lam_star)
+    est = value_fn(lam_star)
     return j, lam_star, est.deterministic_error, est.statistical_error
 
 
@@ -175,12 +171,11 @@ def hitting_rate_curve(
     M: int | None = None,
     analysis: EnvironmentAnalysis | None = None,
     evaluator: LmgfEvaluator | None = None,
-    threads: int = 1,
 ) -> RateCurve:
     """J (or J_M) sampled on t_grid, with shape diagnostics as warnings.
 
-    Grid points are independent; threads > 1 maps them over a thread pool
-    (the shared evaluator is read-only for the full-rate path).
+    Grid points share one evaluator, so a lambda that one point's golden
+    search already evaluated costs another point only a lookup.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid < 1.0).any():
@@ -201,21 +196,11 @@ def hitting_rate_curve(
     if M is None:
         v_crit = _lambda_at_crit(ev, lc.bracket) if math.isfinite(analysis.t_star) else None
 
-        def point(t):
-            return legendre_point(
+        for i, t in enumerate(t_grid):
+            values[i], argmax[i], det[i], stat[i] = legendre_point(
                 ev.value, float(t), lc.bracket[0], spec.kappa,
                 t_star=analysis.t_star, value_at_crit=v_crit,
             )
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(point, t_grid))
-        else:
-            results = [point(t) for t in t_grid]
-        for i, res in enumerate(results):
-            values[i], argmax[i], det[i], stat[i] = res
         kind = "hitting"
     else:
         for i, t in enumerate(t_grid):

@@ -105,11 +105,10 @@ def d1_truncated_ldp(p, t, M):
                         sigma2=sigma2, span=span)
 
 
-def random_d2_slice(rng, kappa=0.08, drift=0.0):
-    """Elliptic d=2 slice: q and p entries floored at kappa (so the entry
-    conditions hold), remaining mass spread randomly; drift > 0 shifts the
-    random remainder toward p."""
-    d = 2
+def random_d2_slice(rng, kappa=0.08, drift=0.0, d=2):
+    """Elliptic slice (d=2 unless given): q and p entries floored at kappa
+    (so the entry conditions hold), remaining mass spread randomly; drift > 0
+    shifts the random remainder toward p."""
     q = np.full((d, d), kappa)
     p = np.full((d, d), kappa)
     r = np.zeros((d, d))
@@ -124,13 +123,193 @@ def random_d2_slice(rng, kappa=0.08, drift=0.0):
     return EnvironmentSlice(q=q, r=r, p=p)
 
 
-def random_d2_iid_spec(seed, kappa=0.08, n_support=3, drift=0.0):
+def random_d2_iid_spec(seed, kappa=0.08, n_support=3, drift=0.0, d=2):
     rng = np.random.default_rng(seed)
-    slices = tuple(random_d2_slice(rng, kappa, drift) for _ in range(n_support))
+    slices = tuple(random_d2_slice(rng, kappa, drift, d) for _ in range(n_support))
     w = rng.dirichlet(np.ones(n_support))
     return EnvironmentSpec(
-        kind="iid", d=2, kappa=kappa, slices=slices, weights=tuple(w)
+        kind="iid", d=d, kappa=kappa, slices=slices, weights=tuple(w)
     )
+
+
+# ---------------------------------------------------------------------------
+# reference transfer sweeps: the plain per-level loops the kernels in
+# stripldp.phi must reproduce bit for bit (np.linalg.solve on every level,
+# full boundary re-solves, one loop per periodic solver)
+# ---------------------------------------------------------------------------
+
+REF_NEG_ENTRY_TOL = -1e-12
+
+
+def ref_sweep(window, lam, phi0, bound):
+    """(phis, bad level index or -1) of one zero-start pass over the window."""
+    el = math.exp(lam)
+    n, d = window.n_levels, window.d
+    out = np.empty((n, d, d))
+    if d == 1:
+        q, r, p = (a[:, 0, 0].tolist() for a in (window.q, window.r, window.p))
+        f = float(phi0[0, 0])
+        for k in range(n):
+            m = el * (r[k] + q[k] * f)
+            if m >= 1.0:
+                return out, k
+            f = el * p[k] / (1.0 - m)
+            if f > bound:
+                return out, k
+            out[k, 0, 0] = f
+        return out, -1
+    eye = np.eye(d)
+    rhs = np.empty((d, 2 * d))
+    f = phi0
+    for k in range(n):
+        m = el * (window.r[k] + window.q[k] @ f)
+        rhs[:, :d] = el * window.p[k]
+        rhs[:, d:] = eye
+        try:
+            sol = np.linalg.solve(eye - m, rhs)
+        except np.linalg.LinAlgError:
+            return out, k
+        f = sol[:, :d]
+        if (sol[:, d:] < REF_NEG_ENTRY_TOL).any() or (f < REF_NEG_ENTRY_TOL).any():
+            return out, k
+        if f.max() > bound:
+            return out, k
+        np.maximum(f, 0.0, out=out[k])
+        f = out[k]
+    return out, -1
+
+
+def ref_derivative_sweep(window, lam, phis, dphi0):
+    el = math.exp(lam)
+    n, d = window.n_levels, window.d
+    eye = np.eye(d)
+    out = np.empty((n, d, d))
+    prev_phi = np.zeros((d, d))
+    prev_d = dphi0
+    for k in range(n):
+        cur = phis[k]
+        m = el * (window.r[k] + window.q[k] @ prev_phi)
+        rhs = cur + el * (window.q[k] @ prev_d @ cur)
+        out[k] = np.linalg.solve(eye - m, rhs)
+        prev_phi, prev_d = cur, out[k]
+    return out
+
+
+def ref_solve_phi_window(window, lam, tol=1e-12, shift=None, kappa=None):
+    """solve_phi_window with the boundary re-solve run over every level."""
+    from stripldp.phi import PhiSolution, SupercriticalError, _window_bound
+
+    n = window.n_levels
+    bound = _window_bound(window, lam, tol, kappa)
+    phi0 = np.zeros((window.d, window.d))
+    phis, bad = ref_sweep(window, lam, phi0, bound)
+    if bad >= 0:
+        raise SupercriticalError(lam, level=window.lo + bad)
+    if shift is None:
+        shift = min(max(n // 4, 1), 256)
+    gap = np.full(n, np.nan)
+    warmup = shift
+    if shift < n:
+        sub = window.sub(window.lo + shift, window.hi)
+        phis2, bad2 = ref_sweep(sub, lam, phi0, bound)
+        if bad2 >= 0:
+            raise SupercriticalError(lam, level=sub.lo + bad2)
+        diffs = np.abs(phis[shift:] - phis2).max(axis=(1, 2))
+        gap[shift:] = diffs
+        above = np.nonzero(diffs > 0.5 * tol)[0]
+        warmup = n if above.size and (shift + above[-1] + 1 >= n) else (
+            shift + above[-1] + 1 if above.size else shift
+        )
+    return PhiSolution(window=window, lam=lam, phis=phis, warmup_levels=warmup,
+                       boundary_gap=gap, shift=shift)
+
+
+def ref_phi_derivative(window, lam, tol=1e-12, phi_solution=None, kappa=None):
+    """phi_derivative with the boundary re-solve run over every level."""
+    from stripldp.phi import PhiSolution, SupercriticalError, _window_bound
+
+    if phi_solution is None:
+        phi_solution = ref_solve_phi_window(window, lam, tol=tol, kappa=kappa)
+    zero = np.zeros((window.d, window.d))
+    dphis = ref_derivative_sweep(window, lam, phi_solution.phis, zero)
+    n, shift = window.n_levels, phi_solution.shift
+    gap = np.full(n, np.nan)
+    warmup = phi_solution.warmup_levels
+    if 0 < shift < n:
+        sub = window.sub(window.lo + shift, window.hi)
+        phis2, bad = ref_sweep(sub, lam, zero, _window_bound(window, lam, tol, kappa))
+        if bad >= 0:
+            raise SupercriticalError(lam, level=sub.lo + bad)
+        dphis2 = ref_derivative_sweep(sub, lam, phis2, zero)
+        diffs = np.abs(dphis[shift:] - dphis2).max(axis=(1, 2))
+        gap[shift:] = diffs
+        above = np.nonzero(diffs > 0.5 * max(tol, 1e-11) * max(1.0, np.abs(dphis).max()))[0]
+        if above.size:
+            warmup = max(warmup, min(n, shift + above[-1] + 1))
+    return PhiSolution(window=window, lam=lam, phis=dphis, kind="derivative",
+                       warmup_levels=warmup, boundary_gap=gap, shift=shift)
+
+
+def ref_solve_phi_periodic(spec, lam, tol=1e-13, max_iter=200_000):
+    """The d > 1 cyclic sweep of solve_phi_periodic, one level at a time."""
+    from stripldp.phi import (ConvergenceError, PeriodicPhi, SupercriticalError,
+                              _tail_estimate, divergence_bound)
+
+    bound = divergence_bound(spec.kappa, lam, tol)
+    el = math.exp(lam)
+    per, d = spec.period, spec.d
+    prev_change = float("inf")
+    eye = np.eye(d)
+    rhs = np.empty((d, 2 * d))
+    f = np.zeros((per, d, d))
+    for it in range(1, max_iter + 1):
+        change = 0.0
+        carry = f[-1]
+        for k in range(per):
+            s = spec.slices[k]
+            m = el * (s.r + s.q @ carry)
+            rhs[:, :d] = el * s.p
+            rhs[:, d:] = eye
+            try:
+                sol = np.linalg.solve(eye - m, rhs)
+            except np.linalg.LinAlgError:
+                raise SupercriticalError(lam, level=k)
+            new = sol[:, :d]
+            if (sol[:, d:] < REF_NEG_ENTRY_TOL).any() or (new < REF_NEG_ENTRY_TOL).any():
+                raise SupercriticalError(lam, level=k)
+            if new.max() > bound:
+                raise SupercriticalError(lam, level=k)
+            change = max(change, float(np.abs(new - f[k]).max()))
+            f[k] = np.maximum(new, 0.0)
+            carry = f[k]
+        if change <= tol:
+            return PeriodicPhi(phis=f, lam=lam, iterations=it, residual=change,
+                               tail=_tail_estimate(change, prev_change))
+        prev_change = change
+    raise ConvergenceError(change, max_iter)
+
+
+def ref_periodic_phi_derivative(spec, lam, periodic, tol=1e-13, max_iter=200_000):
+    el = math.exp(lam)
+    per, d = periodic.period, spec.d
+    eye = np.eye(d)
+    dph = np.zeros((per, d, d))
+    for _ in range(max_iter):
+        change = 0.0
+        carry_phi = periodic.phis[-1]
+        carry_d = dph[-1]
+        for k in range(per):
+            s = spec.slices[k]
+            cur = periodic.phis[k]
+            m = el * (s.r + s.q @ carry_phi)
+            rhs = cur + el * (s.q @ carry_d @ cur)
+            new = np.linalg.solve(eye - m, rhs)
+            change = max(change, float(np.abs(new - dph[k]).max()))
+            dph[k] = new
+            carry_phi, carry_d = cur, new
+        if change <= tol * max(1.0, float(np.abs(dph).max())):
+            return dph
+    raise AssertionError("reference periodic derivative did not converge")
 
 
 def enumerate_truncated_phi(window, k, M, lam):

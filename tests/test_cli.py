@@ -69,8 +69,7 @@ def test_analyze_malformed_spec(tmp_path, capsys):
 def test_rate_hitting_csv(p075_path, tmp_path):
     out = str(tmp_path / "j.csv")
     code = main(["rate", "--spec", p075_path, "--kind", "hitting",
-                 "--grid", "1:0.25:4", "--levels", "1500", "--out", out,
-                 "--threads", "2"])
+                 "--grid", "1:0.25:4", "--levels", "1500", "--out", out])
     assert code == 0
     rows = [l for l in open(out) if not l.startswith("#")]
     header = rows[0].strip().split(",")

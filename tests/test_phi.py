@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stripldp.env import (
     EnvironmentSlice,
@@ -9,6 +10,7 @@ from stripldp.env import (
     c_lambda,
     lambda_crit_cap,
     sample_window,
+    two_point_d1_spec,
 )
 from stripldp.phi import (
     SupercriticalError,
@@ -16,6 +18,7 @@ from stripldp.phi import (
     estimate_lambda_crit,
     hitting_kernels,
     kernels_to_phi,
+    periodic_phi_derivative,
     phi_derivative,
     phi_truncated,
     residual_norm,
@@ -28,6 +31,10 @@ from conftest import (
     d1_phi_closed,
     enumerate_truncated_phi,
     random_d2_iid_spec,
+    ref_periodic_phi_derivative,
+    ref_phi_derivative,
+    ref_solve_phi_periodic,
+    ref_solve_phi_window,
 )
 
 
@@ -219,3 +226,118 @@ def test_period2_environment():
     assert pp.phis[0, 0, 0] == pytest.approx(sol.at_level(0)[0, 0], abs=1e-11)
     assert pp.phis[1, 0, 0] == pytest.approx(sol.at_level(1)[0, 0], abs=1e-11)
     assert pp.phis[0, 0, 0] != pytest.approx(pp.phis[1, 0, 0], abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the transfer kernels against the plain per-level reference loops
+# ---------------------------------------------------------------------------
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_same_solution(got, ref):
+    assert bitwise_equal(got.phis, ref.phis)
+    assert got.warmup_levels == ref.warmup_levels
+    assert got.shift == ref.shift
+    assert bitwise_equal(got.boundary_gap, ref.boundary_gap)  # NaN before shift
+
+
+def window_lambda_crit(window, kappa, tol=1e-9):
+    """(feasible, infeasible) bracket of lambda_crit on this very window."""
+    lo, hi = 0.0, lambda_crit_cap(kappa)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        try:
+            solve_phi_window(window, mid, shift=window.n_levels, kappa=kappa)
+            lo = mid
+        except SupercriticalError:
+            hi = mid
+    return lo, hi
+
+
+SPECS_BY_D = {
+    1: lambda: two_point_d1_spec([0.7, 0.8], [0.5, 0.5]),
+    2: lambda: random_d2_iid_spec(1, drift=0.4),
+    3: lambda: random_d2_iid_spec(4, drift=0.3, d=3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SPECS_BY_D), ids=lambda d: f"d{d}")
+def kernel_case(request):
+    spec = SPECS_BY_D[request.param]()
+    window = sample_window(spec, -320, 480, seed=0)
+    return spec, window, window_lambda_crit(window, spec.kappa)
+
+
+@pytest.mark.parametrize("which", ["-5", "-1", "-0.1", "0.9lc", "lc-1e-7"])
+def test_window_kernels_match_reference(kernel_case, which):
+    spec, window, (lc, _) = kernel_case
+    lam = {"-5": -5.0, "-1": -1.0, "-0.1": -0.1,
+           "0.9lc": 0.9 * lc, "lc-1e-7": lc - 1e-7}[which]
+    for shift in (320, None):
+        sol = solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
+        ref = ref_solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
+        assert_same_solution(sol, ref)
+        dsol = phi_derivative(window, lam, phi_solution=sol, kappa=spec.kappa)
+        dref = ref_phi_derivative(window, lam, phi_solution=ref, kappa=spec.kappa)
+        assert_same_solution(dsol, dref)
+    # the re-solve stopped early, yet its gap past the stop is exactly 0
+    if lam < 0:
+        assert (sol.boundary_gap[-100:] == 0.0).all()
+
+
+def test_window_supercritical_level_matches_reference(kernel_case):
+    spec, window, (_, hi) = kernel_case
+    for lam in (hi, hi + 0.05):
+        with pytest.raises(SupercriticalError) as got:
+            solve_phi_window(window, lam, shift=320, kappa=spec.kappa)
+        with pytest.raises(SupercriticalError) as ref:
+            ref_solve_phi_window(window, lam, shift=320, kappa=spec.kappa)
+        assert got.value.level == ref.value.level
+
+
+def test_periodic_kernels_match_reference():
+    base = random_d2_iid_spec(1, drift=0.4)
+    spec = EnvironmentSpec(kind="periodic", d=2, kappa=base.kappa, slices=base.slices)
+    for lam in (-1.0, -0.1, 0.015, 0.027):
+        pp = solve_phi_periodic(spec, lam)
+        ref = ref_solve_phi_periodic(spec, lam)
+        assert bitwise_equal(pp.phis, ref.phis)
+        assert (pp.iterations, pp.residual, pp.tail) == (ref.iterations, ref.residual, ref.tail)
+        dph = periodic_phi_derivative(spec, lam, pp)
+        assert bitwise_equal(dph, ref_periodic_phi_derivative(spec, lam, ref))
+    with pytest.raises(SupercriticalError) as got:
+        solve_phi_periodic(spec, 0.08)
+    with pytest.raises(SupercriticalError) as want:
+        ref_solve_phi_periodic(spec, 0.08)
+    assert got.value.level == want.value.level
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10_000),
+    d=st.integers(1, 3),
+    drift=st.floats(0.0, 0.6),
+    lam=st.floats(-4.0, 0.6),
+    n=st.integers(2, 160),
+    shift=st.integers(1, 80),
+)
+def test_kernels_match_reference_on_random_specs(seed, d, drift, lam, n, shift):
+    spec = random_d2_iid_spec(seed, kappa=0.05, n_support=2, drift=drift, d=d)
+    window = sample_window(spec, 0, n, seed=seed)
+    try:
+        ref = ref_solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
+    except SupercriticalError as e:
+        with pytest.raises(SupercriticalError) as got:
+            solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
+        assert got.value.level == e.level
+        return
+    sol = solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
+    assert_same_solution(sol, ref)
+    assert_same_solution(
+        phi_derivative(window, lam, phi_solution=sol, kappa=spec.kappa),
+        ref_phi_derivative(window, lam, phi_solution=ref, kappa=spec.kappa),
+    )

@@ -253,3 +253,36 @@ def test_averaged_dual_check_near_criticality():
     q = hitting_rate_curve(spec, grid, n_levels=1200, seed=0)
     assert up.warnings == []
     assert (up.values <= q.values + 1e-9).all()
+
+
+def test_lambda_memo_one_solve_per_distinct_lambda(p075_spec, p075_analysis, monkeypatch):
+    import stripldp.lmgf as lmgf
+    from stripldp.cli import parse_grid
+
+    grid = parse_grid("1:0.1:6")
+    solved, asked = [], []
+    solve = lmgf.solve_phi_periodic
+    value = LmgfEvaluator.value
+
+    def counted_solve(spec, lam, *args, **kwargs):
+        solved.append(lam)
+        return solve(spec, lam, *args, **kwargs)
+
+    def counted_value(self, lam):
+        asked.append(lam)
+        return value(self, lam)
+
+    monkeypatch.setattr(lmgf, "solve_phi_periodic", counted_solve)
+    monkeypatch.setattr(LmgfEvaluator, "value", counted_value)
+    curve = hitting_rate_curve(p075_spec, grid, n_levels=2000, seed=0,
+                               analysis=p075_analysis)
+    assert len(solved) == len(set(solved)) == len(set(asked))
+    assert len(asked) > len(solved)  # golden searches from one bracket repeat points
+
+    # with the memo bypassed every call solves again, and the CSV is the same
+    monkeypatch.setattr(LmgfEvaluator, "value", LmgfEvaluator._value)
+    solved.clear()
+    again = hitting_rate_curve(p075_spec, grid, n_levels=2000, seed=0,
+                               analysis=p075_analysis)
+    assert len(solved) > len(set(solved))
+    assert again.to_csv() == curve.to_csv()
