@@ -21,6 +21,13 @@ Two evaluation paths:
   Lambda is controlled by the geometric-forgetting window bound
   2 / ((1-c^4) c^10 n) with c measured from the factors.
 
+Every estimator, full or truncated, takes its directions from the two rolls
+of `products` (`_roll_left` for mu, `_roll_right` for nu): the periodic
+cycle iterates them to their fixed point, a window rolls them once. A
+window's value terms are the logs of the forward roll's normalizers, a
+period's the logs of one batched mu_k Phi_k 1; the derivative terms are one
+batched product mu_k Phi'_k nu_{k+1} over all levels.
+
 The scalars derived from Lambda: t0 = Lambda'(0-) (the hitting-time LLN
 constant, 1/v0 for right-transient walks), t* = Lambda'(lambda_crit-), and
 the transience regime read off the sign of Lambda(0).
@@ -47,6 +54,7 @@ from .phi import (
     solve_phi_window,
     phi_derivative,
 )
+from .products import _roll_left, _roll_right
 
 DEFAULT_MARGIN = 320
 FP_TOL = 1e-13
@@ -100,41 +108,68 @@ def _sandwich_check(lam: float, value: float, kappa: float, slack: float) -> Non
 
 
 # ---------------------------------------------------------------------------
-# periodic direction vectors (cyclic power iteration)
+# per-level terms from the shared direction rolls of `products`
 # ---------------------------------------------------------------------------
+
+
+def _cycle_fixed_point(step, start: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    cur = start
+    for _ in range(max_iter):
+        prev, cur = cur, step(cur)
+        if np.abs(cur - prev).max() <= tol:
+            return cur
+    raise ConvergenceError(float(np.abs(cur - prev).max()), max_iter)
 
 
 def _periodic_directions(phis: np.ndarray, tol: float = 1e-14, max_iter: int = 100_000):
     """(mu, nu) arrays of shape (period, d): mu[k] enters factor k from the
-    left, nu[k] is the direction of Phi_k Phi_{k+1} ... 1."""
-    per, d, _ = phis.shape
-    mu = np.full((per, d), 1.0 / d)
-    for _ in range(max_iter):
-        prev = mu.copy()
-        v = mu[0]
-        for k in range(per):
-            mu[k] = v
-            v = v @ phis[k]
-            v = v / v.sum()
-        mu[0] = v  # direction after a full cycle feeds the next one
-        if np.abs(mu - prev).max() <= tol:
-            break
-    else:
-        raise ConvergenceError(float(np.abs(mu - prev).max()), max_iter)
+    left, nu[k] is the direction of Phi_k Phi_{k+1} ... 1. Each iteration
+    rolls one cycle from the previous cycle's mu_0 (nu_0); the mu_0 it ends
+    with feeds the next cycle."""
+    def mu_cycle(mu):
+        Z = _roll_left(phis, mu[0])[0]
+        Z[0] = Z[-1]  # the direction after a full cycle is mu_0
+        return Z[:-1]
 
-    nu = np.full((per, d), 1.0 / d)
-    for _ in range(max_iter):
-        prev = nu.copy()
-        v = nu[0]
-        for k in range(per - 1, -1, -1):
-            w = phis[k] @ v
-            v = w / w.sum()
-            nu[k] = v
-        if np.abs(nu - prev).max() <= tol:
-            break
-    else:
-        raise ConvergenceError(float(np.abs(nu - prev).max()), max_iter)
+    per, d, _ = phis.shape
+    uniform = np.full((per, d), 1.0 / d)
+    mu = _cycle_fixed_point(mu_cycle, uniform, tol, max_iter)
+    nu = _cycle_fixed_point(lambda nu: _roll_right(phis, nu[0])[0][:-1], uniform, tol, max_iter)
     return mu, nu
+
+
+def _bilinear(Z: np.ndarray, phis: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """z_k Phi_k r_k at every level k, as one batched product."""
+    return ((Z[:, None, :] @ phis) @ R[:, :, None])[:, 0, 0]
+
+
+def _log_terms(phis: np.ndarray, periodic: bool):
+    """log(mu_k Phi_k 1) at every level: over one period of the cyclic
+    directions, or from the forward roll of a window (uniform start).
+
+    numpy's vectorized log and libm's `math.log` differ in the last bit on a
+    few inputs in a thousand. Scalar windows take the former, every other
+    path the latter, one level at a time, which keeps each reported value
+    the same to the last bit.
+    """
+    if periodic:
+        mu, _ = _periodic_directions(phis)
+        return [math.log(x) for x in _bilinear(mu, phis, np.ones_like(mu))]
+    s = _roll_left(phis)[1]
+    return np.log(s) if phis.shape[1] == 1 else np.fromiter(map(math.log, s), float, len(s))
+
+
+def _derivative_terms(phis: np.ndarray, dphis: np.ndarray, periodic: bool) -> np.ndarray:
+    """mu_k Phi'_k nu_{k+1} / (mu_k Phi_k nu_{k+1}) at every level. On a
+    window both directions are rolled from the uniform vector (nu from level
+    n), which makes the mean the exact lambda-derivative of the value
+    estimate."""
+    if periodic:
+        mu, nu = _periodic_directions(phis)
+        Z, R = mu, np.concatenate((nu[1:], nu[:1]))
+    else:
+        Z, R = _roll_left(phis)[0][:-1], _roll_right(phis)[0][1:]
+    return _bilinear(Z, dphis, R) / _bilinear(Z, phis, R)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +240,7 @@ class LmgfEvaluator:
         # (polynomially slow convergence happens only at the recurrent boundary)
         pp = solve_phi_periodic(self.spec, lam, tol=FP_TOL,
                                 on_maxiter="return" if lam <= 0 else "raise")
-        mu, _ = _periodic_directions(pp.phis)
-        terms = [math.log(float(mu[k] @ pp.phis[k] @ np.ones(self.spec.d)))
-                 for k in range(pp.period)]
+        terms = _log_terms(pp.phis, periodic=True)
         c = _measured_c(pp.phis)
         tail = pp.tail if math.isfinite(pp.tail) else pp.residual * self.n_levels
         bias = 2.0 * tail / c
@@ -223,22 +256,11 @@ class LmgfEvaluator:
                                shift=self.margin or None, kappa=self.spec.kappa)
         i0 = self.window.index_of(0)
         n = self.n_levels
-        d = self.window.d
-        if d == 1:
-            terms = np.log(sol.phis[i0:, 0, 0])
-        else:
-            terms = np.empty(n)
-            z = np.full(d, 1.0 / d)
-            ones = np.ones(d)
-            for k in range(n):
-                w = z @ sol.phis[i0 + k]
-                s = float(w @ ones)
-                terms[k] = math.log(s)
-                z = w / s
+        terms = _log_terms(sol.phis[i0:], periodic=False)
         c = _measured_c(sol.phis[i0:])
         bias = self._boundary_bias(sol, i0, c)
         det = min(_paper_window_bound(c, n),
-                  _det_cap(self.spec.kappa, lam, d)) + bias
+                  _det_cap(self.spec.kappa, lam, self.window.d)) + bias
         stat = 1.96 * float(terms.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
         return LmgfEstimate(
             lam=lam, value=float(terms.mean()), deterministic_error=det,
@@ -271,12 +293,7 @@ class LmgfEvaluator:
     def _derivative_periodic(self, lam: float) -> LmgfEstimate:
         pp = solve_phi_periodic(self.spec, lam, tol=FP_TOL)
         dph = periodic_phi_derivative(self.spec, lam, pp, tol=FP_TOL)
-        mu, nu = _periodic_directions(pp.phis)
-        per = pp.period
-        terms = []
-        for k in range(per):
-            nxt = nu[(k + 1) % per]
-            terms.append(float(mu[k] @ dph[k] @ nxt) / float(mu[k] @ pp.phis[k] @ nxt))
+        terms = _derivative_terms(pp.phis, dph, periodic=True)
         c = _measured_c(pp.phis)
         return LmgfEstimate(
             lam=lam, value=float(np.mean(terms)),
@@ -290,25 +307,8 @@ class LmgfEvaluator:
         dsol = phi_derivative(self.window, lam, tol=self.tol, phi_solution=sol,
                               kappa=self.spec.kappa)
         i0 = self.window.index_of(0)
-        n, d = self.n_levels, self.window.d
-
-        if d == 1:
-            terms = dsol.phis[i0:, 0, 0] / sol.phis[i0:, 0, 0]
-        else:
-            # right vectors rolled from the all-ones direction at level n, so
-            # the sum is the exact lambda-derivative of the value estimator
-            R = np.empty((n + 1, d))
-            R[n] = 1.0 / d
-            for k in range(n - 1, -1, -1):
-                w = sol.phis[i0 + k] @ R[k + 1]
-                R[k] = w / w.sum()
-            terms = np.empty(n)
-            z = np.full(d, 1.0 / d)
-            for k in range(n):
-                phi_k = sol.phis[i0 + k]
-                terms[k] = float(z @ dsol.phis[i0 + k] @ R[k + 1]) / float(z @ phi_k @ R[k + 1])
-                w = z @ phi_k
-                z = w / w.sum()
+        n = self.n_levels
+        terms = _derivative_terms(sol.phis[i0:], dsol.phis[i0:], periodic=False)
         c = _measured_c(sol.phis[i0:])
         det = _paper_window_bound(c, n) * (1.0 + abs(float(terms.mean())))
         stat = 1.96 * float(terms.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
@@ -344,30 +344,15 @@ class LmgfEvaluator:
 
     def value_truncated(self, lam: float, M: int) -> LmgfEstimate:
         ker = self._kernels(M)
-        nlev, d = ker.shape[0], self.spec.d
+        nlev = ker.shape[0]
         _check_truncated_range(lam, M)
         m = np.arange(1, M + 1)
         phis = np.einsum("m,kmij->kij", np.exp(lam * m), ker)
         self._check_truncation_depth(phis, M)
-        if self.spec.kind == "periodic":
-            mu, _ = _periodic_directions(phis)
-            terms = [math.log(float(mu[k] @ phis[k] @ np.ones(d))) for k in range(nlev)]
-            stat = 0.0
-            n = self.n_levels
-        elif d == 1:
-            terms = np.log(phis[:, 0, 0])
-            stat = 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(nlev)
-            n = nlev
-        else:
-            terms = np.empty(nlev)
-            z = np.full(d, 1.0 / d)
-            for k in range(nlev):
-                w = z @ phis[k]
-                s = w.sum()
-                terms[k] = math.log(s)
-                z = w / s
-            stat = 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(nlev)
-            n = nlev
+        periodic = self.spec.kind == "periodic"
+        terms = _log_terms(phis, periodic)
+        stat = 0.0 if periodic else 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(nlev)
+        n = self.n_levels if periodic else nlev
         c = _measured_c(phis)
         return LmgfEstimate(
             lam=lam, value=float(np.mean(terms)),
@@ -377,37 +362,16 @@ class LmgfEvaluator:
 
     def derivative_truncated(self, lam: float, M: int) -> LmgfEstimate:
         ker = self._kernels(M)
-        nlev, d = ker.shape[0], self.spec.d
+        nlev = ker.shape[0]
         _check_truncated_range(lam, M)
         m = np.arange(1, M + 1)
         e = np.exp(lam * m)
         phis = np.einsum("m,kmij->kij", e, ker)
         dphis = np.einsum("m,kmij->kij", m * e, ker)
         self._check_truncation_depth(phis, M)
-        if self.spec.kind == "periodic":
-            mu, nu = _periodic_directions(phis)
-            terms = [
-                float(mu[k] @ dphis[k] @ nu[(k + 1) % nlev])
-                / float(mu[k] @ phis[k] @ nu[(k + 1) % nlev])
-                for k in range(nlev)
-            ]
-            stat = 0.0
-        elif d == 1:
-            terms = dphis[:, 0, 0] / phis[:, 0, 0]
-            stat = 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(nlev)
-        else:
-            R = np.empty((nlev + 1, d))
-            R[nlev] = 1.0 / d
-            for k in range(nlev - 1, -1, -1):
-                w = phis[k] @ R[k + 1]
-                R[k] = w / w.sum()
-            terms = np.empty(nlev)
-            z = np.full(d, 1.0 / d)
-            for k in range(nlev):
-                terms[k] = float(z @ dphis[k] @ R[k + 1]) / float(z @ phis[k] @ R[k + 1])
-                w = z @ phis[k]
-                z = w / w.sum()
-            stat = 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(nlev)
+        periodic = self.spec.kind == "periodic"
+        terms = _derivative_terms(phis, dphis, periodic)
+        stat = 0.0 if periodic else 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(nlev)
         c = _measured_c(phis)
         return LmgfEstimate(
             lam=lam, value=float(np.mean(terms)),

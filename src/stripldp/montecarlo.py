@@ -38,6 +38,7 @@ from .env import (
 )
 from .lmgf import LmgfEvaluator
 from .phi import kernels_to_phi, solve_phi_window
+from .products import _roll_right
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -403,20 +404,12 @@ def build_tilted_sampler(
     m_range = np.arange(1, M + 1)
     weights = np.exp(lam * m_range)[None, :, None, None] * ker  # (n, M, d, d)
 
-    # backward vectors h_k = Phi_{k,M} h_{k+1}, normalized, log scale kept
-    hvec = np.ones(d) / d
-    hs = np.empty((n + 1, d))
-    hs[n] = hvec
-    logscale = math.log(d)  # true h_n = 1 = d * (1/d)
-    logscales = np.empty(n + 1)
-    logscales[n] = logscale
-    for k in range(n - 1, -1, -1):
-        phi_k = weights[k].sum(axis=0)  # Phi_{k,M}(lambda)
-        w = phi_k @ hs[k + 1]
-        s = w.sum()
-        hs[k] = w / s
-        logscales[k] = logscales[k + 1] + math.log(s)
-    log_Z = math.log(float(start_pi @ hs[0])) + logscales[0]
+    # backward vectors h_k = Phi_{k,M} h_{k+1}, normalized; the true h_0 is
+    # hs[0] times d (h_n = 1 = d * (1/d)) times the normalizers of levels
+    # n-1 .. 0, summed in that order on the log scale
+    hs, s = _roll_right(weights.sum(axis=1))  # Phi_{k,M}(lambda)
+    logscale = np.cumsum([math.log(d), *map(math.log, s[::-1])])[-1]
+    log_Z = math.log(float(start_pi @ hs[0])) + logscale
 
     cdfs = np.empty((n, d, M * d))
     for k in range(n):

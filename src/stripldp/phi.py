@@ -231,17 +231,15 @@ def solve_phi_window(
     window: EnvironmentWindow,
     lam: float,
     tol: float = 1e-12,
-    max_iter: int = 0,
     shift: int | None = None,
     kappa: float | None = None,
 ) -> PhiSolution:
     """Solve the Phi fixed point over the window from the zero left boundary.
 
     The pass is the exact limit of the monotone sweep iteration (each level's
-    equation is linear given its left neighbor), so `max_iter` is unused here;
-    it is kept for signature parity with the periodic solver. Boundary
-    forgetting is measured by re-solving from `shift` levels in and flagging
-    as warm-up every level where the two solutions differ by more than tol.
+    equation is linear given its left neighbor). Boundary forgetting is
+    measured by re-solving from `shift` levels in and flagging as warm-up
+    every level where the two solutions differ by more than tol.
     The re-solve stops at the first level where it equals the main sweep
     bit for bit: each level is computed from the one before alone, so from
     there on it would repeat the main sweep exactly, and its gap is 0.
@@ -482,8 +480,11 @@ def phi_derivative(
     central finite differences of the Phi solve. Boundary forgetting is
     measured as in solve_phi_window: the re-solve from `shift` levels in
     stops once both its Phi and its Phi' equal the main sweep's bit for bit,
-    since level k of both recursions depends only on level k-1.
+    since level k of both recursions depends only on level k-1. An omitted
+    `kappa` is measured once and serves the solve and the re-solve.
     """
+    if kappa is None:
+        kappa = _infer_kappa(window)
     if phi_solution is None:
         phi_solution = solve_phi_window(window, lam, tol=tol, kappa=kappa)
     el = math.exp(lam)

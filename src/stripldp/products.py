@@ -13,6 +13,10 @@ coefficient is measured from the actual factors
 2 eps / (1 - eps). The measured radius is never looser than the closed form
 (2/c^4)(1-c^4)^(m-1) with c the measured entrywise bound.
 
+All direction rolling in the package goes through `_roll_left` (the mu
+recurrence) and `_roll_right` (its nu mirror): the vectors here, the Lambda
+estimators of `lmgf` and the backward vectors of the tilted sampler.
+
 Appendix-style environments from (L, R) embeddings with L > R have Phi with
 zero columns [R+1, L]; those are handled by block reduction on the positive
 R x R upper-left blocks, never by the positive-product routines directly.
@@ -98,11 +102,57 @@ def _factor_stack(phis) -> tuple[np.ndarray, int, float, str, int | None]:
     return arr, 0, float("nan"), "full", None
 
 
-def rho_pair(A: np.ndarray, B: np.ndarray) -> float:
-    """Contraction coefficient of the ordered product A B (A applied first)."""
-    terms = A[:, :, None] * B[None, :, :]  # (i, j, k)
-    prod = terms.sum(axis=1)
-    return float((terms.min(axis=1) / prod).min())
+def _roll_left(factors: np.ndarray, start: np.ndarray | None = None):
+    """Forward roll z_{k+1} = z_k Phi_k / s_k with s_k = z_k Phi_k 1.
+
+    `factors` has shape (n, d, d); `start` is the probability vector z_0
+    (uniform when omitted). Returns the directions Z, shape (n+1, d), and
+    the normalizers s, shape (n,). At d = 1 every direction is 1 and s is
+    the factor itself.
+    """
+    n, d, _ = factors.shape
+    if d == 1:
+        return np.ones((n + 1, 1)), factors[:, 0, 0]
+    ones = np.ones(d)
+    Z = np.empty((n + 1, d))
+    s = np.empty(n)
+    z = Z[0] = np.full(d, 1.0 / d) if start is None else start
+    for k, phi in enumerate(factors):
+        w = z @ phi
+        s[k] = t = w @ ones
+        z = Z[k + 1] = w / t
+    return Z, s
+
+
+def _roll_right(factors: np.ndarray, start: np.ndarray | None = None):
+    """Backward roll r_k = Phi_k r_{k+1} / s_k with s_k = 1 Phi_k r_{k+1}.
+
+    The mirror of `_roll_left`: `start` is r_n, R has shape (n+1, d) with
+    R[k] the direction of Phi_k ... Phi_{n-1} start, and s[k] is level k's
+    normalizer.
+    """
+    n, d, _ = factors.shape
+    if d == 1:
+        return np.ones((n + 1, 1)), factors[:, 0, 0]
+    ones = np.ones(d)
+    R = np.empty((n + 1, d))
+    s = np.empty(n)
+    r = R[n] = np.full(d, 1.0 / d) if start is None else start
+    for k in range(n - 1, -1, -1):
+        w = factors[k] @ r
+        s[k] = t = w @ ones
+        r = R[k] = w / t
+    return R, s
+
+
+def _contractions(arr: np.ndarray) -> np.ndarray:
+    """1 - d rho(Phi_k, Phi_{k+1}) for every adjacent pair of factors, with
+
+    rho(A, B) = min_{i,j,k} A(i,j) B(j,k) / (A B)(i,k).
+    """
+    terms = arr[:-1, :, :, None] * arr[1:, None, :, :]  # (pair, i, j, k)
+    rho = (terms.min(axis=2) / terms.sum(axis=2)).min(axis=(1, 2))
+    return 1.0 - arr.shape[1] * rho
 
 
 def _radius_from_eps(eps: float) -> float:
@@ -129,104 +179,62 @@ def positive_product_direction(factors, side: str = "left") -> DirectionVector:
     """Limiting direction of the normalized product of positive matrices.
 
     side 'left': lim pi G_1 G_2 ... G_m / (.. 1), independent of pi (computed
-    from the uniform start, renormalized after every factor). side 'right'
-    operates on transposes, consuming factors newest-first. The certificate
+    from the uniform start): the last of `mu_vectors`. side 'right': the
+    direction of G_1 ... G_m 1, the first of `nu_vectors`. The certificate
     is the running product of measured per-step contraction coefficients.
     """
-    arr, lo, lam, kind, M = _factor_stack(factors)
-    if arr.shape[0] < 2:
+    if len(_factor_stack(factors)[0]) < 2:
         raise ValueError("need at least 2 factors")
-    if (arr <= 0).any():
-        raise NonPositiveFactorError(
-            "nonpositive factor entry; use block reduction for zero-column matrices"
-        )
-    n, d, _ = arr.shape
-    eps = 1.0
     if side == "left":
-        v = np.full(d, 1.0 / d)
-        for k in range(n):
-            v = v @ arr[k]
-            v /= v.sum()
-            if k > 0:
-                eps *= 1.0 - d * rho_pair(arr[k - 1], arr[k])
-        level = lo + n
-    elif side == "right":
-        v = np.full(d, 1.0 / d)
-        for k in range(n - 1, -1, -1):
-            v = arr[k] @ v
-            v /= v.sum()
-            if k < n - 1:
-                eps *= 1.0 - d * rho_pair(arr[k + 1].T, arr[k].T)
-        level = lo
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return DirectionVector(
-        v=v, level=level, lam=lam, side=side,
-        error_radius=_radius_from_eps(eps), kind=kind, M=M, factors_consumed=n,
-    )
+        return mu_vectors(factors)[-1]
+    if side == "right":
+        return nu_vectors(factors)[0]
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def _positive_stack(phis, block_routine: str):
+    stack = _factor_stack(phis)
+    if (stack[0] <= 0).any():
+        raise NonPositiveFactorError(
+            f"nonpositive factor entry; use {block_routine} for zero-column matrices"
+        )
+    return stack
 
 
 def mu_vectors(phis, warmup: int = 1) -> list[DirectionVector]:
     """Rolling left directions mu for levels lo..hi of the factor window.
 
-    mu at level lo+j consumes the j factors lo..lo+j-1 via
+    mu at level lo+m consumes the m factors lo..lo+m-1 via
     mu_{k+1} = mu_k Phi_k / (mu_k Phi_k 1); the first max(warmup, 1) vectors
     are flagged unreliable. Radii shrink with the measured rho products.
     """
-    arr, lo, lam, kind, M = _factor_stack(phis)
-    if (arr <= 0).any():
-        raise NonPositiveFactorError(
-            "nonpositive factor entry; use block_mu_vectors for zero-column matrices"
-        )
-    n, d, _ = arr.shape
-    out = []
-    v = np.full(d, 1.0 / d)
-    eps = 1.0
-    out.append(DirectionVector(
-        v=v, level=lo, lam=lam, side="left", error_radius=float("inf"),
-        kind=kind, M=M, warmup=True, factors_consumed=0,
-    ))
-    for j in range(n):
-        v = v @ arr[j]
-        v = v / v.sum()
-        if j > 0:
-            eps *= 1.0 - d * rho_pair(arr[j - 1], arr[j])
-        m = j + 1
-        out.append(DirectionVector(
-            v=v, level=lo + m, lam=lam, side="left",
-            error_radius=_radius_from_eps(eps) if m >= 2 else float("inf"),
+    arr, lo, lam, kind, M = _positive_stack(phis, "block_mu_vectors")
+    Z, _ = _roll_left(arr)
+    eps = np.cumprod(_contractions(arr))  # eps[m-2]: after m factors
+    return [
+        DirectionVector(
+            v=Z[m], level=lo + m, lam=lam, side="left",
+            error_radius=_radius_from_eps(float(eps[m - 2])) if m >= 2 else float("inf"),
             kind=kind, M=M, warmup=m < max(warmup, 1), factors_consumed=m,
-        ))
-    return out
+        )
+        for m in range(len(arr) + 1)
+    ]
 
 
 def nu_vectors(phis, warmup: int = 1) -> list[DirectionVector]:
     """Rolling right directions nu for levels lo..hi (nu_k consumes factors k..hi-1)."""
-    arr, lo, lam, kind, M = _factor_stack(phis)
-    if (arr <= 0).any():
-        raise NonPositiveFactorError(
-            "nonpositive factor entry; use block_nu_vectors for zero-column matrices"
+    arr, lo, lam, kind, M = _positive_stack(phis, "block_nu_vectors")
+    n = len(arr)
+    R, _ = _roll_right(arr)
+    eps = np.cumprod(_contractions(arr)[::-1])  # eps[m-2]: after the last m factors
+    return [
+        DirectionVector(
+            v=R[k], level=lo + k, lam=lam, side="right",
+            error_radius=_radius_from_eps(float(eps[n - k - 2])) if n - k >= 2 else float("inf"),
+            kind=kind, M=M, warmup=n - k < max(warmup, 1), factors_consumed=n - k,
         )
-    n, d, _ = arr.shape
-    rev: list[DirectionVector] = []
-    v = np.full(d, 1.0 / d)
-    eps = 1.0
-    rev.append(DirectionVector(
-        v=v, level=lo + n, lam=lam, side="right", error_radius=float("inf"),
-        kind=kind, M=M, warmup=True, factors_consumed=0,
-    ))
-    for j in range(n - 1, -1, -1):
-        v = arr[j] @ v
-        v = v / v.sum()
-        if j < n - 1:
-            eps *= 1.0 - d * rho_pair(arr[j + 1].T, arr[j].T)
-        m = n - j
-        rev.append(DirectionVector(
-            v=v, level=lo + j, lam=lam, side="right",
-            error_radius=_radius_from_eps(eps) if m >= 2 else float("inf"),
-            kind=kind, M=M, warmup=m < max(warmup, 1), factors_consumed=m,
-        ))
-    return rev[::-1]
+        for k in range(n + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +257,12 @@ def block_mu_vectors(phis, R: int, warmup: int = 1) -> list[DirectionVector]:
     arr, lo, lam, kind, M = _factor_stack(phis)
     _check_block_pattern(arr, R)
     d = arr.shape[1]
-    reduced = mu_vectors(
-        [PhiMatrix(entries=a[:R, :R], level=lo + k, lam=lam, kind=kind)
-         for k, a in enumerate(arr)],
-        warmup=warmup,
-    )
     out = []
-    for dv in reduced:
+    for dv in mu_vectors(arr[:, :R, :R], warmup=warmup):
         padded = np.zeros(d)
         padded[:R] = dv.v
         out.append(DirectionVector(
-            v=padded, level=dv.level, lam=lam, side="left",
+            v=padded, level=lo + dv.factors_consumed, lam=lam, side="left",
             error_radius=dv.error_radius, kind=kind, M=M, warmup=dv.warmup,
             factors_consumed=dv.factors_consumed,
         ))
@@ -268,40 +271,21 @@ def block_mu_vectors(phis, R: int, warmup: int = 1) -> list[DirectionVector]:
 
 def block_nu_vectors(phis, R: int, warmup: int = 1) -> list[DirectionVector]:
     """Right directions via the sigma construction: sigma_k is the direction of
-    A_{[k,n]} 1; nu_k = Phi_k sigma~_{k+1} / (1^t Phi_k sigma~_{k+1})."""
+    A_{[k,n]} 1 (`nu_vectors` on the A-blocks);
+    nu_k = Phi_k sigma~_{k+1} / (1^t Phi_k sigma~_{k+1})."""
     arr, lo, lam, kind, M = _factor_stack(phis)
     _check_block_pattern(arr, R)
     n, d, _ = arr.shape
-    A = arr[:, :R, :R]
-
-    # rolling sigma: sigma_k = A_k sigma_{k+1} / sum, from the uniform start
-    sig = np.full(R, 1.0 / R)
-    sigmas = [sig]
-    eps = 1.0
-    eps_by_pos = [1.0]
-    for j in range(n - 1, -1, -1):
-        sig = A[j] @ sig
-        sig = sig / sig.sum()
-        if j < n - 1:
-            eps *= 1.0 - R * rho_pair(A[j + 1].T, A[j].T)
-        sigmas.append(sig)
-        eps_by_pos.append(eps)
-    sigmas = sigmas[::-1]  # sigmas[k] for k = 0..n (position relative to lo)
-    eps_by_pos = eps_by_pos[::-1]
-
+    sigmas = nu_vectors(arr[:, :R, :R])
     out = []
     for k in range(n):
-        sig_pad = np.zeros(d)
-        sig_pad[:R] = sigmas[k + 1]
-        w = arr[k] @ sig_pad
+        w = arr[k, :, :R] @ sigmas[k + 1].v
         total = w.sum()
-        nu = w / total
         # measured Lipschitz closure mapping the sigma radius through Phi_k
         scale = float(arr[k, :, :R].max()) * d / total
-        radius = _radius_from_eps(eps_by_pos[k + 1]) * max(scale, 1.0)
         out.append(DirectionVector(
-            v=nu, level=lo + k, lam=lam, side="right",
-            error_radius=radius, kind=kind, M=M,
+            v=w / total, level=lo + k, lam=lam, side="right",
+            error_radius=sigmas[k + 1].error_radius * max(scale, 1.0), kind=kind, M=M,
             warmup=(n - k) < max(warmup, 1), factors_consumed=n - k,
         ))
     return out

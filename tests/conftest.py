@@ -312,6 +312,140 @@ def ref_periodic_phi_derivative(spec, lam, periodic, tol=1e-13, max_iter=200_000
     raise AssertionError("reference periodic derivative did not converge")
 
 
+# ---------------------------------------------------------------------------
+# reference direction loops: the per-level rolls that lmgf, montecarlo and
+# products wrote out before they shared stripldp.products' two rolls; the
+# estimators must reproduce them bit for bit
+# ---------------------------------------------------------------------------
+
+
+def ref_periodic_directions(phis, tol=1e-14, max_iter=100_000):
+    """Cyclic power iteration for one period's (mu, nu), one level at a time."""
+    per, d, _ = phis.shape
+    mu = np.full((per, d), 1.0 / d)
+    for _ in range(max_iter):
+        prev = mu.copy()
+        v = mu[0]
+        for k in range(per):
+            mu[k] = v
+            v = v @ phis[k]
+            v = v / v.sum()
+        mu[0] = v  # direction after a full cycle feeds the next one
+        if np.abs(mu - prev).max() <= tol:
+            break
+    else:
+        raise AssertionError("reference mu cycle did not converge")
+    nu = np.full((per, d), 1.0 / d)
+    for _ in range(max_iter):
+        prev = nu.copy()
+        v = nu[0]
+        for k in range(per - 1, -1, -1):
+            w = phis[k] @ v
+            v = w / w.sum()
+            nu[k] = v
+        if np.abs(nu - prev).max() <= tol:
+            break
+    else:
+        raise AssertionError("reference nu cycle did not converge")
+    return mu, nu
+
+
+def ref_log_terms(phis, periodic):
+    """Value terms log(mu_k Phi_k 1): the forward z loop (uniform start) on a
+    window, the cyclic directions on a period."""
+    per, d, _ = phis.shape
+    if periodic:
+        mu, _ = ref_periodic_directions(phis)
+        return [math.log(float(mu[k] @ phis[k] @ np.ones(d))) for k in range(per)]
+    if d == 1:
+        return np.log(phis[:, 0, 0])
+    terms = np.empty(per)
+    z = np.full(d, 1.0 / d)
+    ones = np.ones(d)
+    for k in range(per):
+        w = z @ phis[k]
+        s = float(w @ ones)
+        terms[k] = math.log(s)
+        z = w / s
+    return terms
+
+
+def ref_derivative_terms(phis, dphis, periodic):
+    """Derivative terms mu_k Phi'_k nu_{k+1} / (mu_k Phi_k nu_{k+1}): on a
+    window the backward R loop from the uniform vector at level n, then the
+    forward z loop."""
+    n, d, _ = phis.shape
+    if periodic:
+        mu, nu = ref_periodic_directions(phis)
+        return [float(mu[k] @ dphis[k] @ nu[(k + 1) % n])
+                / float(mu[k] @ phis[k] @ nu[(k + 1) % n]) for k in range(n)]
+    if d == 1:
+        return dphis[:, 0, 0] / phis[:, 0, 0]
+    R = np.empty((n + 1, d))
+    R[n] = 1.0 / d
+    for k in range(n - 1, -1, -1):
+        w = phis[k] @ R[k + 1]
+        R[k] = w / w.sum()
+    terms = np.empty(n)
+    z = np.full(d, 1.0 / d)
+    for k in range(n):
+        terms[k] = float(z @ dphis[k] @ R[k + 1]) / float(z @ phis[k] @ R[k + 1])
+        w = z @ phis[k]
+        z = w / w.sum()
+    return terms
+
+
+def ref_tilted_sampler_tables(evaluator, lam, M, n, start_pi):
+    """(log_Z, cdfs) of build_tilted_sampler with its backward h loop and
+    running log scale."""
+    ker_all = evaluator._kernels(M)
+    if evaluator.spec.kind == "periodic":
+        ker = ker_all[np.arange(n) % ker_all.shape[0]]
+    else:
+        ker = ker_all[:n]
+    d = ker.shape[2]
+    weights = np.exp(lam * np.arange(1, M + 1))[None, :, None, None] * ker
+    hs = np.empty((n + 1, d))
+    hs[n] = np.ones(d) / d
+    logscales = np.empty(n + 1)
+    logscales[n] = math.log(d)
+    for k in range(n - 1, -1, -1):
+        w = weights[k].sum(axis=0) @ hs[k + 1]
+        s = w.sum()
+        hs[k] = w / s
+        logscales[k] = logscales[k + 1] + math.log(s)
+    log_Z = math.log(float(start_pi @ hs[0])) + logscales[0]
+    cdfs = np.empty((n, d, M * d))
+    for k in range(n):
+        flat = (weights[k] * hs[k + 1][None, None, :]).transpose(1, 0, 2).reshape(d, M * d)
+        cdfs[k] = np.cumsum(flat / flat.sum(axis=1, keepdims=True), axis=1)
+    return log_Z, cdfs
+
+
+def ref_positive_product_direction(arr, side):
+    """(v, error_radius) of one product roll with its running rho certificate."""
+    def rho_pair(A, B):
+        terms = A[:, :, None] * B[None, :, :]
+        return float((terms.min(axis=1) / terms.sum(axis=1)).min())
+
+    n, d, _ = arr.shape
+    v = np.full(d, 1.0 / d)
+    eps = 1.0
+    if side == "left":
+        for k in range(n):
+            v = v @ arr[k]
+            v = v / v.sum()
+            if k > 0:
+                eps *= 1.0 - d * rho_pair(arr[k - 1], arr[k])
+    else:
+        for k in range(n - 1, -1, -1):
+            v = arr[k] @ v
+            v = v / v.sum()
+            if k < n - 1:
+                eps *= 1.0 - d * rho_pair(arr[k + 1].T, arr[k].T)
+    return v, (float("inf") if eps >= 1.0 else 2.0 * eps / (1.0 - eps))
+
+
 def enumerate_truncated_phi(window, k, M, lam):
     """Exhaustive path enumeration oracle for Phi_{k,M}(lambda).
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stripldp.env import homogeneous_d1_spec, sample_window, two_point_d1_spec
+from stripldp.env import EnvironmentSpec, homogeneous_d1_spec, sample_window, two_point_d1_spec
 from stripldp.lmgf import (
     LmgfEvaluator,
     analyze_environment,
@@ -13,7 +13,13 @@ from stripldp.lmgf import (
 )
 from stripldp.phi import solve_phi_window
 
-from conftest import d1_lambda_crit, d1_phi_closed, random_d2_iid_spec
+from conftest import (
+    d1_lambda_crit,
+    d1_phi_closed,
+    random_d2_iid_spec,
+    ref_derivative_terms,
+    ref_log_terms,
+)
 
 
 def test_lambda_eta_zero_right_transient(p075_spec):
@@ -247,3 +253,60 @@ def test_d3_lambda_duality_and_bounds():
     assert abs(ev.derivative(lam).value - fd) < 1e-5
     v0 = ev.value(0.0)
     assert abs(v0.value) < 1e-3 or v0.value < 0  # stochastic or substochastic
+
+
+# ---------------------------------------------------------------------------
+# the estimators on the shared rolls against the per-level reference loops
+# ---------------------------------------------------------------------------
+
+
+def period3_d2_spec():
+    base = random_d2_iid_spec(1, drift=0.4)
+    return EnvironmentSpec(kind="periodic", d=2, kappa=base.kappa, slices=base.slices)
+
+
+ROLL_SPECS = {
+    "window-d1": lambda: two_point_d1_spec([0.7, 0.8], [0.5, 0.5]),
+    "window-d2": lambda: random_d2_iid_spec(1, drift=0.4),
+    "window-d3": lambda: random_d2_iid_spec(4, drift=0.3, d=3),
+    "period3-d2": period3_d2_spec,
+    "p075": lambda: homogeneous_d1_spec(0.75, kappa=0.25),
+}
+
+
+def all_estimates(spec):
+    ev = LmgfEvaluator(spec, n_levels=300, seed=0)
+    out = []
+    for lam in (-1.0, -0.1, 0.01):
+        out += [ev.value(lam), ev.derivative(lam)]
+    for lam in (-0.5, 0.05):
+        out += [ev.value_truncated(lam, 16), ev.derivative_truncated(lam, 16)]
+    return out
+
+
+def checked_against(terms, ref_terms):
+    """ref_terms, after asserting that terms gives the same bits."""
+    def both(*args, **kwargs):
+        got = np.asarray(terms(*args, **kwargs))
+        want = np.asarray(ref_terms(*args, **kwargs))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return ref_terms(*args, **kwargs)
+    return both
+
+
+@pytest.mark.parametrize("name", sorted(ROLL_SPECS))
+def test_estimators_match_reference_loops(name, monkeypatch):
+    """Every per-level term, and every field of every estimate, equals bit
+    for bit (repr round-trips a float exactly) the one built on the
+    reference per-level loops; at d = 3 too, where bit equality holds and
+    not only the 1e-13 agreement that would be acceptable there."""
+    import stripldp.lmgf as lmgf
+
+    spec = ROLL_SPECS[name]()
+    got = all_estimates(spec)
+    assert any(math.isfinite(e.value) and e.value != 0.0 for e in got)
+    monkeypatch.setattr(lmgf, "_log_terms", checked_against(lmgf._log_terms, ref_log_terms))
+    monkeypatch.setattr(lmgf, "_derivative_terms",
+                        checked_against(lmgf._derivative_terms, ref_derivative_terms))
+    want = all_estimates(spec)
+    assert [repr(e) for e in got] == [repr(e) for e in want]

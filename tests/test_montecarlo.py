@@ -22,7 +22,12 @@ from stripldp.montecarlo import (
     slowdown_probability,
 )
 
-from conftest import d1_lambda_crit, enumerate_hitting_distribution
+from conftest import (
+    d1_lambda_crit,
+    enumerate_hitting_distribution,
+    random_d2_iid_spec,
+    ref_tilted_sampler_tables,
+)
 
 
 def test_walk_near_deterministic():
@@ -238,3 +243,19 @@ def test_per_trial_stream_isolation(p075_spec):
     for i in (0, 17, 49):
         T_one, _ = sampler.sample(1, seed=3, first_trial=i)
         assert T_one[0] == T_batch[i]
+
+
+@pytest.mark.parametrize("spec", [
+    two_point_d1_spec([0.7, 0.8], [0.5, 0.5]),
+    random_d2_iid_spec(1, drift=0.4),
+], ids=["d1", "d2"])
+def test_tilted_sampler_matches_reference_loop(spec):
+    """log_Z and the cdf tables equal, bit for bit, those of the per-level
+    backward h loop with its running log scale."""
+    ev = LmgfEvaluator(spec, n_levels=120, seed=3, margin=320)
+    start = StartDistribution.uniform(spec.d)
+    for lam in (-0.4, 0.3):
+        sampler = build_tilted_sampler(ev, lam, 16, 120, start=start)
+        log_z, cdfs = ref_tilted_sampler_tables(ev, lam, 16, 120, start.pi)
+        assert repr(sampler.log_Z) == repr(log_z)
+        assert sampler.cdfs.tobytes() == cdfs.tobytes()

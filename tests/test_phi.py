@@ -341,3 +341,19 @@ def test_kernels_match_reference_on_random_specs(seed, d, drift, lam, n, shift):
         phi_derivative(window, lam, phi_solution=sol, kappa=spec.kappa),
         ref_phi_derivative(window, lam, phi_solution=ref, kappa=spec.kappa),
     )
+
+
+def test_phi_derivative_infers_kappa_once(monkeypatch):
+    """With kappa omitted and no Phi solution passed in, the window's kappa
+    is measured once (one linear solve per level) for the solve and the
+    boundary re-solve together, and the result is the one for that kappa."""
+    import stripldp.phi as phi
+
+    spec = random_d2_iid_spec(1, drift=0.4)
+    window = window_for(spec)
+    measure = phi._infer_kappa
+    calls = []
+    monkeypatch.setattr(phi, "_infer_kappa", lambda w: calls.append(w) or measure(w))
+    got = phi_derivative(window, -0.3)
+    assert len(calls) == 1
+    assert_same_solution(got, phi_derivative(window, -0.3, kappa=measure(window)))

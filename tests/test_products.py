@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stripldp.env import embed_bounded_jump, homogeneous_d1_spec, sample_window
 from stripldp.phi import solve_phi_window
 from stripldp.products import (
     BlockPhi,
     NonPositiveFactorError,
+    _roll_left,
+    _roll_right,
     block_mu_vectors,
     block_nu_vectors,
     closed_form_radius,
@@ -17,7 +22,11 @@ from stripldp.products import (
     raw_normalized_right,
 )
 
-from conftest import power_iteration_direction, random_d2_iid_spec
+from conftest import (
+    power_iteration_direction,
+    random_d2_iid_spec,
+    ref_positive_product_direction,
+)
 
 
 def solved_factors(spec, lam, lo=-40, hi=40, seed=5):
@@ -206,14 +215,21 @@ def test_block_mu_matches_full_product(block_solution):
         assert np.abs(mus[m].v - direct).sum() < 1e-8
 
 
-def test_block_nu_matches_full_product(block_solution):
-    nus = block_nu_vectors(block_solution, R=1, warmup=10)
-    n = len(block_solution)
-    for k in (10, 25):
-        direct = raw_normalized_right(block_solution.phis[k:])
-        dv = nus[k]
-        assert np.abs(dv.v - direct).max() < 1e-8
-        assert np.abs(dv.v - direct).max() < max(dv.error_radius, 1e-12)
+@pytest.fixture(scope="module")
+def block_32_solution():
+    kernel = [0.18, 0.18, 0.18, 0.0, 0.23, 0.23]  # (L, R) = (3, 2)
+    w = sample_window(embed_bounded_jump(kernel, 3, 2), -30, 30)
+    return solve_phi_window(w, -0.15)
+
+
+def test_block_nu_matches_full_product(block_solution, block_32_solution):
+    for sol, R in ((block_solution, 1), (block_32_solution, 2)):
+        nus = block_nu_vectors(sol, R=R, warmup=10)
+        for k in range(len(sol) - 30):  # every level with 30 factors or more ahead
+            direct = raw_normalized_right(sol.phis[k:])
+            dv = nus[k]
+            assert np.abs(dv.v - direct).max() < 1e-8
+            assert np.abs(dv.v - direct).max() < max(dv.error_radius, 1e-12)
 
 
 def test_block_phi_type():
@@ -261,3 +277,44 @@ def test_block_32_embedding():
     for k in (5, 20):
         direct = raw_normalized_right(sol.phis[k:])
         assert np.abs(nus[k].v - direct).max() < 1e-8
+
+
+# ---- the two direction rolls ----------------------------------------------
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_direction(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert bitwise_equal(x, y) if f.name == "v" else repr(x) == repr(y), f.name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000), d=st.integers(1, 3), n=st.integers(2, 40),
+       spread=st.floats(1.0, 1e3))
+def test_rolls_match_raw_products(seed, d, n, spread):
+    f = np.random.default_rng(seed).uniform(1.0, spread, (n, d, d)) / spread
+    Z, s = _roll_left(f)
+    R, t = _roll_right(f)
+    assert bitwise_equal(Z[0], np.full(d, 1.0 / d)) and bitwise_equal(R[n], Z[0])
+    for m in range(1, n + 1):  # every prefix, and every suffix
+        assert bitwise_equal(Z[m], raw_normalized_left(f[:m]))
+        assert bitwise_equal(R[n - m], raw_normalized_right(f[n - m:]))
+    assert bitwise_equal(s, [(Z[k] @ f[k]).sum() for k in range(n)])
+    assert bitwise_equal(t, [(f[k] @ R[k + 1]).sum() for k in range(n)])
+    pi = np.random.default_rng(seed + 1).dirichlet(np.ones(d))
+    assert bitwise_equal(_roll_left(f, pi)[0][-1], raw_normalized_left(f, pi=pi))
+
+    mus, nus = mu_vectors(f), nu_vectors(f)
+    assert_same_direction(positive_product_direction(f, "left"), mus[-1])
+    assert_same_direction(positive_product_direction(f, "right"), nus[0])
+    for m in range(2, n + 1):  # radii against the running rho product
+        v, radius = ref_positive_product_direction(f[:m], "left")
+        assert bitwise_equal(mus[m].v, v) and mus[m].error_radius == radius
+        v, radius = ref_positive_product_direction(f[n - m:], "right")
+        assert bitwise_equal(nus[n - m].v, v) and nus[n - m].error_radius == radius
+
