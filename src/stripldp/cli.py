@@ -33,7 +33,7 @@ from .env import (
     load_spec,
     spec_to_json_dict,
 )
-from .lmgf import LmgfEvaluator, analyze_environment
+from .lmgf import DEFAULT_MARGIN, LmgfEvaluator, analyze_environment
 from .montecarlo import (
     BudgetExhaustedError,
     empirical_hitting_tail,
@@ -174,13 +174,12 @@ def cmd_simulate(args) -> int:
         if args.method == "is":
             if args.M is None:
                 raise SpecValidationError("--method is requires --M")
-            est = importance_sample_hitting(
-                spec, n=n, t=args.t, M=args.M, trials=args.trials, seed=args.seed
+            ev = LmgfEvaluator(spec, n_levels=n, seed=args.seed,
+                               margin=max(args.M, DEFAULT_MARGIN))
+            est, _, _, lam_t = importance_sample_hitting(
+                ev, t=args.t, M=args.M, trials=args.trials, return_samples=True
             )
             try:
-                ev = LmgfEvaluator(spec, n_levels=n, seed=args.seed,
-                                   margin=max(args.M, 320))
-                lam_t = ev.solve_tilt(args.t, args.M)
                 j_m = lam_t * args.t - ev.value_truncated(lam_t, args.M).value
                 comparison = {"J_M": j_m, "gap": est.point - j_m}
                 print(f"point {est.point:.6f} vs J_M({args.t}) = {j_m:.6f}")

@@ -47,12 +47,12 @@ from .phi import (
     CriticalExponent,
     SupercriticalError,
     estimate_lambda_crit,
-    hitting_kernels,
     periodic_phi_derivative,
     periodic_truncated_kernels,
     solve_phi_periodic,
     solve_phi_window,
     phi_derivative,
+    truncated_kernels_range,
 )
 from .products import _roll_left, _roll_right
 
@@ -182,10 +182,13 @@ class LmgfEvaluator:
 
     i.i.d. specs get one window sampled at construction (levels
     [-margin, n_levels)); every lambda is evaluated on that same window, so
-    sweeps and finite differences see a common realization. Two caches live
-    as long as the evaluator: truncated kernels per depth M, and the
-    estimates of `value` per lambda (every grid point of a rate curve, and
-    every Legendre search of an averaged bound, shares them).
+    sweeps and finite differences see a common realization. Three caches
+    live as long as the evaluator: truncated kernels per depth M, and the
+    estimates of `value` and of `derivative` per lambda (every grid point of
+    a rate curve, every Legendre search of an averaged bound, and the
+    analyses of a spec and of its reflection on the same pair of evaluators
+    share them), so an evaluator, unlike the specs and windows it holds, is
+    not immutable.
     """
 
     def __init__(
@@ -204,6 +207,7 @@ class LmgfEvaluator:
         self.window: EnvironmentWindow | None = None
         self._kernel_cache: dict[int, np.ndarray] = {}
         self._values: dict[float, LmgfEstimate] = {}
+        self._derivatives: dict[float, LmgfEstimate] = {}
         if spec.kind != "periodic":
             self.window = sample_window(spec, -margin, n_levels, seed=seed)
 
@@ -279,6 +283,13 @@ class LmgfEvaluator:
     # -- derivative -----------------------------------------------------------
 
     def derivative(self, lam: float) -> LmgfEstimate:
+        """Lambda'(lam), memoized per evaluator like `value`."""
+        est = self._derivatives.get(lam)
+        if est is None:
+            est = self._derivatives[lam] = self._derivative(lam)
+        return est
+
+    def _derivative(self, lam: float) -> LmgfEstimate:
         try:
             if self.spec.kind == "periodic":
                 return self._derivative_periodic(lam)
@@ -326,10 +337,8 @@ class LmgfEvaluator:
             else:
                 if self.window.lo > -M:
                     raise ValueError("window margin too small for truncation depth M")
-                ker = np.empty((self.n_levels, M, self.spec.d, self.spec.d))
-                for k in range(self.n_levels):
-                    ker[k] = hitting_kernels(self.window, k, M)
-                self._kernel_cache[M] = ker
+                self._kernel_cache[M] = truncated_kernels_range(
+                    self.window, M, 0, self.n_levels)
         return self._kernel_cache[M]
 
     def _check_truncation_depth(self, phis: np.ndarray, M: int) -> None:
@@ -467,9 +476,16 @@ def analyze_environment(
     the measured boundary-forgetting bias so slowly-mixing (near-recurrent)
     windows are reported recurrent-with-flag rather than misclassified.
     """
-    ev = LmgfEvaluator(spec, n_levels, seed)
-    ev_inv = LmgfEvaluator(spec.invert(), n_levels, seed)
+    lc = estimate_lambda_crit(spec, window_len=lambda_crit_window, tol=lambda_crit_tol, seed=seed)
+    return _classify(LmgfEvaluator(spec, n_levels, seed),
+                     LmgfEvaluator(spec.invert(), n_levels, seed), lc, tol)
 
+
+def _classify(ev: LmgfEvaluator, ev_inv: LmgfEvaluator, lc: CriticalExponent,
+              tol: float = 1e-8) -> EnvironmentAnalysis:
+    """analyze_environment of `ev.spec` from its evaluator, its reflection's
+    (same n_levels and seed) and its lambda_crit; the swapped pair analyzes
+    the reflection."""
     at0 = ev.value(0.0)
     at0_inv = ev_inv.value(0.0)
     # the measured boundary bias widens the decision floor so that slowly
@@ -487,10 +503,6 @@ def analyze_environment(
         abs(at0.value) > tol or abs(at0_inv.value) > tol
     )
 
-    lc = estimate_lambda_crit(
-        spec, window_len=lambda_crit_window, tol=lambda_crit_tol, seed=seed
-    )
-
     if regime == "recurrent":
         t0 = float("inf")
         v0 = 0.0
@@ -506,15 +518,15 @@ def analyze_environment(
             v0 = -1.0 / t0 if math.isfinite(t0) else 0.0
             t0 = ev.derivative(-1e-6).value  # definitional limit on the spec itself
 
-    lam_star = lc.bracket[0] - lambda_crit_tol
+    lam_star = lc.bracket[0] - lc.tolerance
     if lam_star <= -1e-6:
         t_star = t0
     else:
         ts = ev.derivative(lam_star).value
-        t_star = ts if ts <= 1.0 / lambda_crit_tol else float("inf")
+        t_star = ts if ts <= 1.0 / lc.tolerance else float("inf")
 
     return EnvironmentAnalysis(
         t0=t0, t_star=t_star, v0=v0, lambda_crit=lc, regime=regime,
         ambiguous=ambiguous, lambda_at_zero=at0.value,
-        spec_hash=spec.content_hash(),
+        spec_hash=ev.spec.content_hash(),
     )

@@ -423,12 +423,10 @@ def build_tilted_sampler(
 
 
 def importance_sample_hitting(
-    spec: EnvironmentSpec,
-    n: int,
+    evaluator: LmgfEvaluator,
     t: float,
     M: int,
     trials: int,
-    seed: int | None = 0,
     start: StartDistribution | None = None,
     return_samples: bool = False,
 ):
@@ -436,17 +434,19 @@ def importance_sample_hitting(
 
     The tilt lambda_{t,M} solves Lambda'_M = t, so the tilted walk
     concentrates at T_n ~ t n and the event is no longer rare. Quenched:
-    one window per run (seed reported).
+    the evaluator's window (a margin of at least M levels) is the one
+    environment, n is its level count, and its seed also seeds the trials.
+    With `return_samples`, returns (estimate, T, log_Z, lambda_{t,M}).
     """
+    spec, n, seed = evaluator.spec, evaluator.n_levels, evaluator.seed
     if M <= t + 2:
         raise ValueError(f"need M > t + 2 (M={M}, t={t})")
     if M < n_kappa(spec.kappa):
         raise ValueError(f"need M >= N_kappa = {n_kappa(spec.kappa)}")
     if t <= 1.0:
         raise ValueError("need t > 1")
-    ev = LmgfEvaluator(spec, n_levels=n, seed=seed, margin=max(M, 320))
-    lam = ev.solve_tilt(t, M)
-    sampler = build_tilted_sampler(ev, lam, M, n, start=start)
+    lam = evaluator.solve_tilt(t, M)
+    sampler = build_tilted_sampler(evaluator, lam, M, n, start=start)
     T, _ = sampler.sample(trials, seed)
 
     shift = lam * t * n

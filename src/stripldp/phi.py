@@ -194,7 +194,9 @@ class PhiSolution:
     Levels before `warmup_levels` (relative to window.lo) still feel the zero
     initialization at the left edge; `boundary_gap` is the measured influence
     of the first `shift` levels at each position, a proxy certificate for the
-    geometric forgetting of the left boundary.
+    geometric forgetting of the left boundary. `resolved` holds the boundary
+    re-solve's levels up to the first one equal to `phis` (past it the
+    re-solve is `phis` itself), for `phi_derivative` to reuse.
     """
 
     window: EnvironmentWindow
@@ -204,6 +206,7 @@ class PhiSolution:
     warmup_levels: int = 0
     boundary_gap: np.ndarray | None = None
     shift: int = 0
+    resolved: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.phis.shape[0]
@@ -221,10 +224,6 @@ class PhiSolution:
 
     def at_level(self, level: int) -> np.ndarray:
         return self.phis[self.window.index_of(level)]
-
-    def reliable_from(self) -> int:
-        """First level (absolute) past the measured warm-up."""
-        return self.window.lo + self.warmup_levels
 
 
 def solve_phi_window(
@@ -258,6 +257,7 @@ def solve_phi_window(
         shift = min(max(n // 4, 1), 256)
     gap = np.full(n, np.nan)
     warmup = shift
+    phis2 = None
     if shift < n:
         sub = window.sub(window.lo + shift, window.hi)
         phis2, bad2 = _sweep(sub, lam, phi0, kappa_bound, ref=phis[shift:])
@@ -272,7 +272,7 @@ def solve_phi_window(
         )
     return PhiSolution(
         window=window, lam=lam, phis=phis,
-        warmup_levels=warmup, boundary_gap=gap, shift=shift,
+        warmup_levels=warmup, boundary_gap=gap, shift=shift, resolved=phis2,
     )
 
 
@@ -478,10 +478,11 @@ def phi_derivative(
 
     solved left to right with Phi'_{lo-1} = 0. Verified elsewhere against
     central finite differences of the Phi solve. Boundary forgetting is
-    measured as in solve_phi_window: the re-solve from `shift` levels in
-    stops once both its Phi and its Phi' equal the main sweep's bit for bit,
+    measured as in solve_phi_window, on the Phi re-solve that `phi_solution`
+    (as solve_phi_window returns it) already holds: the Phi' re-solve from
+    `shift` levels in stops once it equals the main sweep's bit for bit,
     since level k of both recursions depends only on level k-1. An omitted
-    `kappa` is measured once and serves the solve and the re-solve.
+    `kappa` is measured once and serves the solve and the bound.
     """
     if kappa is None:
         kappa = _infer_kappa(window)
@@ -497,16 +498,13 @@ def phi_derivative(
     warmup = phi_solution.warmup_levels
     if 0 < shift < n:
         sub = window.sub(window.lo + shift, window.hi)
-        bound = _window_bound(window, lam, tol, kappa)
-        head, bad = _sweep(sub, lam, zero, bound, ref=phis[shift:])
-        if bad >= 0:
-            raise SupercriticalError(lam, level=sub.lo + bad)
-        # past the head the re-solve repeats the main sweep, which passed the
-        # same certificate but maybe under another bound: apply this one
-        over = np.nonzero(phis[shift + len(head):].max(axis=(1, 2)) > bound)[0]
-        if over.size:
-            raise SupercriticalError(lam, level=sub.lo + len(head) + int(over[0]))
+        head = phi_solution.resolved
         phis2 = np.concatenate([head, phis[shift + len(head):]])
+        # the re-solve passed the solve's certificate, maybe under another
+        # bound: the first level over this one is where it would have stopped
+        over = np.nonzero(phis2.max(axis=(1, 2)) > _window_bound(window, lam, tol, kappa))[0]
+        if over.size:
+            raise SupercriticalError(lam, level=sub.lo + int(over[0]))
         dphis2 = _derivative_sweep(sub.q, sub.r, el, phis2, zero, zero,
                                    ref=dphis[shift:], start=len(head) - 1)
         diffs = np.zeros(n - shift)
@@ -604,15 +602,6 @@ def kernels_to_phi(W: np.ndarray, lam: float) -> np.ndarray:
     _check_truncated_range(lam, W.shape[0])
     m = np.arange(1, W.shape[0] + 1)
     return np.einsum("m,mij->ij", np.exp(lam * m), W)
-
-
-def kernels_to_phi_and_derivative(W: np.ndarray, lam: float):
-    m = np.arange(1, W.shape[0] + 1)
-    e = np.exp(lam * m)
-    return (
-        np.einsum("m,mij->ij", e, W),
-        np.einsum("m,mij->ij", m * e, W),
-    )
 
 
 def phi_truncated(window: EnvironmentWindow, lam: float, M: int, k: int) -> PhiMatrix:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import EnvironmentSpec, SpecValidationError
-from .lmgf import EnvironmentAnalysis, LmgfEvaluator, analyze_environment
+from .lmgf import DEFAULT_MARGIN, EnvironmentAnalysis, LmgfEvaluator, _classify, analyze_environment
+from .phi import estimate_lambda_crit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LAMBDA_NEG_LIMIT = -30.0  # lambda used for the t = 1 limit
@@ -157,10 +158,19 @@ def legendre_point(
     return j, lam_star, est.deterministic_error, est.statistical_error
 
 
-def _lambda_at_crit(ev: LmgfEvaluator, lc_bracket, step: float = 1e-7) -> float:
-    """Lambda(lambda_crit) by monotone approach from below (one-sided error)."""
-    lam = lc_bracket[0] - step
-    return ev.value(lam).value
+def _analyze_pair(ev: LmgfEvaluator, ev_inv: LmgfEvaluator) -> EnvironmentAnalysis:
+    """analyze_environment(ev.spec, ev.n_levels, ev.seed) on evaluators already
+    built; the swapped pair gives the reflection's analysis."""
+    return _classify(ev, ev_inv, estimate_lambda_crit(ev.spec, seed=ev.seed))
+
+
+def _rate(ev: LmgfEvaluator, analysis: EnvironmentAnalysis):
+    """t -> legendre_point of J on ev; past t* the linear branch, with
+    Lambda(lambda_crit) approached from below (one-sided error)."""
+    lc = analysis.lambda_crit.bracket[0]
+    v_crit = ev.value(lc - 1e-7).value if math.isfinite(analysis.t_star) else None
+    return lambda t: legendre_point(ev.value, t, lc, ev.spec.kappa,
+                                    t_star=analysis.t_star, value_at_crit=v_crit)
 
 
 def hitting_rate_curve(
@@ -170,23 +180,23 @@ def hitting_rate_curve(
     seed: int | None = 0,
     M: int | None = None,
     analysis: EnvironmentAnalysis | None = None,
-    evaluator: LmgfEvaluator | None = None,
 ) -> RateCurve:
     """J (or J_M) sampled on t_grid, with shape diagnostics as warnings.
 
     Grid points share one evaluator, so a lambda that one point's golden
-    search already evaluated costs another point only a lookup.
+    search already evaluated costs another point only a lookup; so does the
+    analysis, unless a depth M > DEFAULT_MARGIN widens the curve's margin.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid < 1.0).any():
         raise ValueError("hitting-time grid must lie in [1, infinity)")
     if M is not None and M <= t_grid.max() + 2:
         raise ValueError(f"need M > max(t_grid) + 2, got M={M}")
+    margin = max(M or 0, DEFAULT_MARGIN)
+    ev = LmgfEvaluator(spec, n_levels=n_levels, seed=seed, margin=margin)
     if analysis is None:
-        analysis = analyze_environment(spec, n_levels=n_levels, seed=seed)
-    ev = evaluator or LmgfEvaluator(spec, n_levels=n_levels, seed=seed,
-                                    margin=max(M or 0, 320))
-    lc = analysis.lambda_crit
+        base = ev if margin == DEFAULT_MARGIN else LmgfEvaluator(spec, n_levels, seed)
+        analysis = _analyze_pair(base, LmgfEvaluator(spec.invert(), n_levels, seed))
 
     values = np.empty(len(t_grid))
     argmax = np.full(len(t_grid), float("nan"))
@@ -194,13 +204,9 @@ def hitting_rate_curve(
     stat = np.zeros(len(t_grid))
 
     if M is None:
-        v_crit = _lambda_at_crit(ev, lc.bracket) if math.isfinite(analysis.t_star) else None
-
+        rate = _rate(ev, analysis)
         for i, t in enumerate(t_grid):
-            values[i], argmax[i], det[i], stat[i] = legendre_point(
-                ev.value, float(t), lc.bracket[0], spec.kappa,
-                t_star=analysis.t_star, value_at_crit=v_crit,
-            )
+            values[i], argmax[i], det[i], stat[i] = rate(float(t))
         kind = "hitting"
     else:
         for i, t in enumerate(t_grid):
@@ -259,36 +265,23 @@ def speed_rate_curve(
     analysis: EnvironmentAnalysis | None = None,
 ) -> RateCurve:
     """Speed rate I(x) on x_grid in [-1, 1]: x J(1/x) for x>0, the reflected
-    spec for x<0, and lambda_crit at x=0 (with a continuity check near 0)."""
+    spec for x<0, and lambda_crit at x=0 (with a continuity check near 0).
+    One pair of evaluators serves both analyses and every grid point."""
     x_grid = np.asarray(x_grid, dtype=float)
     if (np.abs(x_grid) > 1.0 + 1e-12).any():
         raise ValueError("speed grid must lie in [-1, 1]")
-    if analysis is None:
-        analysis = analyze_environment(spec, n_levels=n_levels, seed=seed)
-    spec_inv = spec.invert()
-    analysis_inv = analyze_environment(spec_inv, n_levels=n_levels, seed=seed)
     ev = LmgfEvaluator(spec, n_levels=n_levels, seed=seed)
-    ev_inv = LmgfEvaluator(spec_inv, n_levels=n_levels, seed=seed)
+    ev_inv = LmgfEvaluator(spec.invert(), n_levels=n_levels, seed=seed)
+    if analysis is None:
+        analysis = _analyze_pair(ev, ev_inv)
+    rate, rate_inv = _rate(ev, analysis), _rate(ev_inv, _analyze_pair(ev_inv, ev))
     lc = analysis.lambda_crit
-
-    v_crit = _lambda_at_crit(ev, lc.bracket) if math.isfinite(analysis.t_star) else None
-    v_crit_inv = (_lambda_at_crit(ev_inv, analysis_inv.lambda_crit.bracket)
-                  if math.isfinite(analysis_inv.t_star) else None)
 
     def point(x: float):
         if x == 0.0:
             return lc.lambda_crit, float("nan"), lc.tolerance, 0.0
-        if x > 0:
-            j, lam, de, se = legendre_point(
-                ev.value, 1.0 / x, lc.bracket[0], spec.kappa,
-                t_star=analysis.t_star, value_at_crit=v_crit,
-            )
-        else:
-            j, lam, de, se = legendre_point(
-                ev_inv.value, 1.0 / abs(x), analysis_inv.lambda_crit.bracket[0],
-                spec.kappa, t_star=analysis_inv.t_star, value_at_crit=v_crit_inv,
-            )
         ax = abs(x)
+        j, lam, de, se = (rate if x > 0 else rate_inv)(1.0 / ax)
         return ax * j, lam, ax * de, ax * se
 
     values = np.empty(len(x_grid))
@@ -512,8 +505,9 @@ def averaged_speed_upper(
     fam_curve = averaged_rate_upper(spec, pos, n_levels, seed, dual_check=False) if pos else None
     inv_curve = (averaged_rate_upper(spec.invert(), neg, n_levels, seed, dual_check=False)
                  if neg else None)
-    analysis = (fam_curve or inv_curve).metadata if (fam_curve or inv_curve) else \
-        analyze_environment(spec, n_levels=n_levels, seed=seed)
+    # the spec's own analysis, with the lambda_crit settings of every grid
+    analysis = (fam_curve.metadata if fam_curve else
+                _TiltFamily(spec, n_levels, seed).base_analysis())
 
     values = np.empty(len(x_grid))
     for i, x in enumerate(x_grid):

@@ -266,7 +266,8 @@ def test_criterion_09_importance_sampling_ldp():
     ev = LmgfEvaluator(spec, n_levels=n, seed=7, margin=320)
     lam_t = ev.solve_tilt(t, M)
     j_m = lam_t * t - ev.value_truncated(lam_t, M).value
-    est = importance_sample_hitting(spec, n=n, t=t, M=M, trials=trials, seed=7)
+    est = importance_sample_hitting(LmgfEvaluator(spec, n_levels=n, seed=7),
+                                    t=t, M=M, trials=trials)
 
     # The LDP fixes only the limit -(1/n) log P -> J_M(t). At finite n the
     # lattice Bahadur-Rao expansion (span 2: d=1 excursions have odd length,
@@ -307,8 +308,8 @@ def test_criterion_09_importance_sampling_ldp():
     w_small = sample_window(spec, -(M_small + 2), n_small, seed=0)
     exact_small = enumerate_hitting_distribution(w_small, n_small, M_small)
     est_s, T, log_Z, lam_s = importance_sample_hitting(
-        spec, n=n_small, t=1.9, M=M_small, trials=100_000, seed=5,
-        return_samples=True)
+        LmgfEvaluator(spec, n_levels=n_small, seed=5), t=1.9, M=M_small,
+        trials=100_000, return_samples=True)
     unbiased = True
     for s, p_ref in sorted(exact_small.items()):
         y = np.where(T == s, math.exp(log_Z) * np.exp(-lam_s * T), 0.0)

@@ -17,6 +17,40 @@ def p075_path(tmp_path):
 
 
 @pytest.fixture()
+def two_point_path(tmp_path):
+    path = tmp_path / "two_point.json"
+    path.write_text(json.dumps(spec_to_json_dict(
+        two_point_d1_spec([0.7, 0.8], [0.5, 0.5]))))
+    return str(path)
+
+
+@pytest.fixture()
+def counts(monkeypatch):
+    """Evaluators built, lambda_crit bisections run and hitting kernels
+    computed, counted at every binding of the functions."""
+    import stripldp.lmgf as lmgf
+    import stripldp.phi as phi
+    import stripldp.rates as rates
+    from stripldp.lmgf import LmgfEvaluator
+
+    seen = {"evaluators": 0, "lambda_crit": 0, "kernels": 0}
+
+    def counted(key, fn):
+        def run(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(LmgfEvaluator, "__init__",
+                        counted("evaluators", LmgfEvaluator.__init__))
+    crit = counted("lambda_crit", phi.estimate_lambda_crit)
+    for mod in (phi, lmgf, rates):
+        monkeypatch.setattr(mod, "estimate_lambda_crit", crit)
+    monkeypatch.setattr(phi, "hitting_kernels", counted("kernels", phi.hitting_kernels))
+    return seen
+
+
+@pytest.fixture()
 def pointmass_path(tmp_path):
     path = tmp_path / "pm.json"
     path.write_text(json.dumps(spec_to_json_dict(
@@ -66,11 +100,13 @@ def test_analyze_malformed_spec(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-def test_rate_hitting_csv(p075_path, tmp_path):
+def test_rate_hitting_csv(p075_path, tmp_path, counts):
     out = str(tmp_path / "j.csv")
     code = main(["rate", "--spec", p075_path, "--kind", "hitting",
                  "--grid", "1:0.25:4", "--levels", "1500", "--out", out])
     assert code == 0
+    # the curve and the analysis share the spec's evaluator
+    assert (counts["evaluators"], counts["lambda_crit"]) == (2, 1)
     rows = [l for l in open(out) if not l.startswith("#")]
     header = rows[0].strip().split(",")
     assert header == ["abscissa", "value", "argmax_lambda", "det_error", "stat_error"]
@@ -83,10 +119,12 @@ def test_rate_hitting_csv(p075_path, tmp_path):
         assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-8
 
 
-def test_rate_speed_has_lambda_crit_row(p075_path, tmp_path):
+def test_rate_speed_has_lambda_crit_row(p075_path, tmp_path, counts):
     out = str(tmp_path / "i.csv")
     assert main(["rate", "--spec", p075_path, "--kind", "speed",
                  "--grid=-1:0.25:1", "--levels", "1200", "--out", out]) == 0
+    # both analyses and every grid point run on one pair of evaluators
+    assert (counts["evaluators"], counts["lambda_crit"]) == (2, 2)
     rows = [l for l in open(out) if not l.startswith("#")]
     data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
     at0 = data[np.abs(data[:, 0]) < 1e-12][0]
@@ -121,16 +159,27 @@ def test_simulate_direct_typical(p075_path, tmp_path, capsys):
     assert doc["point"] < 0.01
 
 
-def test_simulate_is_with_comparison(p075_path, tmp_path, capsys):
+def test_simulate_is_with_comparison(p075_path, tmp_path, capsys, counts):
     out = str(tmp_path / "is.json")
     code = main(["simulate", "--spec", p075_path, "--t", "3", "--method", "is",
                  "--M", "16", "--levels", "150", "--trials", "20000",
                  "--out", out])
     assert code == 0
+    # the estimate and the J_M comparison share one evaluator and the
+    # kernels of its one period
+    assert (counts["evaluators"], counts["kernels"]) == (1, 1)
     captured = capsys.readouterr().out
     assert "J_M(3.0)" in captured
     doc = json.loads(open(out).read())
     assert "comparison" in doc and "J_M" in doc["comparison"]
+
+
+def test_simulate_is_one_kernel_dp_per_level(two_point_path, tmp_path, capsys, counts):
+    out = str(tmp_path / "is.json")
+    assert main(["simulate", "--spec", two_point_path, "--t", "3", "--method", "is",
+                 "--M", "16", "--levels", "150", "--trials", "2000", "--out", out]) == 0
+    assert "J_M(3.0)" in capsys.readouterr().out
+    assert (counts["evaluators"], counts["kernels"]) == (1, 150)
 
 
 def test_simulate_is_requires_M(p075_path):

@@ -12,6 +12,7 @@ from stripldp.lmgf import (
     lambda_eta_truncated,
 )
 from stripldp.phi import solve_phi_window
+from stripldp.rates import _analyze_pair
 
 from conftest import (
     d1_lambda_crit,
@@ -310,3 +311,29 @@ def test_estimators_match_reference_loops(name, monkeypatch):
                         checked_against(lmgf._derivative_terms, ref_derivative_terms))
     want = all_estimates(spec)
     assert [repr(e) for e in got] == [repr(e) for e in want]
+
+
+# ---------------------------------------------------------------------------
+# one analysis core for a spec and its reflection
+# ---------------------------------------------------------------------------
+
+REFLECTION_SPECS = {
+    "p075": lambda: homogeneous_d1_spec(0.75, kappa=0.25),
+    "p025": lambda: homogeneous_d1_spec(0.25, kappa=0.25),
+    "recurrent": lambda: homogeneous_d1_spec(0.5, kappa=0.4),
+    "window-d2": lambda: random_d2_iid_spec(1, drift=0.4),
+    "period3-d2": period3_d2_spec,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFLECTION_SPECS))
+def test_reflection_analysis_from_the_swapped_pair(name):
+    """On one pair of evaluators, the spec's and its reflection's, the pair
+    and the swapped pair give analyze_environment of the spec and of the
+    reflected spec, every field to the last bit."""
+    spec = REFLECTION_SPECS[name]()
+    ev = LmgfEvaluator(spec, n_levels=800, seed=0)
+    ev_inv = LmgfEvaluator(spec.invert(), n_levels=800, seed=0)
+    for got, want in ((_analyze_pair(ev, ev_inv), analyze_environment(spec, 800, 0)),
+                      (_analyze_pair(ev_inv, ev), analyze_environment(spec.invert(), 800, 0))):
+        assert repr(got.as_dict()) == repr(want.as_dict())

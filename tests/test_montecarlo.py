@@ -89,7 +89,8 @@ def test_direct_tail_zero_hits_flagged(p075_spec):
 
 def test_is_matches_direct_same_event(p075_spec):
     d = empirical_hitting_tail(p075_spec, n=40, t=2.5, trials=150_000, seed=9, M=16)
-    i = importance_sample_hitting(p075_spec, n=40, t=2.5, M=16, trials=80_000, seed=9)
+    i = importance_sample_hitting(LmgfEvaluator(p075_spec, n_levels=40, seed=9),
+                                  t=2.5, M=16, trials=80_000)
     assert max(d.ci[0], i.ci[0]) <= min(d.ci[1], i.ci[1])
 
 
@@ -102,8 +103,8 @@ def test_is_zero_tilt_degeneracy(p075_spec):
     lam16 = ev.solve_tilt(2.0 + 1e-9, 16)
     lam64 = ev.solve_tilt(2.0 + 1e-9, 64)
     assert 0 < lam64 < lam16 < 0.05
-    est = importance_sample_hitting(p075_spec, n=100, t=2.0 + 1e-9, M=16,
-                                    trials=20_000, seed=1)
+    est = importance_sample_hitting(LmgfEvaluator(p075_spec, n_levels=100, seed=1),
+                                    t=2.0 + 1e-9, M=16, trials=20_000)
     assert est.point < 0.05
 
 
@@ -113,7 +114,8 @@ def test_is_small_case_unbiased(p075_spec):
     w = sample_window(p075_spec, -(M + 2), n, seed=0)
     exact = enumerate_hitting_distribution(w, n, M)
     est, T, log_Z, lam = importance_sample_hitting(
-        p075_spec, n=n, t=1.9, M=M, trials=100_000, seed=5, return_samples=True
+        LmgfEvaluator(p075_spec, n_levels=n, seed=5), t=1.9, M=M, trials=100_000,
+        return_samples=True,
     )
     for s, p_exact in sorted(exact.items()):
         y = np.where(T == s, math.exp(log_Z) * np.exp(-lam * T), 0.0)
@@ -128,9 +130,11 @@ def test_is_small_case_unbiased(p075_spec):
 
 def test_is_preconditions(p075_spec):
     with pytest.raises(ValueError):
-        importance_sample_hitting(p075_spec, n=10, t=3.0, M=4, trials=10, seed=0)
+        importance_sample_hitting(LmgfEvaluator(p075_spec, n_levels=10, seed=0),
+                                  t=3.0, M=4, trials=10)
     with pytest.raises(ValueError):
-        importance_sample_hitting(p075_spec, n=10, t=0.9, M=16, trials=10, seed=0)
+        importance_sample_hitting(LmgfEvaluator(p075_spec, n_levels=10, seed=0),
+                                  t=0.9, M=16, trials=10)
 
 
 def test_sampler_concentration(p075_spec):

@@ -357,3 +357,44 @@ def test_phi_derivative_infers_kappa_once(monkeypatch):
     got = phi_derivative(window, -0.3)
     assert len(calls) == 1
     assert_same_solution(got, phi_derivative(window, -0.3, kappa=measure(window)))
+
+
+def test_phi_derivative_bound_on_the_reused_resolve(kernel_case):
+    """phi_derivative reuses the solve's boundary re-solve, whose levels
+    passed the solve's bound. Under a looser kappa the result is the
+    reference's bit for bit; under kappas whose bound cuts the re-solve's
+    head, or only the levels past it, it raises at the reference's level."""
+    spec, window, (lc, _) = kernel_case
+    lam, tol, shift = 0.9 * lc, 1e-12, 320
+    sol = solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
+    ref = ref_solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
+    assert_same_solution(
+        phi_derivative(window, lam, tol, phi_solution=sol, kappa=0.5 * spec.kappa),
+        ref_phi_derivative(window, lam, tol, phi_solution=ref, kappa=0.5 * spec.kappa),
+    )
+    head, past = sol.resolved, sol.phis[shift + len(sol.resolved):]
+    end_of_head = window.lo + shift + len(head)
+    for top in (head.max(), past.max()) if past.size else (head.max(),):
+        # the bound (1/kappa) e^{-lam} (1 + 10 tol) just below `top`
+        kappa = math.exp(-lam) * (1.0 + 10.0 * tol) / (top * (1.0 - 1e-9))
+        assert kappa > spec.kappa
+        with pytest.raises(SupercriticalError) as got:
+            phi_derivative(window, lam, tol, phi_solution=sol, kappa=kappa)
+        with pytest.raises(SupercriticalError) as want:
+            ref_phi_derivative(window, lam, tol, phi_solution=ref, kappa=kappa)
+        assert got.value.level == want.value.level
+        assert (got.value.level < end_of_head) == (top == head.max())
+
+
+def test_window_derivative_runs_two_phi_sweeps(monkeypatch):
+    """A d=2 window Lambda' sweeps Phi twice (the solve and its boundary
+    re-solve); phi_derivative takes the re-solve from the solution."""
+    import stripldp.phi as phi
+    from stripldp.lmgf import LmgfEvaluator
+
+    ev = LmgfEvaluator(random_d2_iid_spec(1, drift=0.4), n_levels=400, seed=0)
+    sweep = phi._sweep
+    calls = []
+    monkeypatch.setattr(phi, "_sweep", lambda *a, **k: calls.append(a[1]) or sweep(*a, **k))
+    assert math.isfinite(ev.derivative(-0.3).value)
+    assert calls == [-0.3, -0.3]

@@ -213,6 +213,19 @@ def test_averaged_speed_upper_bounds():
     assert iu0.values[0] < 1e-6
 
 
+def test_averaged_speed_metadata_is_the_spec_analysis():
+    """With no x > 0 point the curve still reports the spec's own analysis,
+    and I(0) is the lambda_crit a grid with an x > 0 point reports."""
+    spec = two_point_d1_spec([0.7, 0.8], [0.5, 0.5])
+    neg = averaged_speed_upper(spec, [-0.4, 0.0], n_levels=300, seed=0)
+    both = averaged_speed_upper(spec, [-0.4, 0.0, 0.5], n_levels=300, seed=0)
+    md = neg.metadata
+    assert md.spec_hash == spec.content_hash() != spec.invert().content_hash()
+    assert md.regime == "transient-right" and md.v0 > 0
+    assert neg.values[1] == both.values[1]
+    assert repr(md.as_dict()) == repr(both.metadata.as_dict())
+
+
 def test_csv_format_and_metadata(p075_spec, p075_analysis):
     curve = hitting_rate_curve(p075_spec, [1.5, 2.0], n_levels=500, seed=3,
                                analysis=p075_analysis)
@@ -286,3 +299,25 @@ def test_lambda_memo_one_solve_per_distinct_lambda(p075_spec, p075_analysis, mon
                                analysis=p075_analysis)
     assert len(solved) > len(set(solved))
     assert again.to_csv() == curve.to_csv()
+
+    # Lambda' likewise: a speed curve analyzes the spec and its reflection on
+    # one pair of evaluators, and the reflection's analysis asks the spec's
+    # evaluator for Lambda' at lambdas that the spec's analysis solved
+    monkeypatch.setattr(LmgfEvaluator, "value", value)
+    derived = []
+    derive = lmgf.periodic_phi_derivative
+
+    def counted_derivative(spec, lam, *args, **kwargs):
+        derived.append((id(spec), lam))
+        return derive(spec, lam, *args, **kwargs)
+
+    monkeypatch.setattr(lmgf, "periodic_phi_derivative", counted_derivative)
+    x_grid = np.linspace(-0.9, 0.9, 7)
+    speed = speed_rate_curve(p075_spec, x_grid, n_levels=2000, seed=0)
+    assert derived and len(derived) == len(set(derived))
+    monkeypatch.setattr(LmgfEvaluator, "derivative", LmgfEvaluator._derivative)
+    derived.clear()
+    again = speed_rate_curve(p075_spec, x_grid, n_levels=2000, seed=0)
+    assert len(derived) > len(set(derived))
+    assert again.to_csv() == speed.to_csv()
+
