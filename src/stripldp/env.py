@@ -347,7 +347,7 @@ class EnvironmentWindow:
     def sub(self, lo: int, hi: int) -> "EnvironmentWindow":
         a, b = self.index_of(lo), self.index_of(hi - 1) + 1
         return EnvironmentWindow(
-            q=self.q[a:b].copy(), r=self.r[a:b].copy(), p=self.p[a:b].copy(),
+            q=self.q[a:b], r=self.r[a:b], p=self.p[a:b],
             lo=lo, hi=hi, seed=self.seed, spec_hash=self.spec_hash,
         )
 
@@ -362,15 +362,10 @@ def sample_window(
     """
     if hi <= lo:
         raise SpecValidationError("need lo < hi")
-    n, d = hi - lo, spec.d
-    q = np.empty((n, d, d))
-    r = np.empty((n, d, d))
-    p = np.empty((n, d, d))
+    n = hi - lo
+    slices = spec.slices
     if spec.kind == "periodic":
-        per = spec.period
-        for k in range(n):
-            s = spec.slices[(lo + k) % per]
-            q[k], r[k], p[k] = s.q, s.r, s.p
+        idx = (lo + np.arange(n)) % spec.period
     elif spec.kind == "iid":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         # draw one uniform per level; cumulative-weight inversion keeps the
@@ -379,21 +374,18 @@ def sample_window(
         cum = np.cumsum(np.asarray(spec.weights, dtype=float))
         idx = np.searchsorted(cum, u, side="right")
         idx = np.minimum(idx, len(spec.slices) - 1)
-        for k in range(n):
-            s = spec.slices[idx[k]]
-            q[k], r[k], p[k] = s.q, s.r, s.p
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        for k in range(n):
-            s = spec.sampler(rng)
-            if s.d != d:
+        slices = [spec.sampler(rng) for _ in range(n)]
+        for s in slices:
+            if s.d != spec.d:
                 raise SpecValidationError("sampler produced a slice with wrong d")
-            rep = validate_ellipticity(s, spec.kappa)
-            if not rep.passed:
+            if not validate_ellipticity(s, spec.kappa).passed:
                 raise SpecValidationError(
                     f"sampled slice fails ellipticity at kappa={spec.kappa}"
                 )
-            q[k], r[k], p[k] = s.q, s.r, s.p
+        idx = np.arange(n)
+    q, r, p = (np.stack([getattr(s, m) for s in slices])[idx] for m in "qrp")
     return EnvironmentWindow(
         q=q, r=r, p=p, lo=lo, hi=hi, seed=seed, spec_hash=spec.content_hash()
     )
@@ -460,10 +452,13 @@ def embed_bounded_jump(
                     mat[i - 1, j - 1] += ker[z + L]
     slice_ = EnvironmentSlice(q=q, r=r, p=p)
 
-    if kappa is None:
+    if kappa is None and L != R:
+        # the zero pattern fails the strip conditions; the step kernel's own
+        # floor is the level
+        kappa = min(0.499, max(1e-9, nonzero_steps.min() * (1.0 - 1e-9)))
+    elif kappa is None:
         # largest level the constructed slice certifiably supports, capped
-        # below 1/2; entries that are structurally zero (L != R pattern) are
-        # excluded by taking the min over realized positive quantities
+        # below 1/2
         rep = validate_ellipticity(slice_, min(0.499, max(nonzero_steps.min(), 1e-6)))
         candidates = [rep.min_one_step_left, rep.min_one_step_right]
         if not rep.singular_stay:
@@ -471,8 +466,6 @@ def embed_bounded_jump(
                 if v > 0:
                     candidates.append(v)
         kappa = min(0.499, max(1e-9, min(candidates) * (1.0 - 1e-9)))
-        if L != R:
-            kappa = min(0.499, max(1e-9, nonzero_steps.min() * (1.0 - 1e-9)))
 
     return EnvironmentSpec(
         kind="periodic", d=d, kappa=kappa, slices=(slice_,),

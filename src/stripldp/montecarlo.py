@@ -37,7 +37,7 @@ from .env import (
     sample_window,
 )
 from .lmgf import LmgfEvaluator
-from .phi import kernels_to_phi, solve_phi_window
+from .phi import solve_phi_window
 from .products import _roll_right
 
 
@@ -99,6 +99,11 @@ TAG_IS = 0x15
 TAG_SLOW = 0x5D
 TAG_SPEED = 0x5E
 
+HIT_MARGINS = (64, 128, 256, 512)  # left margins of the hitting tail's attempts
+SPEED_MARGIN = 64  # least left margin of the speed tail's window
+SLOWDOWN_MARGIN = 320  # levels right of n (exact) or left of 0 (direct)
+SLOWDOWN_HORIZON = 20  # the direct slowdown simulates this many times n steps
+
 
 def trial_uniforms(seed, tag: int, trial: int, k: int) -> np.ndarray:
     """Uniform stream of trial `trial`: a splittable per-trial seed tree, so
@@ -109,11 +114,20 @@ def trial_uniforms(seed, tag: int, trial: int, k: int) -> np.ndarray:
     return np.random.default_rng(ss).random(k)
 
 
-def _uniform_block(seed, tag: int, first: int, count: int, stride: int) -> np.ndarray:
-    out = np.empty((count, stride))
-    for i in range(count):
-        out[i] = trial_uniforms(seed, tag, first + i, stride)
-    return out
+def _trial_blocks(seed, tag: int, trials: int, stride: int, first: int = 0):
+    """Uniform blocks of about 8e6 entries at most, one row per trial: row i
+    of the block that starts at trial j is trial_uniforms(seed, tag,
+    first + j + i, stride)."""
+    chunk = max(1, min(trials, int(8e6 // stride) + 1))
+    for done in range(0, trials, chunk):
+        U = np.empty((min(chunk, trials - done), stride))
+        for i in range(len(U)):
+            U[i] = trial_uniforms(seed, tag, first + done + i, stride)
+        yield U
+
+
+def _start_heights(u: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    return (u[:, None] > np.cumsum(pi)[None, :]).sum(axis=1)
 
 
 def _wilson(hits: int, trials: int, z: float = 1.959963984540054):
@@ -175,91 +189,68 @@ def simulate_walk(
 # ---------------------------------------------------------------------------
 
 
+def _choose(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The move each uniform selects from its cumulative row: the block
+    (0 left, 1 stay, 2 right) times d plus the entry height."""
+    return np.minimum((u[:, None] > rows).sum(axis=1), rows.shape[1] - 1)
+
+
+def _move_cdf(q, r, p) -> np.ndarray:
+    return np.cumsum(np.concatenate([q, r, p], axis=-1), axis=-1)
+
+
 def _window_cdf(window: EnvironmentWindow):
-    k = np.concatenate([window.q, window.r, window.p], axis=2)  # (n, d, 3d)
-    cdf = np.cumsum(k, axis=2)
-    d = window.d
-
-    def lookup(li, hi_, u):
-        rows = cdf[li, hi_]
-        return np.minimum((u[:, None] > rows).sum(axis=1), 3 * d - 1)
-
-    return lookup
+    """Lookup (li, h, u, trial) -> move on one window, the same for every
+    trial."""
+    cdf = _move_cdf(window.q, window.r, window.p)  # (n, d, 3d)
+    return lambda li, h, u, trial: _choose(cdf[li, h], u)
 
 
-def empirical_hitting_tail(
-    spec: EnvironmentSpec,
-    n: int,
-    t: float,
-    trials: int,
-    seed: int | None = 0,
-    mode: str = "quenched",
-    margin: int = 64,
-    start: StartDistribution | None = None,
-    M: int | None = None,
-) -> TailEstimate:
-    """Direct estimate of the hitting-time tail P(T_n >= t n) at scale n.
+def _averaged_lookups(spec: EnvironmentSpec):
+    """Per-trial i.i.d. environments as an index table into the support:
+    maps environment uniforms (row i for trial i, one column per level) to
+    a lookup (li, h, u, trial) -> move."""
+    if spec.kind != "iid":
+        raise ValueError("averaged mode needs an i.i.d. finite-support spec")
+    support = _move_cdf(*(np.stack([getattr(s, m) for s in spec.slices])
+                          for m in "qrp"))  # (S, d, 3d)
+    cum = np.cumsum(np.asarray(spec.weights))
 
-    With M given the event is restricted to paths with every excursion
-    tau_k <= M (the estimand of the tilted sampler), so direct and
-    importance-sampled estimates are comparable. Quenched mode fixes one
-    window (its seed is reported); averaged mode redraws the environment
-    per trial.
+    def lookups(env_uniforms):
+        env = np.minimum(np.searchsorted(cum, env_uniforms, side="right"), len(cum) - 1)
+        return lambda li, h, u, trial: _choose(support[env[trial, li], h], u)
+
+    return lookups
+
+
+def _trials(spec, seed, tag, trials, lo, hi, steps, mode, start):
+    """The trial loop of the direct estimators: for each chunk of trials,
+    the lookup, the start heights and a (chunk, steps) block of step
+    uniforms.
+
+    Quenched mode walks every trial on the window [lo, hi) of `seed`.
+    Averaged mode gives each trial its own i.i.d. environment on those
+    levels, drawn from the head of the trial's stream; the stream's next
+    uniform draws the start height.
     """
-    if t <= 1.0:
-        raise ValueError("direct tail estimation needs t > 1")
-    d = spec.d
-    start = start or StartDistribution.uniform(d)
-    # without an excursion cap the event is decided by step ceil(t n); with a
-    # cap, every trial either hits n or violates the cap within n*M steps
-    steps = n * M + 1 if M is not None else int(math.ceil(t * n)) + 1
-    for attempt in range(4):
-        try:
-            return _hitting_tail_attempt(
-                spec, n, t, trials, seed, mode, margin * (2 ** attempt),
-                start, steps, M,
-            )
-        except WindowExhaustedError:
-            continue
-    raise WindowExhaustedError(
-        f"left margin {margin * 8} still exhausted; environment drifts left too hard"
-    )
+    if mode == "quenched":
+        lookup, draws = _window_cdf(sample_window(spec, lo, hi, seed=seed)), 0
+    elif mode == "averaged":
+        lookups, draws = _averaged_lookups(spec), hi - lo
+    else:
+        raise ValueError("mode must be 'quenched' or 'averaged'")
+    pi = (start or StartDistribution.uniform(spec.d)).pi
+    for U in _trial_blocks(seed, tag, trials, draws + 1 + steps):
+        if draws:
+            lookup = lookups(U[:, :draws])
+        yield lookup, _start_heights(U[:, draws], pi), U[:, draws + 1:]
 
 
-def _hitting_tail_attempt(spec, n, t, trials, seed, mode, margin, start, steps, M):
-    d = spec.d
-    hits = 0
-    done = 0
-    n_win = margin + n
-    env_draws = n_win if mode == "averaged" else 0
-    stride = env_draws + 1 + steps
-    chunk = max(1, min(trials, int(8e6 // max(stride, 1)) + 1))
-    while done < trials:
-        m = min(chunk, trials - done)
-        U = _uniform_block(seed, TAG_HIT, done, m, stride)
-        if mode == "quenched":
-            window = sample_window(spec, -margin, n, seed=seed)
-            lookup = _window_cdf(window)
-            lo = window.lo
-        elif mode == "averaged":
-            lookup, lo = _averaged_lookup(spec, -margin, n, U[:, :env_draws])
-        else:
-            raise ValueError("mode must be 'quenched' or 'averaged'")
-        h0 = (U[:, env_draws][:, None] > np.cumsum(start.pi)[None, :]).sum(axis=1)
-        T, ok = _batch_walk(lookup, lo, n, U[:, env_draws + 1:], d, h0, mode, M)
-        hits += int(((T >= t * n) & ok).sum())  # unhit trials carry T = inf
-        done += m
-    event = f"T_n >= {t}*n" + (f" & tau <= {M}" if M is not None else "")
-    return _direct_estimate(
-        event=event, n=n, hits=hits, trials=trials, mode=mode,
-        spec_hash=spec.content_hash(), seed=seed,
-    )
-
-
-def _batch_walk(lookup, lo, target, U, d, h0, mode, M=None):
+def _batch_walk(lookup, lo, target, U, d, h0, M=None):
     """Returns (T, ok): first-passage times of `target` (inf if not reached
     within U.shape[1] steps) and whether every excursion respected the cap M.
-    Trial i consumes row i of the uniform block U."""
+    Trial i consumes row i of the uniform block U; trials that have hit stop,
+    so they never step out of the window."""
     trials, steps = U.shape
     lev = np.zeros(trials, dtype=np.int64)
     h = h0.astype(np.int64)
@@ -275,8 +266,7 @@ def _batch_walk(lookup, lo, target, U, d, h0, mode, M=None):
         li = lev[idx] - lo
         if (li < 0).any():
             raise WindowExhaustedError("walk left the window")
-        u = U[idx, step - 1]
-        choice = lookup(li, h[idx], u) if mode == "quenched" else lookup(li, h[idx], u, idx)
+        choice = lookup(li, h[idx], U[idx, step - 1], idx)
         lev[idx] += choice // d - 1
         h[idx] = choice % d
         if M is not None:
@@ -297,26 +287,63 @@ def _batch_walk(lookup, lo, target, U, d, h0, mode, M=None):
     return T, ok
 
 
-def _averaged_lookup(spec, lo, hi, env_uniforms):
-    """Per-trial i.i.d. environments as an index table into the support;
-    trial i's environment comes from row i of env_uniforms (its own stream)."""
-    if spec.kind != "iid":
-        raise ValueError("averaged mode needs an i.i.d. finite-support spec")
-    S = len(spec.slices)
-    cum = np.cumsum(np.asarray(spec.weights))
-    idx_table = np.searchsorted(cum, env_uniforms, side="right")
-    idx_table = np.minimum(idx_table, S - 1)
-    d = spec.d
-    support = np.stack([
-        np.cumsum(np.concatenate([s.q, s.r, s.p], axis=1), axis=1)
-        for s in spec.slices
-    ])  # (S, d, 3d)
+def _walk_levels(lookup, lo, U, d, h0):
+    """Levels of every trial after each of U.shape[1] steps, yielded as one
+    array updated in place. Trial i consumes row i of the uniform block U."""
+    lev = np.zeros(len(h0), dtype=np.int64)
+    h = h0.astype(np.int64)
+    trial = np.arange(len(h0))
+    for u in U.T:
+        li = lev - lo
+        if (li < 0).any():
+            raise WindowExhaustedError("walk left the window")
+        choice = lookup(li, h, u, trial)
+        lev += choice // d - 1
+        h = choice % d
+        yield lev
 
-    def lookup(li, hi_, u, trial_idx):
-        rows = support[idx_table[trial_idx, li], hi_]
-        return np.minimum((u[:, None] > rows).sum(axis=1), 3 * d - 1)
 
-    return lookup, lo
+def empirical_hitting_tail(
+    spec: EnvironmentSpec,
+    n: int,
+    t: float,
+    trials: int,
+    seed: int | None = 0,
+    mode: str = "quenched",
+    start: StartDistribution | None = None,
+    M: int | None = None,
+) -> TailEstimate:
+    """Direct estimate of the hitting-time tail P(T_n >= t n) at scale n.
+
+    With M given the event is restricted to paths with every excursion
+    tau_k <= M (the estimand of the tilted sampler), so direct and
+    importance-sampled estimates are comparable. Quenched mode fixes one
+    window (its seed is reported); averaged mode redraws the environment
+    per trial. A walk that leaves the window restarts every trial with the
+    next, wider left margin of HIT_MARGINS.
+    """
+    if t <= 1.0:
+        raise ValueError("direct tail estimation needs t > 1")
+    # without an excursion cap the event is decided by step ceil(t n); with a
+    # cap, every trial either hits n or violates the cap within n*M steps
+    steps = n * M + 1 if M is not None else int(math.ceil(t * n)) + 1
+    for margin in HIT_MARGINS:
+        hits = 0
+        try:
+            for lookup, h0, U in _trials(spec, seed, TAG_HIT, trials, -margin, n,
+                                         steps, mode, start):
+                T, ok = _batch_walk(lookup, -margin, n, U, spec.d, h0, M)
+                hits += int(((T >= t * n) & ok).sum())  # unhit trials carry T = inf
+        except WindowExhaustedError:
+            continue
+        event = f"T_n >= {t}*n" + (f" & tau <= {M}" if M is not None else "")
+        return _direct_estimate(
+            event=event, n=n, hits=hits, trials=trials, mode=mode,
+            spec_hash=spec.content_hash(), seed=seed,
+        )
+    raise WindowExhaustedError(
+        f"left margin {HIT_MARGINS[-1]} still exhausted; environment drifts left too hard"
+    )
 
 
 def _direct_estimate(event, n, hits, trials, mode, spec_hash, seed) -> TailEstimate:
@@ -361,14 +388,10 @@ class TiltedSampler:
         T = np.zeros(trials, dtype=np.int64)
         h = np.zeros(trials, dtype=np.int64)
         done = 0
-        stride = n + 1
-        chunk = max(1, min(trials, int(8e6 // stride) + 1))
-        while done < trials:
-            m = min(chunk, trials - done)
-            U = _uniform_block(seed, TAG_IS, first_trial + done, m, stride)
-            hc = (U[:, 0][:, None] > np.cumsum(self.start)[None, :]).sum(axis=1)
-            hc = hc.astype(np.int64)
-            Tc = np.zeros(m, dtype=np.int64)
+        for U in _trial_blocks(seed, TAG_IS, trials, n + 1, first_trial):
+            m = len(U)
+            hc = _start_heights(U[:, 0], self.start).astype(np.int64)
+            Tc = T[done:done + m]
             for k in range(n):
                 u = U[:, k + 1]
                 if d == 1:
@@ -384,7 +407,6 @@ class TiltedSampler:
                             idx[mask] = np.minimum(found, self.cdfs.shape[2] - 1)
                 Tc += idx // d + 1
                 hc = idx % d
-            T[done:done + m] = Tc
             h[done:done + m] = hc
             done += m
         return T, h
@@ -411,12 +433,9 @@ def build_tilted_sampler(
     logscale = np.cumsum([math.log(d), *map(math.log, s[::-1])])[-1]
     log_Z = math.log(float(start_pi @ hs[0])) + logscale
 
-    cdfs = np.empty((n, d, M * d))
-    for k in range(n):
-        tab = weights[k] * hs[k + 1][None, None, :]  # (M, d_i, d_j) scaled by h_{k+1}(j)
-        flat = tab.transpose(1, 0, 2).reshape(d, M * d)  # (i, m-major x j)
-        flat = flat / flat.sum(axis=1, keepdims=True)
-        cdfs[k] = np.cumsum(flat, axis=1)
+    tab = weights * hs[1:, None, None, :]  # (n, M, d_i, d_j) scaled by h_{k+1}(j)
+    flat = tab.transpose(0, 2, 1, 3).reshape(n, d, M * d)  # (k, i, m-major x j)
+    cdfs = np.cumsum(flat / flat.sum(axis=2, keepdims=True), axis=2)
     return TiltedSampler(
         lam=lam, M=M, n=n, log_Z=log_Z, cdfs=cdfs, d=d, start=start_pi,
     )
@@ -505,20 +524,19 @@ def slowdown_probability(
     spec: EnvironmentSpec,
     n: int,
     trials: int = 100_000,
-    horizon_factor: int = 20,
     seed: int | None = 0,
     method: str = "exact",
     mode: str = "quenched",
     start: StartDistribution | None = None,
-    margin: int = 320,
 ) -> TailEstimate:
     """Estimate -(1/n) log P( inf_{m >= n} X_m <= 0 ), the slowdown decay rate.
 
     method 'exact': n-step forward DP for the time-n distribution combined
     with left-passage probability products (no sampling error; the infinite
     horizon is handled exactly through the passage probabilities).
-    method 'direct': simulate horizon_factor * n steps and use the running
-    minimum as a transience-justified proxy for the infinite-horizon event.
+    method 'direct': simulate SLOWDOWN_HORIZON * n steps and use the running
+    minimum as a transience-justified proxy for the infinite-horizon event;
+    in averaged mode each trial walks its own environment.
     Rejected for non-right-transient specs (the probability does not decay).
     """
     ev0 = LmgfEvaluator(spec, n_levels=800, seed=seed)
@@ -533,7 +551,7 @@ def slowdown_probability(
         probs = []
         for e in range(n_env):
             wseed = seed if mode == "quenched" else (seed or 0) * 1_000_003 + e
-            window = sample_window(spec, -n - 1, n + margin, seed=wseed)
+            window = sample_window(spec, -n - 1, n + SLOWDOWN_MARGIN, seed=wseed)
             dist, base = _forward_distribution(window, n, start_pi)
             inv = invert_window(window)
             sol = solve_phi_window(inv, 0.0)
@@ -553,32 +571,15 @@ def slowdown_probability(
 
     if method != "direct":
         raise ValueError("method must be 'exact' or 'direct'")
-    horizon = horizon_factor * n
+    horizon = SLOWDOWN_HORIZON * n
     hits = 0
-    done = 0
-    stride = horizon + 1
-    chunk = max(1, min(trials, int(8e6 // stride) + 1))
-    left_margin = max(64, margin)
-    window = sample_window(spec, -left_margin, horizon + 2, seed=seed)
-    lookup = _window_cdf(window)
-    while done < trials:
-        m = min(chunk, trials - done)
-        U = _uniform_block(seed, TAG_SLOW, done, m, stride)
-        h0 = (U[:, 0][:, None] > np.cumsum(start_pi)[None, :]).sum(axis=1)
-        lev = np.zeros(m, dtype=np.int64)
-        h = h0.astype(np.int64)
-        event = np.zeros(m, dtype=bool)
-        for step in range(1, horizon + 1):
-            li = lev - window.lo
-            if (li < 0).any():
-                raise WindowExhaustedError("slowdown walk exited the window")
-            choice = lookup(li, h, U[:, step])
-            lev += choice // d - 1
-            h = choice % d
+    for lookup, h0, U in _trials(spec, seed, TAG_SLOW, trials, -SLOWDOWN_MARGIN,
+                                 horizon + 2, horizon, mode, start):
+        event = np.zeros(len(h0), dtype=bool)
+        for step, lev in enumerate(_walk_levels(lookup, -SLOWDOWN_MARGIN, U, d, h0), 1):
             if step >= n:
                 event |= lev <= 0
         hits += int(event.sum())
-        done += m
     return _direct_estimate(
         event="inf_{m>=n} X_m <= 0 (finite-horizon proxy)", n=n, hits=hits,
         trials=trials, mode=mode, spec_hash=spec.content_hash(), seed=seed,
@@ -592,52 +593,24 @@ def empirical_speed_tail(
     trials: int,
     seed: int | None = 0,
     mode: str = "quenched",
-    side: str = "auto",
-    margin: int = 64,
     start: StartDistribution | None = None,
 ) -> TailEstimate:
-    """Direct estimate of P(X_n <= x n) or P(X_n >= x n) at scale n."""
-    d = spec.d
-    start_pi = (start or StartDistribution.uniform(d)).pi
-    left = max(margin, n + 2)
-    hits = 0
-    done = 0
-    n_win = left + n + 2
-    env_draws = n_win if mode == "averaged" else 0
-    stride = env_draws + 1 + n
-    chunk = max(1, min(trials, int(8e6 // stride) + 1))
-    if side == "auto":
-        ev0 = LmgfEvaluator(spec, n_levels=600, seed=seed)
-        v0_rough = ev0.derivative(-1e-4).value
-        drift = 1.0 / v0_rough if math.isfinite(v0_rough) and v0_rough > 0 else 0.0
+    """Direct estimate of P(X_n <= x n) for x below the speed v0, and of
+    P(X_n >= x n) otherwise, at scale n."""
+    ev0 = LmgfEvaluator(spec, n_levels=600, seed=seed)
+    v0_rough = ev0.derivative(-1e-4).value
+    v0 = 1.0 / v0_rough if math.isfinite(v0_rough) and v0_rough > 0 else 0.0
+    if ev0.value(0.0).value < -1e-6:
         ev0i = LmgfEvaluator(spec.invert(), n_levels=600, seed=seed)
-        if ev0.value(0.0).value < -1e-6:
-            drift = -1.0 / ev0i.derivative(-1e-4).value
-        side = "below" if x < drift else "above"
-    while done < trials:
-        m = min(chunk, trials - done)
-        U = _uniform_block(seed, TAG_SPEED, done, m, stride)
-        if mode == "quenched":
-            window = sample_window(spec, -left, n + 2, seed=seed)
-            lookup, lo = _window_cdf(window), -left
-        else:
-            lookup, lo = _averaged_lookup(spec, -left, n + 2, U[:, :env_draws])
-        h0 = (U[:, env_draws][:, None] > np.cumsum(start_pi)[None, :]).sum(axis=1)
-        lev = np.zeros(m, dtype=np.int64)
-        h = h0.astype(np.int64)
-        for step in range(n):
-            li = lev - lo
-            if (li < 0).any():
-                raise WindowExhaustedError("speed walk exited the window")
-            u = U[:, env_draws + 1 + step]
-            choice = (lookup(li, h, u) if mode == "quenched"
-                      else lookup(li, h, u, np.arange(m)))
-            lev += choice // d - 1
-            h = choice % d
-        hits += int((lev <= x * n).sum() if side == "below" else (lev >= x * n).sum())
-        done += m
-    op = "<=" if side == "below" else ">="
+        v0 = -1.0 / ev0i.derivative(-1e-4).value
+    below = x < v0
+    left = max(SPEED_MARGIN, n + 2)
+    hits = 0
+    for lookup, h0, U in _trials(spec, seed, TAG_SPEED, trials, -left, n + 2, n,
+                                 mode, start):
+        *_, lev = _walk_levels(lookup, -left, U, spec.d, h0)
+        hits += int((lev <= x * n).sum() if below else (lev >= x * n).sum())
     return _direct_estimate(
-        event=f"X_n {op} {x}*n", n=n, hits=hits, trials=trials, mode=mode,
-        spec_hash=spec.content_hash(), seed=seed,
+        event=f"X_n {'<=' if below else '>='} {x}*n", n=n, hits=hits,
+        trials=trials, mode=mode, spec_hash=spec.content_hash(), seed=seed,
     )

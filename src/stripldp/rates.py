@@ -52,9 +52,7 @@ class TiltedMeasure:
     @property
     def entropy(self) -> float:
         """Specific relative entropy h(tilt | base), nats per level."""
-        w = np.asarray(self.weights)
-        b = np.asarray(self.base_weights)
-        return float((w * np.log(w / b)).sum())
+        return _kl(np.asarray(self.weights), np.asarray(self.base_weights))
 
 
 @dataclass
@@ -432,12 +430,34 @@ class _TiltFamily:
         return free, sign * best
 
 
+def _averaged_values(fam: _TiltFamily, t_grid):
+    """Upper bounds min_alpha J_alpha(t) + h(alpha|eta) on t_grid, by
+    coordinate descent from alpha = eta, and the minimizing tilts."""
+    base_free = fam._free(fam.base)
+    values = np.empty(len(t_grid))
+    tilts: list[TiltedMeasure] = []
+    for i, t in enumerate(t_grid):
+        t = float(t)
+        def f(free):
+            return fam.objective(fam._simplex(free), t)
+        start_val = f(base_free)
+        if len(fam.base) == 1:
+            best_free, best = base_free, start_val
+        else:
+            best_free, best = fam._coordinate_descent(f, base_free)
+            if start_val < best:
+                best_free, best = base_free, start_val
+        values[i] = best
+        w = fam._simplex(best_free)
+        tilts.append(TiltedMeasure(weights=tuple(w), base_weights=tuple(fam.base)))
+    return values, tilts
+
+
 def averaged_rate_upper(
     spec: EnvironmentSpec,
     t_grid,
     n_levels: int = 2000,
     seed: int | None = 0,
-    dual_check: bool = True,
 ) -> RateCurve:
     """Certified upper bound on the averaged hitting rate over product tilts.
 
@@ -449,36 +469,15 @@ def averaged_rate_upper(
     """
     t_grid = np.asarray(t_grid, dtype=float)
     fam = _TiltFamily(spec, n_levels, seed)
-    base_free = fam._free(fam.base)
-    s = len(spec.slices)
-
-    values = np.empty(len(t_grid))
-    det = np.zeros(len(t_grid))
-    stat = np.zeros(len(t_grid))
-    argmax = np.full(len(t_grid), float("nan"))
-    tilts: list[TiltedMeasure] = []
-    for i, t in enumerate(t_grid):
-        t = float(t)
-        def f(free):
-            return fam.objective(fam._simplex(free), t)
-        start_val = f(base_free)
-        if s == 1:
-            best_free, best = base_free, start_val
-        else:
-            best_free, best = fam._coordinate_descent(f, base_free)
-            if start_val < best:
-                best_free, best = base_free, start_val
-        values[i] = best
-        w = fam._simplex(best_free)
-        tilts.append(TiltedMeasure(weights=tuple(w), base_weights=tuple(fam.base)))
-
+    values, tilts = _averaged_values(fam, t_grid)
     analysis = fam.base_analysis()
     curve = RateCurve(
         abscissae=t_grid, values=values, kind="averaged-hitting-upper",
-        metadata=analysis, maximizer_trace=argmax, det_errors=det,
-        stat_errors=stat, seed=seed, tilt_trace=tilts,
+        metadata=analysis, maximizer_trace=np.full(len(t_grid), float("nan")),
+        det_errors=np.zeros(len(t_grid)), stat_errors=np.zeros(len(t_grid)),
+        seed=seed, tilt_trace=tilts,
     )
-    if dual_check and s > 1:
+    if len(spec.slices) > 1:
         lc = analysis.lambda_crit.bracket[0]
         lam_grid = np.linspace(min(-5.0, lc - 5.0), lc, 12)
         env = np.array([fam.lambda_family_lower(l) for l in lam_grid])
@@ -497,17 +496,16 @@ def averaged_speed_upper(
     n_levels: int = 2000,
     seed: int | None = 0,
 ) -> RateCurve:
-    """Upper bound on the averaged speed rate, assembled from averaged_rate_upper
-    on the spec (x>0) and its reflection (x<0); lambda_crit at x=0."""
+    """Upper bound on the averaged speed rate, assembled from the averaged
+    hitting bounds of the spec (x>0) and of its reflection (x<0);
+    lambda_crit at x=0. The metadata is the spec's own analysis."""
     x_grid = np.asarray(x_grid, dtype=float)
     pos = sorted({1.0 / x for x in x_grid if x > 0})
     neg = sorted({1.0 / abs(x) for x in x_grid if x < 0})
-    fam_curve = averaged_rate_upper(spec, pos, n_levels, seed, dual_check=False) if pos else None
-    inv_curve = (averaged_rate_upper(spec.invert(), neg, n_levels, seed, dual_check=False)
-                 if neg else None)
-    # the spec's own analysis, with the lambda_crit settings of every grid
-    analysis = (fam_curve.metadata if fam_curve else
-                _TiltFamily(spec, n_levels, seed).base_analysis())
+    fam = _TiltFamily(spec, n_levels, seed)
+    j_pos, _ = _averaged_values(fam, pos)
+    j_neg, _ = _averaged_values(_TiltFamily(spec.invert(), n_levels, seed), neg)
+    analysis = fam.base_analysis()
 
     values = np.empty(len(x_grid))
     for i, x in enumerate(x_grid):
@@ -515,11 +513,9 @@ def averaged_speed_upper(
         if x == 0.0:
             values[i] = analysis.lambda_crit.lambda_crit
         elif x > 0:
-            j = fam_curve.values[pos.index(1.0 / x)]
-            values[i] = x * j
+            values[i] = x * j_pos[pos.index(1.0 / x)]
         else:
-            j = inv_curve.values[neg.index(1.0 / abs(x))]
-            values[i] = abs(x) * j
+            values[i] = abs(x) * j_neg[neg.index(1.0 / abs(x))]
     return RateCurve(
         abscissae=x_grid, values=values, kind="averaged-speed-upper",
         metadata=analysis, maximizer_trace=np.full(len(x_grid), float("nan")),

@@ -160,7 +160,7 @@ def _mc_mean_speed(spec, n_steps, replicas, seed):
     for _ in range(n_steps):
         li = lev - w.lo
         u = rng.random(replicas)
-        choice = lookup(li, h, u)
+        choice = lookup(li, h, u, None)
         lev += choice // d - 1
         h = choice % d
     speeds = lev / n_steps

@@ -87,6 +87,39 @@ def test_sample_window_seed_determinism():
     assert not (w1.p == w3.p).all()
 
 
+def _period3_d2_spec():
+    iid = random_d2_iid_spec(1, drift=0.4)
+    return EnvironmentSpec(kind="periodic", d=2, kappa=iid.kappa, slices=iid.slices)
+
+
+@pytest.mark.parametrize("spec", [
+    two_point_d1_spec([0.7, 0.8], [0.3, 0.7]),
+    random_d2_iid_spec(1, drift=0.4),
+    _period3_d2_spec(),
+], ids=["d1-iid", "d2-iid", "d2-period3"])
+def test_sample_window_matches_per_level_loop(spec):
+    """Levels [lo, hi) equal, bit for bit, the per-level slice loop: cyclic
+    slices for periodic specs, one inverted uniform per level for i.i.d.
+    ones. Sub-windows are read-only views of the same levels."""
+    lo, hi, seed = -7, 40, 11
+    if spec.kind == "periodic":
+        idx = [(lo + k) % spec.period for k in range(hi - lo)]
+    else:
+        u = np.random.default_rng(np.random.SeedSequence(seed)).random(hi - lo)
+        cum = np.cumsum(spec.weights)
+        idx = [min(int(np.searchsorted(cum, x, side="right")), len(cum) - 1) for x in u]
+    w = sample_window(spec, lo, hi, seed=seed)
+    for name in "qrp":
+        ref = np.empty((hi - lo, spec.d, spec.d))
+        for k, i in enumerate(idx):
+            ref[k] = getattr(spec.slices[i], name)
+        assert getattr(w, name).tobytes() == ref.tobytes()
+    sub = w.sub(-2, 5)
+    assert sub.lo == -2 and sub.hi == 5
+    assert sub.p.tobytes() == w.p[5:12].tobytes()
+    assert np.shares_memory(sub.q, w.q) and not sub.q.flags.writeable
+
+
 def test_sample_window_frequencies_binomial():
     n = 10_000
     spec = two_point_d1_spec([0.7, 0.8], [0.3, 0.7])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -148,8 +149,7 @@ def test_sampler_concentration(p075_spec):
 
 def test_slowdown_exact_vs_direct(p075_spec):
     ex = slowdown_probability(p075_spec, n=30, method="exact", seed=1)
-    di = slowdown_probability(p075_spec, n=30, method="direct", trials=60_000,
-                              horizon_factor=20, seed=1)
+    di = slowdown_probability(p075_spec, n=30, method="direct", trials=60_000, seed=1)
     assert di.ci[0] <= ex.point <= di.ci[1]
 
 
@@ -263,3 +263,149 @@ def test_tilted_sampler_matches_reference_loop(spec):
         log_z, cdfs = ref_tilted_sampler_tables(ev, lam, 16, 120, start.pi)
         assert repr(sampler.log_Z) == repr(log_z)
         assert sampler.cdfs.tobytes() == cdfs.tobytes()
+
+
+# Small runs of every trial-loop path on the d=1 two-point spec and the d=2
+# i.i.d. spec. The values were recorded before the four estimators shared
+# one trial loop (chunking, streams, start heights, window and quenched or
+# averaged environments); every field must still match exactly.
+PIN_SPECS = {"d1": two_point_d1_spec([0.7, 0.8], [0.5, 0.5]),
+             "d2": random_d2_iid_spec(1, drift=0.4)}
+PIN_CALLS = {
+    "hit": lambda spec, mode: empirical_hitting_tail(
+        spec, n=20, t=2.5, trials=3000, seed=4, mode=mode),
+    "hit-M": lambda spec, mode: empirical_hitting_tail(
+        spec, n=12, t=2.2, trials=2000, seed=5, mode=mode, M=16),
+    "speed-below": lambda spec, mode: empirical_speed_tail(
+        spec, n=30, x=0.2, trials=2000, seed=6, mode=mode),
+    "speed-above": lambda spec, mode: empirical_speed_tail(
+        spec, n=30, x=0.8 if spec.d == 1 else 0.3, trials=2000, seed=6, mode=mode),
+    "slowdown": lambda spec, mode: slowdown_probability(
+        spec, n=10, trials=2000, seed=1, method="direct", mode=mode),
+}
+PINNED = {
+    ("d1", "hit", "quenched"): dict(
+        event="T_n >= 2.5*n", n=20, method="direct", point=0.08383233310637753,
+        ci=[0.08013561702078426, 0.08759303254948043], trials=3000, ess=3000.0, mode="quenched",
+        hits=561, one_sided=False, spec_hash="74fc14c5f6d8d07e", seed=4, prob=0.187),
+    ("d1", "hit", "averaged"): dict(
+        event="T_n >= 2.5*n", n=20, method="direct", point=0.07835085982750742,
+        ci=[0.07490026227173194, 0.08186544074079252], trials=3000, ess=3000.0, mode="averaged",
+        hits=626, one_sided=False, spec_hash="74fc14c5f6d8d07e", seed=4, prob=0.20866666666666667),
+    ("d1", "hit-M", "quenched"): dict(
+        event="T_n >= 2.2*n & tau <= 16", n=12, method="direct", point=0.1271297023711165,
+        ci=[0.1202872010287505, 0.13413211097749939], trials=2000, ess=2000.0, mode="quenched",
+        hits=435, one_sided=False, spec_hash="74fc14c5f6d8d07e", seed=5, prob=0.2175),
+    ("d1", "hit-M", "averaged"): dict(
+        event="T_n >= 2.2*n & tau <= 16", n=12, method="direct", point=0.11653057852951332,
+        ci=[0.1102378703997481, 0.12298319392329538], trials=2000, ess=2000.0, mode="averaged",
+        hits=494, one_sided=False, spec_hash="74fc14c5f6d8d07e", seed=5, prob=0.247),
+    ("d1", "speed-below", "quenched"): dict(
+        event="X_n <= 0.2*n", n=30, method="direct", point=0.12102035153299869,
+        ci=[0.1122279585669766, 0.1298767074046275], trials=2000, ess=2000.0, mode="quenched",
+        hits=53, one_sided=False, spec_hash="74fc14c5f6d8d07e", seed=6, prob=0.0265),
+    ("d1", "speed-below", "averaged"): dict(
+        event="X_n <= 0.2*n", n=30, method="direct", point=0.0966807364583222,
+        ci=[0.09066837232816652, 0.10275706349408463], trials=2000, ess=2000.0, mode="averaged",
+        hits=110, one_sided=False, spec_hash="74fc14c5f6d8d07e", seed=6, prob=0.055),
+    ("d1", "speed-above", "quenched"): dict(
+        event="X_n >= 0.8*n", n=30, method="direct", point=0.09322938049362753,
+        ci=[0.08753939881156339, 0.0989833250812984], trials=2000, ess=2000.0, mode="quenched",
+        hits=122, one_sided=False, spec_hash="74fc14c5f6d8d07e", seed=6, prob=0.061),
+    ("d1", "speed-above", "averaged"): dict(
+        event="X_n >= 0.8*n", n=30, method="direct", point=0.11080787801753425,
+        ci=[0.1032998972331153, 0.11837982170755992], trials=2000, ess=2000.0, mode="averaged",
+        hits=72, one_sided=False, spec_hash="74fc14c5f6d8d07e", seed=6, prob=0.036),
+    ("d1", "slowdown", "quenched"): dict(
+        event="inf_{m>=n} X_m <= 0 (finite-horizon proxy)", n=10, method="direct",
+        point=0.18201589437497528, ci=[0.17215251339516482, 0.19207116407160602], trials=2000,
+        ess=2000.0, mode="quenched", hits=324, one_sided=False, spec_hash="74fc14c5f6d8d07e",
+        seed=1, prob=0.162),
+    ("d2", "hit", "quenched"): dict(
+        event="T_n >= 2.5*n", n=20, method="direct", point=0.0033426153493920237,
+        ci=[0.0029032212993486315, 0.0038459927569450434], trials=3000, ess=3000.0,
+        mode="quenched", hits=2806, one_sided=False, spec_hash="2de32045ad05530c", seed=4,
+        prob=0.9353333333333333),
+    ("d2", "hit", "averaged"): dict(
+        event="T_n >= 2.5*n", n=20, method="direct", point=0.00407858268469058,
+        ci=[0.0035881556165897584, 0.004632993110301033], trials=3000, ess=3000.0,
+        mode="averaged", hits=2765, one_sided=False, spec_hash="2de32045ad05530c", seed=4,
+        prob=0.9216666666666666),
+    ("d2", "hit-M", "quenched"): dict(
+        event="T_n >= 2.2*n & tau <= 16", n=12, method="direct", point=0.08296704488282339,
+        ci=[0.07827851131903256, 0.08781548571063104], trials=2000, ess=2000.0, mode="quenched",
+        hits=739, one_sided=False, spec_hash="2de32045ad05530c", seed=5, prob=0.3695),
+    ("d2", "hit-M", "averaged"): dict(
+        event="T_n >= 2.2*n & tau <= 16", n=12, method="direct", point=0.08240511872574921,
+        ci=[0.07774205256087964, 0.08722809215463562], trials=2000, ess=2000.0, mode="averaged",
+        hits=744, one_sided=False, spec_hash="2de32045ad05530c", seed=5, prob=0.372),
+    ("d2", "speed-below", "quenched"): dict(
+        event="X_n <= 0.2*n", n=30, method="direct", point=0.031947188605827535,
+        ci=[0.030127786835929673, 0.03383055328133214], trials=2000, ess=2000.0, mode="quenched",
+        hits=767, one_sided=False, spec_hash="2de32045ad05530c", seed=6, prob=0.3835),
+    ("d2", "speed-below", "averaged"): dict(
+        event="X_n <= 0.2*n", n=30, method="direct", point=0.023372645075240322,
+        ci=[0.021932500041338072, 0.024876753014749304], trials=2000, ess=2000.0, mode="averaged",
+        hits=992, one_sided=False, spec_hash="2de32045ad05530c", seed=6, prob=0.496),
+    ("d2", "speed-above", "quenched"): dict(
+        event="X_n >= 0.3*n", n=30, method="direct", point=0.025025876446552724,
+        ci=[0.02351330171871095, 0.02660241408000124], trials=2000, ess=2000.0, mode="quenched",
+        hits=944, one_sided=False, spec_hash="2de32045ad05530c", seed=6, prob=0.472),
+    ("d2", "speed-above", "averaged"): dict(
+        event="X_n >= 0.3*n", n=30, method="direct", point=0.03645415823856902,
+        ci=[0.03442894466202272, 0.03854333472072205], trials=2000, ess=2000.0, mode="averaged",
+        hits=670, one_sided=False, spec_hash="2de32045ad05530c", seed=6, prob=0.335),
+    ("d2", "slowdown", "quenched"): dict(
+        event="inf_{m>=n} X_m <= 0 (finite-horizon proxy)", n=10, method="direct",
+        point=0.07062324201086008, ci=[0.06628068126622935, 0.07515769147231101], trials=2000,
+        ess=2000.0, mode="quenched", hits=987, one_sided=False, spec_hash="2de32045ad05530c",
+        seed=1, prob=0.4935),
+}
+PINNED_IS = [
+    ("d1", 16, "2c9214f149e2cdb5", dict(
+        event="T_n >= 3.0*n & tau <= 16", n=40, method="importance-sampled",
+        point=0.14260254044959048, ci=[0.14094005908760057, 0.14438350113073573], trials=3000,
+        ess=639.5108017583283, mode="quenched", hits=1481, one_sided=False,
+        spec_hash="74fc14c5f6d8d07e", seed=3, prob=0.00333226969197799)),
+    ("d2", 24, "356b6e4690d7c0c4", dict(
+        event="T_n >= 3.0*n & tau <= 24", n=40, method="importance-sampled",
+        point=0.04049371504748728, ci=[0.03904559729391614, 0.04203090023848448], trials=3000,
+        ess=794.4022666412619, mode="quenched", hits=1415, one_sided=False,
+        spec_hash="2de32045ad05530c", seed=3, prob=0.1979484566948799)),
+]
+
+
+@pytest.mark.parametrize("key", list(PINNED), ids="-".join)
+def test_direct_estimates_pinned(key):
+    spec, kind, mode = key
+    assert PIN_CALLS[kind](PIN_SPECS[spec], mode).as_dict() == PINNED[key]
+
+
+@pytest.mark.parametrize("spec, M, digest, pinned", PINNED_IS, ids=["d1", "d2"])
+def test_importance_sampling_pinned(spec, M, digest, pinned):
+    est, T, _, _ = importance_sample_hitting(
+        LmgfEvaluator(PIN_SPECS[spec], n_levels=40, seed=3, margin=320), t=3.0, M=M,
+        trials=3000, return_samples=True,
+    )
+    assert est.as_dict() == pinned
+    assert hashlib.sha256(T.tobytes()).hexdigest()[:16] == digest
+
+
+def test_averaged_direct_slowdown_draws_environments():
+    # averaged mode walks each trial on its own environment, so the hits
+    # leave those of the one quenched window
+    qe, av = (PIN_CALLS["slowdown"](PIN_SPECS["d1"], mode)
+              for mode in ("quenched", "averaged"))
+    assert av.mode == "averaged"
+    assert av.hits != qe.hits
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: empirical_hitting_tail(spec, n=10, t=2.5, trials=10, mode="annealed"),
+    lambda spec: empirical_speed_tail(spec, n=10, x=0.3, trials=10, mode="annealed"),
+    lambda spec: slowdown_probability(spec, n=10, trials=10, method="direct",
+                                      mode="annealed"),
+], ids=["hitting", "speed", "slowdown"])
+def test_direct_estimators_reject_unknown_mode(call):
+    with pytest.raises(ValueError, match="mode must be"):
+        call(PIN_SPECS["d1"])

@@ -213,12 +213,24 @@ def test_averaged_speed_upper_bounds():
     assert iu0.values[0] < 1e-6
 
 
-def test_averaged_speed_metadata_is_the_spec_analysis():
+def test_averaged_speed_metadata_is_the_spec_analysis(monkeypatch):
     """With no x > 0 point the curve still reports the spec's own analysis,
-    and I(0) is the lambda_crit a grid with an x > 0 point reports."""
+    and I(0) is the lambda_crit a grid with an x > 0 point reports. Each
+    curve runs that one analysis and none of the reflection."""
+    from stripldp import rates
+
+    analyzed = []
+
+    def counted(spec, *args, **kwargs):
+        analyzed.append(spec.content_hash())
+        return analyze_environment(spec, *args, **kwargs)
+
+    monkeypatch.setattr(rates, "analyze_environment", counted)
     spec = two_point_d1_spec([0.7, 0.8], [0.5, 0.5])
     neg = averaged_speed_upper(spec, [-0.4, 0.0], n_levels=300, seed=0)
+    assert analyzed == [spec.content_hash()]
     both = averaged_speed_upper(spec, [-0.4, 0.0, 0.5], n_levels=300, seed=0)
+    assert analyzed == [spec.content_hash()] * 2
     md = neg.metadata
     assert md.spec_hash == spec.content_hash() != spec.invert().content_hash()
     assert md.regime == "transient-right" and md.v0 > 0
