@@ -160,6 +160,7 @@ def cmd_simulate(args) -> int:
         est = slowdown_probability(
             spec, n=n, trials=args.trials, seed=args.seed,
             method="exact" if args.method == "exact" else "direct",
+            mode=args.mode,
         )
         try:
             from .phi import estimate_lambda_crit

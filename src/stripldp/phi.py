@@ -21,9 +21,10 @@ re-solve from a later start equals the main sweep bit for bit at one
 level, it equals it at every later level; the re-solves stop there, and
 the boundary gap they measure past that level is exactly 0.
 
-Truncated matrices Phi_{k,M} are computed exactly by a dynamic program over
-time steps; the term-by-term derivatives Phi'_k come from the forward
-sensitivity of the same fixed point.
+Truncated matrices Phi_{k,M} are computed exactly by one dynamic program
+over time steps, run for a whole range of start levels at once; the
+term-by-term derivatives Phi'_k come from the forward sensitivity of the
+same fixed point.
 """
 
 from __future__ import annotations
@@ -545,44 +546,70 @@ def periodic_phi_derivative(
 # ---------------------------------------------------------------------------
 
 
-def hitting_kernels(window: EnvironmentWindow, k: int, M: int) -> np.ndarray:
-    """W[m-1](i,j) = P^{(k,i)}( T_{k+1} = m, Y_{T_{k+1}} = j ) for m = 1..M.
+KERNEL_BLOCK_ENTRIES = 1 << 18  # entries of one (levels, M, d, d) stack per DP block
 
-    Exact DP on levels (k-M, k] with absorption at level k+1; levels below
-    k-M are unreachable before time M. Requires the window to cover (k-M, k].
+
+def truncated_kernels_range(
+    window: EnvironmentWindow, M: int, k0: int, k1: int
+) -> np.ndarray:
+    """Stacked hitting kernels for levels k0..k1-1; shape (k1-k0, M, d, d).
+
+    Row k-k0 holds W[m-1](i,j) = P^{(k,i)}( T_{k+1} = m, Y_{T_{k+1}} = j ),
+    m = 1..M: one exact DP over time steps for every start level at once, on
+    levels (k-M, k] with absorption at level k+1 (levels below k-M are
+    unreachable before time M). Requires the window to cover (k0-M, k1-1].
+    Start levels go in blocks of at most KERNEL_BLOCK_ENTRIES entries per
+    stack; rows are independent, so the blocking moves no bit.
     """
     if M < 1:
         raise ValueError("need M >= 1")
-    d = window.d
-    if not (window.lo <= k - M + 1 and k < window.hi):
+    if not (window.lo <= k0 - M + 1 and k1 <= window.hi):
         raise ValueError(
-            f"window [{window.lo},{window.hi}) must cover levels ({k - M}, {k}]"
+            f"window [{window.lo},{window.hi}) must cover levels ({k0 - M}, {k1 - 1}]"
         )
-    base = window.index_of(k - M + 1)
-    q = window.q[base:base + M]
-    r = window.r[base:base + M]
-    p = window.p[base:base + M]
+    d = window.d
+    out = np.empty((k1 - k0, M, d, d))
+    rows = max(1, KERNEL_BLOCK_ENTRIES // (M * d * d))
+    for a in range(0, k1 - k0, rows):
+        _kernel_block(window, M, k0 + a, out[a:a + rows])
+    return out
 
-    # cur[l, i, j]: mass of paths from (k, i) now at level k-M+1+l, height j
-    cur = np.zeros((M, d, d))
-    cur[M - 1] = np.eye(d)
-    W = np.zeros((M, d, d))
+
+def _kernel_block(window: EnvironmentWindow, M: int, k0: int, W: np.ndarray) -> None:
+    """Fill W (K, M, d, d) with the hitting kernels of levels k0..k0+K-1."""
+    K, d = W.shape[0], window.d
+    base = window.index_of(k0 - M + 1)
+    # (K, M, d, d) views: row k holds the slices of levels (k-M, k]
+    q, r, p = (
+        np.moveaxis(np.lib.stride_tricks.sliding_window_view(
+            a[base:base + K + M - 1], M, axis=0), -1, 1)
+        for a in (window.q, window.r, window.p)
+    )
+    # cur[k, l, i, j]: mass of paths from (k, i) now at level k-M+1+l, height j
+    cur = np.zeros((K, M, d, d))
+    cur[:, M - 1] = np.eye(d)
     for m in range(1, M + 1):
-        W[m - 1] = cur[M - 1] @ p[M - 1]
+        W[:, m - 1] = cur[:, M - 1] @ p[:, M - 1]
         if m == M:
             break
+        # into each level: the p-term from below, then the r-term, then the
+        # q-term from above, the order of a loop over one start level's
+        # blocks; the all-zero blocks such a loop skips add exact zeros
+        # here, so every row is that loop's result bit for bit
         nxt = np.zeros_like(cur)
-        for l in range(M):
-            block = cur[l]
-            if not block.any():
-                continue
-            nxt[l] += block @ r[l]
-            if l > 0:
-                nxt[l - 1] += block @ q[l]
-            if l + 1 < M:
-                nxt[l + 1] += block @ p[l]
+        nxt[:, 1:] += cur[:, :-1] @ p[:, :-1]
+        nxt += cur @ r
+        nxt[:, :-1] += cur[:, 1:] @ q[:, 1:]
         cur = nxt
-    return W
+
+
+def hitting_kernels(window: EnvironmentWindow, k: int, M: int) -> np.ndarray:
+    """W[m-1](i,j) = P^{(k,i)}( T_{k+1} = m, Y_{T_{k+1}} = j ) for m = 1..M.
+
+    The one-level case of truncated_kernels_range; requires the window to
+    cover (k-M, k].
+    """
+    return truncated_kernels_range(window, M, k, k + 1)[0]
 
 
 TRUNCATED_EXP_CAP = 400.0  # linear-domain DP refuses e^{lam*M} beyond this exponent
@@ -610,17 +637,6 @@ def phi_truncated(window: EnvironmentWindow, lam: float, M: int, k: int) -> PhiM
     return PhiMatrix(
         entries=kernels_to_phi(W, lam), level=k, lam=lam, kind="truncated", M=M
     )
-
-
-def truncated_kernels_range(
-    window: EnvironmentWindow, M: int, k0: int, k1: int
-) -> np.ndarray:
-    """Stacked hitting kernels for levels k0..k1-1; shape (k1-k0, M, d, d)."""
-    d = window.d
-    out = np.empty((k1 - k0, M, d, d))
-    for k in range(k0, k1):
-        out[k - k0] = hitting_kernels(window, k, M)
-    return out
 
 
 def periodic_truncated_kernels(spec: EnvironmentSpec, M: int) -> np.ndarray:

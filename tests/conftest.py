@@ -446,6 +446,43 @@ def ref_positive_product_direction(arr, side):
     return v, (float("inf") if eps >= 1.0 else 2.0 * eps / (1.0 - eps))
 
 
+# ---------------------------------------------------------------------------
+# reference truncated-kernel DP: the per-level loop that
+# stripldp.phi.truncated_kernels_range batches over start levels and must
+# reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+
+def ref_hitting_kernels(window, k, M):
+    """W[m-1](i,j) = P^{(k,i)}(T_{k+1} = m, Y_{T_{k+1}} = j), m = 1..M, by
+    the DP over time steps on levels (k-M, k], one level block at a time
+    (all-zero blocks skipped)."""
+    d = window.d
+    base = window.index_of(k - M + 1)
+    q = window.q[base:base + M]
+    r = window.r[base:base + M]
+    p = window.p[base:base + M]
+    cur = np.zeros((M, d, d))
+    cur[M - 1] = np.eye(d)
+    W = np.zeros((M, d, d))
+    for m in range(1, M + 1):
+        W[m - 1] = cur[M - 1] @ p[M - 1]
+        if m == M:
+            break
+        nxt = np.zeros_like(cur)
+        for l in range(M):
+            block = cur[l]
+            if not block.any():
+                continue
+            nxt[l] += block @ r[l]
+            if l > 0:
+                nxt[l - 1] += block @ q[l]
+            if l + 1 < M:
+                nxt[l + 1] += block @ p[l]
+        cur = nxt
+    return W
+
+
 def enumerate_truncated_phi(window, k, M, lam):
     """Exhaustive path enumeration oracle for Phi_{k,M}(lambda).
 

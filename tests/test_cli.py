@@ -26,14 +26,15 @@ def two_point_path(tmp_path):
 
 @pytest.fixture()
 def counts(monkeypatch):
-    """Evaluators built, lambda_crit bisections run and hitting kernels
-    computed, counted at every binding of the functions."""
+    """Evaluators built, lambda_crit bisections run, truncated-kernel DPs run
+    and the start levels they cover, counted at every binding of the
+    functions."""
     import stripldp.lmgf as lmgf
     import stripldp.phi as phi
     import stripldp.rates as rates
     from stripldp.lmgf import LmgfEvaluator
 
-    seen = {"evaluators": 0, "lambda_crit": 0, "kernels": 0}
+    seen = {"evaluators": 0, "lambda_crit": 0, "kernel_dps": 0, "kernels": 0}
 
     def counted(key, fn):
         def run(*args, **kwargs):
@@ -46,7 +47,15 @@ def counts(monkeypatch):
     crit = counted("lambda_crit", phi.estimate_lambda_crit)
     for mod in (phi, lmgf, rates):
         monkeypatch.setattr(mod, "estimate_lambda_crit", crit)
-    monkeypatch.setattr(phi, "hitting_kernels", counted("kernels", phi.hitting_kernels))
+    dp = phi.truncated_kernels_range
+
+    def kernels_range(window, M, k0, k1):
+        seen["kernel_dps"] += 1
+        seen["kernels"] += k1 - k0
+        return dp(window, M, k0, k1)
+
+    for mod in (phi, lmgf):
+        monkeypatch.setattr(mod, "truncated_kernels_range", kernels_range)
     return seen
 
 
@@ -165,9 +174,9 @@ def test_simulate_is_with_comparison(p075_path, tmp_path, capsys, counts):
                  "--M", "16", "--levels", "150", "--trials", "20000",
                  "--out", out])
     assert code == 0
-    # the estimate and the J_M comparison share one evaluator and the
-    # kernels of its one period
-    assert (counts["evaluators"], counts["kernels"]) == (1, 1)
+    # the estimate and the J_M comparison share one evaluator and one DP
+    # over the kernels of its one period
+    assert (counts["evaluators"], counts["kernel_dps"], counts["kernels"]) == (1, 1, 1)
     captured = capsys.readouterr().out
     assert "J_M(3.0)" in captured
     doc = json.loads(open(out).read())
@@ -179,7 +188,7 @@ def test_simulate_is_one_kernel_dp_per_level(two_point_path, tmp_path, capsys, c
     assert main(["simulate", "--spec", two_point_path, "--t", "3", "--method", "is",
                  "--M", "16", "--levels", "150", "--trials", "2000", "--out", out]) == 0
     assert "J_M(3.0)" in capsys.readouterr().out
-    assert (counts["evaluators"], counts["kernels"]) == (1, 150)
+    assert (counts["evaluators"], counts["kernel_dps"], counts["kernels"]) == (1, 1, 150)
 
 
 def test_simulate_is_requires_M(p075_path):
@@ -199,6 +208,20 @@ def test_simulate_slowdown_exact(p075_path, tmp_path, capsys):
     doc = json.loads(open(out).read())
     assert doc["method"] == "exact"
     assert "lambda_crit" in doc["comparison"]
+
+
+def test_simulate_slowdown_direct_averaged(two_point_path, tmp_path):
+    runs = {}
+    for mode in ("quenched", "averaged"):
+        out = str(tmp_path / f"sd-{mode}.json")
+        assert main(["simulate", "--spec", two_point_path, "--slowdown",
+                     "--method", "direct", "--mode", mode, "--levels", "10",
+                     "--trials", "2000", "--seed", "1", "--out", out]) == 0
+        runs[mode] = json.loads(open(out).read())
+    assert (runs["quenched"]["mode"], runs["quenched"]["hits"]) == ("quenched", 324)
+    # each averaged trial walks its own environment
+    assert runs["averaged"]["mode"] == "averaged"
+    assert runs["averaged"]["hits"] != 324
 
 
 def test_simulate_speed_event(p075_path, tmp_path):

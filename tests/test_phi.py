@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from stripldp.env import (
     EnvironmentSlice,
     EnvironmentSpec,
     c_lambda,
+    embed_bounded_jump,
     lambda_crit_cap,
     sample_window,
     two_point_d1_spec,
@@ -19,11 +21,13 @@ from stripldp.phi import (
     hitting_kernels,
     kernels_to_phi,
     periodic_phi_derivative,
+    periodic_truncated_kernels,
     phi_derivative,
     phi_truncated,
     residual_norm,
     solve_phi_periodic,
     solve_phi_window,
+    truncated_kernels_range,
 )
 
 from conftest import (
@@ -31,6 +35,7 @@ from conftest import (
     d1_phi_closed,
     enumerate_truncated_phi,
     random_d2_iid_spec,
+    ref_hitting_kernels,
     ref_periodic_phi_derivative,
     ref_phi_derivative,
     ref_solve_phi_periodic,
@@ -341,6 +346,62 @@ def test_kernels_match_reference_on_random_specs(seed, d, drift, lam, n, shift):
         phi_derivative(window, lam, phi_solution=sol, kappa=spec.kappa),
         ref_phi_derivative(window, lam, phi_solution=ref, kappa=spec.kappa),
     )
+
+
+# (2,1): p has a zero row and a zero column; (3,3): q and p triangular
+BOUNDED_JUMP_SPECS = (
+    embed_bounded_jump([0.35, 0.35, 0.0, 0.30], 2, 1),
+    embed_bounded_jump([0.1, 0.1, 0.1, 0.1, 0.2, 0.2, 0.2], 3, 3),
+)
+
+
+def ref_kernels_range(window, M, k0, k1):
+    return np.stack([ref_hitting_kernels(window, k, M) for k in range(k0, k1)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.integers(0, 5),
+    M=st.integers(1, 30),
+    k0=st.integers(-40, 40),
+    n=st.integers(1, 12),
+    rows=st.integers(1, 12),
+)
+def test_truncated_kernels_match_reference(seed, kind, M, k0, n, rows):
+    """The batched DP is the per-level loop bit for bit: d = 1..4 i.i.d.
+    specs and both bounded-jump embeddings, with start-level blocks of
+    `rows` levels so that most ranges cross a block boundary."""
+    import stripldp.phi as phi
+
+    spec = (random_d2_iid_spec(seed, kappa=0.05, drift=0.3, d=kind + 1)
+            if kind < 4 else BOUNDED_JUMP_SPECS[kind - 4])
+    window = sample_window(spec, k0 - M - 3, k0 + n + 2, seed=seed)
+    with mock.patch.object(phi, "KERNEL_BLOCK_ENTRIES", rows * M * spec.d ** 2):
+        got = truncated_kernels_range(window, M, k0, k0 + n)
+    assert bitwise_equal(got, ref_kernels_range(window, M, k0, k0 + n))
+    assert bitwise_equal(hitting_kernels(window, k0, M), got[0])
+
+
+@pytest.mark.parametrize("M", [1, 7, 24])
+def test_periodic_truncated_kernels_match_reference(M):
+    base = random_d2_iid_spec(1, drift=0.4)
+    period3 = EnvironmentSpec(kind="periodic", d=2, kappa=base.kappa, slices=base.slices)
+    for spec in (period3, *BOUNDED_JUMP_SPECS):
+        want = ref_kernels_range(sample_window(spec, -M, spec.period), M, 0, spec.period)
+        assert bitwise_equal(periodic_truncated_kernels(spec, M), want)
+
+
+def test_truncated_kernels_range_checks():
+    spec = random_d2_iid_spec(1, drift=0.4)
+    M, k0, k1 = 5, 3, 9
+    exact = sample_window(spec, k0 - M + 1, k1, seed=0)  # levels (k0-M, k1-1]
+    assert truncated_kernels_range(exact, M, k0, k1).shape == (k1 - k0, M, 2, 2)
+    with pytest.raises(ValueError, match="M >= 1"):
+        truncated_kernels_range(exact, 0, k0, k1)
+    for short in (exact.sub(exact.lo + 1, exact.hi), exact.sub(exact.lo, exact.hi - 1)):
+        with pytest.raises(ValueError, match="must cover"):
+            truncated_kernels_range(short, M, k0, k1)
 
 
 def test_phi_derivative_infers_kappa_once(monkeypatch):
