@@ -67,7 +67,7 @@ def parse_grid(text: str) -> np.ndarray:
     return grid[grid <= b + 1e-9]
 
 
-def _write_manifest(args, command: str, outputs: list[str], wall: float, params: dict):
+def _write_manifest(args, command: str, wall: float, params: dict):
     if not args.out:
         return None
     manifest_path = args.out + ".manifest.json"
@@ -78,13 +78,26 @@ def _write_manifest(args, command: str, outputs: list[str], wall: float, params:
         "spec_hash": params.pop("_spec_hash", None),
         "seed": getattr(args, "seed", None),
         "parameters": params,
-        "outputs": outputs,
+        "outputs": [args.out],
         "wall_clock_s": round(wall, 3),
     }
     with open(manifest_path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return os.path.basename(manifest_path)
+
+
+def _write_json(args, command: str, doc: dict, wall: float, params: dict) -> int:
+    """Print `doc` as JSON and write it to --out, naming its manifest."""
+    manifest = _write_manifest(args, command, wall, params)
+    if manifest:
+        doc["manifest"] = manifest
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    print(text)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -95,19 +108,10 @@ def cmd_analyze(args) -> int:
         lambda_crit_tol=args.tol,
     )
     wall = time.perf_counter() - t0
-    doc = analysis.as_dict()
-    manifest = _write_manifest(
-        args, "analyze", [args.out] if args.out else [], wall,
+    return _write_json(
+        args, "analyze", analysis.as_dict(), wall,
         {"levels": args.levels, "tol": args.tol, "_spec_hash": spec.content_hash()},
     )
-    if manifest:
-        doc["manifest"] = manifest
-    text = json.dumps(doc, indent=2, sort_keys=True, default=str)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    return 0
 
 
 def cmd_rate(args) -> int:
@@ -132,7 +136,7 @@ def cmd_rate(args) -> int:
         raise SpecValidationError(f"unknown curve kind {args.kind!r}")
     wall = time.perf_counter() - t0
     manifest = _write_manifest(
-        args, "rate", [args.out] if args.out else [], wall,
+        args, "rate", wall,
         {"kind": args.kind, "grid": args.grid, "levels": args.levels,
          "M": args.M, "_spec_hash": spec.content_hash()},
     )
@@ -203,20 +207,12 @@ def cmd_simulate(args) -> int:
     doc = est.as_dict()
     if comparison:
         doc["comparison"] = comparison
-    manifest = _write_manifest(
-        args, "simulate", [args.out] if args.out else [], wall,
+    return _write_json(
+        args, "simulate", doc, wall,
         {"t": args.t, "x": args.x, "slowdown": args.slowdown,
          "levels": n, "trials": args.trials, "method": args.method,
          "M": args.M, "mode": args.mode, "_spec_hash": spec.content_hash()},
     )
-    if manifest:
-        doc["manifest"] = manifest
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    return 0
 
 
 def cmd_convert_bounded_jump(args) -> int:
@@ -302,6 +298,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("levels", "trials"):
+            if getattr(args, name, 1) < 1:
+                raise SpecValidationError(f"--{name} must be at least 1")
         return args.fn(args)
     except (SpecValidationError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -28,6 +28,14 @@ window's value terms are the logs of the forward roll's normalizers, a
 period's the logs of one batched mu_k Phi_k 1; the derivative terms are one
 batched product mu_k Phi'_k nu_{k+1} over all levels.
 
+`LmgfEvaluator` forms every estimate in one place: the mean of the
+per-level terms, with a 95% CLT bar over a window's n levels (0 on a
+period, whose one-period mean is exact). The estimators differ only
+in their Phi source (periodic fixed point, window sweep, or the depth-M
+kernels of the truncated versions) and their det formula; `value` and
+`derivative` share one memo, which turns a diverging solve into the
+infinite estimate.
+
 The scalars derived from Lambda: t0 = Lambda'(0-) (the hitting-time LLN
 constant, 1/v0 for right-transient walks), t* = Lambda'(lambda_crit-), and
 the transience regime read off the sign of Lambda(0).
@@ -182,13 +190,13 @@ class LmgfEvaluator:
 
     i.i.d. specs get one window sampled at construction (levels
     [-margin, n_levels)); every lambda is evaluated on that same window, so
-    sweeps and finite differences see a common realization. Three caches
-    live as long as the evaluator: truncated kernels per depth M, and the
-    estimates of `value` and of `derivative` per lambda (every grid point of
-    a rate curve, every Legendre search of an averaged bound, and the
-    analyses of a spec and of its reflection on the same pair of evaluators
-    share them), so an evaluator, unlike the specs and windows it holds, is
-    not immutable.
+    sweeps and finite differences see a common realization. Two caches live
+    as long as the evaluator: truncated kernels per depth M, and the
+    estimates of `value` and `derivative` per lambda (every grid point of a
+    rate curve, every Legendre search of an averaged bound, and the analyses
+    of a spec and of its reflection on the same pair of evaluators share
+    them), so an evaluator, unlike the specs and windows it holds, is not
+    immutable.
     """
 
     def __init__(
@@ -206,127 +214,100 @@ class LmgfEvaluator:
         self.margin = margin if spec.kind != "periodic" else 0
         self.window: EnvironmentWindow | None = None
         self._kernel_cache: dict[int, np.ndarray] = {}
-        self._values: dict[float, LmgfEstimate] = {}
-        self._derivatives: dict[float, LmgfEstimate] = {}
+        self._memo: dict[tuple[str, float], LmgfEstimate] = {}
         if spec.kind != "periodic":
             self.window = sample_window(spec, -margin, n_levels, seed=seed)
+
+    def _estimate(self, lam: float, terms, det: float, kind: str,
+                  M: int | None = None, bias: float = 0.0) -> LmgfEstimate:
+        """The mean of the per-level terms and its 95% CLT bar over a
+        window's n levels; a period's mean is exact, so its bar is 0, as is
+        that of a one-level window."""
+        n = self.n_levels
+        stat = 0.0
+        if self.window is not None and n > 1:
+            stat = 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(n)
+        return LmgfEstimate(
+            lam=lam, value=float(np.mean(terms)), deterministic_error=det,
+            statistical_error=stat, n=n, kind=kind, M=M, boundary_bias=bias,
+        )
+
+    def _memoized(self, kind: str, lam: float, estimator) -> LmgfEstimate:
+        """estimator(lam), once per kind and lambda: the window is fixed, so a
+        repeated lambda (golden searches from a shared bracket) is a lookup.
+        A solve that diverges gives the infinite estimate; lambda <= 0 is
+        feasible a priori, so a failure there is a convergence breakdown
+        (recurrent boundary), not supercriticality."""
+        est = self._memo.get((kind, lam))
+        if est is None:
+            try:
+                est = estimator(lam)
+            except (SupercriticalError, ConvergenceError):
+                est = LmgfEstimate(
+                    lam=lam, value=float("inf"), deterministic_error=float("inf"),
+                    statistical_error=0.0, n=self.n_levels, kind=kind,
+                    supercritical=lam > 0,
+                )
+            self._memo[kind, lam] = est
+        return est
 
     # -- full ---------------------------------------------------------------
 
     def value(self, lam: float) -> LmgfEstimate:
-        """Lambda(lam), memoized per evaluator: the window is fixed, so a
-        repeated lambda (golden searches from a shared bracket) is a lookup."""
-        est = self._values.get(lam)
-        if est is None:
-            est = self._values[lam] = self._value(lam)
-        return est
+        """Lambda(lam), memoized per evaluator."""
+        return self._memoized("full", lam, self._value)
 
     def _value(self, lam: float) -> LmgfEstimate:
-        try:
-            if self.spec.kind == "periodic":
-                est = self._value_periodic(lam)
-            else:
-                est = self._value_window(lam)
-        except (SupercriticalError, ConvergenceError):
-            # lambda <= 0 is feasible a priori, so a failure there is a
-            # convergence breakdown (recurrent boundary), not supercriticality
-            return LmgfEstimate(
-                lam=lam, value=float("inf"), deterministic_error=float("inf"),
-                statistical_error=0.0, n=self.n_levels, supercritical=lam > 0,
-            )
+        if self.window is None:
+            # for lam <= 0 the iteration is monotone and bounded a priori, so
+            # a max_iter exhaustion still yields a usable value with its tail
+            # bias (polynomially slow convergence happens only at the
+            # recurrent boundary)
+            pp = solve_phi_periodic(self.spec, lam, tol=FP_TOL,
+                                    on_maxiter="return" if lam <= 0 else "raise")
+            phis = pp.phis
+            c = _measured_c(phis)
+            tail = pp.tail if math.isfinite(pp.tail) else pp.residual * self.n_levels
+            bias = 2.0 * tail / c
+        else:
+            sol = solve_phi_window(self.window, lam, tol=self.tol,
+                                   shift=self.margin or None, kappa=self.spec.kappa)
+            i0 = self.window.index_of(0)
+            phis = sol.phis[i0:]
+            c = _measured_c(phis)
+            gaps = sol.boundary_gap[i0:]
+            gaps = gaps[np.isfinite(gaps)]
+            bias = 2.0 * float(gaps.sum()) / (c * len(gaps)) if gaps.size else 0.0
+        det = min(_paper_window_bound(c, self.n_levels),
+                  _det_cap(self.spec.kappa, lam, self.spec.d)) + bias
+        est = self._estimate(lam, _log_terms(phis, self.window is None), det, "full",
+                             bias=bias)
         _sandwich_check(lam, est.value, self.spec.kappa,
                         slack=1e-10 + 4 * est.statistical_error)
         return est
-
-    def _value_periodic(self, lam: float) -> LmgfEstimate:
-        # for lam <= 0 the iteration is monotone and bounded a priori, so a
-        # max_iter exhaustion still yields a usable value with its tail bias
-        # (polynomially slow convergence happens only at the recurrent boundary)
-        pp = solve_phi_periodic(self.spec, lam, tol=FP_TOL,
-                                on_maxiter="return" if lam <= 0 else "raise")
-        terms = _log_terms(pp.phis, periodic=True)
-        c = _measured_c(pp.phis)
-        tail = pp.tail if math.isfinite(pp.tail) else pp.residual * self.n_levels
-        bias = 2.0 * tail / c
-        det = min(_paper_window_bound(c, self.n_levels),
-                  _det_cap(self.spec.kappa, lam, self.spec.d)) + bias
-        return LmgfEstimate(
-            lam=lam, value=float(np.mean(terms)), deterministic_error=det,
-            statistical_error=0.0, n=self.n_levels, boundary_bias=bias,
-        )
-
-    def _value_window(self, lam: float) -> LmgfEstimate:
-        sol = solve_phi_window(self.window, lam, tol=self.tol,
-                               shift=self.margin or None, kappa=self.spec.kappa)
-        i0 = self.window.index_of(0)
-        n = self.n_levels
-        terms = _log_terms(sol.phis[i0:], periodic=False)
-        c = _measured_c(sol.phis[i0:])
-        bias = self._boundary_bias(sol, i0, c)
-        det = min(_paper_window_bound(c, n),
-                  _det_cap(self.spec.kappa, lam, self.window.d)) + bias
-        stat = 1.96 * float(terms.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-        return LmgfEstimate(
-            lam=lam, value=float(terms.mean()), deterministic_error=det,
-            statistical_error=stat, n=n, boundary_bias=bias,
-        )
-
-    def _boundary_bias(self, sol, i0: int, c: float) -> float:
-        if sol.boundary_gap is None:
-            return 0.0
-        gaps = sol.boundary_gap[i0:]
-        gaps = gaps[np.isfinite(gaps)]
-        if gaps.size == 0:
-            return 0.0
-        return 2.0 * float(gaps.sum()) / (c * len(gaps))
 
     # -- derivative -----------------------------------------------------------
 
     def derivative(self, lam: float) -> LmgfEstimate:
         """Lambda'(lam), memoized per evaluator like `value`."""
-        est = self._derivatives.get(lam)
-        if est is None:
-            est = self._derivatives[lam] = self._derivative(lam)
-        return est
+        return self._memoized("derivative", lam, self._derivative)
 
     def _derivative(self, lam: float) -> LmgfEstimate:
-        try:
-            if self.spec.kind == "periodic":
-                return self._derivative_periodic(lam)
-            return self._derivative_window(lam)
-        except (SupercriticalError, ConvergenceError):
-            return LmgfEstimate(
-                lam=lam, value=float("inf"), deterministic_error=float("inf"),
-                statistical_error=0.0, n=self.n_levels, kind="derivative",
-                supercritical=lam > 0,
-            )
-
-    def _derivative_periodic(self, lam: float) -> LmgfEstimate:
-        pp = solve_phi_periodic(self.spec, lam, tol=FP_TOL)
-        dph = periodic_phi_derivative(self.spec, lam, pp, tol=FP_TOL)
-        terms = _derivative_terms(pp.phis, dph, periodic=True)
-        c = _measured_c(pp.phis)
-        return LmgfEstimate(
-            lam=lam, value=float(np.mean(terms)),
-            deterministic_error=_paper_window_bound(c, self.n_levels),
-            statistical_error=0.0, n=self.n_levels, kind="derivative",
-        )
-
-    def _derivative_window(self, lam: float) -> LmgfEstimate:
-        sol = solve_phi_window(self.window, lam, tol=self.tol,
-                               shift=self.margin or None, kappa=self.spec.kappa)
-        dsol = phi_derivative(self.window, lam, tol=self.tol, phi_solution=sol,
-                              kappa=self.spec.kappa)
-        i0 = self.window.index_of(0)
-        n = self.n_levels
-        terms = _derivative_terms(sol.phis[i0:], dsol.phis[i0:], periodic=False)
-        c = _measured_c(sol.phis[i0:])
-        det = _paper_window_bound(c, n) * (1.0 + abs(float(terms.mean())))
-        stat = 1.96 * float(terms.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-        return LmgfEstimate(
-            lam=lam, value=float(terms.mean()), deterministic_error=det,
-            statistical_error=stat, n=n, kind="derivative",
-        )
+        if self.window is None:
+            pp = solve_phi_periodic(self.spec, lam, tol=FP_TOL)
+            phis, dphis = pp.phis, periodic_phi_derivative(self.spec, lam, pp, tol=FP_TOL)
+        else:
+            sol = solve_phi_window(self.window, lam, tol=self.tol,
+                                   shift=self.margin or None, kappa=self.spec.kappa)
+            dsol = phi_derivative(self.window, lam, tol=self.tol, phi_solution=sol,
+                                  kappa=self.spec.kappa)
+            i0 = self.window.index_of(0)
+            phis, dphis = sol.phis[i0:], dsol.phis[i0:]
+        terms = _derivative_terms(phis, dphis, self.window is None)
+        det = _paper_window_bound(_measured_c(phis), self.n_levels)
+        if self.window is not None:
+            det *= 1.0 + abs(float(terms.mean()))
+        return self._estimate(lam, terms, det, "derivative")
 
     # -- truncated ------------------------------------------------------------
 
@@ -341,7 +322,20 @@ class LmgfEvaluator:
                     self.window, M, 0, self.n_levels)
         return self._kernel_cache[M]
 
-    def _check_truncation_depth(self, phis: np.ndarray, M: int) -> None:
+    def value_truncated(self, lam: float, M: int) -> LmgfEstimate:
+        return self._truncated(lam, M, "truncated")
+
+    def derivative_truncated(self, lam: float, M: int) -> LmgfEstimate:
+        return self._truncated(lam, M, "truncated-derivative")
+
+    def _truncated(self, lam: float, M: int, kind: str) -> LmgfEstimate:
+        """Lambda_M (kind 'truncated') or Lambda'_M from the depth-M kernels,
+        weighted by e^{lam m} (Phi_M) and by m e^{lam m} (Phi'_M)."""
+        ker = self._kernels(M)
+        _check_truncated_range(lam, M)
+        m = np.arange(1, M + 1)
+        e = np.exp(lam * m)
+        phis = np.einsum("m,kmij->kij", e, ker)
         # M >= N_kappa guarantees positive truncated matrices; rather than a
         # hard depth gate (which would reject the perfectly well defined d=1,
         # M=1 case) the positivity itself is enforced
@@ -350,43 +344,13 @@ class LmgfEvaluator:
                 f"M={M} too small: truncated matrices lose strict positivity "
                 f"(M >= N_kappa = {n_kappa(self.spec.kappa)} guarantees it)"
             )
-
-    def value_truncated(self, lam: float, M: int) -> LmgfEstimate:
-        ker = self._kernels(M)
-        nlev = ker.shape[0]
-        _check_truncated_range(lam, M)
-        m = np.arange(1, M + 1)
-        phis = np.einsum("m,kmij->kij", np.exp(lam * m), ker)
-        self._check_truncation_depth(phis, M)
-        periodic = self.spec.kind == "periodic"
-        terms = _log_terms(phis, periodic)
-        stat = 0.0 if periodic else 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(nlev)
-        n = self.n_levels if periodic else nlev
-        c = _measured_c(phis)
-        return LmgfEstimate(
-            lam=lam, value=float(np.mean(terms)),
-            deterministic_error=_paper_window_bound(c, n),
-            statistical_error=stat, n=n, kind="truncated", M=M,
-        )
-
-    def derivative_truncated(self, lam: float, M: int) -> LmgfEstimate:
-        ker = self._kernels(M)
-        nlev = ker.shape[0]
-        _check_truncated_range(lam, M)
-        m = np.arange(1, M + 1)
-        e = np.exp(lam * m)
-        phis = np.einsum("m,kmij->kij", e, ker)
-        dphis = np.einsum("m,kmij->kij", m * e, ker)
-        self._check_truncation_depth(phis, M)
-        periodic = self.spec.kind == "periodic"
-        terms = _derivative_terms(phis, dphis, periodic)
-        stat = 0.0 if periodic else 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(nlev)
-        c = _measured_c(phis)
-        return LmgfEstimate(
-            lam=lam, value=float(np.mean(terms)),
-            deterministic_error=_paper_window_bound(c, self.n_levels),
-            statistical_error=stat, n=self.n_levels, kind="truncated-derivative", M=M,
-        )
+        periodic = self.window is None
+        if kind == "truncated":
+            terms = _log_terms(phis, periodic)
+        else:
+            terms = _derivative_terms(phis, np.einsum("m,kmij->kij", m * e, ker), periodic)
+        return self._estimate(lam, terms, _paper_window_bound(_measured_c(phis), self.n_levels),
+                              kind, M)
 
     def solve_tilt(self, t: float, M: int, tol: float = 1e-9) -> float:
         """lambda_{t,M}: the root of Lambda'_M(lambda) = t (exists for 1 < t < M-2)."""

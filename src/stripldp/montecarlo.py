@@ -554,7 +554,7 @@ def slowdown_probability(
             window = sample_window(spec, -n - 1, n + SLOWDOWN_MARGIN, seed=wseed)
             dist, base = _forward_distribution(window, n, start_pi)
             inv = invert_window(window)
-            sol = solve_phi_window(inv, 0.0)
+            sol = solve_phi_window(inv, 0.0, kappa=spec.kappa)
             p_total = float(dist[: -base + 1].sum())  # levels <= 0
             B = np.ones(d)
             for k in range(1, n + 1):

@@ -264,17 +264,25 @@ def solve_phi_window(
         phis2, bad2 = _sweep(sub, lam, phi0, kappa_bound, ref=phis[shift:])
         if bad2 >= 0:
             raise SupercriticalError(lam, level=sub.lo + bad2)
-        diffs = np.zeros(n - shift)
-        diffs[:len(phis2)] = np.abs(phis[shift:shift + len(phis2)] - phis2).max(axis=(1, 2))
-        gap[shift:] = diffs
-        above = np.nonzero(diffs > 0.5 * tol)[0]
-        warmup = n if above.size and (shift + above[-1] + 1 >= n) else (
-            shift + above[-1] + 1 if above.size else shift
-        )
+        gap, warmup = _boundary_gap(phis, phis2, shift, 0.5 * tol)
     return PhiSolution(
         window=window, lam=lam, phis=phis,
         warmup_levels=warmup, boundary_gap=gap, shift=shift, resolved=phis2,
     )
+
+
+def _boundary_gap(main: np.ndarray, resolved: np.ndarray, shift: int, threshold: float):
+    """How far a sweep still feels its left boundary, from its re-solve
+    `shift` levels in: the gap max|main - resolved| at every level (NaN
+    before `shift`, 0 past the re-solve's last level, where it equals
+    `main`), and the level after the last gap above `threshold` (`shift`
+    when there is none)."""
+    gap = np.full(len(main), np.nan)
+    gap[shift:] = 0.0
+    gap[shift:shift + len(resolved)] = np.abs(
+        main[shift:shift + len(resolved)] - resolved).max(axis=(1, 2))
+    above = np.nonzero(gap[shift:] > threshold)[0]
+    return gap, shift + above[-1] + 1 if above.size else shift
 
 
 def _window_bound(window: EnvironmentWindow, lam: float, tol: float,
@@ -508,12 +516,9 @@ def phi_derivative(
             raise SupercriticalError(lam, level=sub.lo + int(over[0]))
         dphis2 = _derivative_sweep(sub.q, sub.r, el, phis2, zero, zero,
                                    ref=dphis[shift:], start=len(head) - 1)
-        diffs = np.zeros(n - shift)
-        diffs[:len(dphis2)] = np.abs(dphis[shift:shift + len(dphis2)] - dphis2).max(axis=(1, 2))
-        gap[shift:] = diffs
-        above = np.nonzero(diffs > 0.5 * max(tol, 1e-11) * max(1.0, np.abs(dphis).max()))[0]
-        if above.size:
-            warmup = max(warmup, min(n, shift + above[-1] + 1))
+        gap, last = _boundary_gap(dphis, dphis2, shift,
+                                  0.5 * max(tol, 1e-11) * max(1.0, np.abs(dphis).max()))
+        warmup = max(warmup, last)
     return PhiSolution(
         window=window, lam=lam, phis=dphis, kind="derivative",
         warmup_levels=warmup, boundary_gap=gap, shift=shift,

@@ -322,9 +322,11 @@ class _TiltFamily:
     """J_alpha(t) + h(alpha|eta) over product tilts, with shared-seed windows
     (common random numbers) so alpha = eta reproduces the quenched J exactly.
 
-    Tilts keep the support, so lambda_crit(alpha) >= lambda_crit(eta) and the
-    golden search can safely run up to the a-priori cap -log(kappa^2/2):
-    supercritical evaluations contribute -inf and are never selected.
+    The quenched lambda_crit is a property of the support, and tilts keep
+    the support, so every tilt shares lambda_crit(eta); only their window
+    estimates of it differ. The golden search can safely run up to the
+    a-priori cap -log(kappa^2/2): supercritical evaluations contribute -inf
+    and are never selected.
     """
 
     def __init__(self, spec: EnvironmentSpec, n_levels: int, seed, w_floor=1e-6):

@@ -200,6 +200,18 @@ def test_simulate_needs_event(p075_path):
     assert main(["simulate", "--spec", p075_path]) == 2
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--levels", ["rate", "--kind", "hitting", "--grid", "2:1:3", "--levels", "0"]),
+    ("--levels", ["simulate", "--t", "2.4", "--levels", "0", "--trials", "100"]),
+    ("--trials", ["simulate", "--t", "2.4", "--levels", "20", "--trials", "0"]),
+    ("--levels", ["simulate", "--slowdown", "--method", "exact", "--levels", "0"]),
+], ids=["rate-levels-0", "simulate-levels-0", "simulate-trials-0", "slowdown-exact-levels-0"])
+def test_counts_below_one_are_usage_errors(two_point_path, flag, argv, capsys):
+    """--levels and --trials below 1 exit 2 with a message, not a traceback."""
+    assert main([argv[0], "--spec", two_point_path, *argv[1:]]) == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+
 def test_simulate_slowdown_exact(p075_path, tmp_path, capsys):
     out = str(tmp_path / "sd.json")
     code = main(["simulate", "--spec", p075_path, "--slowdown",

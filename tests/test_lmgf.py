@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,7 +280,7 @@ ROLL_SPECS = {
 def all_estimates(spec):
     ev = LmgfEvaluator(spec, n_levels=300, seed=0)
     out = []
-    for lam in (-1.0, -0.1, 0.01):
+    for lam in (-1.0, -0.1, 0.01, 1.0):  # 1.0 is supercritical on every spec here
         out += [ev.value(lam), ev.derivative(lam)]
     for lam in (-0.5, 0.05):
         out += [ev.value_truncated(lam, 16), ev.derivative_truncated(lam, 16)]
@@ -311,6 +313,28 @@ def test_estimators_match_reference_loops(name, monkeypatch):
                         checked_against(lmgf._derivative_terms, ref_derivative_terms))
     want = all_estimates(spec)
     assert [repr(e) for e in got] == [repr(e) for e in want]
+
+
+PINNED = json.loads(Path(__file__).with_name("pinned_estimates.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_estimates_pinned(name):
+    """Every field of every estimate of the six estimators (value,
+    derivative and their truncated versions, the infinite estimate of a
+    diverging solve included) equals its pinned repr: the det and stat bars
+    as well as the value."""
+    assert [repr(e) for e in all_estimates(ROLL_SPECS[name]())] == PINNED[name]
+
+
+def test_one_level_window_has_finite_stat_bars():
+    """A one-level window has no spread to measure: every estimator,
+    truncated ones included, reports a stat bar of 0, not the NaN of a
+    one-sample standard deviation."""
+    ev = LmgfEvaluator(two_point_d1_spec([0.7, 0.8], [0.5, 0.5]), n_levels=1, seed=0)
+    for est in (ev.value(-0.5), ev.derivative(-0.5),
+                ev.value_truncated(-0.5, 16), ev.derivative_truncated(-0.5, 16)):
+        assert est.n == 1 and est.statistical_error == 0.0
 
 
 # ---------------------------------------------------------------------------
