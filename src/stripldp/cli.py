@@ -125,10 +125,6 @@ def cmd_rate(args) -> int:
     elif args.kind == "speed":
         curve = speed_rate_curve(spec, grid, n_levels=args.levels, seed=args.seed)
     elif args.kind == "averaged-hitting":
-        if len(spec.slices) == 1 and spec.kind == "periodic":
-            raise SpecValidationError(
-                "averaged-hitting needs an i.i.d. finite-support spec"
-            )
         curve = averaged_rate_upper(spec, grid, n_levels=args.levels, seed=args.seed)
     elif args.kind == "averaged-speed":
         curve = averaged_speed_upper(spec, grid, n_levels=args.levels, seed=args.seed)

@@ -127,7 +127,9 @@ def _trial_blocks(seed, tag: int, trials: int, stride: int, first: int = 0):
 
 
 def _start_heights(u: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    return (u[:, None] > np.cumsum(pi)[None, :]).sum(axis=1)
+    """Inverse-CDF start heights, clamped to d - 1: the partial sums of pi may
+    end below the largest uniform Generator.random returns."""
+    return np.minimum((u[:, None] > np.cumsum(pi)[None, :]).sum(axis=1), len(pi) - 1)
 
 
 def _wilson(hits: int, trials: int, z: float = 1.959963984540054):

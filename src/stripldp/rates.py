@@ -7,8 +7,11 @@ structure: +infinity for t < 1; the lambda -> -infinity limit at t = 1
 (evaluated at lambda = -30, where the residual is e^{-60}-scale); the exact
 linear branch lambda_crit * t - Lambda(lambda_crit) for t past t*.
 
-Speed rates come from I(x) = x J(1/x) for x > 0, the reflected spec for
-x < 0, and I(0) = lambda_crit.
+The truncated rate J_M(t) = lambda_{t,M} t - Lambda_M(lambda_{t,M}) takes
+the tilt that solves Lambda'_M = t, with the same t = 1 limit.
+
+Speed rates come from I(x) = |x| J(1/|x|), read off the spec for x > 0 and
+off its reflection for x < 0, and I(0) = lambda_crit (`_speed`).
 
 Averaged rates are computed as certified *upper* bounds by restricting the
 variational formula inf_alpha { J_alpha(t) + h(alpha|eta) } to product
@@ -16,17 +19,21 @@ measures over the support of an i.i.d. finite-support spec (tilted weights,
 entropy = per-level KL). The true infimum runs over all ergodic measures
 and is not finitely computable; Monte Carlo supplies independent lower
 evidence, and the gap is reported, never reconciled.
+
+Every curve is one `_curve` over its grid of a point function
+a -> (value, argmax lambda, det_error, stat_error).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import EnvironmentSpec, SpecValidationError
+from .env import EnvironmentSpec, SpecValidationError, lambda_crit_cap
 from .lmgf import DEFAULT_MARGIN, EnvironmentAnalysis, LmgfEvaluator, _classify, analyze_environment
 from .phi import estimate_lambda_crit
 
@@ -171,6 +178,39 @@ def _rate(ev: LmgfEvaluator, analysis: EnvironmentAnalysis):
                                     t_star=analysis.t_star, value_at_crit=v_crit)
 
 
+def _truncated_rate(ev: LmgfEvaluator, M: int):
+    """t -> J_M(t) = lambda_{t,M} t - Lambda_M(lambda_{t,M}) on ev, with the
+    t = 1 limit at LAMBDA_NEG_LIMIT as in legendre_point."""
+    def point(t: float):
+        lam = LAMBDA_NEG_LIMIT if t == 1.0 else ev.solve_tilt(t, M)
+        est = ev.value_truncated(lam, M)
+        return lam * t - est.value, lam, est.deterministic_error, est.statistical_error
+    return point
+
+
+def _speed(rate, rate_inv, at_zero: tuple):
+    """x -> |x| J(1/|x|), with J from rate for x > 0 and from the reflection's
+    rate_inv for x < 0, and the point at_zero at x = 0."""
+    def point(x: float):
+        if x == 0.0:
+            return at_zero
+        ax = abs(x)
+        j, lam, de, se = (rate if x > 0 else rate_inv)(1.0 / ax)
+        return ax * j, lam, ax * de, ax * se
+    return point
+
+
+def _curve(grid, point, kind: str, analysis: EnvironmentAnalysis, seed, **fields) -> RateCurve:
+    """The RateCurve of point(a) -> (value, argmax lambda, det, stat) on grid."""
+    rows = np.array([point(float(a)) for a in grid], dtype=float).reshape(-1, 4)
+    values, argmax, det, stat = rows.T.copy()
+    return RateCurve(
+        abscissae=grid, values=values, kind=kind, metadata=analysis,
+        maximizer_trace=argmax, det_errors=det, stat_errors=stat, seed=seed,
+        **fields,
+    )
+
+
 def hitting_rate_curve(
     spec: EnvironmentSpec,
     t_grid,
@@ -196,40 +236,12 @@ def hitting_rate_curve(
         base = ev if margin == DEFAULT_MARGIN else LmgfEvaluator(spec, n_levels, seed)
         analysis = _analyze_pair(base, LmgfEvaluator(spec.invert(), n_levels, seed))
 
-    values = np.empty(len(t_grid))
-    argmax = np.full(len(t_grid), float("nan"))
-    det = np.zeros(len(t_grid))
-    stat = np.zeros(len(t_grid))
-
-    if M is None:
-        rate = _rate(ev, analysis)
-        for i, t in enumerate(t_grid):
-            values[i], argmax[i], det[i], stat[i] = rate(float(t))
-        kind = "hitting"
-    else:
-        for i, t in enumerate(t_grid):
-            t = float(t)
-            if t == 1.0:
-                est = ev.value_truncated(LAMBDA_NEG_LIMIT, M)
-                values[i] = LAMBDA_NEG_LIMIT - est.value
-                argmax[i] = LAMBDA_NEG_LIMIT
-            else:
-                lam_t = ev.solve_tilt(t, M)
-                est = ev.value_truncated(lam_t, M)
-                values[i] = lam_t * t - est.value
-                argmax[i] = lam_t
-            det[i], stat[i] = est.deterministic_error, est.statistical_error
-        kind = "truncated-hitting"
-
-    curve = RateCurve(
-        abscissae=t_grid, values=values, kind=kind, metadata=analysis,
-        maximizer_trace=argmax, det_errors=det, stat_errors=stat,
-        seed=seed, M=M,
-    )
-    if analysis.regime == "transient-left":
-        # only a weak LDP holds: J never decays below -Lambda(0), recorded
-        # separately so tail handling on non-compact sets stays honest
-        curve.inf_rate = -analysis.lambda_at_zero
+    point = _rate(ev, analysis) if M is None else _truncated_rate(ev, M)
+    # left-transient, only a weak LDP holds: J never decays below -Lambda(0),
+    # recorded separately so tail handling on non-compact sets stays honest
+    inf_rate = -analysis.lambda_at_zero if analysis.regime == "transient-left" else None
+    curve = _curve(t_grid, point, "hitting" if M is None else "truncated-hitting",
+                   analysis, seed, M=M, inf_rate=inf_rate)
     curve.warnings.extend(_hitting_shape_warnings(curve))
     return curve
 
@@ -272,27 +284,10 @@ def speed_rate_curve(
     ev_inv = LmgfEvaluator(spec.invert(), n_levels=n_levels, seed=seed)
     if analysis is None:
         analysis = _analyze_pair(ev, ev_inv)
-    rate, rate_inv = _rate(ev, analysis), _rate(ev_inv, _analyze_pair(ev_inv, ev))
     lc = analysis.lambda_crit
-
-    def point(x: float):
-        if x == 0.0:
-            return lc.lambda_crit, float("nan"), lc.tolerance, 0.0
-        ax = abs(x)
-        j, lam, de, se = (rate if x > 0 else rate_inv)(1.0 / ax)
-        return ax * j, lam, ax * de, ax * se
-
-    values = np.empty(len(x_grid))
-    argmax = np.full(len(x_grid), float("nan"))
-    det = np.zeros(len(x_grid))
-    stat = np.zeros(len(x_grid))
-    for i, x in enumerate(x_grid):
-        values[i], argmax[i], det[i], stat[i] = point(float(x))
-
-    curve = RateCurve(
-        abscissae=x_grid, values=values, kind="speed", metadata=analysis,
-        maximizer_trace=argmax, det_errors=det, stat_errors=stat, seed=seed,
-    )
+    point = _speed(_rate(ev, analysis), _rate(ev_inv, _analyze_pair(ev_inv, ev)),
+                   (lc.lambda_crit, float("nan"), lc.tolerance, 0.0))
+    curve = _curve(x_grid, point, "speed", analysis, seed)
     if (x_grid == 0.0).any():
         i0 = point(0.02)[0]
         i0m = point(-0.02)[0]
@@ -308,10 +303,8 @@ def speed_rate_curve(
 
 
 def _tilted_spec(spec: EnvironmentSpec, weights: np.ndarray) -> EnvironmentSpec:
-    return EnvironmentSpec(
-        kind="iid", d=spec.d, kappa=spec.kappa, slices=spec.slices,
-        weights=tuple(float(w) for w in weights),
-    )
+    """spec with its support reweighted; every other field is kept."""
+    return dataclasses.replace(spec, weights=tuple(float(w) for w in weights))
 
 
 def _kl(weights: np.ndarray, base: np.ndarray) -> float:
@@ -338,12 +331,10 @@ class _TiltFamily:
         self.n_levels = n_levels
         self.seed = seed
         self.base = np.asarray(spec.weights, dtype=float)
+        self.base_free = self.base[:-1]  # simplex coordinates of alpha = eta
         self.w_floor = w_floor
-        from .env import lambda_crit_cap
-
         self.lambda_cap = lambda_crit_cap(spec.kappa)
         self._ev_cache: dict[tuple, LmgfEvaluator] = {}
-        self._base_analysis: EnvironmentAnalysis | None = None
 
     def evaluator(self, weights: np.ndarray) -> LmgfEvaluator:
         key = tuple(np.round(weights, 15))
@@ -354,13 +345,10 @@ class _TiltFamily:
         return self._ev_cache[key]
 
     def base_analysis(self) -> EnvironmentAnalysis:
-        if self._base_analysis is None:
-            self._base_analysis = analyze_environment(
-                self.spec, n_levels=self.n_levels, seed=self.seed,
-                lambda_crit_tol=1e-5,
-                lambda_crit_window=min(self.n_levels, 4000),
-            )
-        return self._base_analysis
+        return analyze_environment(
+            self.spec, n_levels=self.n_levels, seed=self.seed,
+            lambda_crit_tol=1e-5, lambda_crit_window=min(self.n_levels, 4000),
+        )
 
     def objective(self, weights: np.ndarray, t: float) -> float:
         ev = self.evaluator(weights)
@@ -368,6 +356,16 @@ class _TiltFamily:
             ev.value, t, self.lambda_cap, self.spec.kappa,
         )
         return j + _kl(weights, self.base)
+
+    def bound(self, t: float) -> tuple[float, TiltedMeasure]:
+        """min over tilts of J_alpha(t) + h(alpha|eta), by coordinate descent
+        from alpha = eta (so never above the quenched J), and its minimizer."""
+        free, neg = self._coordinate_ascent(
+            lambda free: -self.objective(self._simplex(free), t), self.base_free
+        )
+        tilt = TiltedMeasure(weights=tuple(self._simplex(free)),
+                             base_weights=tuple(self.base))
+        return -neg, tilt
 
     def lambda_family_lower(self, lam: float) -> float:
         """max over tilts of Lambda_alpha(lambda) - h(alpha|eta): a lower bound
@@ -383,11 +381,9 @@ class _TiltFamily:
             w = self._simplex(u_flat)
             v = self.evaluator(w).value(lam).value
             return v - _kl(w, self.base) if math.isfinite(v) else -float("inf")
-        best = f(self._free(self.base))
-        if not math.isfinite(best):
+        if not math.isfinite(f(self.base_free)):
             return float("inf")
-        u, val = self._coordinate_descent(f, self._free(self.base), maximize=True)
-        return max(best, val)
+        return self._coordinate_ascent(f, self.base_free)[1]
 
     # simplex parametrization: S-1 free coordinates, last weight implied
     def _simplex(self, free: np.ndarray) -> np.ndarray:
@@ -396,63 +392,31 @@ class _TiltFamily:
         w[-1] = 1.0 - free.sum()
         return np.clip(w, self.w_floor, 1.0)
 
-    def _free(self, w: np.ndarray) -> np.ndarray:
-        return np.asarray(w[:-1], dtype=float).copy()
-
-    def _coordinate_descent(self, f, free0, maximize=False, rounds=4, xtol=1e-4):
-        sign = -1.0 if maximize else 1.0
-
-        def g(free):
-            return sign * f(free)
-
+    def _coordinate_ascent(self, f, free0, rounds=4, xtol=1e-4):
+        """(free, f(free)) after golden-section steps along one free weight at
+        a time from free0, each kept only if it improves f."""
         free = free0.copy()
-        best = g(free)
-        nfree = len(free)
+        best = f(free)
         for _ in range(rounds):
             improved = 0.0
-            for i in range(nfree):
-                others = free.sum() - free[i]
-                hi = 1.0 - others - self.w_floor
-                lo = self.w_floor
-                if hi <= lo:
+            for i in range(len(free)):
+                hi = 1.0 - (free.sum() - free[i]) - self.w_floor
+                if hi <= self.w_floor:
                     continue
 
                 def h(u, i=i):
                     trial = free.copy()
                     trial[i] = u
-                    return -g(trial)
+                    return f(trial)
 
-                u_star, neg = golden_max(h, lo, hi, xtol=xtol)
-                if -neg < best - 1e-12:
-                    improved += best - (-neg)
-                    best = -neg
+                u_star, val = golden_max(h, self.w_floor, hi, xtol=xtol)
+                if val > best + 1e-12:
+                    improved += val - best
+                    best = val
                     free[i] = u_star
             if improved < 1e-9:
                 break
-        return free, sign * best
-
-
-def _averaged_values(fam: _TiltFamily, t_grid):
-    """Upper bounds min_alpha J_alpha(t) + h(alpha|eta) on t_grid, by
-    coordinate descent from alpha = eta, and the minimizing tilts."""
-    base_free = fam._free(fam.base)
-    values = np.empty(len(t_grid))
-    tilts: list[TiltedMeasure] = []
-    for i, t in enumerate(t_grid):
-        t = float(t)
-        def f(free):
-            return fam.objective(fam._simplex(free), t)
-        start_val = f(base_free)
-        if len(fam.base) == 1:
-            best_free, best = base_free, start_val
-        else:
-            best_free, best = fam._coordinate_descent(f, base_free)
-            if start_val < best:
-                best_free, best = base_free, start_val
-        values[i] = best
-        w = fam._simplex(best_free)
-        tilts.append(TiltedMeasure(weights=tuple(w), base_weights=tuple(fam.base)))
-    return values, tilts
+        return free, best
 
 
 def averaged_rate_upper(
@@ -471,23 +435,24 @@ def averaged_rate_upper(
     """
     t_grid = np.asarray(t_grid, dtype=float)
     fam = _TiltFamily(spec, n_levels, seed)
-    values, tilts = _averaged_values(fam, t_grid)
-    analysis = fam.base_analysis()
-    curve = RateCurve(
-        abscissae=t_grid, values=values, kind="averaged-hitting-upper",
-        metadata=analysis, maximizer_trace=np.full(len(t_grid), float("nan")),
-        det_errors=np.zeros(len(t_grid)), stat_errors=np.zeros(len(t_grid)),
-        seed=seed, tilt_trace=tilts,
-    )
+    tilts: list[TiltedMeasure] = []
+
+    def point(t: float):
+        value, tilt = fam.bound(t)
+        tilts.append(tilt)
+        return value, float("nan"), 0.0, 0.0
+
+    curve = _curve(t_grid, point, "averaged-hitting-upper", fam.base_analysis(),
+                   seed, tilt_trace=tilts)
     if len(spec.slices) > 1:
-        lc = analysis.lambda_crit.bracket[0]
+        lc = curve.metadata.lambda_crit.bracket[0]
         lam_grid = np.linspace(min(-5.0, lc - 5.0), lc, 12)
         env = np.array([fam.lambda_family_lower(l) for l in lam_grid])
-        for i, t in enumerate(t_grid):
+        for t, upper in zip(t_grid, curve.values):
             dual = float((lam_grid * t - env).max())
-            if dual > values[i] + 1e-6:
+            if dual > upper + 1e-6:
                 curve.warnings.append(
-                    f"weak duality violated at t={t_grid[i]}: dual {dual} > upper {values[i]}"
+                    f"weak duality violated at t={t}: dual {dual} > upper {upper}"
                 )
     return curve
 
@@ -502,28 +467,16 @@ def averaged_speed_upper(
     hitting bounds of the spec (x>0) and of its reflection (x<0);
     lambda_crit at x=0. The metadata is the spec's own analysis."""
     x_grid = np.asarray(x_grid, dtype=float)
-    pos = sorted({1.0 / x for x in x_grid if x > 0})
-    neg = sorted({1.0 / abs(x) for x in x_grid if x < 0})
     fam = _TiltFamily(spec, n_levels, seed)
-    j_pos, _ = _averaged_values(fam, pos)
-    j_neg, _ = _averaged_values(_TiltFamily(spec.invert(), n_levels, seed), neg)
+    fam_inv = _TiltFamily(spec.invert(), n_levels, seed)
     analysis = fam.base_analysis()
 
-    values = np.empty(len(x_grid))
-    for i, x in enumerate(x_grid):
-        x = float(x)
-        if x == 0.0:
-            values[i] = analysis.lambda_crit.lambda_crit
-        elif x > 0:
-            values[i] = x * j_pos[pos.index(1.0 / x)]
-        else:
-            values[i] = abs(x) * j_neg[neg.index(1.0 / abs(x))]
-    return RateCurve(
-        abscissae=x_grid, values=values, kind="averaged-speed-upper",
-        metadata=analysis, maximizer_trace=np.full(len(x_grid), float("nan")),
-        det_errors=np.zeros(len(x_grid)), stat_errors=np.zeros(len(x_grid)),
-        seed=seed,
-    )
+    def rate(family):
+        return lambda t: (family.bound(t)[0], float("nan"), 0.0, 0.0)
+
+    point = _speed(rate(fam), rate(fam_inv),
+                   (analysis.lambda_crit.lambda_crit, float("nan"), 0.0, 0.0))
+    return _curve(x_grid, point, "averaged-speed-upper", analysis, seed)
 
 
 def refined_t_grid(t0: float, lo: float, hi: float, n: int = 41) -> np.ndarray:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from stripldp.cli import main, parse_grid
-from stripldp.env import homogeneous_d1_spec, spec_to_json_dict, two_point_d1_spec
+from stripldp.env import EnvironmentSpec, homogeneous_d1_spec, spec_to_json_dict, two_point_d1_spec
+
+from conftest import random_d2_iid_spec
 
 
 @pytest.fixture()
@@ -152,6 +154,21 @@ def test_rate_averaged_pointmass_equals_quenched(pointmass_path, tmp_path):
     vq = [float(r.split(",")[1]) for r in open(out_q) if not r.startswith("#")
           and not r.startswith("abscissa")]
     assert max(abs(a - b) for a, b in zip(va, vq)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["averaged-hitting", "averaged-speed"])
+def test_rate_averaged_needs_an_iid_spec(kind, p075_path, tmp_path, capsys):
+    """Periodic specs, the period-3 d=2 one and the one-slice p = 0.75, have
+    no product tilts: exit 2 with the tilt family's reason."""
+    base = random_d2_iid_spec(1, drift=0.4)
+    period3 = tmp_path / "period3.json"
+    period3.write_text(json.dumps(spec_to_json_dict(EnvironmentSpec(
+        kind="periodic", d=2, kappa=base.kappa, slices=base.slices))))
+    for path in (str(period3), p075_path):
+        assert main(["rate", "--spec", path, "--kind", kind,
+                     "--grid", "0.5:0.5:1", "--levels", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: averaged bounds need an i.i.d. finite-support spec\n"
 
 
 def test_rate_grid_outside_domain(p075_path):

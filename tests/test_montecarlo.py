@@ -15,6 +15,7 @@ from stripldp.env import (
 from stripldp.lmgf import LmgfEvaluator
 from stripldp.montecarlo import (
     BudgetExhaustedError,
+    _start_heights,
     build_tilted_sampler,
     empirical_hitting_tail,
     empirical_speed_tail,
@@ -409,3 +410,13 @@ def test_averaged_direct_slowdown_draws_environments():
 def test_direct_estimators_reject_unknown_mode(call):
     with pytest.raises(ValueError, match="mode must be"):
         call(PIN_SPECS["d1"])
+
+
+def test_start_heights_stay_on_the_strip():
+    """The uniform start at d = 7 sums to less than 1 - 2^-53, a value
+    Generator.random can return; that draw starts at the top height, not one
+    past it, and draws below the last partial sum keep their heights."""
+    pi = StartDistribution.uniform(7).pi
+    assert np.cumsum(pi)[-1] < 1.0 - 2.0**-53
+    u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+    assert _start_heights(u, pi).tolist() == [0, 3, 6]

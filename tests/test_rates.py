@@ -1,12 +1,15 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stripldp.env import homogeneous_d1_spec, two_point_d1_spec
+from stripldp.env import EnvironmentSpec, embed_bounded_jump, homogeneous_d1_spec, two_point_d1_spec
 from stripldp.lmgf import LmgfEvaluator, analyze_environment
 from stripldp.rates import (
     TiltedMeasure,
+    _TiltFamily,
     averaged_rate_upper,
     averaged_speed_upper,
     golden_max,
@@ -333,3 +336,58 @@ def test_lambda_memo_one_solve_per_distinct_lambda(p075_spec, p075_analysis, mon
     assert len(derived) > len(set(derived))
     assert again.to_csv() == speed.to_csv()
 
+
+
+def test_tilts_keep_the_bounded_jump_marker():
+    """A tilt reweights the support and keeps every other field: the (2,1)
+    slices pass validation only as a bounded-jump spec, and alpha = eta is the
+    spec itself."""
+    kernels = ([0.35, 0.35, 0.0, 0.30], [0.30, 0.40, 0.0, 0.30])
+    embedded = [embed_bounded_jump(k, 2, 1) for k in kernels]
+    spec = EnvironmentSpec(
+        kind="iid", d=2, kappa=min(e.kappa for e in embedded),
+        slices=tuple(e.slices[0] for e in embedded), weights=(0.5, 0.5),
+        bounded_jump=(2, 1),
+    )
+    fam = _TiltFamily(spec, 300, 0)
+    assert fam.evaluator(fam.base).spec.content_hash() == spec.content_hash()
+
+
+# ---------------------------------------------------------------------------
+# every curve kind pinned: CSV, tilt trace and warnings, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _two_point():
+    return two_point_d1_spec([0.7, 0.8], [0.5, 0.5])
+
+
+PINNED_CURVES = {
+    "hitting-p075": lambda: hitting_rate_curve(
+        homogeneous_d1_spec(0.75, kappa=0.25), [1.0, 2.0, 3.0, 5.0], n_levels=300),
+    "hitting-two-point": lambda: hitting_rate_curve(
+        _two_point(), [1.0, 2.0, 3.0, 5.0], n_levels=300),
+    "truncated-hitting": lambda: hitting_rate_curve(
+        _two_point(), [1.0, 2.0, 3.0], n_levels=300, M=16),
+    "speed": lambda: speed_rate_curve(_two_point(), [-0.5, 0.0, 0.4], n_levels=300),
+    "averaged-hitting-two-point": lambda: averaged_rate_upper(
+        _two_point(), [2.0, 3.0], n_levels=300),
+    "averaged-hitting-d2": lambda: averaged_rate_upper(
+        random_d2_iid_spec(1, drift=0.4), [3.0], n_levels=200),
+    "averaged-speed": lambda: averaged_speed_upper(
+        _two_point(), [-0.4, 0.0, 0.5, 0.5], n_levels=300),
+}
+
+
+def curve_pin(curve) -> dict:
+    return {"csv": curve.to_csv(), "tilt_trace": repr(curve.tilt_trace),
+            "warnings": list(curve.warnings)}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CURVES))
+def test_curves_pinned(name):
+    """Every curve kind reproduces its pinned CSV (every value, maximizer and
+    error bar as a round-tripping repr), tilt trace and warnings; rewrite the
+    pins with tests/record_pins.py."""
+    pinned = json.loads(Path(__file__).with_name("pinned_curves.json").read_text())
+    assert curve_pin(PINNED_CURVES[name]()) == pinned[name]
