@@ -34,7 +34,8 @@ period, whose one-period mean is exact). The estimators differ only
 in their Phi source (periodic fixed point, window sweep, or the depth-M
 kernels of the truncated versions) and their det formula; `value` and
 `derivative` share one memo, which turns a diverging solve into the
-infinite estimate.
+infinite estimate, and the last Phi solve, so Lambda and Lambda' at one
+lambda (a Legendre search's last iterate) take one sweep.
 
 The scalars derived from Lambda: t0 = Lambda'(0-) (the hitting-time LLN
 constant, 1/v0 for right-transient walks), t* = Lambda'(lambda_crit-), and
@@ -190,13 +191,13 @@ class LmgfEvaluator:
 
     i.i.d. specs get one window sampled at construction (levels
     [-margin, n_levels)); every lambda is evaluated on that same window, so
-    sweeps and finite differences see a common realization. Two caches live
-    as long as the evaluator: truncated kernels per depth M, and the
-    estimates of `value` and `derivative` per lambda (every grid point of a
-    rate curve, every Legendre search of an averaged bound, and the analyses
-    of a spec and of its reflection on the same pair of evaluators share
-    them), so an evaluator, unlike the specs and windows it holds, is not
-    immutable.
+    sweeps and finite differences see a common realization. Caches live as
+    long as the evaluator: truncated kernels per depth M, the estimates of
+    `value` and `derivative` per lambda (every grid point of a rate curve,
+    every Legendre search of an averaged bound, and the analyses of a spec
+    and of its reflection on the same pair of evaluators share them), and
+    the last Phi solve, so an evaluator, unlike the specs and windows it
+    holds, is not immutable.
     """
 
     def __init__(
@@ -215,6 +216,7 @@ class LmgfEvaluator:
         self.window: EnvironmentWindow | None = None
         self._kernel_cache: dict[int, np.ndarray] = {}
         self._memo: dict[tuple[str, float], LmgfEstimate] = {}
+        self._last_phi: tuple = (None, None)  # (lambda, its Phi source)
         if spec.kind != "periodic":
             self.window = sample_window(spec, -margin, n_levels, seed=seed)
 
@@ -234,7 +236,9 @@ class LmgfEvaluator:
 
     def _memoized(self, kind: str, lam: float, estimator) -> LmgfEstimate:
         """estimator(lam), once per kind and lambda: the window is fixed, so a
-        repeated lambda (golden searches from a shared bracket) is a lookup.
+        repeated lambda (a Legendre search that starts from a neighbouring
+        grid point's iterates, or one analysis shared by two curves) is a
+        lookup.
         A solve that diverges gives the infinite estimate; lambda <= 0 is
         feasible a priori, so a failure there is a convergence breakdown
         (recurrent boundary), not supercriticality."""
@@ -257,21 +261,35 @@ class LmgfEvaluator:
         """Lambda(lam), memoized per evaluator."""
         return self._memoized("full", lam, self._value)
 
+    def _phi(self, lam: float):
+        """The PeriodicPhi or window PhiSolution of lam. The last one is kept,
+        so a Legendre search's final value reuses the sweep of the Lambda'
+        evaluated at the same lambda.
+
+        For lam <= 0 the periodic iteration is monotone and bounded a
+        priori, so a max_iter exhaustion still yields a usable value with
+        its tail bias (polynomially slow convergence happens only at the
+        recurrent boundary); `_derivative` refuses such a solution.
+        """
+        if self._last_phi[0] != lam:
+            if self.window is None:
+                sol = solve_phi_periodic(self.spec, lam, tol=FP_TOL,
+                                         on_maxiter="return" if lam <= 0 else "raise")
+            else:
+                sol = solve_phi_window(self.window, lam, tol=self.tol,
+                                       shift=self.margin or None, kappa=self.spec.kappa)
+            self._last_phi = (lam, sol)
+        return self._last_phi[1]
+
     def _value(self, lam: float) -> LmgfEstimate:
         if self.window is None:
-            # for lam <= 0 the iteration is monotone and bounded a priori, so
-            # a max_iter exhaustion still yields a usable value with its tail
-            # bias (polynomially slow convergence happens only at the
-            # recurrent boundary)
-            pp = solve_phi_periodic(self.spec, lam, tol=FP_TOL,
-                                    on_maxiter="return" if lam <= 0 else "raise")
+            pp = self._phi(lam)
             phis = pp.phis
             c = _measured_c(phis)
             tail = pp.tail if math.isfinite(pp.tail) else pp.residual * self.n_levels
             bias = 2.0 * tail / c
         else:
-            sol = solve_phi_window(self.window, lam, tol=self.tol,
-                                   shift=self.margin or None, kappa=self.spec.kappa)
+            sol = self._phi(lam)
             i0 = self.window.index_of(0)
             phis = sol.phis[i0:]
             c = _measured_c(phis)
@@ -293,12 +311,12 @@ class LmgfEvaluator:
         return self._memoized("derivative", lam, self._derivative)
 
     def _derivative(self, lam: float) -> LmgfEstimate:
+        sol = self._phi(lam)
         if self.window is None:
-            pp = solve_phi_periodic(self.spec, lam, tol=FP_TOL)
-            phis, dphis = pp.phis, periodic_phi_derivative(self.spec, lam, pp, tol=FP_TOL)
+            if sol.residual > FP_TOL:
+                raise ConvergenceError(sol.residual, sol.iterations)
+            phis, dphis = sol.phis, periodic_phi_derivative(self.spec, lam, sol, tol=FP_TOL)
         else:
-            sol = solve_phi_window(self.window, lam, tol=self.tol,
-                                   shift=self.margin or None, kappa=self.spec.kappa)
             dsol = phi_derivative(self.window, lam, tol=self.tol, phi_solution=sol,
                                   kappa=self.spec.kappa)
             i0 = self.window.index_of(0)

@@ -1,11 +1,18 @@
 """Rate functions via Legendre transforms of the log-MGF.
 
-Hitting-time rate J(t) = sup_lambda { lambda t - Lambda(lambda) }, computed
-by golden-section over the feasible bracket [min(-10, K_t - 1), lambda_crit]
-with K_t = log(kappa)/(t-1) (the supremum never lies below K_t). Piecewise
-structure: +infinity for t < 1; the lambda -> -infinity limit at t = 1
-(evaluated at lambda = -30, where the residual is e^{-60}-scale); the exact
-linear branch lambda_crit * t - Lambda(lambda_crit) for t past t*.
+Hitting-time rate J(t) = sup_lambda { lambda t - Lambda(lambda) }. Its
+maximizer is the root of Lambda'(lambda) = t in the feasible bracket
+[min(-10, K_t - 1), lambda_crit] with K_t = log(kappa)/(t-1) (the supremum
+never lies below K_t), found by safeguarded secant steps on the exact
+Lambda' (`_slope_root`). Each search starts from the lambdas that the
+neighbouring grid point (or, over tilts, the previous tilt) evaluated last,
+and the first grid point from the lambdas at which the analysis evaluated
+t0 and t*; it ends on a lambda whose Lambda' was evaluated, so J there
+reuses that Phi sweep. Piecewise structure: +infinity for t < 1; the
+lambda -> -infinity limit at t = 1 (evaluated at lambda = -30, where the
+residual is e^{-60}-scale); the exact linear branch lambda_crit * t -
+Lambda(lambda_crit) for t past t*. Golden section remains only for the
+coordinate ascent over tilt weights.
 
 The truncated rate J_M(t) = lambda_{t,M} t - Lambda_M(lambda_{t,M}) takes
 the tilt that solves Lambda'_M = t, with the same t = 1 limit.
@@ -39,6 +46,9 @@ from .phi import estimate_lambda_crit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LAMBDA_NEG_LIMIT = -30.0  # lambda used for the t = 1 limit
+SLOPE_RTOL = 1e-13  # |Lambda' - t| / t that ends a Legendre search
+SLOPE_XTOL = 1e-12  # secant step or bracket width in lambda that ends it
+SLOPE_MAX_EVALS = 100  # bounds the loop; bisection alone ends it in under 50
 
 
 @dataclass(frozen=True)
@@ -128,18 +138,22 @@ def golden_max(f, lo: float, hi: float, xtol: float = 1e-9, max_iter: int = 200)
 
 def legendre_point(
     value_fn,
+    derivative_fn,
     t: float,
     lambda_crit: float,
     kappa: float,
     t_star: float = float("inf"),
     value_at_crit: float | None = None,
-    xtol: float = 1e-9,
+    start: list | None = None,
 ):
     """One point of the Legendre transform: (J(t), argmax lambda, errors).
 
-    value_fn(lambda) -> LmgfEstimate. For t >= t* the linear branch
-    lambda_crit * t - Lambda(lambda_crit) is returned exactly; the t = 1
-    boundary uses the lambda -> -infinity limit evaluated at -30.
+    value_fn(lambda) and derivative_fn(lambda) -> LmgfEstimate of Lambda and
+    Lambda'. The maximizer is the root of Lambda' = t in the bracket
+    [lo, lambda_crit] (`_slope_root`, warm-started from `start`), and J is
+    evaluated there. For t >= t* the linear branch lambda_crit * t -
+    Lambda(lambda_crit) is returned exactly; the t = 1 boundary uses the
+    lambda -> -infinity limit evaluated at -30.
     """
     if t < 1.0:
         return float("inf"), float("nan"), 0.0, 0.0
@@ -150,17 +164,70 @@ def legendre_point(
     if t >= t_star and value_at_crit is not None:
         return lambda_crit * t - value_at_crit, lambda_crit, 0.0, 0.0
 
-    def g(lam: float) -> float:
-        v = value_fn(lam).value
-        return lam * t - v if math.isfinite(v) else -float("inf")
-
     k_t = math.log(kappa) / (t - 1.0)
     # below -37 the e^{2 lambda} corrections to Lambda sit under machine eps
     # and lambda t - Lambda decreases linearly, so the bracket can stop there
     lo = max(min(-10.0, k_t - 1.0), -37.0)
-    lam_star, j = golden_max(g, lo, lambda_crit, xtol=xtol)
+    lam_star = _slope_root(derivative_fn, t, lo, lambda_crit,
+                           [] if start is None else start)
     est = value_fn(lam_star)
-    return j, lam_star, est.deterministic_error, est.statistical_error
+    return (lam_star * t - est.value, lam_star, est.deterministic_error,
+            est.statistical_error)
+
+
+def _slope_root(derivative_fn, t: float, lo: float, hi: float, start: list) -> float:
+    """The lambda in [lo, hi] where Lambda'(lambda) = t: the maximizer of the
+    concave lambda t - Lambda(lambda) there.
+
+    Lambda' increases (Lambda is convex), and a non-finite Lambda'
+    (supercritical) counts as above t. The lambdas of `start` that lie in
+    [lo, hi] are evaluated first. Then each step is the secant through the
+    two finite evaluations closest to the root, on u = 1/t^2 - 1/Lambda'^2:
+    where Lambda' grows fastest, at a square-root branch point lambda_crit,
+    Lambda' ~ c (lambda_crit - lambda)^(-1/2) and u is linear in lambda. A
+    step that leaves the bracket [a, b] of the root bisects it instead,
+    unless it crosses an end of [lo, hi] not yet evaluated: that end is
+    evaluated next, and if the root lies beyond it, the bracket closes on
+    that end, where the maximum sits. The search ends on the evaluated
+    lambda closest to the root, once its |Lambda' - t| is at rounding level
+    or the next secant step or the bracket is below SLOPE_XTOL. `start` is
+    overwritten with the two closest evaluations, from which a search at a
+    nearby t, or for a nearby Lambda, starts.
+    """
+    a, b = lo, hi
+    a_known = b_known = False
+    pts: list[tuple[float, float]] = []  # finite (lambda, u), closest first
+    queue = [x for x in start if lo <= x <= hi]
+    for _ in range(SLOPE_MAX_EVALS):
+        if queue:
+            x = queue.pop(0)
+        else:
+            x = math.nan
+            if len(pts) >= 2:
+                (x1, u1), (x0, u0) = pts[:2]
+                if u1 != u0:
+                    x = x1 - u1 * (x1 - x0) / (u1 - u0)
+            if a < x < b:
+                if abs(x - x1) <= SLOPE_XTOL:
+                    break
+            elif x <= a and not a_known:
+                x = a
+            elif x >= b and not b_known:
+                x = b
+            else:
+                x = 0.5 * (a + b)
+        v = derivative_fn(x).value
+        if math.isfinite(v):
+            pts.append((x, 1.0 / (t * t) - 1.0 / (v * v)))
+            pts.sort(key=lambda p: abs(p[1]))
+        if v < t and x >= a:
+            a, a_known = x, True
+        elif v > t and x <= b:
+            b, b_known = x, True
+        if abs(v - t) <= SLOPE_RTOL * t or b - a <= SLOPE_XTOL:
+            break
+    start[:] = [x for x, _ in pts[:2]]
+    return pts[0][0] if pts else a
 
 
 def _analyze_pair(ev: LmgfEvaluator, ev_inv: LmgfEvaluator) -> EnvironmentAnalysis:
@@ -174,8 +241,11 @@ def _rate(ev: LmgfEvaluator, analysis: EnvironmentAnalysis):
     Lambda(lambda_crit) approached from below (one-sided error)."""
     lc = analysis.lambda_crit.bracket[0]
     v_crit = ev.value(lc - 1e-7).value if math.isfinite(analysis.t_star) else None
-    return lambda t: legendre_point(ev.value, t, lc, ev.spec.kappa,
-                                    t_star=analysis.t_star, value_at_crit=v_crit)
+    # where the analysis of a transient spec evaluated Lambda' (t0, t*) on ev
+    start = [-1e-6, lc - analysis.lambda_crit.tolerance]
+    return lambda t: legendre_point(ev.value, ev.derivative, t, lc, ev.spec.kappa,
+                                    t_star=analysis.t_star, value_at_crit=v_crit,
+                                    start=start)
 
 
 def _truncated_rate(ev: LmgfEvaluator, M: int):
@@ -221,9 +291,12 @@ def hitting_rate_curve(
 ) -> RateCurve:
     """J (or J_M) sampled on t_grid, with shape diagnostics as warnings.
 
-    Grid points share one evaluator, so a lambda that one point's golden
-    search already evaluated costs another point only a lookup; so does the
-    analysis, unless a depth M > DEFAULT_MARGIN widens the curve's margin.
+    Grid points share one evaluator, so the lambdas that one point's search
+    evaluated, from which the next point's search starts, cost it only a
+    lookup; so does the analysis, unless a depth M > DEFAULT_MARGIN widens
+    the curve's margin. Since a point's search starts from its
+    predecessor's iterates, the last bits of J and of its maximizer depend
+    on the grid as well as on t.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid < 1.0).any():
@@ -313,13 +386,18 @@ def _kl(weights: np.ndarray, base: np.ndarray) -> float:
 
 class _TiltFamily:
     """J_alpha(t) + h(alpha|eta) over product tilts, with shared-seed windows
-    (common random numbers) so alpha = eta reproduces the quenched J exactly.
+    (common random numbers) so alpha = eta reproduces the quenched J, up to
+    the last bits in which two Legendre searches over different brackets
+    (the cap here, the window's lambda_crit there) land.
 
     The quenched lambda_crit is a property of the support, and tilts keep
     the support, so every tilt shares lambda_crit(eta); only their window
-    estimates of it differ. The golden search can safely run up to the
-    a-priori cap -log(kappa^2/2): supercritical evaluations contribute -inf
-    and are never selected.
+    estimates of it differ. The Legendre search can safely run up to the
+    a-priori cap -log(kappa^2/2): a supercritical Lambda' counts as above t
+    and is never selected. Each tilt's search starts from the previous
+    tilt's two best lambdas (the descent moves the weights a little at a
+    time), which takes about 3.4 Lambda' evaluations a tilt; the first tilt
+    of each bound starts cold.
     """
 
     def __init__(self, spec: EnvironmentSpec, n_levels: int, seed, w_floor=1e-6):
@@ -335,6 +413,7 @@ class _TiltFamily:
         self.w_floor = w_floor
         self.lambda_cap = lambda_crit_cap(spec.kappa)
         self._ev_cache: dict[tuple, LmgfEvaluator] = {}
+        self._start: list = []  # the last Legendre search's iterates
 
     def evaluator(self, weights: np.ndarray) -> LmgfEvaluator:
         key = tuple(np.round(weights, 15))
@@ -352,14 +431,16 @@ class _TiltFamily:
 
     def objective(self, weights: np.ndarray, t: float) -> float:
         ev = self.evaluator(weights)
-        j, _, _, _ = legendre_point(
-            ev.value, t, self.lambda_cap, self.spec.kappa,
-        )
+        j, _, _, _ = legendre_point(ev.value, ev.derivative, t, self.lambda_cap,
+                                    self.spec.kappa, start=self._start)
         return j + _kl(weights, self.base)
 
     def bound(self, t: float) -> tuple[float, TiltedMeasure]:
         """min over tilts of J_alpha(t) + h(alpha|eta), by coordinate descent
-        from alpha = eta (so never above the quenched J), and its minimizer."""
+        from alpha = eta (so never above J_eta(t) on the shared window), and
+        its minimizer. The first search starts cold, so the bound depends
+        only on t."""
+        self._start.clear()
         free, neg = self._coordinate_ascent(
             lambda free: -self.objective(self._simplex(free), t), self.base_free
         )
@@ -430,8 +511,10 @@ def averaged_rate_upper(
     Coordinate descent from alpha = eta over the tilted support weights;
     since product measures are ergodic, every evaluation J_alpha + KL is an
     upper bound on the averaged rate, and the start point reproduces the
-    quenched J exactly (so the bound never exceeds J). Reports the weak-dual
-    cross-check sup_lambda { lambda t - Lambda_family(lambda) } <= bound.
+    quenched J on the same window (so the bound exceeds J by rounding at
+    most, as by 5e-17 at t = 2 on the two-point spec at 300 levels).
+    Reports the weak-dual cross-check
+    sup_lambda { lambda t - Lambda_family(lambda) } <= bound.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     fam = _TiltFamily(spec, n_levels, seed)

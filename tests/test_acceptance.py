@@ -207,9 +207,9 @@ def test_criterion_06_hitting_rate_shape():
                               analysis=analysis)
     slope = (tail.values[1] - tail.values[0]) / (ts_hi[1] - ts_hi[0])
     slope_err = abs(slope - d1_lambda_crit(0.75))
-    j1, _, _, _ = legendre_point(
-        LmgfEvaluator(spec, n_levels=2000, seed=0).value, 1.0,
-        analysis.lambda_crit.bracket[0], spec.kappa)
+    ev = LmgfEvaluator(spec, n_levels=2000, seed=0)
+    j1, _, _, _ = legendre_point(ev.value, ev.derivative, 1.0,
+                                 analysis.lambda_crit.bracket[0], spec.kappa)
     j1_err = abs(j1 - (-math.log(0.75)))
     ok = convex and j_t0 <= 1e-8 and slope_err <= 1e-5 and j1_err <= 1e-5
     report(6, ok, f"convex: {convex}; J(t0) = {j_t0:.2e} (<= 1e-8); tail slope "

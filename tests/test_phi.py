@@ -35,6 +35,7 @@ from conftest import (
     d1_phi_closed,
     enumerate_truncated_phi,
     random_d2_iid_spec,
+    ref_derivative_sweep,
     ref_hitting_kernels,
     ref_periodic_phi_derivative,
     ref_phi_derivative,
@@ -459,3 +460,97 @@ def test_window_derivative_runs_two_phi_sweeps(monkeypatch):
     monkeypatch.setattr(phi, "_sweep", lambda *a, **k: calls.append(a[1]) or sweep(*a, **k))
     assert math.isfinite(ev.derivative(-0.3).value)
     assert calls == [-0.3, -0.3]
+
+
+# ---------------------------------------------------------------------------
+# the scalar d = 1 derivative loops against the 1x1 reference solves
+# ---------------------------------------------------------------------------
+
+
+def test_one_by_one_solve_is_a_division():
+    """The scalar Phi' loops divide where the general loop solves: LAPACK's
+    1x1 solve gives the quotient's bits on seeded random inputs over twelve
+    decades."""
+    import stripldp.phi as phi
+
+    rng = np.random.default_rng(0)
+    a = rng.uniform(0.01, 1.0, 20_000) * 10.0 ** rng.uniform(-3, 3, 20_000)
+    b = rng.uniform(0.0, 5.0, 20_000) * 10.0 ** rng.uniform(-8, 8, 20_000)
+    with phi._linalg_errstate():
+        got = [phi._solve(np.array([[x]]), np.array([[y]]))[0, 0] for x, y in zip(a, b)]
+    assert bitwise_equal(np.array(got), b / a)
+
+
+def d1_window_case(seed, drift, n, gap_exp):
+    """A d = 1 two-slice window and a lambda 10^gap_exp below its own
+    lambda_crit."""
+    spec = random_d2_iid_spec(seed, kappa=0.05, n_support=2, drift=drift, d=1)
+    window = sample_window(spec, 0, n, seed=seed)
+    return spec, window, window_lambda_crit(window, spec.kappa)[0] - 10.0 ** gap_exp
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10_000),
+    drift=st.floats(0.0, 0.6),
+    n=st.integers(2, 200),
+    shift=st.integers(1, 80),
+    gap_exp=st.floats(-9.0, 0.0),
+)
+def test_scalar_phi_derivative_matches_reference(seed, drift, n, shift, gap_exp):
+    """phi_derivative at d = 1, up to 1e-9 below the window's lambda_crit,
+    equals the 1x1 reference solves bit for bit: Phi', warm-up and every
+    boundary gap of the re-solve, which stops early on `ref`/`start`."""
+    spec, window, lam = d1_window_case(seed, drift, n, gap_exp)
+    sol = solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
+    ref = ref_solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
+    assert_same_solution(
+        phi_derivative(window, lam, phi_solution=sol, kappa=spec.kappa),
+        ref_phi_derivative(window, lam, phi_solution=ref, kappa=spec.kappa),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 200),
+    gap_exp=st.floats(-9.0, 0.0),
+    start=st.integers(0, 199),
+)
+def test_scalar_derivative_sweep_stops_like_the_reference(seed, n, gap_exp, start):
+    """_derivative_sweep at d = 1 is the reference sweep bit for bit; with a
+    `ref` it stops at the first level from `start` on that equals ref, and
+    runs to the end when no level does."""
+    import stripldp.phi as phi
+
+    spec, window, lam = d1_window_case(seed, 0.3, n, gap_exp)
+    phis = solve_phi_window(window, lam, shift=n, kappa=spec.kappa).phis
+    zero = np.zeros((1, 1))
+    full = ref_derivative_sweep(window, lam, phis, zero)
+    el = math.exp(lam)
+    assert bitwise_equal(phi._derivative_sweep(window.q, window.r, el, phis, zero, zero), full)
+    start = min(start, n - 1)
+    stopped = phi._derivative_sweep(window.q, window.r, el, phis, zero, zero,
+                                    ref=full, start=start)
+    assert bitwise_equal(stopped, full[:start + 1])
+    unmatched = phi._derivative_sweep(window.q, window.r, el, phis, zero, zero,
+                                      ref=2.0 * full + 1.0, start=start)
+    assert bitwise_equal(unmatched, full)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10_000),
+    period=st.integers(1, 4),
+    drift=st.floats(0.0, 0.6),
+    gap_exp=st.floats(-4.0, 0.0),
+)
+def test_scalar_periodic_derivative_matches_reference(seed, period, drift, gap_exp):
+    """periodic_phi_derivative at d = 1, up to 1e-4 below lambda_crit, equals
+    the 1x1 reference cycle bit for bit."""
+    base = random_d2_iid_spec(seed, kappa=0.05, n_support=period, drift=drift, d=1)
+    spec = EnvironmentSpec(kind="periodic", d=1, kappa=base.kappa, slices=base.slices)
+    lam = estimate_lambda_crit(spec, tol=1e-6).bracket[0] - 10.0 ** gap_exp
+    pp = solve_phi_periodic(spec, lam)
+    assert bitwise_equal(periodic_phi_derivative(spec, lam, pp),
+                         ref_periodic_phi_derivative(spec, lam, pp))

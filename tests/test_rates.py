@@ -5,11 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stripldp.env import EnvironmentSpec, embed_bounded_jump, homogeneous_d1_spec, two_point_d1_spec
+from stripldp.env import (
+    EnvironmentSpec,
+    embed_bounded_jump,
+    homogeneous_d1_spec,
+    lambda_crit_cap,
+    two_point_d1_spec,
+)
 from stripldp.lmgf import LmgfEvaluator, analyze_environment
 from stripldp.rates import (
     TiltedMeasure,
     _TiltFamily,
+    _analyze_pair,
+    _rate,
     averaged_rate_upper,
     averaged_speed_upper,
     golden_max,
@@ -47,34 +55,38 @@ def test_golden_max_quadratic():
 
 def test_legendre_at_lln_point(p075_evaluator, p075_analysis):
     lc = p075_analysis.lambda_crit
-    j, lam, _, _ = legendre_point(p075_evaluator.value, 2.0, lc.bracket[0], 0.25)
+    ev = p075_evaluator
+    j, lam, _, _ = legendre_point(ev.value, ev.derivative, 2.0, lc.bracket[0], 0.25)
     assert abs(j) < 1e-10
     assert abs(lam) < 1e-4
 
 
 def test_legendre_at_one(p075_evaluator, p075_analysis):
     lc = p075_analysis.lambda_crit
-    j, lam, _, _ = legendre_point(p075_evaluator.value, 1.0, lc.bracket[0], 0.25)
+    ev = p075_evaluator
+    j, lam, _, _ = legendre_point(ev.value, ev.derivative, 1.0, lc.bracket[0], 0.25)
     assert j == pytest.approx(-math.log(0.75), abs=1e-12)
     assert lam == -30.0
 
 
 def test_legendre_below_one_infinite(p075_evaluator):
-    j, lam, _, _ = legendre_point(p075_evaluator.value, 0.7, 0.14, 0.25)
+    ev = p075_evaluator
+    j, lam, _, _ = legendre_point(ev.value, ev.derivative, 0.7, 0.14, 0.25)
     assert j == math.inf
 
 
 def test_legendre_brute_force_grid(p075_evaluator, p075_analysis):
     lc = p075_analysis.lambda_crit
+    ev = p075_evaluator
     for t in (1.5, 3.0, 5.0):
-        j, _, _, _ = legendre_point(p075_evaluator.value, t, lc.bracket[0], 0.25)
+        j, _, _, _ = legendre_point(ev.value, ev.derivative, t, lc.bracket[0], 0.25)
         assert j == pytest.approx(brute_force_J(0.75, t), abs=1e-6)
 
 
 def test_legendre_linear_branch_exact(p075_evaluator):
     # synthetic evaluator check of the t >= t* branch: exact linear values
     j, lam, _, _ = legendre_point(
-        p075_evaluator.value, 800.0, 0.1438, 0.25,
+        p075_evaluator.value, p075_evaluator.derivative, 800.0, 0.1438, 0.25,
         t_star=700.0, value_at_crit=0.55,
     )
     assert j == pytest.approx(0.1438 * 800.0 - 0.55, abs=1e-12)
@@ -285,35 +297,54 @@ def test_averaged_dual_check_near_criticality():
 
 def test_lambda_memo_one_solve_per_distinct_lambda(p075_spec, p075_analysis, monkeypatch):
     import stripldp.lmgf as lmgf
+    from stripldp import rates
     from stripldp.cli import parse_grid
 
     grid = parse_grid("1:0.1:6")
     solved, asked = [], []
     solve = lmgf.solve_phi_periodic
-    value = LmgfEvaluator.value
+    value, derivative = LmgfEvaluator.value, LmgfEvaluator.derivative
 
     def counted_solve(spec, lam, *args, **kwargs):
         solved.append(lam)
         return solve(spec, lam, *args, **kwargs)
 
-    def counted_value(self, lam):
-        asked.append(lam)
-        return value(self, lam)
+    def asking(method):
+        def counted(self, lam):
+            asked.append(lam)
+            return method(self, lam)
+        return counted
 
     monkeypatch.setattr(lmgf, "solve_phi_periodic", counted_solve)
-    monkeypatch.setattr(LmgfEvaluator, "value", counted_value)
+    monkeypatch.setattr(LmgfEvaluator, "value", asking(value))
+    monkeypatch.setattr(LmgfEvaluator, "derivative", asking(derivative))
     curve = hitting_rate_curve(p075_spec, grid, n_levels=2000, seed=0,
                                analysis=p075_analysis)
+    # one Phi solve per distinct lambda asked of Lambda or Lambda': the two
+    # share it, and neither memo nor the last solve answers a lambda unsolved
     assert len(solved) == len(set(solved)) == len(set(asked))
-    assert len(asked) > len(solved)  # golden searches from one bracket repeat points
+    monkeypatch.setattr(LmgfEvaluator, "value", value)
+    monkeypatch.setattr(LmgfEvaluator, "derivative", derivative)
 
-    # with the memo bypassed every call solves again, and the CSV is the same
+    # a second curve on the same evaluator asks for the same lambdas, and
+    # the memo answers every one: it solves nothing
+    ev = LmgfEvaluator(p075_spec, n_levels=2000, seed=0)
+    first = rates._curve(grid, rates._rate(ev, p075_analysis), "hitting", p075_analysis, 0)
+    solved.clear()
+    second = rates._curve(grid, rates._rate(ev, p075_analysis), "hitting", p075_analysis, 0)
+    assert solved == []
+    assert second.to_csv() == first.to_csv() == curve.to_csv()
+
+    # with the memos bypassed every call solves again (a search starts from
+    # the lambdas its neighbour evaluated), and the CSV is the same
     monkeypatch.setattr(LmgfEvaluator, "value", LmgfEvaluator._value)
+    monkeypatch.setattr(LmgfEvaluator, "derivative", LmgfEvaluator._derivative)
     solved.clear()
     again = hitting_rate_curve(p075_spec, grid, n_levels=2000, seed=0,
                                analysis=p075_analysis)
     assert len(solved) > len(set(solved))
     assert again.to_csv() == curve.to_csv()
+    monkeypatch.setattr(LmgfEvaluator, "derivative", derivative)
 
     # Lambda' likewise: a speed curve analyzes the spec and its reflection on
     # one pair of evaluators, and the reflection's analysis asks the spec's
@@ -351,6 +382,17 @@ def test_tilts_keep_the_bounded_jump_marker():
     )
     fam = _TiltFamily(spec, 300, 0)
     assert fam.evaluator(fam.base).spec.content_hash() == spec.content_hash()
+
+
+def test_tilt_bound_depends_only_on_t():
+    """Tilt searches warm-start from each other within one bound, never
+    across bounds: a bound asked again after another t is bit for bit the
+    first, as is one from a fresh family."""
+    fam = _TiltFamily(_two_point(), 300, 0)
+    first = fam.bound(3.0)
+    fam.bound(2.0)
+    assert repr(fam.bound(3.0)) == repr(first)
+    assert repr(_TiltFamily(_two_point(), 300, 0).bound(3.0)) == repr(first)
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +433,106 @@ def test_curves_pinned(name):
     pins with tests/record_pins.py."""
     pinned = json.loads(Path(__file__).with_name("pinned_curves.json").read_text())
     assert curve_pin(PINNED_CURVES[name]()) == pinned[name]
+
+
+# ---------------------------------------------------------------------------
+# the Legendre search: the root of Lambda' = t against golden section
+# ---------------------------------------------------------------------------
+
+SEARCH_SPECS = {
+    "p075": (lambda: homogeneous_d1_spec(0.75, kappa=0.25), 2000),
+    "two-point": (_two_point, 3000),
+    "d2": (lambda: random_d2_iid_spec(1, drift=0.4), 800),
+}
+SEARCH_GRID = np.arange(1.5, 6.01, 0.5)  # the step of the bench's two-point curve
+
+
+@pytest.fixture(scope="module", params=sorted(SEARCH_SPECS))
+def search_case(request):
+    make, n = SEARCH_SPECS[request.param]
+    spec = make()
+    ev = LmgfEvaluator(spec, n_levels=n, seed=0)
+    return ev, _analyze_pair(ev, LmgfEvaluator(spec.invert(), n_levels=n, seed=0))
+
+
+def legendre_bracket_lo(t, kappa):
+    return max(min(-10.0, math.log(kappa) / (t - 1.0) - 1.0), -37.0)
+
+
+def counted(fn, calls):
+    def wrapped(lam):
+        calls.append(lam)
+        return fn(lam)
+    return wrapped
+
+
+def test_legendre_root_against_golden(search_case, monkeypatch):
+    """Along a grid, each point's search (warm-started from its neighbour)
+    makes at most 12 Lambda' calls, its J agrees with golden section on the
+    same bracket to 1e-12, and Lambda' misses t at its maximizer by no more
+    than at golden's."""
+    ev, an = search_case
+    calls = []
+    monkeypatch.setattr(ev, "derivative", counted(ev.derivative, calls))
+    point = _rate(ev, an)
+    lc = an.lambda_crit.bracket[0]
+    for t in SEARCH_GRID:
+        assert t < an.t_star
+        calls.clear()
+        j, lam, _, _ = point(t)
+        assert len(calls) <= 12 and lam in calls
+
+        def g(l):
+            v = ev.value(l).value
+            return l * t - v if math.isfinite(v) else -math.inf
+
+        lam_g, j_g = golden_max(g, legendre_bracket_lo(t, ev.spec.kappa), lc)
+        assert abs(j - j_g) <= 1e-12
+        assert abs(ev.derivative(lam).value - t) <= abs(ev.derivative(lam_g).value - t)
+
+
+def test_legendre_root_below_the_bracket_gives_its_end(p075_evaluator, p075_analysis):
+    """With kappa = 1 the bracket starts at -10, above the root of
+    Lambda' = 1 + 1e-12: the search returns the end, as golden section's
+    maximum would lie there."""
+    lc = p075_analysis.lambda_crit.bracket[0]
+    t = 1.0 + 1e-12
+    j, lam, _, _ = legendre_point(p075_evaluator.value, p075_evaluator.derivative,
+                                  t, lc, 1.0)
+    assert p075_evaluator.derivative(-10.0).value > t
+    assert lam == -10.0
+    assert j == -10.0 * t - p075_evaluator.value(-10.0).value
+
+
+def test_legendre_search_up_to_a_supercritical_cap(search_case):
+    """A bracket that ends at the a-priori cap, as over tilts, holds
+    supercritical lambdas, whose infinite Lambda' counts as above t: from a
+    cold start, and from a start at the cap itself, J is the one searched
+    up to lambda_crit, at a lambda with a finite Lambda'."""
+    ev, an = search_case
+    cap = lambda_crit_cap(ev.spec.kappa)
+    lc = an.lambda_crit.bracket[0]
+    for t in (3.0, 6.0):
+        j_lc, _, _, _ = legendre_point(ev.value, ev.derivative, t, lc, ev.spec.kappa)
+        for start in ([], [cap]):
+            calls = []
+            from_cap = bool(start)
+            j, lam, _, _ = legendre_point(ev.value, counted(ev.derivative, calls), t,
+                                          cap, ev.spec.kappa, start=start)
+            assert ev.derivative(calls[0]).supercritical == from_cap
+            assert math.isfinite(ev.derivative(lam).value) and lam < lc
+            assert abs(j - j_lc) <= 1e-12
+
+
+def test_legendre_linear_branch_asks_no_derivative(p075_evaluator, p075_analysis):
+    """Past t* the point is lambda_crit t - Lambda(lambda_crit - 1e-7), bit
+    for bit, with no search."""
+    lc = p075_analysis.lambda_crit.bracket[0]
+    calls = []
+    ev = p075_evaluator
+    for t in (p075_analysis.t_star, 700.0, 800.0):
+        got = legendre_point(ev.value, counted(ev.derivative, calls), t, lc, 0.25,
+                             t_star=p075_analysis.t_star,
+                             value_at_crit=ev.value(lc - 1e-7).value)
+        assert repr(got) == repr((lc * t - ev.value(lc - 1e-7).value, lc, 0.0, 0.0))
+    assert calls == []
