@@ -24,6 +24,14 @@ the main sweep bit for bit at one level, it equals it at every later
 level; the re-solves stop there, and the boundary gap they measure past
 that level is exactly 0.
 
+The d = 2 lambda_crit bisection walks its midpoints with a verdict kernel
+on Python floats, _verdict_levels (the 2x2 level step with a pivot-sign
+M-matrix certificate, about 1 us a level against 16 us for the LAPACK
+sweep), in a window pass and in a periodic cycle. It is not a seventh
+exact sweep: it returns no Phi, only decides which way the search goes,
+and both ends of the bracket it finds are checked by the exact sweep
+before they are reported.
+
 Truncated matrices Phi_{k,M} are computed exactly by one dynamic program
 over time steps, run for a whole range of start levels at once; the
 term-by-term derivatives Phi'_k come from the forward sensitivity of the
@@ -141,6 +149,15 @@ def _linalg_errstate():
                        divide="ignore", under="ignore")
 
 
+def _right_sides(el: float, p: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """[e^l p_k | I] for every level k: the right-hand sides of _sweep_levels."""
+    n, d, _ = p.shape
+    rhs = np.empty((n, d, 2 * d))
+    np.multiply(el, p, out=rhs[:, :, :d])
+    rhs[:, :, d:] = eye
+    return rhs
+
+
 def _sweep_general(q, r, p, el: float, phi0: np.ndarray, bound: float, ref=None):
     """One pass of Phi_k = (I - e^l (r_k + q_k Phi_{k-1}))^{-1} e^l p_k, d > 1.
 
@@ -150,26 +167,27 @@ def _sweep_general(q, r, p, el: float, phi0: np.ndarray, bound: float, ref=None)
     level equals ref at that level bit for bit: from there on it would
     repeat ref's computation exactly.
     """
+    eye = np.eye(q.shape[1])
+    with _linalg_errstate():
+        return _sweep_levels(q, r, _right_sides(el, p, eye), eye, el, phi0, bound, ref)
+
+
+def _sweep_levels(q, r, rhs, eye, el: float, f: np.ndarray, bound: float, ref=None):
+    """The level loop of _sweep_general; runs inside _linalg_errstate."""
     n, d, _ = q.shape
     out = np.empty((n, d, d))
-    eye = np.eye(d)
-    rhs = np.empty((n, d, 2 * d))
-    np.multiply(el, p, out=rhs[:, :, :d])
-    rhs[:, :, d:] = eye
-    f = phi0
-    with _linalg_errstate():
-        for k in range(n):
-            try:
-                sol = _solve(eye - el * (r[k] + q[k] @ f), rhs[k])
-            except np.linalg.LinAlgError:
-                return out, k
-            f = sol[:, :d]
-            # inverse nonnegativity <=> spectral radius of M < 1 (M-matrix)
-            if sol.min() < NEG_ENTRY_TOL or f.max() > bound:
-                return out, k
-            f = np.maximum(f, 0.0, out=out[k])
-            if ref is not None and f.tobytes() == ref[k].tobytes():
-                return out[:k + 1], -1
+    for k in range(n):
+        try:
+            sol = _solve(eye - el * (r[k] + q[k] @ f), rhs[k])
+        except np.linalg.LinAlgError:
+            return out, k
+        f = sol[:, :d]
+        # inverse nonnegativity <=> spectral radius of M < 1 (M-matrix)
+        if sol.min() < NEG_ENTRY_TOL or f.max() > bound:
+            return out, k
+        f = np.maximum(f, 0.0, out=out[k])
+        if ref is not None and f.tobytes() == ref[k].tobytes():
+            return out[:k + 1], -1
     return out, -1
 
 
@@ -423,17 +441,20 @@ def solve_phi_periodic(
         raise ConvergenceError(change, max_iter)
 
     q, r, p = _stack_slices(spec)
+    eye = np.eye(d)
+    rhs = _right_sides(el, p, eye)
     f = np.zeros((per, d, d))
-    for it in range(1, max_iter + 1):
-        new, bad = _sweep_general(q, r, p, el, f[-1], bound)
-        if bad >= 0:
-            raise SupercriticalError(lam, level=bad)
-        change = float(np.abs(new - f).max())
-        f = new
-        if change <= tol:
-            return PeriodicPhi(phis=f, lam=lam, iterations=it, residual=change,
-                               tail=_tail_estimate(change, prev_change))
-        prev_change, change_before = change, prev_change
+    with _linalg_errstate():
+        for it in range(1, max_iter + 1):
+            new, bad = _sweep_levels(q, r, rhs, eye, el, f[-1], bound)
+            if bad >= 0:
+                raise SupercriticalError(lam, level=bad)
+            change = float(np.abs(new - f).max())
+            f = new
+            if change <= tol:
+                return PeriodicPhi(phis=f, lam=lam, iterations=it, residual=change,
+                                   tail=_tail_estimate(change, prev_change))
+            prev_change, change_before = change, prev_change
     if on_maxiter == "return":
         return PeriodicPhi(phis=f, lam=lam, iterations=max_iter, residual=change,
                            tail=_tail_estimate(prev_change, change_before))
@@ -703,6 +724,93 @@ class CriticalExponent:
             raise ValueError("lambda_crit must lie inside its bracket")
 
 
+VERDICT_CHUNK = 256  # window levels converted to Python floats at a time
+
+
+def _verdict_levels(rows, el: float, bound: float, f, out=None):
+    """_sweep_general's 2x2 levels on Python floats, for a yes/no verdict.
+
+    `rows` holds 12 floats a level (q, r, p, each row-major) and `f` is
+    Phi_{k-1} as 4 floats. A level passes when I - M, M = e^l (r + q f),
+    is a nonsingular M-matrix (positive pivot 1 - m00 and positive Schur
+    complement; M >= 0 off the diagonal makes that the whole certificate)
+    and no entry of Phi exceeds `bound`. Returns the last level's Phi, or
+    None at the first level that fails; with `out`, every level's Phi is
+    appended to it.
+    """
+    f00, f01, f10, f11 = f
+    for q00, q01, q10, q11, r00, r01, r10, r11, p00, p01, p10, p11 in rows:
+        m00 = el * (r00 + (q00 * f00 + q01 * f10))
+        m01 = el * (r01 + (q00 * f01 + q01 * f11))
+        m10 = el * (r10 + (q10 * f00 + q11 * f10))
+        m11 = el * (r11 + (q10 * f01 + q11 * f11))
+        a = 1.0 - m00
+        if not a > 0.0:
+            return None
+        piv = m10 / a
+        schur = (1.0 - m11) - piv * m01
+        if not schur > 0.0:
+            return None
+        b00, b01 = el * p00, el * p01
+        f10 = (el * p10 + piv * b00) / schur
+        f11 = (el * p11 + piv * b01) / schur
+        f00 = (b00 + m01 * f10) / a
+        f01 = (b01 + m01 * f11) / a
+        if f00 > bound or f01 > bound or f10 > bound or f11 > bound:
+            return None
+        if out is not None:
+            out.append((f00, f01, f10, f11))
+    return f00, f01, f10, f11
+
+
+def _verdict_rows(q, r, p) -> np.ndarray:
+    """(n, 12) float rows of the levels' q, r, p for _verdict_levels."""
+    return np.concatenate((q, r, p), axis=1).reshape(len(q), -1)
+
+
+def _window_verdict(rows: np.ndarray, lam: float, bound: float) -> bool:
+    """Float verdict of one zero-start window pass, VERDICT_CHUNK levels at
+    a time (converting the whole window at once costs megabytes)."""
+    el, f = math.exp(lam), (0.0,) * 4
+    for a in range(0, len(rows), VERDICT_CHUNK):
+        f = _verdict_levels(rows[a:a + VERDICT_CHUNK].tolist(), el, bound, f)
+        if f is None:
+            return False
+    return True
+
+
+def _periodic_verdict(rows: list, lam: float, bound: float, tol: float,
+                      max_iter: int) -> bool:
+    """Float verdict of solve_phi_periodic at d = 2: the cyclic sweep
+    converges (largest entry change <= tol) within max_iter cycles."""
+    el, cur = math.exp(lam), [(0.0,) * 4] * len(rows)
+    for _ in range(max_iter):
+        new = []
+        if _verdict_levels(rows, el, bound, cur[-1], new) is None:
+            return False
+        change = max(abs(x - y) for a, b in zip(new, cur) for x, y in zip(a, b))
+        cur = new
+        if change <= tol:
+            return True
+    return False
+
+
+def _bisect(feasible, cap: float, tol: float):
+    """The bracket (lo, hi) that bisecting [0, cap] on `feasible` ends in,
+    hi - lo <= tol; None when `cap` itself is feasible. lo = 0 is never
+    asked: it is feasible a priori."""
+    if feasible(cap):
+        return None
+    lo, hi = 0.0, cap
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def estimate_lambda_crit(
     spec: EnvironmentSpec,
     window_len: int = 6000,
@@ -715,16 +823,38 @@ def estimate_lambda_crit(
     lambda = 0 is feasible a priori (entries of Phi(0) are probabilities).
     A window solve that diverges, exceeds the a-priori entry bound, or fails
     to converge counts as infeasible, shrinking the verdict conservatively.
+
+    At d = 2 the search path is walked with the float verdict of
+    _verdict_levels, about 16 times cheaper a level than the LAPACK sweep.
+    In exact arithmetic the verdict is monotone in lambda: each level's map
+    increases in lambda and in Phi_{k-1}, so the spectral radius of M_k and
+    the entries of Phi_k rise while the bound e^{-lambda}/kappa falls. The
+    bisection's bracket is therefore the one leaf of its tree of midpoints
+    whose lower end is feasible and whose upper end is not, whichever
+    verdict chose the path. The leaf the float walk ends in is confirmed by
+    the exact verdict at both ends (at the cap alone when the cap passed,
+    and without the a-priori lower end 0); if either end disagrees, the
+    bisection runs again on the exact verdict, so every reported bracket
+    end is one the exact solver vouches for.
     """
     cap = lambda_crit_cap(spec.kappa)
+    fast = None
     if spec.kind == "periodic":
+        ptol = min(1e-13, tol * 1e-4)
+
         def feasible(lam: float) -> bool:
             try:
-                solve_phi_periodic(spec, lam, tol=min(1e-13, tol * 1e-4),
-                                   max_iter=max_iter)
+                solve_phi_periodic(spec, lam, tol=ptol, max_iter=max_iter)
                 return True
             except (SupercriticalError, ConvergenceError):
                 return False
+
+        if spec.d == 2:
+            cycle = _verdict_rows(*_stack_slices(spec)).tolist()
+
+            def fast(lam: float) -> bool:
+                return _periodic_verdict(cycle, lam, divergence_bound(spec.kappa, lam, ptol),
+                                         ptol, max_iter)
     else:
         window = sample_window(spec, 0, window_len, seed=seed)
         phi0 = np.zeros((spec.d, spec.d))
@@ -734,14 +864,22 @@ def estimate_lambda_crit(
             _, bad = _sweep(window, lam, phi0, bound)
             return bad < 0
 
-    lo, hi = 0.0, cap
-    if feasible(hi):
-        # cannot happen for kappa < 1/2 unless degenerate; report the cap
-        return CriticalExponent(lambda_crit=hi, bracket=(hi - tol, hi), tolerance=tol)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
+        if spec.d == 2:
+            rows = _verdict_rows(window.q, window.r, window.p)
+
+            def fast(lam: float) -> bool:
+                return _window_verdict(rows, lam, divergence_bound(spec.kappa, lam))
+
+    leaf = _bisect(fast or feasible, cap, tol)
+    if fast is not None:
+        if leaf is None:
+            confirmed = feasible(cap)
         else:
-            hi = mid
+            confirmed = (leaf[0] == 0.0 or feasible(leaf[0])) and not feasible(leaf[1])
+        if not confirmed:
+            leaf = _bisect(feasible, cap, tol)
+    if leaf is None:
+        # cannot happen for kappa < 1/2 unless degenerate; report the cap
+        return CriticalExponent(lambda_crit=cap, bracket=(cap - tol, cap), tolerance=tol)
+    lo, hi = leaf
     return CriticalExponent(lambda_crit=0.5 * (lo + hi), bracket=(lo, hi), tolerance=tol)

@@ -289,6 +289,39 @@ def ref_solve_phi_periodic(spec, lam, tol=1e-13, max_iter=200_000):
     raise ConvergenceError(change, max_iter)
 
 
+def ref_estimate_lambda_crit(spec, window_len=6000, tol=1e-6, seed=0, max_iter=200_000):
+    """estimate_lambda_crit as the plain bisection: the exact verdict (one
+    window sweep, or one periodic solve) at every midpoint."""
+    from stripldp.env import lambda_crit_cap, sample_window
+    from stripldp.phi import (ConvergenceError, CriticalExponent, SupercriticalError,
+                              _sweep, divergence_bound, solve_phi_periodic)
+
+    if spec.kind == "periodic":
+        def feasible(lam):
+            try:
+                solve_phi_periodic(spec, lam, tol=min(1e-13, tol * 1e-4), max_iter=max_iter)
+                return True
+            except (SupercriticalError, ConvergenceError):
+                return False
+    else:
+        window = sample_window(spec, 0, window_len, seed=seed)
+        phi0 = np.zeros((spec.d, spec.d))
+
+        def feasible(lam):
+            return _sweep(window, lam, phi0, divergence_bound(spec.kappa, lam))[1] < 0
+
+    lo, hi = 0.0, lambda_crit_cap(spec.kappa)
+    if feasible(hi):
+        return CriticalExponent(lambda_crit=hi, bracket=(hi - tol, hi), tolerance=tol)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return CriticalExponent(lambda_crit=0.5 * (lo + hi), bracket=(lo, hi), tolerance=tol)
+
+
 def ref_periodic_phi_derivative(spec, lam, periodic, tol=1e-13, max_iter=200_000):
     el = math.exp(lam)
     per, d = periodic.period, spec.d

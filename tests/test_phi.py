@@ -36,6 +36,7 @@ from conftest import (
     enumerate_truncated_phi,
     random_d2_iid_spec,
     ref_derivative_sweep,
+    ref_estimate_lambda_crit,
     ref_hitting_kernels,
     ref_periodic_phi_derivative,
     ref_phi_derivative,
@@ -554,3 +555,96 @@ def test_scalar_periodic_derivative_matches_reference(seed, period, drift, gap_e
     pp = solve_phi_periodic(spec, lam)
     assert bitwise_equal(periodic_phi_derivative(spec, lam, pp),
                          ref_periodic_phi_derivative(spec, lam, pp))
+
+
+# ---------------------------------------------------------------------------
+# the lambda_crit bisection walked on the float verdict, confirmed exactly
+# ---------------------------------------------------------------------------
+
+
+def periodic_of(spec):
+    return EnvironmentSpec(kind="periodic", d=spec.d, kappa=spec.kappa, slices=spec.slices)
+
+
+def count_exact_verdicts(monkeypatch):
+    """Calls of the exact verdicts (window sweeps and periodic solves), by lambda."""
+    import stripldp.phi as phi
+
+    calls = []
+    for name in ("_sweep", "solve_phi_periodic"):
+        real = getattr(phi, name)
+        monkeypatch.setattr(phi, name, lambda *a, _real=real, **k: calls.append(a[1]) or _real(*a, **k))
+    return calls
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10_000),
+    drift=st.floats(0.0, 0.6),
+    window_seed=st.integers(0, 3),
+    window_len=st.integers(50, 1500),
+    tol=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]),
+)
+def test_lambda_crit_d2_matches_plain_bisection(seed, drift, window_seed, window_len, tol):
+    """The float-walked, exactly confirmed bracket is the plain bisection's,
+    bit for bit, and the float walk found it (no fallback)."""
+    spec = random_d2_iid_spec(seed, drift=drift)
+    args = dict(window_len=window_len, tol=tol, seed=window_seed)
+    want = ref_estimate_lambda_crit(spec, **args)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_exact_verdicts(mp)
+        assert estimate_lambda_crit(spec, **args) == want
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("seed, tol", [(1, 1e-6), (3, 1e-4), (7, 1e-2)])
+def test_lambda_crit_d2_periodic_matches_plain_bisection(seed, tol):
+    spec = periodic_of(random_d2_iid_spec(seed, drift=0.4, n_support=1 + seed % 3))
+    assert estimate_lambda_crit(spec, tol=tol) == ref_estimate_lambda_crit(spec, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-2])
+def test_lambda_crit_d2_near_recurrent_matches_plain_bisection(tol):
+    """drift 0: lambda_crit near 0, and at tol 1e-2 the bracket's lower end
+    is the a-priori 0, which is never swept."""
+    spec = random_d2_iid_spec(2, drift=0.0)
+    args = dict(window_len=1500, tol=tol, seed=0)
+    got = estimate_lambda_crit(spec, **args)
+    assert got == ref_estimate_lambda_crit(spec, **args)
+    assert got.lambda_crit < 0.01
+    assert (got.bracket[0] == 0.0) == (tol == 1e-2)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["window", "periodic"])
+def test_lambda_crit_d2_runs_two_exact_verdicts(monkeypatch, periodic):
+    spec = random_d2_iid_spec(1, drift=0.4)
+    if periodic:
+        spec = periodic_of(spec)
+    args = dict(window_len=800, tol=1e-6, seed=0)
+    want = ref_estimate_lambda_crit(spec, **args)
+    calls = count_exact_verdicts(monkeypatch)
+    got = estimate_lambda_crit(spec, **args)
+    assert got == want
+    assert calls == list(got.bracket)
+
+
+def test_lambda_crit_d2_falls_back_when_the_float_verdict_lies(monkeypatch):
+    """A float verdict flipped at one midpoint sends the walk to a wrong
+    leaf; the exact confirmation rejects it and the plain bisection runs."""
+    import stripldp.phi as phi
+
+    spec = random_d2_iid_spec(1, drift=0.4)
+    args = dict(window_len=800, tol=1e-6, seed=0)
+    want = ref_estimate_lambda_crit(spec, **args)
+    real = phi._window_verdict
+    asked = []
+
+    def lying(rows, lam, bound):
+        asked.append(lam)
+        return real(rows, lam, bound) != (len(asked) == 6)
+
+    monkeypatch.setattr(phi, "_window_verdict", lying)
+    calls = count_exact_verdicts(monkeypatch)
+    assert estimate_lambda_crit(spec, **args) == want
+    assert len(asked) > 6
+    assert len(calls) > 2
