@@ -18,11 +18,18 @@ far beyond direct simulation for moderate n; the 'exact' method computes
 them by an n-step forward distribution DP combined with left-passage
 probability products (Phi(0) of the reflected window), with no sampling
 error. The 'direct' method (finite-horizon proxy) remains for cross-checks.
+
+Every sampled estimator draws trial i's uniforms from its own stream,
+default_rng(SeedSequence(seed, spawn_key=(tag, i))), so any trial replays
+on its own. The streams are built a block of trials at a time: the
+SeedSequence hash runs vectorized over the block's trial numbers, and one
+PCG64 is loaded with each trial's seeded state in turn (trial_uniforms).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,25 +112,124 @@ SLOWDOWN_MARGIN = 320  # levels right of n (exact) or left of 0 (direct)
 SLOWDOWN_HORIZON = 20  # the direct slowdown simulates this many times n steps
 
 
-def trial_uniforms(seed, tag: int, trial: int, k: int) -> np.ndarray:
-    """Uniform stream of trial `trial`: a splittable per-trial seed tree, so
-    any single trial reproduces in isolation and results do not depend on
-    batch chunking."""
-    ss = np.random.SeedSequence(seed if seed is not None else 0,
-                                spawn_key=(tag, trial))
-    return np.random.default_rng(ss).random(k)
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's multiplier
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+POOL_WORDS = 4
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK32, MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+BLOCK_ENTRIES = 8e6  # about the most uniforms one _trial_blocks block holds
+SEED_BLOCK = 1024  # trials whose generator states are hashed together
+
+
+def _uint32_words(n) -> list[int]:
+    """SeedSequence's little-endian uint32 words of a non-negative int."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & MASK32]
+    while n > MASK32:
+        n >>= 32
+        words.append(n & MASK32)
+    return words
+
+
+def _seed_hash(entropy) -> np.ndarray:
+    """SeedSequence(...).generate_state(4, np.uint64) for many trials at once.
+
+    `entropy` is the assembled entropy, one entry per uint32 word: a Python
+    int where all trials share the word, a uint32 array (one entry per trial)
+    where they do not. The hash constants advance with the word count alone,
+    so every trial with that count shares them; ints are masked to 32 bits,
+    arrays wrap. Returns (trials, 4) uint64.
+    """
+    const = INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * MULT_A) & MASK32
+        value = (value * const) & MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (((MIX_MULT_L * x) & MASK32) - ((MIX_MULT_R * y) & MASK32)) & MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[i]) for i in range(POOL_WORDS)]
+    for src in range(POOL_WORDS):
+        for dst in range(POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[POOL_WORDS:]:
+        for dst in range(POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = INIT_B
+    out = np.empty((np.size(pool[0]), 2 * POOL_WORDS), dtype="<u4")
+    for i in range(2 * POOL_WORDS):
+        value = pool[i % POOL_WORDS] ^ const
+        const = (const * MULT_B) & MASK32
+        value = (value * const) & MASK32
+        out[:, i] = value ^ (value >> 16)
+    return out.view("<u8")
+
+
+def _pcg64_states(seed, tag: int, first: int, m: int):
+    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=(tag, trial))) for
+    trials first..first+m-1, built SEED_BLOCK trials at a time.
+
+    A trial's spawn key words are its low word, then its high words; trials
+    between two multiples of 2^32 share the high words, so each sub-block
+    stays inside one such range and only the low word varies. PCG64 seeds
+    with val = generate_state(4, uint64), initstate = val[0]:val[1] and
+    initseq = val[2]:val[3], then takes two LCG steps from zero, adding
+    initstate after the first.
+    """
+    run = _uint32_words(seed if seed is not None else 0)
+    run += [0] * (POOL_WORDS - len(run))  # a spawn key pads the entropy to the pool
+    head = run + _uint32_words(tag)
+    t, end = first, first + m
+    while t < end:
+        stop = min(end, t + SEED_BLOCK, ((t >> 32) + 1) << 32)
+        low = np.arange(stop - t, dtype=np.uint32) + (t & MASK32)
+        high = _uint32_words(t >> 32) if t >> 32 else []
+        for s_hi, s_lo, q_hi, q_lo in _seed_hash(head + [low] + high).tolist():
+            inc = (((q_hi << 64) | q_lo) << 1 | 1) & MASK128
+            yield (((inc + ((s_hi << 64) | s_lo)) * PCG64_MULT + inc) & MASK128), inc
+        t = stop
+
+
+def trial_uniforms(seed, tag: int, first: int, m: int, k: int) -> np.ndarray:
+    """Uniform streams of trials first..first+m-1, k uniforms a row.
+
+    Row i is default_rng(SeedSequence(seed, spawn_key=(tag, first + i)))
+    .random(k) bit for bit (seed None reads as 0): a splittable per-trial
+    seed tree, so any single trial reproduces in isolation and results do
+    not depend on batch chunking. The seeding runs vectorized over the
+    trials (_pcg64_states); one PCG64 takes each trial's seeded state in
+    turn and fills its row. A negative seed raises ValueError.
+    """
+    U = np.empty((m, k))
+    bitgen = np.random.PCG64(0)  # its seed is replaced before every draw
+    gen = np.random.Generator(bitgen)
+    doc = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for row, (state, inc) in zip(U, _pcg64_states(seed, tag, first, m)):
+        doc["state"] = {"state": state, "inc": inc}
+        bitgen.state = doc
+        gen.random(out=row)
+    return U
 
 
 def _trial_blocks(seed, tag: int, trials: int, stride: int, first: int = 0):
-    """Uniform blocks of about 8e6 entries at most, one row per trial: row i
-    of the block that starts at trial j is trial_uniforms(seed, tag,
-    first + j + i, stride)."""
-    chunk = max(1, min(trials, int(8e6 // stride) + 1))
+    """Uniform blocks of about BLOCK_ENTRIES entries at most, one row per
+    trial: the block that starts at trial j is trial_uniforms(seed, tag,
+    first + j, rows, stride), so its streams are seeded together and no
+    SeedSequence is built."""
+    chunk = max(1, min(trials, int(BLOCK_ENTRIES // stride) + 1))
     for done in range(0, trials, chunk):
-        U = np.empty((min(chunk, trials - done), stride))
-        for i in range(len(U)):
-            U[i] = trial_uniforms(seed, tag, first + done + i, stride)
-        yield U
+        yield trial_uniforms(seed, tag, first + done, min(chunk, trials - done), stride)
 
 
 def _start_heights(u: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -252,40 +358,46 @@ def _batch_walk(lookup, lo, target, U, d, h0, M=None):
     """Returns (T, ok): first-passage times of `target` (inf if not reached
     within U.shape[1] steps) and whether every excursion respected the cap M.
     Trial i consumes row i of the uniform block U; trials that have hit stop,
-    so they never step out of the window."""
+    so they never step out of the window.
+
+    The walk state is held for the live trials only (trial numbers `ids`),
+    compacted on the steps where some trial hits or breaks the cap; until
+    the first of those, each step reads its column of U as a view."""
     trials, steps = U.shape
+    ids = np.arange(trials)
     lev = np.zeros(trials, dtype=np.int64)
     h = h0.astype(np.int64)
-    T = np.full(trials, np.inf)
     best = np.zeros(trials, dtype=np.int64)
     last_adv = np.zeros(trials, dtype=np.int64)
+    T = np.full(trials, np.inf)
     ok = np.ones(trials, dtype=bool)
-    active = np.ones(trials, dtype=bool)
+    all_live = True
     for step in range(1, steps + 1):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        if not ids.size:
             break
-        li = lev[idx] - lo
+        li = lev - lo
         if (li < 0).any():
             raise WindowExhaustedError("walk left the window")
-        choice = lookup(li, h[idx], U[idx, step - 1], idx)
-        lev[idx] += choice // d - 1
-        h[idx] = choice % d
+        choice = lookup(li, h, U[:, step - 1] if all_live else U[ids, step - 1], ids)
+        lev += choice // d - 1
+        h = choice % d
+        hit = lev == target
+        adv = lev > best
+        best += adv  # nearest-level moves advance first passage by one
+        gone = hit
         if M is not None:
             # current excursion length, judged before first-passage bookkeeping
             # so an advance arriving after M steps still counts as a violation
-            bad = idx[(step - last_adv[idx]) > M]
-            if bad.size:
-                ok[bad] = False
-                active[bad] = False
-        adv = idx[(lev[idx] > best[idx]) & ok[idx]]
-        if adv.size:
-            best[adv] += 1  # nearest-level moves advance first passage by one
+            bad = (step - last_adv) > M
             last_adv[adv] = step
-        hit = idx[(lev[idx] == target) & ok[idx]]
-        if hit.size:
-            T[hit] = step
-            active[hit] = False
+            hit &= ~bad
+            gone = hit | bad
+        if gone.any():
+            T[ids[hit]] = step
+            ok[ids[gone & ~hit]] = False  # the trials that broke the cap
+            keep = ~gone
+            ids, lev, h, best, last_adv = (a[keep] for a in (ids, lev, h, best, last_adv))
+            all_live = False
     return T, ok
 
 

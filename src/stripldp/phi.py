@@ -495,16 +495,23 @@ def _derivative_sweep(q, r, el: float, phis, phi0, dphi0, ref=None, start: int =
             f = cur[k]
         return np.array(vals).reshape(-1, 1, 1)
     eye = np.eye(d)
-    out = np.empty((n, d, d))
-    prev_phi, prev_d = phi0, dphi0
     with _linalg_errstate():
-        for k in range(n):
-            cur = phis[k]
-            out[k] = _solve(eye - el * (r[k] + q[k] @ prev_phi),
-                            cur + el * (q[k] @ prev_d @ cur))
-            if ref is not None and k >= start and out[k].tobytes() == ref[k].tobytes():
-                return out[:k + 1]
-            prev_phi, prev_d = cur, out[k]
+        return _derivative_levels(q, r, eye, el, phis, phi0, dphi0, ref, start)
+
+
+def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d, ref=None,
+                       start: int = 0):
+    """The level loop of _derivative_sweep at d > 1; runs inside
+    _linalg_errstate."""
+    n, d, _ = phis.shape
+    out = np.empty((n, d, d))
+    for k in range(n):
+        cur = phis[k]
+        out[k] = _solve(eye - el * (r[k] + q[k] @ prev_phi),
+                        cur + el * (q[k] @ prev_d @ cur))
+        if ref is not None and k >= start and out[k].tobytes() == ref[k].tobytes():
+            return out[:k + 1]
+        prev_phi, prev_d = cur, out[k]
     return out
 
 
@@ -592,13 +599,15 @@ def periodic_phi_derivative(
                 return np.array(dph).reshape(-1, 1, 1)
         raise ConvergenceError(change, max_iter)
     q, r, _ = _stack_slices(spec)
+    eye = np.eye(spec.d)
     dph = np.zeros_like(phis)
-    for _ in range(max_iter):
-        new = _derivative_sweep(q, r, el, phis, phis[-1], dph[-1])
-        change = float(np.abs(new - dph).max())
-        dph = new
-        if change <= tol * max(1.0, float(np.abs(dph).max())):
-            return dph
+    with _linalg_errstate():
+        for _ in range(max_iter):
+            new = _derivative_levels(q, r, eye, el, phis, phis[-1], dph[-1])
+            change = float(np.abs(new - dph).max())
+            dph = new
+            if change <= tol * max(1.0, float(np.abs(dph).max())):
+                return dph
     raise ConvergenceError(change, max_iter)
 
 

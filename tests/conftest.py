@@ -455,6 +455,52 @@ def ref_tilted_sampler_tables(evaluator, lam, M, n, start_pi):
     return log_Z, cdfs
 
 
+def ref_trial_uniforms(seed, tag, trial, k):
+    """Uniform stream of one trial from its own SeedSequence and generator."""
+    ss = np.random.SeedSequence(seed if seed is not None else 0,
+                                spawn_key=(tag, trial))
+    return np.random.default_rng(ss).random(k)
+
+
+def ref_batch_walk(lookup, lo, target, U, d, h0, M=None):
+    """(T, ok) of montecarlo._batch_walk from an active mask over all trials,
+    indexing every array with the active trials at each step."""
+    from stripldp.env import WindowExhaustedError
+
+    trials, steps = U.shape
+    lev = np.zeros(trials, dtype=np.int64)
+    h = h0.astype(np.int64)
+    T = np.full(trials, np.inf)
+    best = np.zeros(trials, dtype=np.int64)
+    last_adv = np.zeros(trials, dtype=np.int64)
+    ok = np.ones(trials, dtype=bool)
+    active = np.ones(trials, dtype=bool)
+    for step in range(1, steps + 1):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        li = lev[idx] - lo
+        if (li < 0).any():
+            raise WindowExhaustedError("walk left the window")
+        choice = lookup(li, h[idx], U[idx, step - 1], idx)
+        lev[idx] += choice // d - 1
+        h[idx] = choice % d
+        if M is not None:
+            bad = idx[(step - last_adv[idx]) > M]
+            if bad.size:
+                ok[bad] = False
+                active[bad] = False
+        adv = idx[(lev[idx] > best[idx]) & ok[idx]]
+        if adv.size:
+            best[adv] += 1
+            last_adv[adv] = step
+        hit = idx[(lev[idx] == target) & ok[idx]]
+        if hit.size:
+            T[hit] = step
+            active[hit] = False
+    return T, ok
+
+
 def ref_positive_product_direction(arr, side):
     """(v, error_radius) of one product roll with its running rho certificate."""
     def rho_pair(A, B):

@@ -208,6 +208,13 @@ def test_simulate_is_one_kernel_dp_per_level(two_point_path, tmp_path, capsys, c
     assert (counts["evaluators"], counts["kernel_dps"], counts["kernels"]) == (1, 1, 150)
 
 
+def test_simulate_negative_seed_is_a_usage_error(p075_path, capsys):
+    """The periodic window takes no seed, so the trial streams meet it."""
+    assert main(["simulate", "--spec", p075_path, "--t", "2", "--levels", "20",
+                 "--trials", "100", "--seed", "-1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_simulate_is_requires_M(p075_path):
     assert main(["simulate", "--spec", p075_path, "--t", "3",
                  "--method", "is"]) == 2

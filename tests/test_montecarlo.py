@@ -13,22 +13,31 @@ from stripldp.env import (
     two_point_d1_spec,
 )
 from stripldp.lmgf import LmgfEvaluator
+import stripldp.montecarlo as mc
+from stripldp.env import WindowExhaustedError
 from stripldp.montecarlo import (
     BudgetExhaustedError,
+    _averaged_lookups,
+    _batch_walk,
     _start_heights,
+    _trial_blocks,
+    _window_cdf,
     build_tilted_sampler,
     empirical_hitting_tail,
     empirical_speed_tail,
     importance_sample_hitting,
     simulate_walk,
     slowdown_probability,
+    trial_uniforms,
 )
 
 from conftest import (
     d1_lambda_crit,
     enumerate_hitting_distribution,
     random_d2_iid_spec,
+    ref_batch_walk,
     ref_tilted_sampler_tables,
+    ref_trial_uniforms,
 )
 
 
@@ -420,3 +429,93 @@ def test_start_heights_stay_on_the_strip():
     assert np.cumsum(pi)[-1] < 1.0 - 2.0**-53
     u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
     assert _start_heights(u, pi).tolist() == [0, 3, 6]
+
+
+# ---------------------------------------------------------------------------
+# block streams and the live-trial walker against the per-trial references
+# ---------------------------------------------------------------------------
+
+STREAM_TAGS = (mc.TAG_HIT, mc.TAG_IS, mc.TAG_SLOW, mc.TAG_SPEED)
+
+
+def ref_rows(seed, tag, first, m, k):
+    return np.array([ref_trial_uniforms(seed, tag, first + i, k) for i in range(m)])
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7],
+                         ids=["None", "0", "1", "2^32-1", "2^32", "2^64+5", "2^130+7"])
+def test_trial_uniforms_match_per_trial_streams(seed):
+    """Each row of a block is the trial's own SeedSequence stream bit for
+    bit, for every tag, at strides 1 to 242, and for a block that crosses
+    trial 2^32, where the spawn key gains a word."""
+    for tag in STREAM_TAGS:
+        for first in (0, 7, 2**32 - 2):
+            for k in (1, 2, 201, 242):
+                block = trial_uniforms(seed, tag, first, 4, k)
+                assert block.tobytes() == ref_rows(seed, tag, first, 4, k).tobytes()
+
+
+def test_trial_blocks_small_chunks_match_per_trial_streams(monkeypatch):
+    """Chunks of 3 trials, states built 2 at a time, crossing trial 2^32."""
+    monkeypatch.setattr(mc, "BLOCK_ENTRIES", 5)
+    monkeypatch.setattr(mc, "SEED_BLOCK", 2)
+    first = 2**32 - 5
+    blocks = list(_trial_blocks(3, mc.TAG_HIT, 10, 2, first))
+    assert [len(U) for U in blocks] == [3, 3, 3, 1]
+    assert np.concatenate(blocks).tobytes() == ref_rows(3, mc.TAG_HIT, first, 10, 2).tobytes()
+
+
+def test_trial_uniforms_reject_a_negative_seed():
+    with pytest.raises(ValueError):
+        trial_uniforms(-1, mc.TAG_HIT, 0, 2, 3)
+
+
+def test_trial_blocks_build_no_seed_sequence(monkeypatch):
+    """A pass over 5000 trials seeds every stream without one SeedSequence."""
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    assert sum(len(U) for U in _trial_blocks(0, mc.TAG_HIT, 5000, 3)) == 5000
+    assert built == []
+
+
+def _walk_inputs(spec, mode, lo, target, steps, trials=400):
+    U = np.random.default_rng(7).random((trials, (target - lo) + 1 + steps))
+    if mode == "quenched":
+        lookup = _window_cdf(sample_window(spec, lo, target + 1, seed=2))
+    else:
+        lookup = _averaged_lookups(spec)(U[:, :target - lo])
+    h0 = _start_heights(U[:, target - lo], StartDistribution.uniform(spec.d).pi)
+    return lookup, h0, U[:, target - lo + 1:]
+
+
+@pytest.mark.parametrize("M", [None, 5], ids=["uncapped", "M5"])
+@pytest.mark.parametrize("mode", ["quenched", "averaged"])
+@pytest.mark.parametrize("spec", ["d1", "d2"])
+def test_batch_walk_matches_reference_loop(spec, mode, M):
+    """T and ok equal, bit for bit, those of the loop over an active mask;
+    the runs include trials that never hit and, with M, trials that break
+    the cap."""
+    spec = PIN_SPECS[spec]
+    lookup, h0, U = _walk_inputs(spec, mode, -60, 15, 30)
+    T, ok = _batch_walk(lookup, -60, 15, U, spec.d, h0, M)
+    T_ref, ok_ref = ref_batch_walk(lookup, -60, 15, U, spec.d, h0, M)
+    assert T.tobytes() == T_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
+    assert np.isinf(T).any() and np.isfinite(T).any()
+    assert ok.all() == (M is None)
+
+
+@pytest.mark.parametrize("M", [None, 5], ids=["uncapped", "M5"])
+@pytest.mark.parametrize("mode", ["quenched", "averaged"])
+def test_batch_walk_leaves_the_window_as_reference(mode, M):
+    """A window with a 2-level left margin: both loops raise."""
+    spec = PIN_SPECS["d1"]
+    lookup, h0, U = _walk_inputs(spec, mode, -2, 15, 30)
+    for walk in (_batch_walk, ref_batch_walk):
+        with pytest.raises(WindowExhaustedError):
+            walk(lookup, -2, 15, U, spec.d, h0, M)
