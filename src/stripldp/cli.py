@@ -115,6 +115,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    if args.M is not None and args.kind != "hitting":
+        raise SpecValidationError("--M applies to --kind hitting only")
     spec = load_spec(args.spec)
     grid = parse_grid(args.grid)
     t0 = time.perf_counter()
@@ -151,7 +153,18 @@ def cmd_rate(args) -> int:
     return 0
 
 
+def _check_simulate_options(args) -> None:
+    """Refuse the option combinations that the simulation would ignore."""
+    if args.method == "exact" and not args.slowdown:
+        raise SpecValidationError("--method exact applies to --slowdown only")
+    if args.method == "is" and (args.slowdown or args.t is None or args.mode == "averaged"):
+        raise SpecValidationError("importance sampling covers quenched --t events only")
+    if args.M is not None and (args.slowdown or args.t is None):
+        raise SpecValidationError("--M applies to --t events only")
+
+
 def cmd_simulate(args) -> int:
+    _check_simulate_options(args)
     spec = load_spec(args.spec)
     n = args.levels
     t0 = time.perf_counter()
@@ -192,8 +205,6 @@ def cmd_simulate(args) -> int:
                 mode=args.mode, M=args.M,
             )
     elif args.x is not None:
-        if args.method == "is":
-            raise SpecValidationError("importance sampling covers --t events only")
         est = empirical_speed_tail(
             spec, n=n, x=args.x, trials=args.trials, seed=args.seed, mode=args.mode
         )

@@ -22,10 +22,10 @@ Two evaluation paths:
   2 / ((1-c^4) c^10 n) with c measured from the factors.
 
 Every estimator, full or truncated, takes its directions from the two rolls
-of `products` (`_roll_left` for mu, `_roll_right` for nu): the periodic
-cycle iterates them to their fixed point, a window rolls them once. A
-window's value terms are the logs of the forward roll's normalizers, a
-period's the logs of one batched mu_k Phi_k 1; the derivative terms are one
+of `products` (`_roll_left` for mu, `_roll_right` for nu), rolled once:
+over a window from uniform starts, over one period from the mu_0 and nu_0
+that the period's rolls come back to. The value terms are the logs of the
+forward roll's normalizers mu_k Phi_k 1; the derivative terms are one
 batched product mu_k Phi'_k nu_{k+1} over all levels.
 
 `LmgfEvaluator` forms every estimate in one place: the mean of the
@@ -130,21 +130,13 @@ def _cycle_fixed_point(step, start: np.ndarray, tol: float, max_iter: int) -> np
     raise ConvergenceError(float(np.abs(cur - prev).max()), max_iter)
 
 
-def _periodic_directions(phis: np.ndarray, tol: float = 1e-14, max_iter: int = 100_000):
-    """(mu, nu) arrays of shape (period, d): mu[k] enters factor k from the
-    left, nu[k] is the direction of Phi_k Phi_{k+1} ... 1. Each iteration
-    rolls one cycle from the previous cycle's mu_0 (nu_0); the mu_0 it ends
-    with feeds the next cycle."""
-    def mu_cycle(mu):
-        Z = _roll_left(phis, mu[0])[0]
-        Z[0] = Z[-1]  # the direction after a full cycle is mu_0
-        return Z[:-1]
-
-    per, d, _ = phis.shape
-    uniform = np.full((per, d), 1.0 / d)
-    mu = _cycle_fixed_point(mu_cycle, uniform, tol, max_iter)
-    nu = _cycle_fixed_point(lambda nu: _roll_right(phis, nu[0])[0][:-1], uniform, tol, max_iter)
-    return mu, nu
+def _cycle_starts(phis: np.ndarray, tol: float = 1e-14, max_iter: int = 100_000):
+    """(mu_0, nu_0): the directions that one period's forward roll from mu_0
+    and backward roll from nu_0 come back to."""
+    uniform = np.full(phis.shape[1], 1.0 / phis.shape[1])
+    mu0 = _cycle_fixed_point(lambda mu: _roll_left(phis, mu)[0][-1], uniform, tol, max_iter)
+    nu0 = _cycle_fixed_point(lambda nu: _roll_right(phis, nu)[0][0], uniform, tol, max_iter)
+    return mu0, nu0
 
 
 def _bilinear(Z: np.ndarray, phis: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -152,32 +144,23 @@ def _bilinear(Z: np.ndarray, phis: np.ndarray, R: np.ndarray) -> np.ndarray:
     return ((Z[:, None, :] @ phis) @ R[:, :, None])[:, 0, 0]
 
 
-def _log_terms(phis: np.ndarray, periodic: bool):
-    """log(mu_k Phi_k 1) at every level: over one period of the cyclic
-    directions, or from the forward roll of a window (uniform start).
-
-    numpy's vectorized log and libm's `math.log` differ in the last bit on a
-    few inputs in a thousand. Scalar windows take the former, every other
-    path the latter, one level at a time, which keeps each reported value
-    the same to the last bit.
-    """
-    if periodic:
-        mu, _ = _periodic_directions(phis)
-        return [math.log(x) for x in _bilinear(mu, phis, np.ones_like(mu))]
-    s = _roll_left(phis)[1]
+def _log_terms(phis: np.ndarray, mu0: np.ndarray | None = None):
+    """log(mu_k Phi_k 1) at every level: the logs of the normalizers of the
+    forward roll from mu0 (uniform when omitted). numpy's vectorized log
+    (d = 1) and libm's `math.log` (d > 1, one level at a time) differ in the
+    last bit on a few inputs in a thousand; the split keeps each reported
+    window value the same to the last bit."""
+    s = _roll_left(phis, mu0)[1]
     return np.log(s) if phis.shape[1] == 1 else np.fromiter(map(math.log, s), float, len(s))
 
 
-def _derivative_terms(phis: np.ndarray, dphis: np.ndarray, periodic: bool) -> np.ndarray:
-    """mu_k Phi'_k nu_{k+1} / (mu_k Phi_k nu_{k+1}) at every level. On a
-    window both directions are rolled from the uniform vector (nu from level
-    n), which makes the mean the exact lambda-derivative of the value
-    estimate."""
-    if periodic:
-        mu, nu = _periodic_directions(phis)
-        Z, R = mu, np.concatenate((nu[1:], nu[:1]))
-    else:
-        Z, R = _roll_left(phis)[0][:-1], _roll_right(phis)[0][1:]
+def _derivative_terms(phis: np.ndarray, dphis: np.ndarray, mu0: np.ndarray | None = None,
+                      nu0: np.ndarray | None = None) -> np.ndarray:
+    """mu_k Phi'_k nu_{k+1} / (mu_k Phi_k nu_{k+1}) at every level, mu rolled
+    forward from mu0 and nu backward from nu0 at level n (both uniform when
+    omitted). On a window the uniform starts make the mean the exact
+    lambda-derivative of the value estimate."""
+    Z, R = _roll_left(phis, mu0)[0][:-1], _roll_right(phis, nu0)[0][1:]
     return _bilinear(Z, dphis, R) / _bilinear(Z, phis, R)
 
 
@@ -233,6 +216,12 @@ class LmgfEvaluator:
             lam=lam, value=float(np.mean(terms)), deterministic_error=det,
             statistical_error=stat, n=n, kind=kind, M=M, boundary_bias=bias,
         )
+
+    def _starts(self, phis: np.ndarray):
+        """(mu_0, nu_0) for the direction rolls over `phis`: uniform (None)
+        on a window, the vectors one period's rolls come back to on a
+        period."""
+        return (None, None) if self.window is not None else _cycle_starts(phis)
 
     def _memoized(self, kind: str, lam: float, estimator) -> LmgfEstimate:
         """estimator(lam), once per kind and lambda: the window is fixed, so a
@@ -298,7 +287,7 @@ class LmgfEvaluator:
             bias = 2.0 * float(gaps.sum()) / (c * len(gaps)) if gaps.size else 0.0
         det = min(_paper_window_bound(c, self.n_levels),
                   _det_cap(self.spec.kappa, lam, self.spec.d)) + bias
-        est = self._estimate(lam, _log_terms(phis, self.window is None), det, "full",
+        est = self._estimate(lam, _log_terms(phis, self._starts(phis)[0]), det, "full",
                              bias=bias)
         _sandwich_check(lam, est.value, self.spec.kappa,
                         slack=1e-10 + 4 * est.statistical_error)
@@ -315,13 +304,13 @@ class LmgfEvaluator:
         if self.window is None:
             if sol.residual > FP_TOL:
                 raise ConvergenceError(sol.residual, sol.iterations)
-            phis, dphis = sol.phis, periodic_phi_derivative(self.spec, lam, sol, tol=FP_TOL)
+            phis, dphis = sol.phis, periodic_phi_derivative(self.spec, lam, sol)
         else:
             dsol = phi_derivative(self.window, lam, tol=self.tol, phi_solution=sol,
                                   kappa=self.spec.kappa)
             i0 = self.window.index_of(0)
             phis, dphis = sol.phis[i0:], dsol.phis[i0:]
-        terms = _derivative_terms(phis, dphis, self.window is None)
+        terms = _derivative_terms(phis, dphis, *self._starts(phis))
         det = _paper_window_bound(_measured_c(phis), self.n_levels)
         if self.window is not None:
             det *= 1.0 + abs(float(terms.mean()))
@@ -362,11 +351,11 @@ class LmgfEvaluator:
                 f"M={M} too small: truncated matrices lose strict positivity "
                 f"(M >= N_kappa = {n_kappa(self.spec.kappa)} guarantees it)"
             )
-        periodic = self.window is None
+        mu0, nu0 = self._starts(phis)
         if kind == "truncated":
-            terms = _log_terms(phis, periodic)
+            terms = _log_terms(phis, mu0)
         else:
-            terms = _derivative_terms(phis, np.einsum("m,kmij->kij", m * e, ker), periodic)
+            terms = _derivative_terms(phis, np.einsum("m,kmij->kij", m * e, ker), mu0, nu0)
         return self._estimate(lam, terms, _paper_window_bound(_measured_c(phis), self.n_levels),
                               kind, M)
 

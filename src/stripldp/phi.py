@@ -13,9 +13,10 @@ M = e^lambda (r + q Phi_{k-1}), the Neumann series converges iff
 (I - M)^{-1} >= 0 entrywise, and a failure (or an entry above the a-priori
 bound (1/kappa) e^{-lambda} for lambda > 0) certifies supercriticality.
 
-Six loops do all the sweeping. Phi and Phi' each have a scalar one and a
-general one (window passes, the lambda_crit bisection for Phi, and each
-cycle of a d > 1 periodic fixed point) and a scalar periodic cycle; the
+Five loops do all the sweeping. Phi and Phi' each have a scalar one and a
+general one (window passes, the lambda_crit bisection and each cycle of a
+d > 1 periodic fixed point for Phi, the two passes over a period around the
+periodic Phi' solve at every d), and Phi a scalar periodic cycle; the
 scalar loops are the d = 1 solves written as one division, bit for bit
 the 1x1 LAPACK solve (on 3320 two-point levels, phi_derivative takes
 0.7 ms against 17 ms on a 2-core x86-64 Xeon). Level k of each depends
@@ -27,7 +28,7 @@ that level is exactly 0.
 The d = 2 lambda_crit bisection walks its midpoints with a verdict kernel
 on Python floats, _verdict_levels (the 2x2 level step with a pivot-sign
 M-matrix certificate, about 1 us a level against 16 us for the LAPACK
-sweep), in a window pass and in a periodic cycle. It is not a seventh
+sweep), in a window pass and in a periodic cycle. It is not a sixth
 exact sweep: it returns no Phi, only decides which way the search goes,
 and both ends of the bracket it finds are checked by the exact sweep
 before they are reported.
@@ -70,7 +71,7 @@ class SupercriticalError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration exhausted max_iter; carries the last residual."""
+    """No fixed point: max_iter ran out (at `residual`), or a solve's certificate failed."""
 
     def __init__(self, residual: float, iterations: int):
         self.residual = residual
@@ -192,7 +193,7 @@ def _sweep_levels(q, r, rhs, eye, el: float, f: np.ndarray, bound: float, ref=No
 
 
 def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, ref=None):
-    """One exact left-to-right pass; returns (phis, bad_level_index or -1).
+    """One exact pass from phi0 (d, d); returns (phis, bad_level_index or -1).
 
     With `ref` (n, d, d) the pass stops after the first level where it
     agrees with ref bitwise, and phis holds the levels up to that one.
@@ -202,11 +203,9 @@ def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, ref=None):
         q = window.q[:, 0, 0].tolist()
         r = window.r[:, 0, 0].tolist()
         p = window.p[:, 0, 0].tolist()
-        f0 = float(phi0[0, 0]) if isinstance(phi0, np.ndarray) else float(phi0)
         ref1 = None if ref is None else ref[:, 0, 0].tolist()
-        return _sweep_d1(q, r, p, el, f0, bound, ref1)
-    f0 = phi0 if isinstance(phi0, np.ndarray) else np.full((window.d, window.d), phi0)
-    return _sweep_general(window.q, window.r, window.p, el, f0, bound, ref)
+        return _sweep_d1(q, r, p, el, float(phi0[0, 0]), bound, ref1)
+    return _sweep_general(window.q, window.r, window.p, el, phi0, bound, ref)
 
 
 @dataclass
@@ -501,10 +500,11 @@ def _derivative_sweep(q, r, el: float, phis, phi0, dphi0, ref=None, start: int =
 
 def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d, ref=None,
                        start: int = 0):
-    """The level loop of _derivative_sweep at d > 1; runs inside
-    _linalg_errstate."""
-    n, d, _ = phis.shape
-    out = np.empty((n, d, d))
+    """The level loop of _derivative_sweep at d > 1 and of
+    periodic_phi_derivative, for one start prev_d or a stack of them;
+    runs inside _linalg_errstate."""
+    n = phis.shape[0]
+    out = np.empty((n, *prev_d.shape))
     for k in range(n):
         cur = phis[k]
         out[k] = _solve(eye - el * (r[k] + q[k] @ prev_phi),
@@ -573,42 +573,38 @@ def periodic_phi_derivative(
     spec: EnvironmentSpec,
     lam: float,
     periodic: PeriodicPhi,
-    tol: float = 1e-13,
-    max_iter: int = 200_000,
 ) -> np.ndarray:
-    """Cyclic analogue of phi_derivative; returns (period, d, d)."""
+    """Cyclic analogue of phi_derivative; returns (period, d, d).
+
+    With Phi fixed, one period of phi_derivative's recursion is an affine map
+    x -> T x + s of x = vec Phi'_{-1} = vec Phi'_{period-1}. One pass from the
+    zero and the d^2 (scaled) unit matrices gives s and T; one d^2 x d^2
+    solve, O(d^6), gives x and (I - T)^{-1}; one pass from x gives every
+    position. As T >= 0, (I - T)^{-1} >= 0 iff rho(T) < 1 (the sweeps'
+    M-matrix certificate); a singular I - T or a negative entry of its
+    inverse raises ConvergenceError: there is no finite fixed point.
+    """
     el = math.exp(lam)
     phis = periodic.phis
-    if spec.d == 1:
-        # the scalar cycle of _derivative_sweep's d = 1 branch, as in
-        # solve_phi_periodic: the general cycle below reaches that branch
-        # too, same bits, but spends most of a cycle converting arrays, and
-        # the p = 0.75 bench curves ran three times slower through it
-        q, r = ([float(getattr(s, name)[0, 0]) for s in spec.slices] for name in "qr")
-        cur = phis[:, 0, 0].tolist()
-        dph = [0.0] * len(cur)
-        for _ in range(max_iter):
-            change = 0.0
-            f, df = cur[-1], dph[-1]
-            for k in range(len(cur)):
-                df = (cur[k] + el * ((q[k] * df) * cur[k])) / (1.0 - el * (r[k] + q[k] * f))
-                change = max(change, abs(df - dph[k]))
-                dph[k] = df
-                f = cur[k]
-            if change <= tol * max(1.0, max(map(abs, dph))):
-                return np.array(dph).reshape(-1, 1, 1)
-        raise ConvergenceError(change, max_iter)
+    d = spec.d
     q, r, _ = _stack_slices(spec)
-    eye = np.eye(spec.d)
-    dph = np.zeros_like(phis)
+    eye, eye2 = np.eye(d), np.eye(d * d)
+    # unit starts scaled by 2^40 (exact) keep T's own digits through the
+    # subtraction of s: 1e-6 below lambda_crit on p = 0.75, where I - T is
+    # nearly singular, the error of Phi' falls from 1.5e-13 to 3.3e-14
+    scale = 2.0 ** 40
+    starts = np.concatenate((np.zeros((1, d, d)), scale * eye2.reshape(d * d, d, d)))
     with _linalg_errstate():
-        for _ in range(max_iter):
-            new = _derivative_levels(q, r, eye, el, phis, phis[-1], dph[-1])
-            change = float(np.abs(new - dph).max())
-            dph = new
-            if change <= tol * max(1.0, float(np.abs(dph).max())):
-                return dph
-    raise ConvergenceError(change, max_iter)
+        ends = _derivative_levels(q, r, eye, el, phis, phis[-1], starts)[-1]
+        ends = ends.reshape(d * d + 1, d * d)
+        s, T = ends[0], (ends[1:] - ends[0]).T / scale
+        try:
+            sol = _solve(eye2 - T, np.column_stack((s, eye2)))
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(float("inf"), 1) from None
+        if sol[:, 1:].min() < NEG_ENTRY_TOL:
+            raise ConvergenceError(float("inf"), 1)
+        return _derivative_levels(q, r, eye, el, phis, phis[-1], sol[:, 0].reshape(d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,14 @@ def d1_phi_closed(p, lam, r=0.0):
     return 2.0 * p * el / ((1.0 - r * el) + math.sqrt(disc))
 
 
+def d1_phi_prime_closed(p, lam, r=0.0):
+    """dphi/dlambda from differentiating phi = e^l (p + r phi + q phi^2):
+    phi' = phi / (1 - e^l (r + 2 q phi)), phi from d1_phi_closed."""
+    q = 1.0 - p - r
+    phi = d1_phi_closed(p, lam, r)
+    return phi / (1.0 - math.exp(lam) * (r + 2.0 * q * phi))
+
+
 def d1_lambda_crit(p, r=0.0):
     q = 1.0 - p - r
     # discriminant zero: (1 - r e^l)^2 = 4 p q e^{2l}; for r=0 this is -log(4pq)/2
@@ -322,7 +330,11 @@ def ref_estimate_lambda_crit(spec, window_len=6000, tol=1e-6, seed=0, max_iter=2
     return CriticalExponent(lambda_crit=0.5 * (lo + hi), bracket=(lo, hi), tolerance=tol)
 
 
-def ref_periodic_phi_derivative(spec, lam, periodic, tol=1e-13, max_iter=200_000):
+def ref_periodic_phi_derivative(spec, lam, periodic, tol=1e-13, max_iter=200_000,
+                                changes=None):
+    """The cyclic Phi' recursion iterated from zero until one cycle changes
+    no entry by more than tol * max(1, max|Phi'|); each cycle's change is
+    appended to `changes` when a list is given."""
     el = math.exp(lam)
     per, d = periodic.period, spec.d
     eye = np.eye(d)
@@ -340,6 +352,8 @@ def ref_periodic_phi_derivative(spec, lam, periodic, tol=1e-13, max_iter=200_000
             change = max(change, float(np.abs(new - dph[k]).max()))
             dph[k] = new
             carry_phi, carry_d = cur, new
+        if changes is not None:
+            changes.append(change)
         if change <= tol * max(1.0, float(np.abs(dph).max())):
             return dph
     raise AssertionError("reference periodic derivative did not converge")

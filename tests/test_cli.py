@@ -236,6 +236,30 @@ def test_counts_below_one_are_usage_errors(two_point_path, flag, argv, capsys):
     assert f"{flag} must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "--kind", "speed", "--grid=-0.5:0.5:0.5", "--M", "16"], "--kind hitting only"),
+    (["rate", "--kind", "averaged-hitting", "--grid", "3:1:3", "--M", "16"],
+     "--kind hitting only"),
+    (["rate", "--kind", "averaged-speed", "--grid", "0.5:0.5:0.5", "--M", "16"],
+     "--kind hitting only"),
+    (["simulate", "--t", "2", "--method", "exact"], "--slowdown only"),
+    (["simulate", "--slowdown", "--method", "is"], "quenched --t events only"),
+    (["simulate", "--t", "3", "--method", "is", "--M", "16", "--mode", "averaged"],
+     "quenched --t events only"),
+    (["simulate", "--x", "0.2", "--M", "16"], "--t events only"),
+    (["simulate", "--slowdown", "--M", "16"], "--t events only"),
+], ids=["rate-speed-M", "rate-averaged-hitting-M", "rate-averaged-speed-M",
+        "simulate-t-exact", "simulate-slowdown-is", "simulate-is-averaged",
+        "simulate-x-M", "simulate-slowdown-M"])
+def test_ignored_options_are_usage_errors(two_point_path, argv, message, capsys):
+    """An option that the command would accept and then ignore (M of a
+    curve that has no truncation, the exact method outside the slowdown,
+    IS for the slowdown or in averaged mode, M of an event that is not
+    truncated) exits 2 with a message."""
+    assert main([argv[0], "--spec", two_point_path, *argv[1:]]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_slowdown_exact(p075_path, tmp_path, capsys):
     out = str(tmp_path / "sd.json")
     code = main(["simulate", "--spec", p075_path, "--slowdown",

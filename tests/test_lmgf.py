@@ -287,32 +287,99 @@ def all_estimates(spec):
     return out
 
 
-def checked_against(terms, ref_terms):
-    """ref_terms, after asserting that terms gives the same bits."""
-    def both(*args, **kwargs):
-        got = np.asarray(terms(*args, **kwargs))
-        want = np.asarray(ref_terms(*args, **kwargs))
+def checked_against(terms, ref_terms, n_arrays):
+    """A stand-in for the term builder `terms`, whose first n_arrays
+    arguments are stacks and the rest start vectors (None on a window):
+    window terms must equal ref_terms' bit for bit, and are returned from
+    ref_terms; periodic terms must agree with ref_terms' cyclic directions
+    to 1e-13 relative, and are returned as built."""
+    def both(*args):
+        arrays, periodic = args[:n_arrays], args[n_arrays] is not None
+        got = np.asarray(terms(*args))
+        want = np.asarray(ref_terms(*arrays, periodic))
+        if periodic:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            return got
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        return ref_terms(*args, **kwargs)
+        return ref_terms(*arrays, periodic)
     return both
 
 
 @pytest.mark.parametrize("name", sorted(ROLL_SPECS))
 def test_estimators_match_reference_loops(name, monkeypatch):
-    """Every per-level term, and every field of every estimate, equals bit
-    for bit (repr round-trips a float exactly) the one built on the
-    reference per-level loops; at d = 3 too, where bit equality holds and
-    not only the 1e-13 agreement that would be acceptable there."""
+    """On a window, every per-level term, and every field of every estimate,
+    equals bit for bit (repr round-trips a float exactly) the one built on
+    the reference per-level loops; at d = 3 too, where bit equality holds
+    and not only the 1e-13 agreement that would be acceptable there. On a
+    period every term agrees to 1e-13 relative with the terms of the
+    reference cycle, whose mu mixes two cycles."""
     import stripldp.lmgf as lmgf
 
     spec = ROLL_SPECS[name]()
     got = all_estimates(spec)
     assert any(math.isfinite(e.value) and e.value != 0.0 for e in got)
-    monkeypatch.setattr(lmgf, "_log_terms", checked_against(lmgf._log_terms, ref_log_terms))
+    monkeypatch.setattr(lmgf, "_log_terms", checked_against(lmgf._log_terms, ref_log_terms, 1))
     monkeypatch.setattr(lmgf, "_derivative_terms",
-                        checked_against(lmgf._derivative_terms, ref_derivative_terms))
+                        checked_against(lmgf._derivative_terms, ref_derivative_terms, 2))
     want = all_estimates(spec)
     assert [repr(e) for e in got] == [repr(e) for e in want]
+
+
+PERIODIC_SPECS = {
+    "p075": lambda: homogeneous_d1_spec(0.75, kappa=0.25),
+    "period3-d2": period3_d2_spec,
+    "period4-d3": lambda: periodic_of(random_d2_iid_spec(4, n_support=4, drift=0.3, d=3)),
+}
+
+
+def periodic_of(spec):
+    return EnvironmentSpec(kind="periodic", d=spec.d, kappa=spec.kappa, slices=spec.slices)
+
+
+def roll_loop(phis, z):
+    """One forward roll from z, one level at a time: the directions z_k and
+    the normalizers z_k Phi_k 1."""
+    Z, s = [], []
+    for phi in phis:
+        Z.append(z)
+        w = z @ phi
+        s.append(float(w @ np.ones(len(z))))
+        z = w / s[-1]
+    return np.array(Z + [z]), s
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC_SPECS))
+def test_periodic_terms_roll_one_cycle(name, monkeypatch):
+    """The periodic value terms that every full and truncated estimate
+    averages are log(mu_k Phi_k 1) with mu_k rolled one period from the
+    mu_0 that _cycle_starts returns, bit for bit; and one period's forward
+    roll from mu_0, like its backward roll from nu_0, comes back to it
+    within 1e-14."""
+    import stripldp.lmgf as lmgf
+
+    seen = []
+    log_terms = lmgf._log_terms
+
+    def recorded(phis, mu0=None):
+        seen.append((phis, mu0, log_terms(phis, mu0)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(lmgf, "_log_terms", recorded)
+    spec = PERIODIC_SPECS[name]()
+    ev = LmgfEvaluator(spec)
+    for lam in np.linspace(-1.5, 0.0, 12):
+        ev.value(float(lam))
+        ev.value_truncated(float(lam), 16)
+    assert len(seen) == 24
+    log = np.log if spec.d == 1 else np.vectorize(math.log)
+    for phis, mu0, terms in seen:
+        mu0_again, nu0 = lmgf._cycle_starts(phis)
+        assert mu0.tobytes() == mu0_again.tobytes()
+        Z, s = roll_loop(phis, mu0)
+        assert np.asarray(terms).tobytes() == log(np.array(s)).tobytes()
+        assert np.abs(Z[-1] - mu0).max() <= 1e-14
+        R = lmgf._roll_right(phis, nu0)[0]
+        assert np.abs(R[0] - nu0).max() <= 1e-14
 
 
 PINNED = json.loads(Path(__file__).with_name("pinned_estimates.json").read_text())

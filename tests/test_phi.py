@@ -10,11 +10,14 @@ from stripldp.env import (
     EnvironmentSpec,
     c_lambda,
     embed_bounded_jump,
+    homogeneous_d1_spec,
     lambda_crit_cap,
     sample_window,
     two_point_d1_spec,
 )
 from stripldp.phi import (
+    ConvergenceError,
+    PeriodicPhi,
     SupercriticalError,
     divergence_bound,
     estimate_lambda_crit,
@@ -33,6 +36,7 @@ from stripldp.phi import (
 from conftest import (
     d1_lambda_crit,
     d1_phi_closed,
+    d1_phi_prime_closed,
     enumerate_truncated_phi,
     random_d2_iid_spec,
     ref_derivative_sweep,
@@ -306,6 +310,43 @@ def test_window_supercritical_level_matches_reference(kernel_case):
         assert got.value.level == ref.value.level
 
 
+def cyclic_derivative_residual(spec, lam, phis, dphis):
+    """max |A_k Phi'_k - Phi_k - e^l q_k Phi'_{k-1} Phi_k| over the positions
+    k of one period, A_k = I - e^l (r_k + q_k Phi_{k-1}), k - 1 taken
+    cyclically."""
+    el = math.exp(lam)
+    eye = np.eye(spec.d)
+    worst = 0.0
+    for k, s in enumerate(spec.slices):
+        a = eye - el * (s.r + s.q @ phis[k - 1])
+        res = a @ dphis[k] - phis[k] - el * (s.q @ dphis[k - 1] @ phis[k])
+        worst = max(worst, float(np.abs(res).max()))
+    return worst
+
+
+def check_periodic_derivative(spec, lam, pp):
+    """periodic_phi_derivative solves the cyclic Phi' equation at every
+    position to 1e-13 * max(1, max|Phi'|), and agrees with the reference
+    cycle to within that cycle's own distance from its fixed point.
+
+    The reference stops after the cycle whose change c is at most
+    1e-13 * max(1, max|Phi'|). Its recursion is affine, so its changes fall
+    geometrically, with a ratio rho read off the last two, and the cycles it
+    skipped would have moved it by c rho / (1 - rho) more; that is doubled,
+    for rho estimated from two changes, and the rounding floor of a fixed
+    point that contracts by rho, 1e-14 * max(1, max|Phi'|) / (1 - rho), is
+    added. On the specs of this module the difference reaches 0.48 of that
+    bound."""
+    dph = periodic_phi_derivative(spec, lam, pp)
+    scale = max(1.0, float(np.abs(dph).max()))
+    assert cyclic_derivative_residual(spec, lam, pp.phis, dph) <= 1e-13 * scale
+    changes = []
+    ref = ref_periodic_phi_derivative(spec, lam, pp, changes=changes)
+    rho = changes[-1] / changes[-2]
+    bound = (2.0 * changes[-1] * rho + 1e-14 * scale) / (1.0 - rho)
+    assert float(np.abs(dph - ref).max()) <= bound
+
+
 def test_periodic_kernels_match_reference():
     base = random_d2_iid_spec(1, drift=0.4)
     spec = EnvironmentSpec(kind="periodic", d=2, kappa=base.kappa, slices=base.slices)
@@ -314,8 +355,7 @@ def test_periodic_kernels_match_reference():
         ref = ref_solve_phi_periodic(spec, lam)
         assert bitwise_equal(pp.phis, ref.phis)
         assert (pp.iterations, pp.residual, pp.tail) == (ref.iterations, ref.residual, ref.tail)
-        dph = periodic_phi_derivative(spec, lam, pp)
-        assert bitwise_equal(dph, ref_periodic_phi_derivative(spec, lam, ref))
+        check_periodic_derivative(spec, lam, pp)
     with pytest.raises(SupercriticalError) as got:
         solve_phi_periodic(spec, 0.08)
     with pytest.raises(SupercriticalError) as want:
@@ -547,14 +587,63 @@ def test_scalar_derivative_sweep_stops_like_the_reference(seed, n, gap_exp, star
     gap_exp=st.floats(-4.0, 0.0),
 )
 def test_scalar_periodic_derivative_matches_reference(seed, period, drift, gap_exp):
-    """periodic_phi_derivative at d = 1, up to 1e-4 below lambda_crit, equals
-    the 1x1 reference cycle bit for bit."""
-    base = random_d2_iid_spec(seed, kappa=0.05, n_support=period, drift=drift, d=1)
-    spec = EnvironmentSpec(kind="periodic", d=1, kappa=base.kappa, slices=base.slices)
-    lam = estimate_lambda_crit(spec, tol=1e-6).bracket[0] - 10.0 ** gap_exp
+    """periodic_phi_derivative at d = 1 and d = 2, up to 1e-4 below
+    lambda_crit, solves the cyclic equation and agrees with the reference
+    cycle (check_periodic_derivative)."""
+    for d in (1, 2):
+        base = random_d2_iid_spec(seed, kappa=0.05, n_support=period, drift=drift, d=d)
+        spec = EnvironmentSpec(kind="periodic", d=d, kappa=base.kappa, slices=base.slices)
+        lam = estimate_lambda_crit(spec, tol=1e-6).bracket[0] - 10.0 ** gap_exp
+        check_periodic_derivative(spec, lam, solve_phi_periodic(spec, lam))
+
+
+@pytest.mark.parametrize("p, r", [(0.75, 0.0), (0.6, 0.1)])
+def test_periodic_derivative_closed_form(p, r):
+    """At d = 1, on the exact Phi of d1_phi_closed, Phi' is the closed form
+    phi / (1 - e^l (r + 2 q phi)) to 1e-13 relative, up to 1e-6 below
+    lambda_crit (0.1 is past lambda_crit = 0.0528 for p = 0.6, r = 0.1)."""
+    spec = homogeneous_d1_spec(p, r=r)
+    lam_c = d1_lambda_crit(p, r)
+    for lam in (-1.0, -0.3, 0.0, 0.1, lam_c - 1e-6):
+        if lam >= lam_c:
+            continue
+        pp = PeriodicPhi(phis=np.full((1, 1, 1), d1_phi_closed(p, lam, r)), lam=lam,
+                         iterations=0, residual=0.0)
+        want = d1_phi_prime_closed(p, lam, r)
+        assert periodic_phi_derivative(spec, lam, pp)[0, 0, 0] == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_periodic_derivative_refuses_spectral_radius_above_one(d, monkeypatch):
+    """A Phi scaled up past the fixed point makes one period's Phi' map T
+    expand (rho(T) >= 1, measured here from the unit starts' pass, while
+    every level's I - e^l (r + q Phi) stays an M-matrix): the solve raises
+    ConvergenceError rather than return a finite or a negative Phi', and the
+    evaluator reports the infinite estimate."""
+    import stripldp.lmgf as lmgf
+    import stripldp.phi as phi
+
+    base = random_d2_iid_spec(1, drift=0.4, d=d)
+    spec = EnvironmentSpec(kind="periodic", d=d, kappa=base.kappa, slices=base.slices)
+    lam = 0.0
     pp = solve_phi_periodic(spec, lam)
-    assert bitwise_equal(periodic_phi_derivative(spec, lam, pp),
-                         ref_periodic_phi_derivative(spec, lam, pp))
+    big = PeriodicPhi(phis=1.7 * pp.phis, lam=lam, iterations=pp.iterations,
+                      residual=pp.residual)
+    q, r, _ = phi._stack_slices(spec)
+    eye = np.eye(d)
+    for k in range(spec.period):
+        inv = np.linalg.inv(eye - (r[k] + q[k] @ big.phis[k - 1]))
+        assert inv.min() >= 0.0
+    starts = np.concatenate((np.zeros((1, d, d)), np.eye(d * d).reshape(d * d, d, d)))
+    ends = phi._derivative_levels(q, r, eye, 1.0, big.phis, big.phis[-1], starts)[-1]
+    T = (ends[1:] - ends[0]).reshape(d * d, d * d)
+    assert max(abs(np.linalg.eigvals(T))) >= 1.0
+    with pytest.raises(ConvergenceError):
+        periodic_phi_derivative(spec, lam, big)
+
+    monkeypatch.setattr(lmgf, "solve_phi_periodic", lambda *a, **k: big)
+    est = lmgf.LmgfEvaluator(spec).derivative(lam)
+    assert est.value == math.inf and not est.supercritical
 
 
 # ---------------------------------------------------------------------------
