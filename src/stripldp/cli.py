@@ -155,6 +155,8 @@ def cmd_rate(args) -> int:
 
 def _check_simulate_options(args) -> None:
     """Refuse the option combinations that the simulation would ignore."""
+    if (args.t is not None) + (args.x is not None) + args.slowdown > 1:
+        raise SpecValidationError("simulate takes one of --t, --x and --slowdown")
     if args.method == "exact" and not args.slowdown:
         raise SpecValidationError("--method exact applies to --slowdown only")
     if args.method == "is" and (args.slowdown or args.t is None or args.mode == "averaged"):

@@ -51,6 +51,7 @@ import numpy as np
 
 from .env import EnvironmentSpec, EnvironmentWindow, n_kappa, sample_window
 from .phi import (
+    NEWTON_MAX_STEPS,
     ConvergenceError,
     _check_truncated_range,
     CriticalExponent,
@@ -130,11 +131,14 @@ def _cycle_fixed_point(step, start: np.ndarray, tol: float, max_iter: int) -> np
     raise ConvergenceError(float(np.abs(cur - prev).max()), max_iter)
 
 
-def _cycle_starts(phis: np.ndarray, tol: float = 1e-14, max_iter: int = 100_000):
+def _cycle_starts(phis: np.ndarray, nu: bool = True, tol: float = 1e-14,
+                  max_iter: int = 100_000):
     """(mu_0, nu_0): the directions that one period's forward roll from mu_0
-    and backward roll from nu_0 come back to."""
+    and backward roll from nu_0 come back to; nu_0 is None unless `nu`."""
     uniform = np.full(phis.shape[1], 1.0 / phis.shape[1])
     mu0 = _cycle_fixed_point(lambda mu: _roll_left(phis, mu)[0][-1], uniform, tol, max_iter)
+    if not nu:
+        return mu0, None
     nu0 = _cycle_fixed_point(lambda nu: _roll_right(phis, nu)[0][0], uniform, tol, max_iter)
     return mu0, nu0
 
@@ -217,11 +221,11 @@ class LmgfEvaluator:
             statistical_error=stat, n=n, kind=kind, M=M, boundary_bias=bias,
         )
 
-    def _starts(self, phis: np.ndarray):
+    def _starts(self, phis: np.ndarray, nu: bool = True):
         """(mu_0, nu_0) for the direction rolls over `phis`: uniform (None)
         on a window, the vectors one period's rolls come back to on a
-        period."""
-        return (None, None) if self.window is not None else _cycle_starts(phis)
+        period. Value terms roll mu only; without `nu`, nu_0 is None."""
+        return (None, None) if self.window is not None else _cycle_starts(phis, nu)
 
     def _memoized(self, kind: str, lam: float, estimator) -> LmgfEstimate:
         """estimator(lam), once per kind and lambda: the window is fixed, so a
@@ -255,15 +259,13 @@ class LmgfEvaluator:
         so a Legendre search's final value reuses the sweep of the Lambda'
         evaluated at the same lambda.
 
-        For lam <= 0 the periodic iteration is monotone and bounded a
-        priori, so a max_iter exhaustion still yields a usable value with
-        its tail bias (polynomially slow convergence happens only at the
-        recurrent boundary); `_derivative` refuses such a solution.
+        For lam <= 0 a periodic solve whose Newton steps run out still
+        yields a usable value with its tail bias (a fixed point exists a
+        priori); `_derivative` refuses such a solution.
         """
         if self._last_phi[0] != lam:
             if self.window is None:
-                sol = solve_phi_periodic(self.spec, lam, tol=FP_TOL,
-                                         on_maxiter="return" if lam <= 0 else "raise")
+                sol = solve_phi_periodic(self.spec, lam, tol=FP_TOL)
             else:
                 sol = solve_phi_window(self.window, lam, tol=self.tol,
                                        shift=self.margin or None, kappa=self.spec.kappa)
@@ -275,8 +277,7 @@ class LmgfEvaluator:
             pp = self._phi(lam)
             phis = pp.phis
             c = _measured_c(phis)
-            tail = pp.tail if math.isfinite(pp.tail) else pp.residual * self.n_levels
-            bias = 2.0 * tail / c
+            bias = 2.0 * pp.tail / c
         else:
             sol = self._phi(lam)
             i0 = self.window.index_of(0)
@@ -287,8 +288,8 @@ class LmgfEvaluator:
             bias = 2.0 * float(gaps.sum()) / (c * len(gaps)) if gaps.size else 0.0
         det = min(_paper_window_bound(c, self.n_levels),
                   _det_cap(self.spec.kappa, lam, self.spec.d)) + bias
-        est = self._estimate(lam, _log_terms(phis, self._starts(phis)[0]), det, "full",
-                             bias=bias)
+        mu0 = self._starts(phis, nu=False)[0]
+        est = self._estimate(lam, _log_terms(phis, mu0), det, "full", bias=bias)
         _sandwich_check(lam, est.value, self.spec.kappa,
                         slack=1e-10 + 4 * est.statistical_error)
         return est
@@ -302,7 +303,7 @@ class LmgfEvaluator:
     def _derivative(self, lam: float) -> LmgfEstimate:
         sol = self._phi(lam)
         if self.window is None:
-            if sol.residual > FP_TOL:
+            if sol.iterations == NEWTON_MAX_STEPS:
                 raise ConvergenceError(sol.residual, sol.iterations)
             phis, dphis = sol.phis, periodic_phi_derivative(self.spec, lam, sol)
         else:
@@ -351,7 +352,7 @@ class LmgfEvaluator:
                 f"M={M} too small: truncated matrices lose strict positivity "
                 f"(M >= N_kappa = {n_kappa(self.spec.kappa)} guarantees it)"
             )
-        mu0, nu0 = self._starts(phis)
+        mu0, nu0 = self._starts(phis, nu=kind != "truncated")
         if kind == "truncated":
             terms = _log_terms(phis, mu0)
         else:

@@ -13,25 +13,31 @@ M = e^lambda (r + q Phi_{k-1}), the Neumann series converges iff
 (I - M)^{-1} >= 0 entrywise, and a failure (or an entry above the a-priori
 bound (1/kappa) e^{-lambda} for lambda > 0) certifies supercriticality.
 
-Five loops do all the sweeping. Phi and Phi' each have a scalar one and a
-general one (window passes, the lambda_crit bisection and each cycle of a
-d > 1 periodic fixed point for Phi, the two passes over a period around the
-periodic Phi' solve at every d), and Phi a scalar periodic cycle; the
-scalar loops are the d = 1 solves written as one division, bit for bit
-the 1x1 LAPACK solve (on 3320 two-point levels, phi_derivative takes
-0.7 ms against 17 ms on a 2-core x86-64 Xeon). Level k of each depends
-only on level k-1, so once a boundary re-solve from a later start equals
-the main sweep bit for bit at one level, it equals it at every later
-level; the re-solves stop there, and the boundary gap they measure past
-that level is exactly 0.
+Four loops do all the sweeping. Phi and Phi' each have a scalar one and a
+general one: the general Phi loop makes the window passes, the lambda_crit
+bisection's exact verdicts and every pass of the periodic Newton solve,
+the general Phi' loop the two passes over a period around the periodic
+Phi' solve and each Newton step's Jacobian, at every d. The scalar loops
+are the d = 1 window solves written as one division, bit for bit the 1x1
+LAPACK solve (on 3320 two-point levels, phi_derivative takes 0.7 ms
+against 17 ms on a 2-core x86-64 Xeon). Level k of each depends only on
+level k-1, so once a boundary re-solve from a later start equals the main
+sweep bit for bit at one level, it equals it at every later level; the
+re-solves stop there, and the boundary gap they measure past that level
+is exactly 0.
 
-The d = 2 lambda_crit bisection walks its midpoints with a verdict kernel
-on Python floats, _verdict_levels (the 2x2 level step with a pivot-sign
-M-matrix certificate, about 1 us a level against 16 us for the LAPACK
-sweep), in a window pass and in a periodic cycle. It is not a sixth
-exact sweep: it returns no Phi, only decides which way the search goes,
-and both ends of the bracket it finds are checked by the exact sweep
-before they are reported.
+The periodic Phi is the minimal fixed point of the cyclic sweep, found by
+Newton's method on Phi_{-1}: one Phi pass over the period, its Jacobian
+from one stacked Phi' pass (_period_map, shared with the periodic Phi'),
+and one d^2 x d^2 solve whose nonnegative inverse is the step's M-matrix
+certificate.
+
+The d = 2 lambda_crit bisection over a window walks its midpoints with a
+verdict kernel on Python floats, _verdict_levels (the 2x2 level step with
+a pivot-sign M-matrix certificate, about 1 us a level against 16 us for
+the LAPACK sweep). It is not a fifth exact sweep: it returns no Phi, only
+decides which way the search goes, and both ends of the bracket it finds
+are checked by the exact sweep before they are reported.
 
 Truncated matrices Phi_{k,M} are computed exactly by one dynamic program
 over time steps, run for a whole range of start levels at once; the
@@ -71,7 +77,7 @@ class SupercriticalError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """No fixed point: max_iter ran out (at `residual`), or a solve's certificate failed."""
+    """No fixed point: the steps ran out (at `residual`), or a solve's certificate failed."""
 
     def __init__(self, residual: float, iterations: int):
         self.residual = residual
@@ -351,13 +357,17 @@ def residual_norm(solution: PhiSolution) -> float:
 # ---------------------------------------------------------------------------
 
 
+NEWTON_MAX_STEPS = 100  # Newton steps of solve_phi_periodic before it gives up
+
+
 @dataclass
 class PeriodicPhi:
     """Phi values for one period of a periodic spec (position k = level k mod period).
 
-    `tail` is a Richardson estimate of the remaining distance to the fixed
-    point, extrapolated from the last two sweep-to-sweep changes; it stays
-    meaningful even for the polynomially slow recurrent boundary case.
+    `iterations` counts Newton steps; `residual` and `tail` are the size of
+    the last one, which bounds the remaining distance to the fixed point
+    both where Newton converges quadratically and where it halves the
+    distance each step (at a singular root, the recurrent boundary).
     """
 
     phis: np.ndarray  # (period, d, d)
@@ -371,93 +381,58 @@ class PeriodicPhi:
         return self.phis.shape[0]
 
 
-def _tail_estimate(change: float, prev_change: float) -> float:
-    if change <= 0.0:
-        return 0.0
-    if prev_change <= 0.0 or change >= prev_change:
-        return float("inf")
-    ratio = change / prev_change
-    return change * ratio / (1.0 - ratio)
+def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) -> PeriodicPhi:
+    """The minimal fixed point of the cyclic sweep (position 0 fed by
+    position period-1), equal to the bi-infinite Phi of the periodic
+    environment, by Newton's method on x = Phi_{-1}.
 
-
-def solve_phi_periodic(
-    spec: EnvironmentSpec,
-    lam: float,
-    tol: float = 1e-13,
-    max_iter: int = 200_000,
-    on_maxiter: str = "raise",
-) -> PeriodicPhi:
-    """Iterate the cyclic sweep (position 0 fed by position period-1) to tol.
-
-    Monotone from the zero start, so the limit is the minimal fixed point,
-    equal to the bi-infinite Phi of the periodic environment. With
-    on_maxiter='return' a still-converging (monotone, bounded) iteration is
-    returned at max_iter with its extrapolated tail instead of raising; only
-    safe for lambda <= 0 where feasibility is a priori.
+    One sweep pass from x over the period gives Phi_0..Phi_{period-1} (with
+    the sweeps' per-level certificate and entry bound); _period_map gives
+    the pass's Jacobian T in x, and one solve (I - T)[delta | Y] =
+    [Phi_{period-1} - x | I] the step, x <- max(x + delta, 0). As T >= 0,
+    Y >= 0 iff rho(T) < 1; a singular I - T or a negative entry of Y raises
+    SupercriticalError. From the zero start on this monotone, order-convex
+    map the steps rise to the minimal solution (Latouche 1994, Newton's
+    iteration for non-linear equations in Markov chains). Newton stops
+    when |delta| <= tol, or when |delta| stops shrinking while the period
+    residual is <= tol (the rounding floor at a nearly singular root); one
+    more pass from the last x gives every position. After NEWTON_MAX_STEPS
+    steps the last iterate is returned for lambda <= 0, where a fixed
+    point exists a priori, and ConvergenceError is raised otherwise.
     """
     if spec.kind != "periodic":
         raise ValueError("solve_phi_periodic needs a periodic spec")
     bound = divergence_bound(spec.kappa, lam, tol)
     el = math.exp(lam)
-    per, d = spec.period, spec.d
-    prev_change = change_before = float("inf")
-
-    if d == 1:
-        q = [float(s.q[0, 0]) for s in spec.slices]
-        r = [float(s.r[0, 0]) for s in spec.slices]
-        p = [float(s.p[0, 0]) for s in spec.slices]
-        f = [0.0] * per
-        prev_tail = 0.0
-        for it in range(1, max_iter + 1):
-            change = 0.0
-            carry = prev_tail
-            for k in range(per):
-                m = el * (r[k] + q[k] * carry)
-                if m >= 1.0:
-                    raise SupercriticalError(lam, level=k)
-                new = el * p[k] / (1.0 - m)
-                if new > bound:
-                    raise SupercriticalError(lam, level=k)
-                delta = new - f[k]
-                if delta > change:
-                    change = delta
-                f[k] = new
-                carry = new
-            prev_tail = f[-1]
-            if change <= tol:
-                return PeriodicPhi(
-                    phis=np.asarray(f).reshape(per, 1, 1), lam=lam,
-                    iterations=it, residual=change,
-                    tail=_tail_estimate(change, prev_change),
-                )
-            prev_change, change_before = change, prev_change
-        if on_maxiter == "return":
-            return PeriodicPhi(
-                phis=np.asarray(f).reshape(per, 1, 1), lam=lam,
-                iterations=max_iter, residual=change,
-                tail=_tail_estimate(prev_change, change_before),
-            )
-        raise ConvergenceError(change, max_iter)
-
+    d = spec.d
     q, r, p = _stack_slices(spec)
-    eye = np.eye(d)
+    eye, eye2 = np.eye(d), np.eye(d * d)
     rhs = _right_sides(el, p, eye)
-    f = np.zeros((per, d, d))
+    x = np.zeros((d, d))
+    step = math.inf
+    done = False
     with _linalg_errstate():
-        for it in range(1, max_iter + 1):
-            new, bad = _sweep_levels(q, r, rhs, eye, el, f[-1], bound)
+        for it in range(NEWTON_MAX_STEPS + 1):
+            phis, bad = _sweep_levels(q, r, rhs, eye, el, x, bound)
             if bad >= 0:
                 raise SupercriticalError(lam, level=bad)
-            change = float(np.abs(new - f).max())
-            f = new
-            if change <= tol:
-                return PeriodicPhi(phis=f, lam=lam, iterations=it, residual=change,
-                                   tail=_tail_estimate(change, prev_change))
-            prev_change, change_before = change, prev_change
-    if on_maxiter == "return":
-        return PeriodicPhi(phis=f, lam=lam, iterations=max_iter, residual=change,
-                           tail=_tail_estimate(prev_change, change_before))
-    raise ConvergenceError(change, max_iter)
+            if done or it == NEWTON_MAX_STEPS:
+                break
+            res = phis[-1] - x
+            try:
+                sol = _solve(eye2 - _period_map(q, r, eye, el, phis, x)[1],
+                             np.column_stack((res.ravel(), eye2)))
+            except np.linalg.LinAlgError:
+                raise SupercriticalError(lam, detail="singular Newton step") from None
+            if sol[:, 1:].min() < NEG_ENTRY_TOL:
+                raise SupercriticalError(lam, detail="period map expands")
+            delta = sol[:, 0].reshape(d, d)
+            x = np.maximum(x + delta, 0.0)
+            last, step = step, float(np.abs(delta).max())
+            done = step <= tol or (step >= last and float(np.abs(res).max()) <= tol)
+    if not done and lam > 0:
+        raise ConvergenceError(step, it)
+    return PeriodicPhi(phis=phis, lam=lam, iterations=it, residual=step, tail=step)
 
 
 def _stack_slices(spec: EnvironmentSpec):
@@ -513,6 +488,22 @@ def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d, ref=None,
             return out[:k + 1]
         prev_phi, prev_d = cur, out[k]
     return out
+
+
+def _period_map(q, r, eye, el: float, phis, prev):
+    """(s, T): one period of phi_derivative's recursion over `phis`, fed by
+    Phi_{-1} = prev, is the affine map y -> T y + s of y = vec Phi'_{-1}
+    (row-major). T alone is the Jacobian of the Phi pass in Phi_{-1} = prev.
+    One stacked pass from the zero and the d^2 unit matrices gives both;
+    runs inside _linalg_errstate."""
+    d = eye.shape[0]
+    # unit starts scaled by 2^40 (exact) keep T's own digits through the
+    # subtraction of s: 1e-6 below lambda_crit on p = 0.75, where I - T is
+    # nearly singular, the error of Phi' falls from 1.5e-13 to 3.3e-14
+    scale = 2.0 ** 40
+    starts = np.concatenate((np.zeros((1, d, d)), scale * np.eye(d * d).reshape(d * d, d, d)))
+    ends = _derivative_levels(q, r, eye, el, phis, prev, starts)[-1].reshape(d * d + 1, d * d)
+    return ends[0], (ends[1:] - ends[0]).T / scale
 
 
 def phi_derivative(
@@ -589,15 +580,8 @@ def periodic_phi_derivative(
     d = spec.d
     q, r, _ = _stack_slices(spec)
     eye, eye2 = np.eye(d), np.eye(d * d)
-    # unit starts scaled by 2^40 (exact) keep T's own digits through the
-    # subtraction of s: 1e-6 below lambda_crit on p = 0.75, where I - T is
-    # nearly singular, the error of Phi' falls from 1.5e-13 to 3.3e-14
-    scale = 2.0 ** 40
-    starts = np.concatenate((np.zeros((1, d, d)), scale * eye2.reshape(d * d, d, d)))
     with _linalg_errstate():
-        ends = _derivative_levels(q, r, eye, el, phis, phis[-1], starts)[-1]
-        ends = ends.reshape(d * d + 1, d * d)
-        s, T = ends[0], (ends[1:] - ends[0]).T / scale
+        s, T = _period_map(q, r, eye, el, phis, phis[-1])
         try:
             sol = _solve(eye2 - T, np.column_stack((s, eye2)))
         except np.linalg.LinAlgError:
@@ -732,7 +716,7 @@ class CriticalExponent:
 VERDICT_CHUNK = 256  # window levels converted to Python floats at a time
 
 
-def _verdict_levels(rows, el: float, bound: float, f, out=None):
+def _verdict_levels(rows, el: float, bound: float, f):
     """_sweep_general's 2x2 levels on Python floats, for a yes/no verdict.
 
     `rows` holds 12 floats a level (q, r, p, each row-major) and `f` is
@@ -740,8 +724,7 @@ def _verdict_levels(rows, el: float, bound: float, f, out=None):
     is a nonsingular M-matrix (positive pivot 1 - m00 and positive Schur
     complement; M >= 0 off the diagonal makes that the whole certificate)
     and no entry of Phi exceeds `bound`. Returns the last level's Phi, or
-    None at the first level that fails; with `out`, every level's Phi is
-    appended to it.
+    None at the first level that fails.
     """
     f00, f01, f10, f11 = f
     for q00, q01, q10, q11, r00, r01, r10, r11, p00, p01, p10, p11 in rows:
@@ -763,8 +746,6 @@ def _verdict_levels(rows, el: float, bound: float, f, out=None):
         f01 = (b01 + m01 * f11) / a
         if f00 > bound or f01 > bound or f10 > bound or f11 > bound:
             return None
-        if out is not None:
-            out.append((f00, f01, f10, f11))
     return f00, f01, f10, f11
 
 
@@ -782,22 +763,6 @@ def _window_verdict(rows: np.ndarray, lam: float, bound: float) -> bool:
         if f is None:
             return False
     return True
-
-
-def _periodic_verdict(rows: list, lam: float, bound: float, tol: float,
-                      max_iter: int) -> bool:
-    """Float verdict of solve_phi_periodic at d = 2: the cyclic sweep
-    converges (largest entry change <= tol) within max_iter cycles."""
-    el, cur = math.exp(lam), [(0.0,) * 4] * len(rows)
-    for _ in range(max_iter):
-        new = []
-        if _verdict_levels(rows, el, bound, cur[-1], new) is None:
-            return False
-        change = max(abs(x - y) for a, b in zip(new, cur) for x, y in zip(a, b))
-        cur = new
-        if change <= tol:
-            return True
-    return False
 
 
 def _bisect(feasible, cap: float, tol: float):
@@ -821,7 +786,6 @@ def estimate_lambda_crit(
     window_len: int = 6000,
     tol: float = 1e-6,
     seed: int | None = 0,
-    max_iter: int = 200_000,
 ) -> CriticalExponent:
     """Bisect [0, -log(kappa^2/2)] on Phi-solver feasibility.
 
@@ -829,8 +793,10 @@ def estimate_lambda_crit(
     A window solve that diverges, exceeds the a-priori entry bound, or fails
     to converge counts as infeasible, shrinking the verdict conservatively.
 
-    At d = 2 the search path is walked with the float verdict of
-    _verdict_levels, about 16 times cheaper a level than the LAPACK sweep.
+    A periodic spec asks the exact verdict, one Newton solve, at every
+    midpoint. On a d = 2 window the search path is walked with the float
+    verdict of _verdict_levels, about 16 times cheaper a level than the
+    LAPACK sweep.
     In exact arithmetic the verdict is monotone in lambda: each level's map
     increases in lambda and in Phi_{k-1}, so the spectral radius of M_k and
     the entries of Phi_k rise while the bound e^{-lambda}/kappa falls. The
@@ -849,17 +815,10 @@ def estimate_lambda_crit(
 
         def feasible(lam: float) -> bool:
             try:
-                solve_phi_periodic(spec, lam, tol=ptol, max_iter=max_iter)
+                solve_phi_periodic(spec, lam, tol=ptol)
                 return True
             except (SupercriticalError, ConvergenceError):
                 return False
-
-        if spec.d == 2:
-            cycle = _verdict_rows(*_stack_slices(spec)).tolist()
-
-            def fast(lam: float) -> bool:
-                return _periodic_verdict(cycle, lam, divergence_bound(spec.kappa, lam, ptol),
-                                         ptol, max_iter)
     else:
         window = sample_window(spec, 0, window_len, seed=seed)
         phi0 = np.zeros((spec.d, spec.d))

@@ -34,6 +34,30 @@ def d1_lambda_crit(p, r=0.0):
     return math.log(1.0 / (r + 2.0 * math.sqrt(p * q)))
 
 
+def qbd_lambda_crit(slice_):
+    """lambda_crit of the homogeneous spec of one slice, -log min_{c>0}
+    rho(p/c + r + c q): rho is log-convex in log c, and a golden-section
+    search on log c over [-20, 20] finds its minimum."""
+    def rho(t):
+        c = math.exp(t)
+        return float(np.abs(np.linalg.eigvals(slice_.p / c + slice_.r + c * slice_.q)).max())
+
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = -20.0, 20.0
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = rho(a), rho(b)
+    while hi - lo > 1e-12:
+        if fa < fb:
+            hi, b, fb = b, a, fa
+            a = hi - g * (hi - lo)
+            fa = rho(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + g * (hi - lo)
+            fb = rho(b)
+    return -math.log(min(fa, fb))
+
+
 def d1_lambda_prime(p, lam, h=1e-7):
     lo = math.log(d1_phi_closed(p, lam - h))
     hi = math.log(d1_phi_closed(p, lam + h))
@@ -258,10 +282,23 @@ def ref_phi_derivative(window, lam, tol=1e-12, phi_solution=None, kappa=None):
                        warmup_levels=warmup, boundary_gap=gap, shift=shift)
 
 
+def _tail_estimate(change, prev_change):
+    """Richardson estimate of a monotone iteration's remaining distance,
+    extrapolated from its last two changes (inf when they do not shrink)."""
+    if change <= 0.0:
+        return 0.0
+    if prev_change <= 0.0 or change >= prev_change:
+        return float("inf")
+    ratio = change / prev_change
+    return change * ratio / (1.0 - ratio)
+
+
 def ref_solve_phi_periodic(spec, lam, tol=1e-13, max_iter=200_000):
-    """The d > 1 cyclic sweep of solve_phi_periodic, one level at a time."""
+    """The cyclic sweep (position 0 fed by position period-1) iterated from
+    zero, one level at a time, until one cycle changes no entry by more
+    than tol; `tail` extrapolates the remaining distance."""
     from stripldp.phi import (ConvergenceError, PeriodicPhi, SupercriticalError,
-                              _tail_estimate, divergence_bound)
+                              divergence_bound)
 
     bound = divergence_bound(spec.kappa, lam, tol)
     el = math.exp(lam)
@@ -297,17 +334,17 @@ def ref_solve_phi_periodic(spec, lam, tol=1e-13, max_iter=200_000):
     raise ConvergenceError(change, max_iter)
 
 
-def ref_estimate_lambda_crit(spec, window_len=6000, tol=1e-6, seed=0, max_iter=200_000):
+def ref_estimate_lambda_crit(spec, window_len=6000, tol=1e-6, seed=0):
     """estimate_lambda_crit as the plain bisection: the exact verdict (one
-    window sweep, or one periodic solve) at every midpoint."""
+    window sweep, or the reference cyclic sweep) at every midpoint."""
     from stripldp.env import lambda_crit_cap, sample_window
     from stripldp.phi import (ConvergenceError, CriticalExponent, SupercriticalError,
-                              _sweep, divergence_bound, solve_phi_periodic)
+                              _sweep, divergence_bound)
 
     if spec.kind == "periodic":
         def feasible(lam):
             try:
-                solve_phi_periodic(spec, lam, tol=min(1e-13, tol * 1e-4), max_iter=max_iter)
+                ref_solve_phi_periodic(spec, lam, tol=min(1e-13, tol * 1e-4))
                 return True
             except (SupercriticalError, ConvergenceError):
                 return False

@@ -248,14 +248,18 @@ def test_counts_below_one_are_usage_errors(two_point_path, flag, argv, capsys):
      "quenched --t events only"),
     (["simulate", "--x", "0.2", "--M", "16"], "--t events only"),
     (["simulate", "--slowdown", "--M", "16"], "--t events only"),
+    (["simulate", "--t", "2", "--x", "0.2"], "one of --t, --x and --slowdown"),
+    (["simulate", "--slowdown", "--t", "2"], "one of --t, --x and --slowdown"),
+    (["simulate", "--slowdown", "--x", "0.2"], "one of --t, --x and --slowdown"),
 ], ids=["rate-speed-M", "rate-averaged-hitting-M", "rate-averaged-speed-M",
         "simulate-t-exact", "simulate-slowdown-is", "simulate-is-averaged",
-        "simulate-x-M", "simulate-slowdown-M"])
+        "simulate-x-M", "simulate-slowdown-M", "simulate-t-x", "simulate-slowdown-t",
+        "simulate-slowdown-x"])
 def test_ignored_options_are_usage_errors(two_point_path, argv, message, capsys):
     """An option that the command would accept and then ignore (M of a
     curve that has no truncation, the exact method outside the slowdown,
     IS for the slowdown or in averaged mode, M of an event that is not
-    truncated) exits 2 with a message."""
+    truncated, a second event) exits 2 with a message."""
     assert main([argv[0], "--spec", two_point_path, *argv[1:]]) == 2
     assert message in capsys.readouterr().err
 
