@@ -163,6 +163,8 @@ def _check_simulate_options(args) -> None:
         raise SpecValidationError("importance sampling covers quenched --t events only")
     if args.M is not None and (args.slowdown or args.t is None):
         raise SpecValidationError("--M applies to --t events only")
+    if args.tol is not None and not args.slowdown:
+        raise SpecValidationError("--tol applies to --slowdown only")
 
 
 def cmd_simulate(args) -> int:
@@ -180,7 +182,8 @@ def cmd_simulate(args) -> int:
         try:
             from .phi import estimate_lambda_crit
 
-            lc = estimate_lambda_crit(spec, tol=max(args.tol, 1e-6), seed=args.seed)
+            tol = 1e-6 if args.tol is None else max(args.tol, 1e-6)
+            lc = estimate_lambda_crit(spec, tol=tol, seed=args.seed)
             comparison = {"lambda_crit": lc.lambda_crit,
                           "gap": est.point - lc.lambda_crit}
             print(f"slowdown rate {est.point:.6f} vs lambda_crit {lc.lambda_crit:.6f}")
@@ -269,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--levels", type=int, default=levels_default,
                        help="window length / LDP scale n")
-        p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("analyze", help="regime, v0, t0, lambda_crit")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-6, help="lambda_crit bracket width")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("rate", help="rate-function curve (CSV)")
@@ -294,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["direct", "is", "exact"], default="direct")
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--mode", choices=["quenched", "averaged"], default="quenched")
+    p.add_argument("--tol", type=float, default=None,
+                   help="lambda_crit bracket width of --slowdown's comparison (default 1e-6)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("convert-bounded-jump", help="(L,R) kernel -> strip spec")

@@ -193,12 +193,10 @@ class LmgfEvaluator:
         n_levels: int = 3000,
         seed: int | None = 0,
         margin: int = DEFAULT_MARGIN,
-        tol: float = 1e-12,
     ):
         self.spec = spec
         self.n_levels = n_levels
         self.seed = seed
-        self.tol = tol
         self.margin = margin if spec.kind != "periodic" else 0
         self.window: EnvironmentWindow | None = None
         self._kernel_cache: dict[int, np.ndarray] = {}
@@ -267,8 +265,8 @@ class LmgfEvaluator:
             if self.window is None:
                 sol = solve_phi_periodic(self.spec, lam, tol=FP_TOL)
             else:
-                sol = solve_phi_window(self.window, lam, tol=self.tol,
-                                       shift=self.margin or None, kappa=self.spec.kappa)
+                sol = solve_phi_window(self.window, lam, shift=self.margin or None,
+                                       kappa=self.spec.kappa)
             self._last_phi = (lam, sol)
         return self._last_phi[1]
 
@@ -307,10 +305,8 @@ class LmgfEvaluator:
                 raise ConvergenceError(sol.residual, sol.iterations)
             phis, dphis = sol.phis, periodic_phi_derivative(self.spec, lam, sol)
         else:
-            dsol = phi_derivative(self.window, lam, tol=self.tol, phi_solution=sol,
-                                  kappa=self.spec.kappa)
             i0 = self.window.index_of(0)
-            phis, dphis = sol.phis[i0:], dsol.phis[i0:]
+            phis, dphis = sol.phis[i0:], phi_derivative(self.window, lam, phi_solution=sol)[i0:]
         terms = _derivative_terms(phis, dphis, *self._starts(phis))
         det = _paper_window_bound(_measured_c(phis), self.n_levels)
         if self.window is not None:

@@ -20,11 +20,12 @@ the general Phi' loop the two passes over a period around the periodic
 Phi' solve and each Newton step's Jacobian, at every d. The scalar loops
 are the d = 1 window solves written as one division, bit for bit the 1x1
 LAPACK solve (on 3320 two-point levels, phi_derivative takes 0.7 ms
-against 17 ms on a 2-core x86-64 Xeon). Level k of each depends only on
-level k-1, so once a boundary re-solve from a later start equals the main
-sweep bit for bit at one level, it equals it at every later level; the
-re-solves stop there, and the boundary gap they measure past that level
-is exactly 0.
+against 17 ms on a 2-core x86-64 Xeon). A window's Phi' is one pass over
+the solved Phi; the boundary re-solve is Phi's only. Level k of the Phi
+sweep depends only on level k-1, so once the re-solve from a later start
+equals the main sweep bit for bit at one level, it equals it at every
+later level; the re-solve stops there, and the boundary gap it measures
+past that level is exactly 0.
 
 The periodic Phi is the minimal fixed point of the cyclic sweep, found by
 Newton's method on Phi_{-1}: one Phi pass over the period, its Jacobian
@@ -89,7 +90,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhiMatrix:
-    """One level's MGF matrix: kind is 'full', 'truncated' or 'derivative'."""
+    """One level's MGF matrix: kind is 'full' or 'truncated'."""
 
     entries: np.ndarray
     level: int
@@ -221,19 +222,16 @@ class PhiSolution:
     Levels before `warmup_levels` (relative to window.lo) still feel the zero
     initialization at the left edge; `boundary_gap` is the measured influence
     of the first `shift` levels at each position, a proxy certificate for the
-    geometric forgetting of the left boundary. `resolved` holds the boundary
-    re-solve's levels up to the first one equal to `phis` (past it the
-    re-solve is `phis` itself), for `phi_derivative` to reuse.
+    geometric forgetting of the left boundary. Only Phi measures it: the
+    Phi' of phi_derivative is one pass over `phis` with no re-solve.
     """
 
     window: EnvironmentWindow
     lam: float
     phis: np.ndarray  # (n, d, d)
-    kind: str = "full"
     warmup_levels: int = 0
     boundary_gap: np.ndarray | None = None
     shift: int = 0
-    resolved: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.phis.shape[0]
@@ -245,7 +243,6 @@ class PhiSolution:
             entries=self.phis[i],
             level=self.window.lo + i,
             lam=self.lam,
-            kind=self.kind,
             warmup=i < self.warmup_levels,
         )
 
@@ -284,7 +281,6 @@ def solve_phi_window(
         shift = min(max(n // 4, 1), 256)
     gap = np.full(n, np.nan)
     warmup = shift
-    phis2 = None
     if shift < n:
         sub = window.sub(window.lo + shift, window.hi)
         phis2, bad2 = _sweep(sub, lam, phi0, kappa_bound, ref=phis[shift:])
@@ -293,7 +289,7 @@ def solve_phi_window(
         gap, warmup = _boundary_gap(phis, phis2, shift, 0.5 * tol)
     return PhiSolution(
         window=window, lam=lam, phis=phis,
-        warmup_levels=warmup, boundary_gap=gap, shift=shift, resolved=phis2,
+        warmup_levels=warmup, boundary_gap=gap, shift=shift,
     )
 
 
@@ -446,35 +442,26 @@ def _stack_slices(spec: EnvironmentSpec):
 # ---------------------------------------------------------------------------
 
 
-def _derivative_sweep(q, r, el: float, phis, phi0, dphi0, ref=None, start: int = 0):
-    """One pass of the Phi' recursion of phi_derivative over the given phis.
-
-    phi0, dphi0 feed level 0 (Phi_{-1}, Phi'_{-1}). With `ref`, the pass
-    returns after the first level k >= start where Phi'_k equals ref[k] bit
-    for bit; the caller guarantees that phis agree with ref's Phi from
-    `start` on, so the rest would repeat ref exactly.
-    """
+def _derivative_sweep(q, r, el: float, phis, phi0, dphi0):
+    """One pass of the Phi' recursion of phi_derivative over the given phis;
+    phi0, dphi0 feed level 0 (Phi_{-1}, Phi'_{-1})."""
     n, d, _ = phis.shape
     if d == 1:
         # a 1x1 solve is one division: the same formula on floats, same bits
         qs, rs, cur = q[:, 0, 0].tolist(), r[:, 0, 0].tolist(), phis[:, 0, 0].tolist()
-        refs = None if ref is None else ref[:, 0, 0].tolist()
         f, df = float(phi0[0, 0]), float(dphi0[0, 0])
         vals = []
         for k in range(n):
             df = (cur[k] + el * ((qs[k] * df) * cur[k])) / (1.0 - el * (rs[k] + qs[k] * f))
             vals.append(df)
-            if refs is not None and k >= start and df == refs[k]:
-                break
             f = cur[k]
         return np.array(vals).reshape(-1, 1, 1)
     eye = np.eye(d)
     with _linalg_errstate():
-        return _derivative_levels(q, r, eye, el, phis, phi0, dphi0, ref, start)
+        return _derivative_levels(q, r, eye, el, phis, phi0, dphi0)
 
 
-def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d, ref=None,
-                       start: int = 0):
+def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d):
     """The level loop of _derivative_sweep at d > 1 and of
     periodic_phi_derivative, for one start prev_d or a stack of them;
     runs inside _linalg_errstate."""
@@ -484,8 +471,6 @@ def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d, ref=None,
         cur = phis[k]
         out[k] = _solve(eye - el * (r[k] + q[k] @ prev_phi),
                         cur + el * (q[k] @ prev_d @ cur))
-        if ref is not None and k >= start and out[k].tobytes() == ref[k].tobytes():
-            return out[:k + 1]
         prev_phi, prev_d = cur, out[k]
     return out
 
@@ -512,52 +497,24 @@ def phi_derivative(
     tol: float = 1e-12,
     phi_solution: PhiSolution | None = None,
     kappa: float | None = None,
-) -> PhiSolution:
-    """Exact lambda-derivative of the window-solved Phi matrices.
+) -> np.ndarray:
+    """Exact lambda-derivative of the window-solved Phi matrices; (n, d, d).
 
     Differentiating Phi_k = (I - e^l (r + q Phi_{k-1}))^{-1} e^l p with the
     zero boundary gives the linear recursion
 
         (I - e^l (r_k + q_k Phi_{k-1})) Phi'_k = Phi_k + e^l q_k Phi'_{k-1} Phi_k,
 
-    solved left to right with Phi'_{lo-1} = 0. Verified elsewhere against
-    central finite differences of the Phi solve. Boundary forgetting is
-    measured as in solve_phi_window, on the Phi re-solve that `phi_solution`
-    (as solve_phi_window returns it) already holds: the Phi' re-solve from
-    `shift` levels in stops once it equals the main sweep's bit for bit,
-    since level k of both recursions depends only on level k-1. An omitted
-    `kappa` is measured once and serves the solve and the bound.
+    solved left to right with Phi'_{lo-1} = 0, in one pass over the Phi of
+    `phi_solution` (solved here with `tol` and `kappa` when omitted).
+    Verified elsewhere against central finite differences of the Phi solve.
+    Phi' has no boundary re-solve of its own: the left boundary's influence
+    is measured on Phi alone, by solve_phi_window.
     """
-    if kappa is None:
-        kappa = _infer_kappa(window)
     if phi_solution is None:
         phi_solution = solve_phi_window(window, lam, tol=tol, kappa=kappa)
-    el = math.exp(lam)
     zero = np.zeros((window.d, window.d))
-    phis = phi_solution.phis
-    dphis = _derivative_sweep(window.q, window.r, el, phis, zero, zero)
-    n = window.n_levels
-    shift = phi_solution.shift
-    gap = np.full(n, np.nan)
-    warmup = phi_solution.warmup_levels
-    if 0 < shift < n:
-        sub = window.sub(window.lo + shift, window.hi)
-        head = phi_solution.resolved
-        phis2 = np.concatenate([head, phis[shift + len(head):]])
-        # the re-solve passed the solve's certificate, maybe under another
-        # bound: the first level over this one is where it would have stopped
-        over = np.nonzero(phis2.max(axis=(1, 2)) > _window_bound(window, lam, tol, kappa))[0]
-        if over.size:
-            raise SupercriticalError(lam, level=sub.lo + int(over[0]))
-        dphis2 = _derivative_sweep(sub.q, sub.r, el, phis2, zero, zero,
-                                   ref=dphis[shift:], start=len(head) - 1)
-        gap, last = _boundary_gap(dphis, dphis2, shift,
-                                  0.5 * max(tol, 1e-11) * max(1.0, np.abs(dphis).max()))
-        warmup = max(warmup, last)
-    return PhiSolution(
-        window=window, lam=lam, phis=dphis, kind="derivative",
-        warmup_levels=warmup, boundary_gap=gap, shift=shift,
-    )
+    return _derivative_sweep(window.q, window.r, math.exp(lam), phi_solution.phis, zero, zero)
 
 
 def periodic_phi_derivative(

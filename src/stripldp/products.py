@@ -91,7 +91,7 @@ class BlockPhi:
 def _factor_stack(phis) -> tuple[np.ndarray, int, float, str, int | None]:
     """Coerce a PhiSolution or a sequence of PhiMatrix to (array, lo, lam, kind, M)."""
     if isinstance(phis, PhiSolution):
-        return phis.phis, phis.window.lo, phis.lam, phis.kind, None
+        return phis.phis, phis.window.lo, phis.lam, "full", None
     mats = list(phis)
     if not mats:
         raise ValueError("need at least one factor")

@@ -257,29 +257,10 @@ def ref_solve_phi_window(window, lam, tol=1e-12, shift=None, kappa=None):
 
 
 def ref_phi_derivative(window, lam, tol=1e-12, phi_solution=None, kappa=None):
-    """phi_derivative with the boundary re-solve run over every level."""
-    from stripldp.phi import PhiSolution, SupercriticalError, _window_bound
-
+    """phi_derivative as the reference sweep over the reference Phi solve."""
     if phi_solution is None:
         phi_solution = ref_solve_phi_window(window, lam, tol=tol, kappa=kappa)
-    zero = np.zeros((window.d, window.d))
-    dphis = ref_derivative_sweep(window, lam, phi_solution.phis, zero)
-    n, shift = window.n_levels, phi_solution.shift
-    gap = np.full(n, np.nan)
-    warmup = phi_solution.warmup_levels
-    if 0 < shift < n:
-        sub = window.sub(window.lo + shift, window.hi)
-        phis2, bad = ref_sweep(sub, lam, zero, _window_bound(window, lam, tol, kappa))
-        if bad >= 0:
-            raise SupercriticalError(lam, level=sub.lo + bad)
-        dphis2 = ref_derivative_sweep(sub, lam, phis2, zero)
-        diffs = np.abs(dphis[shift:] - dphis2).max(axis=(1, 2))
-        gap[shift:] = diffs
-        above = np.nonzero(diffs > 0.5 * max(tol, 1e-11) * max(1.0, np.abs(dphis).max()))[0]
-        if above.size:
-            warmup = max(warmup, min(n, shift + above[-1] + 1))
-    return PhiSolution(window=window, lam=lam, phis=dphis, kind="derivative",
-                       warmup_levels=warmup, boundary_gap=gap, shift=shift)
+    return ref_derivative_sweep(window, lam, phi_solution.phis, np.zeros((window.d, window.d)))
 
 
 def _tail_estimate(change, prev_change):

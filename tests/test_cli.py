@@ -251,16 +251,25 @@ def test_counts_below_one_are_usage_errors(two_point_path, flag, argv, capsys):
     (["simulate", "--t", "2", "--x", "0.2"], "one of --t, --x and --slowdown"),
     (["simulate", "--slowdown", "--t", "2"], "one of --t, --x and --slowdown"),
     (["simulate", "--slowdown", "--x", "0.2"], "one of --t, --x and --slowdown"),
+    (["rate", "--kind", "hitting", "--grid", "2:1:3", "--tol", "0.01"],
+     "unrecognized arguments: --tol"),
+    (["simulate", "--t", "2", "--tol", "0.01"], "--tol applies to --slowdown only"),
 ], ids=["rate-speed-M", "rate-averaged-hitting-M", "rate-averaged-speed-M",
         "simulate-t-exact", "simulate-slowdown-is", "simulate-is-averaged",
         "simulate-x-M", "simulate-slowdown-M", "simulate-t-x", "simulate-slowdown-t",
-        "simulate-slowdown-x"])
+        "simulate-slowdown-x", "rate-tol", "simulate-t-tol"])
 def test_ignored_options_are_usage_errors(two_point_path, argv, message, capsys):
     """An option that the command would accept and then ignore (M of a
     curve that has no truncation, the exact method outside the slowdown,
     IS for the slowdown or in averaged mode, M of an event that is not
-    truncated, a second event) exits 2 with a message."""
-    assert main([argv[0], "--spec", two_point_path, *argv[1:]]) == 2
+    truncated, a second event, the lambda_crit tolerance outside analyze and
+    the slowdown) exits 2 with a message; argparse exits for an option the
+    command does not take."""
+    try:
+        code = main([argv[0], "--spec", two_point_path, *argv[1:]])
+    except SystemExit as e:
+        code = e.code
+    assert code == 2
     assert message in capsys.readouterr().err
 
 

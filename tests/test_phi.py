@@ -40,7 +40,6 @@ from conftest import (
     enumerate_truncated_phi,
     qbd_lambda_crit,
     random_d2_iid_spec,
-    ref_derivative_sweep,
     ref_estimate_lambda_crit,
     ref_hitting_kernels,
     ref_periodic_phi_derivative,
@@ -153,27 +152,27 @@ def test_stochastic_rows_at_zero_right_transient():
 
 def test_derivative_expected_hitting_time(p075_spec):
     w = window_for(p075_spec)
-    dsol = phi_derivative(w, 0.0)
-    assert dsol.at_level(20)[0, 0] == pytest.approx(2.0, abs=1e-10)
+    dphis = phi_derivative(w, 0.0)
+    assert dphis[w.index_of(20)][0, 0] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_derivative_fd_consistency_recurrent(recurrent_spec):
     w = window_for(recurrent_spec, -600, 30)
     lam, h = -0.5, 1e-5
-    dsol = phi_derivative(w, lam)
+    dphis = phi_derivative(w, lam)
     fd = (d1_phi_closed(0.5, lam + h) - d1_phi_closed(0.5, lam - h)) / (2 * h)
-    assert dsol.at_level(10)[0, 0] == pytest.approx(fd, abs=1e-6)
+    assert dphis[w.index_of(10)][0, 0] == pytest.approx(fd, abs=1e-6)
 
 
 def test_derivative_fd_consistency_window_d2():
     spec = random_d2_iid_spec(30)
     w = window_for(spec, -100, 40, seed=8)
     lam, h = -0.4, 1e-5
-    dsol = phi_derivative(w, lam)
+    dphis = phi_derivative(w, lam)
     up = solve_phi_window(w, lam + h).phis
     dn = solve_phi_window(w, lam - h).phis
     fd = (up - dn) / (2 * h)
-    assert np.abs(dsol.phis - fd).max() < 1e-6
+    assert np.abs(dphis - fd).max() < 1e-6
 
 
 def test_derivative_dominates_phi():
@@ -182,8 +181,8 @@ def test_derivative_dominates_phi():
     w = window_for(spec, -50, 50, seed=1)
     for lam in (-3.0, -0.5, 0.0):
         sol = solve_phi_window(w, lam)
-        dsol = phi_derivative(w, lam, phi_solution=sol)
-        assert (dsol.phis >= sol.phis * (1 - 1e-12)).all()
+        dphis = phi_derivative(w, lam, phi_solution=sol)
+        assert (dphis >= sol.phis * (1 - 1e-12)).all()
 
 
 def test_lambda_crit_d1_closed_form(p075_spec):
@@ -293,9 +292,8 @@ def test_window_kernels_match_reference(kernel_case, which):
         sol = solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
         ref = ref_solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
         assert_same_solution(sol, ref)
-        dsol = phi_derivative(window, lam, phi_solution=sol, kappa=spec.kappa)
-        dref = ref_phi_derivative(window, lam, phi_solution=ref, kappa=spec.kappa)
-        assert_same_solution(dsol, dref)
+        assert bitwise_equal(phi_derivative(window, lam, phi_solution=sol),
+                             ref_phi_derivative(window, lam, phi_solution=ref))
     # the re-solve stopped early, yet its gap past the stop is exactly 0
     if lam < 0:
         assert (sol.boundary_gap[-100:] == 0.0).all()
@@ -426,10 +424,8 @@ def test_kernels_match_reference_on_random_specs(seed, d, drift, lam, n, shift):
         return
     sol = solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
     assert_same_solution(sol, ref)
-    assert_same_solution(
-        phi_derivative(window, lam, phi_solution=sol, kappa=spec.kappa),
-        ref_phi_derivative(window, lam, phi_solution=ref, kappa=spec.kappa),
-    )
+    assert bitwise_equal(phi_derivative(window, lam, phi_solution=sol),
+                         ref_phi_derivative(window, lam, phi_solution=ref))
 
 
 # (2,1): p has a zero row and a zero column; (3,3): q and p triangular
@@ -490,8 +486,9 @@ def test_truncated_kernels_range_checks():
 
 def test_phi_derivative_infers_kappa_once(monkeypatch):
     """With kappa omitted and no Phi solution passed in, the window's kappa
-    is measured once (one linear solve per level) for the solve and the
-    boundary re-solve together, and the result is the one for that kappa."""
+    is measured once (one linear solve per level) for the solve and its
+    boundary re-solve together, and the result is the one for that kappa.
+    Given a Phi solution, phi_derivative measures nothing."""
     import stripldp.phi as phi
 
     spec = random_d2_iid_spec(1, drift=0.4)
@@ -501,48 +498,33 @@ def test_phi_derivative_infers_kappa_once(monkeypatch):
     monkeypatch.setattr(phi, "_infer_kappa", lambda w: calls.append(w) or measure(w))
     got = phi_derivative(window, -0.3)
     assert len(calls) == 1
-    assert_same_solution(got, phi_derivative(window, -0.3, kappa=measure(window)))
-
-
-def test_phi_derivative_bound_on_the_reused_resolve(kernel_case):
-    """phi_derivative reuses the solve's boundary re-solve, whose levels
-    passed the solve's bound. Under a looser kappa the result is the
-    reference's bit for bit; under kappas whose bound cuts the re-solve's
-    head, or only the levels past it, it raises at the reference's level."""
-    spec, window, (lc, _) = kernel_case
-    lam, tol, shift = 0.9 * lc, 1e-12, 320
-    sol = solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
-    ref = ref_solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
-    assert_same_solution(
-        phi_derivative(window, lam, tol, phi_solution=sol, kappa=0.5 * spec.kappa),
-        ref_phi_derivative(window, lam, tol, phi_solution=ref, kappa=0.5 * spec.kappa),
-    )
-    head, past = sol.resolved, sol.phis[shift + len(sol.resolved):]
-    end_of_head = window.lo + shift + len(head)
-    for top in (head.max(), past.max()) if past.size else (head.max(),):
-        # the bound (1/kappa) e^{-lam} (1 + 10 tol) just below `top`
-        kappa = math.exp(-lam) * (1.0 + 10.0 * tol) / (top * (1.0 - 1e-9))
-        assert kappa > spec.kappa
-        with pytest.raises(SupercriticalError) as got:
-            phi_derivative(window, lam, tol, phi_solution=sol, kappa=kappa)
-        with pytest.raises(SupercriticalError) as want:
-            ref_phi_derivative(window, lam, tol, phi_solution=ref, kappa=kappa)
-        assert got.value.level == want.value.level
-        assert (got.value.level < end_of_head) == (top == head.max())
+    assert bitwise_equal(got, phi_derivative(window, -0.3, kappa=measure(window)))
+    sol = solve_phi_window(window, -0.3, kappa=spec.kappa)
+    calls.clear()
+    assert bitwise_equal(phi_derivative(window, -0.3, phi_solution=sol),
+                         phi_derivative(window, -0.3, kappa=spec.kappa))
+    assert calls == []
 
 
 def test_window_derivative_runs_two_phi_sweeps(monkeypatch):
-    """A d=2 window Lambda' sweeps Phi twice (the solve and its boundary
-    re-solve); phi_derivative takes the re-solve from the solution."""
+    """A window Lambda' at d = 1 and d = 2 sweeps Phi twice (the solve and
+    its boundary re-solve) and Phi' once: the derivative has no boundary
+    re-solve of its own."""
     import stripldp.phi as phi
     from stripldp.lmgf import LmgfEvaluator
 
-    ev = LmgfEvaluator(random_d2_iid_spec(1, drift=0.4), n_levels=400, seed=0)
-    sweep = phi._sweep
-    calls = []
+    sweep, dsweep = phi._sweep, phi._derivative_sweep
+    calls, dcalls = [], []
     monkeypatch.setattr(phi, "_sweep", lambda *a, **k: calls.append(a[1]) or sweep(*a, **k))
-    assert math.isfinite(ev.derivative(-0.3).value)
-    assert calls == [-0.3, -0.3]
+    monkeypatch.setattr(phi, "_derivative_sweep",
+                        lambda *a, **k: dcalls.append(len(a[3])) or dsweep(*a, **k))
+    for spec in (two_point_d1_spec([0.7, 0.8], [0.5, 0.5]), random_d2_iid_spec(1, drift=0.4)):
+        ev = LmgfEvaluator(spec, n_levels=400, seed=0)
+        calls.clear()
+        dcalls.clear()
+        assert math.isfinite(ev.derivative(-0.3).value)
+        assert calls == [-0.3, -0.3]
+        assert dcalls == [ev.window.n_levels]
 
 
 # ---------------------------------------------------------------------------
@@ -582,43 +564,14 @@ def d1_window_case(seed, drift, n, gap_exp):
 )
 def test_scalar_phi_derivative_matches_reference(seed, drift, n, shift, gap_exp):
     """phi_derivative at d = 1, up to 1e-9 below the window's lambda_crit,
-    equals the 1x1 reference solves bit for bit: Phi', warm-up and every
-    boundary gap of the re-solve, which stops early on `ref`/`start`."""
+    equals the 1x1 reference solves bit for bit, over a Phi solve that
+    equals the reference's with its warm-up and boundary gaps."""
     spec, window, lam = d1_window_case(seed, drift, n, gap_exp)
     sol = solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
     ref = ref_solve_phi_window(window, lam, shift=shift, kappa=spec.kappa)
-    assert_same_solution(
-        phi_derivative(window, lam, phi_solution=sol, kappa=spec.kappa),
-        ref_phi_derivative(window, lam, phi_solution=ref, kappa=spec.kappa),
-    )
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 10_000),
-    n=st.integers(2, 200),
-    gap_exp=st.floats(-9.0, 0.0),
-    start=st.integers(0, 199),
-)
-def test_scalar_derivative_sweep_stops_like_the_reference(seed, n, gap_exp, start):
-    """_derivative_sweep at d = 1 is the reference sweep bit for bit; with a
-    `ref` it stops at the first level from `start` on that equals ref, and
-    runs to the end when no level does."""
-    import stripldp.phi as phi
-
-    spec, window, lam = d1_window_case(seed, 0.3, n, gap_exp)
-    phis = solve_phi_window(window, lam, shift=n, kappa=spec.kappa).phis
-    zero = np.zeros((1, 1))
-    full = ref_derivative_sweep(window, lam, phis, zero)
-    el = math.exp(lam)
-    assert bitwise_equal(phi._derivative_sweep(window.q, window.r, el, phis, zero, zero), full)
-    start = min(start, n - 1)
-    stopped = phi._derivative_sweep(window.q, window.r, el, phis, zero, zero,
-                                    ref=full, start=start)
-    assert bitwise_equal(stopped, full[:start + 1])
-    unmatched = phi._derivative_sweep(window.q, window.r, el, phis, zero, zero,
-                                      ref=2.0 * full + 1.0, start=start)
-    assert bitwise_equal(unmatched, full)
+    assert_same_solution(sol, ref)
+    assert bitwise_equal(phi_derivative(window, lam, phi_solution=sol),
+                         ref_phi_derivative(window, lam, phi_solution=ref))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
