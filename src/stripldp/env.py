@@ -5,19 +5,21 @@ matrices: q(i,j), r(i,j), p(i,j) are the probabilities of stepping from
 height i of the current level to height j of the level to the left, the
 same level, or the level to the right. Row sums of q+r+p must be 1.
 
-Environments are generated from specs (deterministic-periodic, i.i.d.
-finite-support, i.i.d. parametric) as finite windows of consecutive
-levels. Bounded-jump walks on Z with steps in [-L, R] embed into a strip
-of width max(L, R) via x = k*d + i - 1.
+Environments are generated from finite-support specs (deterministic-
+periodic or i.i.d.) as finite windows of consecutive levels. Bounded-jump
+walks on Z with steps in [-L, R] embed into a strip of width max(L, R) via
+x = k*d + i - 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -183,21 +185,19 @@ def validate_ellipticity(slice_: EnvironmentSlice, kappa: float) -> EllipticityR
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """Generative law for environment slices.
+    """Generative law for environment slices, on a finite support `slices`.
 
     kind:
-      "periodic"       — slices read cyclically from `slices`
-      "iid"            — each level drawn independently from `slices` with `weights`
-      "iid-parametric" — each level drawn by `sampler(rng)` (API only, no JSON form)
+      "periodic" — slices read cyclically from `slices`
+      "iid"      — each level drawn independently from `slices` with `weights`
 
     `bounded_jump` marks specs built by the (L,R)-walk embedding; when L != R
     the standard ellipticity conditions are structurally violated with a
     documented zero pattern, so validation flags rather than rejects them.
 
-    Averaged-rate machinery takes i.i.d. finite-support specs: their level
-    marginals factorize and every tilted product law stays on the support, the
-    regularity the variational bounds rely on. That property is documented,
-    not verified, for other generative laws.
+    Averaged-rate machinery takes i.i.d. specs: their level marginals
+    factorize and every tilted product law stays on the support, the
+    regularity the variational bounds rely on.
     """
 
     kind: str
@@ -205,7 +205,6 @@ class EnvironmentSpec:
     kappa: float
     slices: tuple[EnvironmentSlice, ...] = ()
     weights: tuple[float, ...] = ()
-    sampler: Callable[[np.random.Generator], EnvironmentSlice] | None = None
     bounded_jump: tuple[int, int] | None = None  # (L, R) when embedded
 
     def __post_init__(self):
@@ -213,12 +212,8 @@ class EnvironmentSpec:
             raise SpecValidationError(f"kappa must lie in (0, 1/2), got {self.kappa}")
         if not 1 <= self.d <= 64:
             raise SpecValidationError("strip width is capped at d <= 64")
-        if self.kind not in ("periodic", "iid", "iid-parametric"):
+        if self.kind not in ("periodic", "iid"):
             raise SpecValidationError(f"unknown spec kind {self.kind!r}")
-        if self.kind == "iid-parametric":
-            if self.sampler is None:
-                raise SpecValidationError("iid-parametric spec needs a sampler")
-            return
         if not self.slices:
             raise SpecValidationError("spec needs at least one slice (period >= 1)")
         for s in self.slices:
@@ -261,48 +256,30 @@ class EnvironmentSpec:
             raise SpecValidationError("period is only defined for periodic specs")
         return len(self.slices)
 
+    @functools.cached_property
+    def stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(q, r, p) of the support as read-only (S, d, d) arrays, row k from
+        slices[k]."""
+        out = tuple(np.stack([getattr(s, m) for s in self.slices]) for m in "qrp")
+        for m in out:
+            m.setflags(write=False)
+        return out
+
     def invert(self) -> "EnvironmentSpec":
         """Spec of the reflected environment (q and p swapped, levels negated)."""
+        slices = self.slices
         if self.kind == "periodic":
             # level -n of the original is read at position n of the reflection
-            inv = (self.slices[0].swapped(),) + tuple(
-                s.swapped() for s in reversed(self.slices[1:])
-            )
-            return EnvironmentSpec(
-                kind="periodic", d=self.d, kappa=self.kappa, slices=inv,
-                bounded_jump=self._swapped_bounded_jump(),
-            )
-        if self.kind == "iid":
-            return EnvironmentSpec(
-                kind="iid", d=self.d, kappa=self.kappa,
-                slices=tuple(s.swapped() for s in self.slices),
-                weights=self.weights,
-                bounded_jump=self._swapped_bounded_jump(),
-            )
-        sampler = self.sampler
-
-        def inv_sampler(rng: np.random.Generator) -> EnvironmentSlice:
-            return sampler(rng).swapped()
-
-        return EnvironmentSpec(
-            kind="iid-parametric", d=self.d, kappa=self.kappa, sampler=inv_sampler,
-            bounded_jump=self._swapped_bounded_jump(),
+            slices = slices[:1] + slices[:0:-1]
+        bj = self.bounded_jump
+        return dataclasses.replace(
+            self, slices=tuple(s.swapped() for s in slices),
+            bounded_jump=None if bj is None else bj[::-1],
         )
-
-    def _swapped_bounded_jump(self):
-        if self.bounded_jump is None:
-            return None
-        L, R = self.bounded_jump
-        return (R, L)
 
     def content_hash(self) -> str:
         """Digest of the canonicalized spec content, for output provenance."""
-        if self.kind == "iid-parametric":
-            payload = {"kind": self.kind, "d": self.d, "kappa": self.kappa,
-                       "sampler": repr(self.sampler)}
-        else:
-            payload = spec_to_json_dict(self)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(spec_to_json_dict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -363,10 +340,9 @@ def sample_window(
     if hi <= lo:
         raise SpecValidationError("need lo < hi")
     n = hi - lo
-    slices = spec.slices
     if spec.kind == "periodic":
         idx = (lo + np.arange(n)) % spec.period
-    elif spec.kind == "iid":
+    else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         # draw one uniform per level; cumulative-weight inversion keeps the
         # draw monotone in the weights (common random numbers across tilts)
@@ -374,18 +350,7 @@ def sample_window(
         cum = np.cumsum(np.asarray(spec.weights, dtype=float))
         idx = np.searchsorted(cum, u, side="right")
         idx = np.minimum(idx, len(spec.slices) - 1)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        slices = [spec.sampler(rng) for _ in range(n)]
-        for s in slices:
-            if s.d != spec.d:
-                raise SpecValidationError("sampler produced a slice with wrong d")
-            if not validate_ellipticity(s, spec.kappa).passed:
-                raise SpecValidationError(
-                    f"sampled slice fails ellipticity at kappa={spec.kappa}"
-                )
-        idx = np.arange(n)
-    q, r, p = (np.stack([getattr(s, m) for s in slices])[idx] for m in "qrp")
+    q, r, p = (m[idx] for m in spec.stacks)
     return EnvironmentWindow(
         q=q, r=r, p=p, lo=lo, hi=hi, seed=seed, spec_hash=spec.content_hash()
     )
@@ -479,8 +444,6 @@ def embed_bounded_jump(
 
 
 def spec_to_json_dict(spec: EnvironmentSpec) -> dict:
-    if spec.kind == "iid-parametric":
-        raise SpecValidationError("iid-parametric specs have no JSON form")
     out = {
         "d": spec.d,
         "kappa": spec.kappa,

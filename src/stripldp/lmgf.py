@@ -68,6 +68,7 @@ from .products import _roll_left, _roll_right
 
 DEFAULT_MARGIN = 320
 FP_TOL = 1e-13
+REGIME_TOL = 1e-8  # floor of _classify's regime threshold on |Lambda(0)|
 
 
 @dataclass(frozen=True)
@@ -432,7 +433,6 @@ def analyze_environment(
     spec: EnvironmentSpec,
     n_levels: int = 3000,
     seed: int | None = 0,
-    tol: float = 1e-8,
     lambda_crit_tol: float = 1e-6,
     lambda_crit_window: int = 6000,
 ) -> EnvironmentAnalysis:
@@ -446,11 +446,11 @@ def analyze_environment(
     """
     lc = estimate_lambda_crit(spec, window_len=lambda_crit_window, tol=lambda_crit_tol, seed=seed)
     return _classify(LmgfEvaluator(spec, n_levels, seed),
-                     LmgfEvaluator(spec.invert(), n_levels, seed), lc, tol)
+                     LmgfEvaluator(spec.invert(), n_levels, seed), lc)
 
 
-def _classify(ev: LmgfEvaluator, ev_inv: LmgfEvaluator, lc: CriticalExponent,
-              tol: float = 1e-8) -> EnvironmentAnalysis:
+def _classify(ev: LmgfEvaluator, ev_inv: LmgfEvaluator,
+              lc: CriticalExponent) -> EnvironmentAnalysis:
     """analyze_environment of `ev.spec` from its evaluator, its reflection's
     (same n_levels and seed) and its lambda_crit; the swapped pair analyzes
     the reflection."""
@@ -458,8 +458,8 @@ def _classify(ev: LmgfEvaluator, ev_inv: LmgfEvaluator, lc: CriticalExponent,
     at0_inv = ev_inv.value(0.0)
     # the measured boundary bias widens the decision floor so that slowly
     # forgetting (near-recurrent) windows are not misread as transient-left
-    floor = max(tol, 3 * at0.statistical_error, 20 * at0.boundary_bias)
-    floor_inv = max(tol, 3 * at0_inv.statistical_error, 20 * at0_inv.boundary_bias)
+    floor = max(REGIME_TOL, 3 * at0.statistical_error, 20 * at0.boundary_bias)
+    floor_inv = max(REGIME_TOL, 3 * at0_inv.statistical_error, 20 * at0_inv.boundary_bias)
 
     if at0.value < -floor:
         regime = "transient-left"
@@ -468,7 +468,7 @@ def _classify(ev: LmgfEvaluator, ev_inv: LmgfEvaluator, lc: CriticalExponent,
     else:
         regime = "recurrent"
     ambiguous = regime == "recurrent" and (
-        abs(at0.value) > tol or abs(at0_inv.value) > tol
+        abs(at0.value) > REGIME_TOL or abs(at0_inv.value) > REGIME_TOL
     )
 
     if regime == "recurrent":

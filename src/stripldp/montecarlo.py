@@ -320,8 +320,7 @@ def _averaged_lookups(spec: EnvironmentSpec):
     a lookup (li, h, u, trial) -> move."""
     if spec.kind != "iid":
         raise ValueError("averaged mode needs an i.i.d. finite-support spec")
-    support = _move_cdf(*(np.stack([getattr(s, m) for s in spec.slices])
-                          for m in "qrp"))  # (S, d, 3d)
+    support = _move_cdf(*spec.stacks)  # (S, d, 3d)
     cum = np.cumsum(np.asarray(spec.weights))
 
     def lookups(env_uniforms):

@@ -62,6 +62,7 @@ from .env import (
 )
 
 NEG_ENTRY_TOL = -1e-12  # roundoff slack for the M-matrix inverse positivity
+WINDOW_TOL = 1e-12  # solve_phi_window's tolerance; warm-up is a boundary gap above half of it
 
 
 class SupercriticalError(RuntimeError):
@@ -253,7 +254,6 @@ class PhiSolution:
 def solve_phi_window(
     window: EnvironmentWindow,
     lam: float,
-    tol: float = 1e-12,
     shift: int | None = None,
     kappa: float | None = None,
 ) -> PhiSolution:
@@ -262,7 +262,7 @@ def solve_phi_window(
     The pass is the exact limit of the monotone sweep iteration (each level's
     equation is linear given its left neighbor). Boundary forgetting is
     measured by re-solving from `shift` levels in and flagging as warm-up
-    every level where the two solutions differ by more than tol.
+    every level where the two solutions differ by more than WINDOW_TOL / 2.
     The re-solve stops at the first level where it equals the main sweep
     bit for bit: each level is computed from the one before alone, so from
     there on it would repeat the main sweep exactly, and its gap is 0.
@@ -271,7 +271,9 @@ def solve_phi_window(
     divergence threshold certifying supercriticality.
     """
     n = window.n_levels
-    kappa_bound = _window_bound(window, lam, tol, kappa)
+    if kappa is None:
+        kappa = _infer_kappa(window)
+    kappa_bound = divergence_bound(kappa, lam, WINDOW_TOL)
     phi0 = np.zeros((window.d, window.d))
     phis, bad = _sweep(window, lam, phi0, kappa_bound)
     if bad >= 0:
@@ -286,7 +288,7 @@ def solve_phi_window(
         phis2, bad2 = _sweep(sub, lam, phi0, kappa_bound, ref=phis[shift:])
         if bad2 >= 0:
             raise SupercriticalError(lam, level=sub.lo + bad2)
-        gap, warmup = _boundary_gap(phis, phis2, shift, 0.5 * tol)
+        gap, warmup = _boundary_gap(phis, phis2, shift, 0.5 * WINDOW_TOL)
     return PhiSolution(
         window=window, lam=lam, phis=phis,
         warmup_levels=warmup, boundary_gap=gap, shift=shift,
@@ -305,13 +307,6 @@ def _boundary_gap(main: np.ndarray, resolved: np.ndarray, shift: int, threshold:
         main[shift:shift + len(resolved)] - resolved).max(axis=(1, 2))
     above = np.nonzero(gap[shift:] > threshold)[0]
     return gap, shift + above[-1] + 1 if above.size else shift
-
-
-def _window_bound(window: EnvironmentWindow, lam: float, tol: float,
-                  kappa: float | None = None) -> float:
-    if kappa is None:
-        kappa = _infer_kappa(window)
-    return divergence_bound(kappa, lam, tol)
 
 
 def _infer_kappa(window: EnvironmentWindow) -> float:
@@ -401,7 +396,7 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
     bound = divergence_bound(spec.kappa, lam, tol)
     el = math.exp(lam)
     d = spec.d
-    q, r, p = _stack_slices(spec)
+    q, r, p = spec.stacks
     eye, eye2 = np.eye(d), np.eye(d * d)
     rhs = _right_sides(el, p, eye)
     x = np.zeros((d, d))
@@ -429,12 +424,6 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
     if not done and lam > 0:
         raise ConvergenceError(step, it)
     return PeriodicPhi(phis=phis, lam=lam, iterations=it, residual=step, tail=step)
-
-
-def _stack_slices(spec: EnvironmentSpec):
-    """(q, r, p) of one period as (period, d, d) arrays."""
-    return tuple(np.stack([getattr(s, name) for s in spec.slices])
-                 for name in ("q", "r", "p"))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +483,6 @@ def _period_map(q, r, eye, el: float, phis, prev):
 def phi_derivative(
     window: EnvironmentWindow,
     lam: float,
-    tol: float = 1e-12,
     phi_solution: PhiSolution | None = None,
     kappa: float | None = None,
 ) -> np.ndarray:
@@ -506,13 +494,13 @@ def phi_derivative(
         (I - e^l (r_k + q_k Phi_{k-1})) Phi'_k = Phi_k + e^l q_k Phi'_{k-1} Phi_k,
 
     solved left to right with Phi'_{lo-1} = 0, in one pass over the Phi of
-    `phi_solution` (solved here with `tol` and `kappa` when omitted).
+    `phi_solution` (solved here with `kappa` when omitted).
     Verified elsewhere against central finite differences of the Phi solve.
     Phi' has no boundary re-solve of its own: the left boundary's influence
     is measured on Phi alone, by solve_phi_window.
     """
     if phi_solution is None:
-        phi_solution = solve_phi_window(window, lam, tol=tol, kappa=kappa)
+        phi_solution = solve_phi_window(window, lam, kappa=kappa)
     zero = np.zeros((window.d, window.d))
     return _derivative_sweep(window.q, window.r, math.exp(lam), phi_solution.phis, zero, zero)
 
@@ -535,7 +523,7 @@ def periodic_phi_derivative(
     el = math.exp(lam)
     phis = periodic.phis
     d = spec.d
-    q, r, _ = _stack_slices(spec)
+    q, r, _ = spec.stacks
     eye, eye2 = np.eye(d), np.eye(d * d)
     with _linalg_errstate():
         s, T = _period_map(q, r, eye, el, phis, phis[-1])

@@ -229,10 +229,10 @@ def ref_derivative_sweep(window, lam, phis, dphi0):
 
 def ref_solve_phi_window(window, lam, tol=1e-12, shift=None, kappa=None):
     """solve_phi_window with the boundary re-solve run over every level."""
-    from stripldp.phi import PhiSolution, SupercriticalError, _window_bound
+    from stripldp.phi import PhiSolution, SupercriticalError, _infer_kappa, divergence_bound
 
     n = window.n_levels
-    bound = _window_bound(window, lam, tol, kappa)
+    bound = divergence_bound(_infer_kappa(window) if kappa is None else kappa, lam, tol)
     phi0 = np.zeros((window.d, window.d))
     phis, bad = ref_sweep(window, lam, phi0, bound)
     if bad >= 0:

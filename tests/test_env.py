@@ -100,7 +100,15 @@ def _period3_d2_spec():
 def test_sample_window_matches_per_level_loop(spec):
     """Levels [lo, hi) equal, bit for bit, the per-level slice loop: cyclic
     slices for periodic specs, one inverted uniform per level for i.i.d.
-    ones. Sub-windows are read-only views of the same levels."""
+    ones. Sub-windows are read-only views of the same levels. The spec's
+    (q, r, p) stacks, which windows gather from, hold its slices in order,
+    are computed once and cannot be written."""
+    assert spec.stacks is spec.stacks
+    for name, m in zip("qrp", spec.stacks):
+        assert m.tobytes() == np.array([getattr(s, name) for s in spec.slices]).tobytes()
+        assert m.shape == (len(spec.slices), spec.d, spec.d)
+        with pytest.raises(ValueError):
+            m[0, 0, 0] = 0.5
     lo, hi, seed = -7, 40, 11
     if spec.kind == "periodic":
         idx = [(lo + k) % spec.period for k in range(hi - lo)]
@@ -235,10 +243,41 @@ def test_window_json_roundtrip():
     assert np.abs(back.q - w.q).max() == 0.0
 
 
-def test_invert_spec_roundtrip():
-    spec = random_d2_iid_spec(5)
-    twice = spec.invert().invert()
+@pytest.mark.parametrize("spec", [
+    random_d2_iid_spec(5),
+    _period3_d2_spec(),
+    embed_bounded_jump([0.35, 0.35, 0.0, 0.30], 2, 1),
+], ids=["d2-iid", "d2-period3", "bj21"])
+def test_invert_spec_roundtrip(spec):
+    """Reflecting twice gives the spec back: its hash and its (q, r, p)
+    stacks, bit for bit. The reflection swaps q and p, and (L, R); a
+    periodic one reads position k from the original's position -k mod
+    period, so its windows are the reflected windows of the original."""
+    inv = spec.invert()
+    twice = inv.invert()
     assert twice.content_hash() == spec.content_hash()
+    assert (twice.kind, twice.weights, twice.bounded_jump) == (
+        spec.kind, spec.weights, spec.bounded_jump)
+    for got, want in zip(twice.stacks, spec.stacks):
+        assert got.tobytes() == want.tobytes()
+    assert inv.bounded_jump == (None if spec.bounded_jump is None else spec.bounded_jump[::-1])
+    n = len(spec.slices)
+    idx = [(-k) % n for k in range(n)] if spec.kind == "periodic" else list(range(n))
+    q, r, p = spec.stacks
+    for got, want in zip(inv.stacks, (p, r, q)):
+        assert got.tobytes() == want[idx].tobytes()
+    if spec.kind == "periodic":
+        w = invert_window(sample_window(spec, -7, 40))
+        wi = sample_window(inv, w.lo, w.hi)
+        for name in "qrp":
+            assert getattr(wi, name).tobytes() == getattr(w, name).tobytes()
+
+
+def test_spec_kinds_have_finite_support():
+    iid = random_d2_iid_spec(5)
+    with pytest.raises(SpecValidationError, match="unknown spec kind"):
+        EnvironmentSpec(kind="iid-parametric", d=2, kappa=iid.kappa,
+                        slices=iid.slices, weights=iid.weights)
 
 
 def test_start_distribution():
@@ -252,34 +291,3 @@ def test_kappa_range_enforced():
         homogeneous_d1_spec(0.5, kappa=0.5)
     with pytest.raises(SpecValidationError):
         n_kappa(0.7)
-
-
-def test_iid_parametric_sampler():
-    from conftest import random_d2_slice
-
-    def sampler(rng):
-        return random_d2_slice(rng, kappa=0.08)
-
-    spec = EnvironmentSpec(kind="iid-parametric", d=2, kappa=0.08,
-                           sampler=sampler)
-    w1 = sample_window(spec, -5, 50, seed=3)
-    w2 = sample_window(spec, -5, 50, seed=3)
-    assert (w1.q == w2.q).all()  # deterministic in the seed
-    rows = (w1.q + w1.r + w1.p).sum(axis=2)
-    assert np.abs(rows - 1.0).max() < 1e-12
-    inv = spec.invert()
-    wi = sample_window(inv, -5, 50, seed=3)
-    assert (wi.q == w1.p).all()  # slice-wise swap, same draws
-
-
-def test_iid_parametric_lambda_eta():
-    from conftest import random_d2_slice
-    from stripldp.lmgf import lambda_eta
-
-    def sampler(rng):
-        return random_d2_slice(rng, kappa=0.08, drift=0.4)
-
-    spec = EnvironmentSpec(kind="iid-parametric", d=2, kappa=0.08,
-                           sampler=sampler)
-    est = lambda_eta(spec, -0.5, n_levels=400, seed=1)
-    assert -0.5 + math.log(0.08) <= est.value <= -0.5

@@ -69,7 +69,7 @@ def test_phi_closed_form_positive_lambda(p075_spec):
 
 
 def test_residual_contract(p075_spec):
-    sol = solve_phi_window(window_for(p075_spec), 0.05, tol=1e-12)
+    sol = solve_phi_window(window_for(p075_spec), 0.05)
     assert residual_norm(sol) <= 1e-12
 
 
@@ -86,7 +86,7 @@ def test_uniform_bounds_invariant():
     w = window_for(spec, -200, 200, seed=4)
     lc = estimate_lambda_crit(spec, window_len=2000, tol=1e-4, seed=4)
     for lam in (-1.0, -0.1, 0.0, lc.bracket[0] * 0.5):
-        sol = solve_phi_window(w, lam, tol=1e-12)
+        sol = solve_phi_window(w, lam)
         c = c_lambda(spec.kappa, lam)
         keep = sol.phis[sol.warmup_levels:]
         assert keep.min() >= c * (1 - 1e-11)
@@ -144,7 +144,7 @@ def test_truncation_monotone_and_converging(p075_spec):
 def test_stochastic_rows_at_zero_right_transient():
     spec = random_d2_iid_spec(13, drift=0.5)
     w = window_for(spec, -300, 60, seed=6)
-    sol = solve_phi_window(w, 0.0, tol=1e-12)
+    sol = solve_phi_window(w, 0.0)
     keep = sol.phis[sol.warmup_levels:]
     rows = keep.sum(axis=2)
     assert np.abs(rows - 1.0).max() < 1e-11
@@ -624,7 +624,7 @@ def test_periodic_derivative_refuses_spectral_radius_above_one(d, monkeypatch):
     pp = solve_phi_periodic(spec, lam)
     big = PeriodicPhi(phis=1.7 * pp.phis, lam=lam, iterations=pp.iterations,
                       residual=pp.residual)
-    q, r, _ = phi._stack_slices(spec)
+    q, r, _ = spec.stacks
     eye = np.eye(d)
     for k in range(spec.period):
         inv = np.linalg.inv(eye - (r[k] + q[k] @ big.phis[k - 1]))
