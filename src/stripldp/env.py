@@ -232,6 +232,8 @@ class EnvironmentSpec:
                 raise SpecValidationError(
                     "support weights must be positive and sum to 1"
                 )
+        elif self.weights:
+            raise SpecValidationError("a periodic spec reads its slices in turn: no weights")
 
     def _is_documented_block_pattern(self, s: EnvironmentSlice, rep) -> bool:
         # Appendix-style (L,R) embedding with L != R: p has zero rows

@@ -13,17 +13,21 @@ M = e^lambda (r + q Phi_{k-1}), the Neumann series converges iff
 (I - M)^{-1} >= 0 entrywise, and a failure (or an entry above the a-priori
 bound (1/kappa) e^{-lambda} for lambda > 0) certifies supercriticality.
 
-Four loops do all the sweeping. Phi and Phi' each have a scalar one and a
-general one: the general Phi loop makes the window passes, the lambda_crit
-bisection's exact verdicts and every pass of the periodic Newton solve,
-the general Phi' loop the two passes over a period around the periodic
-Phi' solve and each Newton step's Jacobian, at every d. The scalar loops
-are the d = 1 window solves written as one division, bit for bit the 1x1
-LAPACK solve (on 3320 two-point levels, phi_derivative takes 0.7 ms
-against 17 ms on a 2-core x86-64 Xeon). A window's Phi' is one pass over
-the solved Phi; the boundary re-solve is Phi's only. Level k of the Phi
-sweep depends only on level k-1, so once the re-solve from a later start
-equals the main sweep bit for bit at one level, it equals it at every
+Six loops do all the sweeping: Phi and Phi' each have a scalar one, a
+2x2 one and a general one. A window pass (the Phi solve, its boundary
+re-solve, Phi', and each lambda_crit midpoint) takes the loop of its d:
+at d = 1 one division a level, bit for bit the 1x1 LAPACK solve (on 3320
+two-point levels, phi_derivative takes 0.7 ms against 17 ms on a 2-core
+x86-64 Xeon); at d = 2 one closed-form 2x2 elimination a level on Python
+floats, whose positive pivot and Schur complement are the whole M-matrix
+certificate (1.2-1.7 us a Phi level and 1.4-1.8 us a Phi' level,
+against 10-14 us for LAPACK, on the same Xeon); at d >= 3 one LAPACK
+solve a level. The general loops also make every pass of the periodic
+Newton solve, the two Phi' passes over a period around the periodic Phi'
+solve and each Newton step's Jacobian, at every d. A window's Phi' is one
+pass over the solved Phi; the boundary re-solve is Phi's only. Level k of
+the Phi sweep depends only on level k-1, so once the re-solve from a
+later start equals the main sweep at one level, it equals it at every
 later level; the re-solve stops there, and the boundary gap it measures
 past that level is exactly 0.
 
@@ -32,13 +36,6 @@ Newton's method on Phi_{-1}: one Phi pass over the period, its Jacobian
 from one stacked Phi' pass (_period_map, shared with the periodic Phi'),
 and one d^2 x d^2 solve whose nonnegative inverse is the step's M-matrix
 certificate.
-
-The d = 2 lambda_crit bisection over a window walks its midpoints with a
-verdict kernel on Python floats, _verdict_levels (the 2x2 level step with
-a pivot-sign M-matrix certificate, about 1 us a level against 16 us for
-the LAPACK sweep). It is not a fifth exact sweep: it returns no Phi, only
-decides which way the search goes, and both ends of the bracket it finds
-are checked by the exact sweep before they are reported.
 
 Truncated matrices Phi_{k,M} are computed exactly by one dynamic program
 over time steps, run for a whole range of start levels at once; the
@@ -132,6 +129,64 @@ def _sweep_d1(q, r, p, el: float, phi0: float, bound: float, ref=None):
     return out, -1
 
 
+SWEEP_CHUNK = 256  # d = 2 window levels converted to Python floats at a time
+
+
+def _float_rows(a: int, *stacks) -> list:
+    """Levels a..a+SWEEP_CHUNK-1 of the (n, 2, 2) stacks as lists of Python
+    floats, one list a level holding each stack's matrix row-major in turn
+    (converting a whole 6000-level window at once costs megabytes)."""
+    block = np.concatenate([s[a:a + SWEEP_CHUNK] for s in stacks], axis=1)
+    return block.reshape(len(block), -1).tolist()
+
+
+def _sweep_d2(q, r, p, el: float, phi0: np.ndarray, bound: float, ref=None):
+    """_sweep's 2x2 levels on Python floats, by closed-form elimination.
+
+    I - M with M = e^l (r_k + q_k Phi_{k-1}) >= 0 is a Z-matrix, and a 2x2
+    Z-matrix is a nonsingular M-matrix iff its leading principal minors are
+    positive (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, ch. 6): the pivot 1 - m00 and the Schur complement, the whole
+    certificate. The elimination needs no row exchange, and every entry of
+    Phi_k is a sum of nonnegative terms, so none is clamped. A level also
+    fails when an entry of Phi_k exceeds `bound`. With `ref`, the pass
+    returns after the first level equal to ref's.
+    """
+    n = len(q)
+    out = np.empty((n, 2, 2))
+    flat = out.reshape(-1)
+    f00, f01, f10, f11 = phi0.ravel().tolist()
+    for a in range(0, n, SWEEP_CHUNK):
+        same = None if ref is None else ref[a:a + SWEEP_CHUNK].reshape(-1, 4).tolist()
+        vals = []
+        for i, (q00, q01, q10, q11, r00, r01, r10, r11, p00, p01, p10, p11) in enumerate(
+                _float_rows(a, q, r, p)):
+            m00 = el * (r00 + (q00 * f00 + q01 * f10))
+            m01 = el * (r01 + (q00 * f01 + q01 * f11))
+            m10 = el * (r10 + (q10 * f00 + q11 * f10))
+            m11 = el * (r11 + (q10 * f01 + q11 * f11))
+            pivot = 1.0 - m00
+            if not pivot > 0.0:
+                return out, a + i
+            mult = m10 / pivot
+            schur = (1.0 - m11) - mult * m01
+            if not schur > 0.0:
+                return out, a + i
+            b00, b01 = el * p00, el * p01
+            f10 = (el * p10 + mult * b00) / schur
+            f11 = (el * p11 + mult * b01) / schur
+            f00 = (b00 + m01 * f10) / pivot
+            f01 = (b01 + m01 * f11) / pivot
+            if f00 > bound or f01 > bound or f10 > bound or f11 > bound:
+                return out, a + i
+            vals += f00, f01, f10, f11
+            if same is not None and vals[-4:] == same[i]:
+                flat[4 * a:4 * a + len(vals)] = vals
+                return out[:a + i + 1], -1
+        flat[4 * a:4 * a + len(vals)] = vals
+    return out, -1
+
+
 try:
     # the gufunc under np.linalg.solve; the sweeps call it once per level
     # inside one errstate block rather than paying the wrapper's checks and
@@ -168,7 +223,7 @@ def _right_sides(el: float, p: np.ndarray, eye: np.ndarray) -> np.ndarray:
 
 
 def _sweep_general(q, r, p, el: float, phi0: np.ndarray, bound: float, ref=None):
-    """One pass of Phi_k = (I - e^l (r_k + q_k Phi_{k-1}))^{-1} e^l p_k, d > 1.
+    """One pass of Phi_k = (I - e^l (r_k + q_k Phi_{k-1}))^{-1} e^l p_k, d > 2.
 
     Each level solves for [Phi_k | (I - M)^{-1}] at once; one test covers
     the M-matrix certificate (no negative entry in the inverse or in Phi_k)
@@ -204,7 +259,9 @@ def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, ref=None):
     """One exact pass from phi0 (d, d); returns (phis, bad_level_index or -1).
 
     With `ref` (n, d, d) the pass stops after the first level where it
-    agrees with ref bitwise, and phis holds the levels up to that one.
+    agrees with ref, and phis holds the levels up to that one. The loop is
+    the d = 1 division, the d = 2 elimination on floats or, at d >= 3, the
+    LAPACK solve.
     """
     el = math.exp(lam)
     if window.d == 1:
@@ -213,6 +270,8 @@ def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, ref=None):
         p = window.p[:, 0, 0].tolist()
         ref1 = None if ref is None else ref[:, 0, 0].tolist()
         return _sweep_d1(q, r, p, el, float(phi0[0, 0]), bound, ref1)
+    if window.d == 2:
+        return _sweep_d2(window.q, window.r, window.p, el, phi0, bound, ref)
     return _sweep_general(window.q, window.r, window.p, el, phi0, bound, ref)
 
 
@@ -433,7 +492,9 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
 
 def _derivative_sweep(q, r, el: float, phis, phi0, dphi0):
     """One pass of the Phi' recursion of phi_derivative over the given phis;
-    phi0, dphi0 feed level 0 (Phi_{-1}, Phi'_{-1})."""
+    phi0, dphi0 feed level 0 (Phi_{-1}, Phi'_{-1}). The loop is the d = 1
+    division, the d = 2 elimination on floats (_derivative_d2) or, at
+    d >= 3, the LAPACK solve."""
     n, d, _ = phis.shape
     if d == 1:
         # a 1x1 solve is one division: the same formula on floats, same bits
@@ -445,13 +506,52 @@ def _derivative_sweep(q, r, el: float, phis, phi0, dphi0):
             vals.append(df)
             f = cur[k]
         return np.array(vals).reshape(-1, 1, 1)
+    if d == 2:
+        return _derivative_d2(q, r, el, phis, phi0, dphi0)
     eye = np.eye(d)
     with _linalg_errstate():
         return _derivative_levels(q, r, eye, el, phis, phi0, dphi0)
 
 
+def _derivative_d2(q, r, el: float, phis, phi0, dphi0):
+    """_derivative_sweep's 2x2 levels on Python floats: the elimination of
+    _sweep_d2, with its m, pivot and Schur complement (computed from the
+    same Phi_{k-1}, bit for bit), applied to the right side
+    Phi_k + e^l q_k Phi'_{k-1} Phi_k. The Phi pass certified every pivot."""
+    n = len(phis)
+    out = np.empty((n, 2, 2))
+    flat = out.reshape(-1)
+    f00, f01, f10, f11 = phi0.ravel().tolist()
+    g00, g01, g10, g11 = dphi0.ravel().tolist()
+    for a in range(0, n, SWEEP_CHUNK):
+        vals = []
+        for q00, q01, q10, q11, r00, r01, r10, r11, c00, c01, c10, c11 in _float_rows(
+                a, q, r, phis):
+            m00 = el * (r00 + (q00 * f00 + q01 * f10))
+            m01 = el * (r01 + (q00 * f01 + q01 * f11))
+            m10 = el * (r10 + (q10 * f00 + q11 * f10))
+            m11 = el * (r11 + (q10 * f01 + q11 * f11))
+            pivot = 1.0 - m00
+            mult = m10 / pivot
+            schur = (1.0 - m11) - mult * m01
+            h00, h01 = q00 * g00 + q01 * g10, q00 * g01 + q01 * g11  # q_k Phi'_{k-1}
+            h10, h11 = q10 * g00 + q11 * g10, q10 * g01 + q11 * g11
+            b00 = c00 + el * (h00 * c00 + h01 * c10)
+            b01 = c01 + el * (h00 * c01 + h01 * c11)
+            b10 = c10 + el * (h10 * c00 + h11 * c10)
+            b11 = c11 + el * (h10 * c01 + h11 * c11)
+            g10 = (b10 + mult * b00) / schur
+            g11 = (b11 + mult * b01) / schur
+            g00 = (b00 + m01 * g10) / pivot
+            g01 = (b01 + m01 * g11) / pivot
+            vals += g00, g01, g10, g11
+            f00, f01, f10, f11 = c00, c01, c10, c11
+        flat[4 * a:4 * a + len(vals)] = vals
+    return out
+
+
 def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d):
-    """The level loop of _derivative_sweep at d > 1 and of
+    """The level loop of _derivative_sweep at d > 2 and of
     periodic_phi_derivative, for one start prev_d or a stack of them;
     runs inside _linalg_errstate."""
     n = phis.shape[0]
@@ -658,74 +758,6 @@ class CriticalExponent:
             raise ValueError("lambda_crit must lie inside its bracket")
 
 
-VERDICT_CHUNK = 256  # window levels converted to Python floats at a time
-
-
-def _verdict_levels(rows, el: float, bound: float, f):
-    """_sweep_general's 2x2 levels on Python floats, for a yes/no verdict.
-
-    `rows` holds 12 floats a level (q, r, p, each row-major) and `f` is
-    Phi_{k-1} as 4 floats. A level passes when I - M, M = e^l (r + q f),
-    is a nonsingular M-matrix (positive pivot 1 - m00 and positive Schur
-    complement; M >= 0 off the diagonal makes that the whole certificate)
-    and no entry of Phi exceeds `bound`. Returns the last level's Phi, or
-    None at the first level that fails.
-    """
-    f00, f01, f10, f11 = f
-    for q00, q01, q10, q11, r00, r01, r10, r11, p00, p01, p10, p11 in rows:
-        m00 = el * (r00 + (q00 * f00 + q01 * f10))
-        m01 = el * (r01 + (q00 * f01 + q01 * f11))
-        m10 = el * (r10 + (q10 * f00 + q11 * f10))
-        m11 = el * (r11 + (q10 * f01 + q11 * f11))
-        a = 1.0 - m00
-        if not a > 0.0:
-            return None
-        piv = m10 / a
-        schur = (1.0 - m11) - piv * m01
-        if not schur > 0.0:
-            return None
-        b00, b01 = el * p00, el * p01
-        f10 = (el * p10 + piv * b00) / schur
-        f11 = (el * p11 + piv * b01) / schur
-        f00 = (b00 + m01 * f10) / a
-        f01 = (b01 + m01 * f11) / a
-        if f00 > bound or f01 > bound or f10 > bound or f11 > bound:
-            return None
-    return f00, f01, f10, f11
-
-
-def _verdict_rows(q, r, p) -> np.ndarray:
-    """(n, 12) float rows of the levels' q, r, p for _verdict_levels."""
-    return np.concatenate((q, r, p), axis=1).reshape(len(q), -1)
-
-
-def _window_verdict(rows: np.ndarray, lam: float, bound: float) -> bool:
-    """Float verdict of one zero-start window pass, VERDICT_CHUNK levels at
-    a time (converting the whole window at once costs megabytes)."""
-    el, f = math.exp(lam), (0.0,) * 4
-    for a in range(0, len(rows), VERDICT_CHUNK):
-        f = _verdict_levels(rows[a:a + VERDICT_CHUNK].tolist(), el, bound, f)
-        if f is None:
-            return False
-    return True
-
-
-def _bisect(feasible, cap: float, tol: float):
-    """The bracket (lo, hi) that bisecting [0, cap] on `feasible` ends in,
-    hi - lo <= tol; None when `cap` itself is feasible. lo = 0 is never
-    asked: it is feasible a priori."""
-    if feasible(cap):
-        return None
-    lo, hi = 0.0, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def estimate_lambda_crit(
     spec: EnvironmentSpec,
     window_len: int = 6000,
@@ -734,27 +766,20 @@ def estimate_lambda_crit(
 ) -> CriticalExponent:
     """Bisect [0, -log(kappa^2/2)] on Phi-solver feasibility.
 
-    lambda = 0 is feasible a priori (entries of Phi(0) are probabilities).
-    A window solve that diverges, exceeds the a-priori entry bound, or fails
-    to converge counts as infeasible, shrinking the verdict conservatively.
+    lambda = 0 is feasible a priori (entries of Phi(0) are probabilities)
+    and is never asked. A window solve that diverges, exceeds the a-priori
+    entry bound, or fails to converge counts as infeasible, shrinking the
+    verdict conservatively.
 
-    A periodic spec asks the exact verdict, one Newton solve, at every
-    midpoint. On a d = 2 window the search path is walked with the float
-    verdict of _verdict_levels, about 16 times cheaper a level than the
-    LAPACK sweep.
-    In exact arithmetic the verdict is monotone in lambda: each level's map
-    increases in lambda and in Phi_{k-1}, so the spectral radius of M_k and
-    the entries of Phi_k rise while the bound e^{-lambda}/kappa falls. The
-    bisection's bracket is therefore the one leaf of its tree of midpoints
-    whose lower end is feasible and whose upper end is not, whichever
-    verdict chose the path. The leaf the float walk ends in is confirmed by
-    the exact verdict at both ends (at the cap alone when the cap passed,
-    and without the a-priori lower end 0); if either end disagrees, the
-    bisection runs again on the exact verdict, so every reported bracket
-    end is one the exact solver vouches for.
+    Every midpoint asks the exact verdict: one Newton solve on a periodic
+    spec, else one _sweep over the window, the loop of its d (at d = 2 the
+    2x2 elimination on floats, whose pivot signs are the M-matrix
+    certificate). In exact arithmetic the verdict is monotone in lambda:
+    each level's map increases in lambda and in Phi_{k-1}, so the spectral
+    radius of M_k and the entries of Phi_k rise while the bound
+    e^{-lambda}/kappa falls.
     """
     cap = lambda_crit_cap(spec.kappa)
-    fast = None
     if spec.kind == "periodic":
         ptol = min(1e-13, tol * 1e-4)
 
@@ -773,22 +798,14 @@ def estimate_lambda_crit(
             _, bad = _sweep(window, lam, phi0, bound)
             return bad < 0
 
-        if spec.d == 2:
-            rows = _verdict_rows(window.q, window.r, window.p)
-
-            def fast(lam: float) -> bool:
-                return _window_verdict(rows, lam, divergence_bound(spec.kappa, lam))
-
-    leaf = _bisect(fast or feasible, cap, tol)
-    if fast is not None:
-        if leaf is None:
-            confirmed = feasible(cap)
-        else:
-            confirmed = (leaf[0] == 0.0 or feasible(leaf[0])) and not feasible(leaf[1])
-        if not confirmed:
-            leaf = _bisect(feasible, cap, tol)
-    if leaf is None:
+    if feasible(cap):
         # cannot happen for kappa < 1/2 unless degenerate; report the cap
         return CriticalExponent(lambda_crit=cap, bracket=(cap - tol, cap), tolerance=tol)
-    lo, hi = leaf
+    lo, hi = 0.0, cap
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
     return CriticalExponent(lambda_crit=0.5 * (lo + hi), bracket=(lo, hi), tolerance=tol)

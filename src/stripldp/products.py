@@ -113,14 +113,14 @@ def _roll_left(factors: np.ndarray, start: np.ndarray | None = None):
     n, d, _ = factors.shape
     if d == 1:
         return np.ones((n + 1, 1)), factors[:, 0, 0]
-    ones = np.ones(d)
+    ones, w = np.ones(d), np.empty(d)
     Z = np.empty((n + 1, d))
     s = np.empty(n)
     z = Z[0] = np.full(d, 1.0 / d) if start is None else start
     for k, phi in enumerate(factors):
-        w = z @ phi
-        s[k] = t = w @ ones
-        z = Z[k + 1] = w / t
+        np.matmul(z, phi, out=w)
+        s[k] = t = np.dot(w, ones)
+        z = np.divide(w, t, out=Z[k + 1])
     return Z, s
 
 
@@ -134,14 +134,14 @@ def _roll_right(factors: np.ndarray, start: np.ndarray | None = None):
     n, d, _ = factors.shape
     if d == 1:
         return np.ones((n + 1, 1)), factors[:, 0, 0]
-    ones = np.ones(d)
+    ones, w = np.ones(d), np.empty(d)
     R = np.empty((n + 1, d))
     s = np.empty(n)
     r = R[n] = np.full(d, 1.0 / d) if start is None else start
     for k in range(n - 1, -1, -1):
-        w = factors[k] @ r
-        s[k] = t = w @ ones
-        r = R[k] = w / t
+        np.matmul(factors[k], r, out=w)
+        s[k] = t = np.dot(w, ones)
+        r = np.divide(w, t, out=R[k])
     return R, s
 
 

@@ -173,12 +173,35 @@ def random_d2_iid_spec(seed, kappa=0.08, n_support=3, drift=0.0, d=2):
 REF_NEG_ENTRY_TOL = -1e-12
 
 
-def ref_sweep(window, lam, phi0, bound):
-    """(phis, bad level index or -1) of one zero-start pass over the window."""
+def ref_solve_2x2(m, b):
+    """(I - m)^{-1} b for 2x2 nested lists of Python floats, m >= 0, by
+    eliminating the first column (no row exchange); None unless the pivot
+    1 - m00 and the Schur complement are positive."""
+    (m00, m01), (m10, m11) = m
+    pivot = 1.0 - m00
+    if not pivot > 0.0:
+        return None
+    mult = m10 / pivot
+    schur = (1.0 - m11) - mult * m01
+    if not schur > 0.0:
+        return None
+    x1 = [(b[1][j] + mult * b[0][j]) / schur for j in range(2)]
+    x0 = [(b[0][j] + m01 * x1[j]) / pivot for j in range(2)]
+    return [x0, x1]
+
+
+def ref_matmul_2x2(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+
+
+def ref_sweep(window, lam, phi0, bound, lapack=False):
+    """(phis, bad level index or -1) of one zero-start pass over the window:
+    one division a level at d = 1, one 2x2 elimination on Python floats at
+    d = 2, np.linalg.solve at d >= 3 (and at every d with `lapack`)."""
     el = math.exp(lam)
     n, d = window.n_levels, window.d
     out = np.empty((n, d, d))
-    if d == 1:
+    if d == 1 and not lapack:
         q, r, p = (a[:, 0, 0].tolist() for a in (window.q, window.r, window.p))
         f = float(phi0[0, 0])
         for k in range(n):
@@ -189,6 +212,17 @@ def ref_sweep(window, lam, phi0, bound):
             if f > bound:
                 return out, k
             out[k, 0, 0] = f
+        return out, -1
+    if d == 2 and not lapack:
+        f = phi0.tolist()
+        for k in range(n):
+            qf = ref_matmul_2x2(window.q[k].tolist(), f)
+            r, p = window.r[k].tolist(), window.p[k].tolist()
+            m = [[el * (r[i][j] + qf[i][j]) for j in range(2)] for i in range(2)]
+            f = ref_solve_2x2(m, [[el * x for x in row] for row in p])
+            if f is None or any(x > bound for row in f for x in row):
+                return out, k
+            out[k] = f
         return out, -1
     eye = np.eye(d)
     rhs = np.empty((d, 2 * d))
@@ -211,7 +245,9 @@ def ref_sweep(window, lam, phi0, bound):
     return out, -1
 
 
-def ref_derivative_sweep(window, lam, phis, dphi0):
+def ref_derivative_sweep(window, lam, phis, dphi0, lapack=False):
+    """The Phi' recursion over `phis`: the 2x2 elimination of ref_sweep at
+    d = 2, np.linalg.solve at every other d (and at d = 2 with `lapack`)."""
     el = math.exp(lam)
     n, d = window.n_levels, window.d
     eye = np.eye(d)
@@ -220,21 +256,30 @@ def ref_derivative_sweep(window, lam, phis, dphi0):
     prev_d = dphi0
     for k in range(n):
         cur = phis[k]
-        m = el * (window.r[k] + window.q[k] @ prev_phi)
-        rhs = cur + el * (window.q[k] @ prev_d @ cur)
-        out[k] = np.linalg.solve(eye - m, rhs)
+        if d == 2 and not lapack:
+            q, r, c = window.q[k].tolist(), window.r[k].tolist(), cur.tolist()
+            qf = ref_matmul_2x2(q, prev_phi.tolist())
+            m = [[el * (r[i][j] + qf[i][j]) for j in range(2)] for i in range(2)]
+            h = ref_matmul_2x2(ref_matmul_2x2(q, prev_d.tolist()), c)
+            out[k] = ref_solve_2x2(m, [[c[i][j] + el * h[i][j] for j in range(2)]
+                                       for i in range(2)])
+        else:
+            m = el * (window.r[k] + window.q[k] @ prev_phi)
+            rhs = cur + el * (window.q[k] @ prev_d @ cur)
+            out[k] = np.linalg.solve(eye - m, rhs)
         prev_phi, prev_d = cur, out[k]
     return out
 
 
-def ref_solve_phi_window(window, lam, tol=1e-12, shift=None, kappa=None):
-    """solve_phi_window with the boundary re-solve run over every level."""
+def ref_solve_phi_window(window, lam, tol=1e-12, shift=None, kappa=None, lapack=False):
+    """solve_phi_window with the boundary re-solve run over every level
+    (ref_sweep's passes, LAPACK at every d with `lapack`)."""
     from stripldp.phi import PhiSolution, SupercriticalError, _infer_kappa, divergence_bound
 
     n = window.n_levels
     bound = divergence_bound(_infer_kappa(window) if kappa is None else kappa, lam, tol)
     phi0 = np.zeros((window.d, window.d))
-    phis, bad = ref_sweep(window, lam, phi0, bound)
+    phis, bad = ref_sweep(window, lam, phi0, bound, lapack)
     if bad >= 0:
         raise SupercriticalError(lam, level=window.lo + bad)
     if shift is None:
@@ -243,7 +288,7 @@ def ref_solve_phi_window(window, lam, tol=1e-12, shift=None, kappa=None):
     warmup = shift
     if shift < n:
         sub = window.sub(window.lo + shift, window.hi)
-        phis2, bad2 = ref_sweep(sub, lam, phi0, bound)
+        phis2, bad2 = ref_sweep(sub, lam, phi0, bound, lapack)
         if bad2 >= 0:
             raise SupercriticalError(lam, level=sub.lo + bad2)
         diffs = np.abs(phis[shift:] - phis2).max(axis=(1, 2))
@@ -256,11 +301,12 @@ def ref_solve_phi_window(window, lam, tol=1e-12, shift=None, kappa=None):
                        boundary_gap=gap, shift=shift)
 
 
-def ref_phi_derivative(window, lam, tol=1e-12, phi_solution=None, kappa=None):
+def ref_phi_derivative(window, lam, tol=1e-12, phi_solution=None, kappa=None, lapack=False):
     """phi_derivative as the reference sweep over the reference Phi solve."""
     if phi_solution is None:
-        phi_solution = ref_solve_phi_window(window, lam, tol=tol, kappa=kappa)
-    return ref_derivative_sweep(window, lam, phi_solution.phis, np.zeros((window.d, window.d)))
+        phi_solution = ref_solve_phi_window(window, lam, tol=tol, kappa=kappa, lapack=lapack)
+    return ref_derivative_sweep(window, lam, phi_solution.phis,
+                                np.zeros((window.d, window.d)), lapack)
 
 
 def _tail_estimate(change, prev_change):
@@ -316,11 +362,12 @@ def ref_solve_phi_periodic(spec, lam, tol=1e-13, max_iter=200_000):
 
 
 def ref_estimate_lambda_crit(spec, window_len=6000, tol=1e-6, seed=0):
-    """estimate_lambda_crit as the plain bisection: the exact verdict (one
-    window sweep, or the reference cyclic sweep) at every midpoint."""
+    """estimate_lambda_crit as the plain bisection: at every midpoint one
+    LAPACK window sweep (ref_sweep with `lapack`), or the reference cyclic
+    sweep."""
     from stripldp.env import lambda_crit_cap, sample_window
     from stripldp.phi import (ConvergenceError, CriticalExponent, SupercriticalError,
-                              _sweep, divergence_bound)
+                              divergence_bound)
 
     if spec.kind == "periodic":
         def feasible(lam):
@@ -334,7 +381,8 @@ def ref_estimate_lambda_crit(spec, window_len=6000, tol=1e-6, seed=0):
         phi0 = np.zeros((spec.d, spec.d))
 
         def feasible(lam):
-            return _sweep(window, lam, phi0, divergence_bound(spec.kappa, lam))[1] < 0
+            return ref_sweep(window, lam, phi0, divergence_bound(spec.kappa, lam),
+                             lapack=True)[1] < 0
 
     lo, hi = 0.0, lambda_crit_cap(spec.kappa)
     if feasible(hi):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -278,6 +279,14 @@ def test_spec_kinds_have_finite_support():
     with pytest.raises(SpecValidationError, match="unknown spec kind"):
         EnvironmentSpec(kind="iid-parametric", d=2, kappa=iid.kappa,
                         slices=iid.slices, weights=iid.weights)
+
+
+def test_periodic_spec_takes_no_weights():
+    """A periodic spec reads its slices in turn; weights on it would be
+    ignored (also by its content hash), so they are refused."""
+    iid = two_point_d1_spec([0.7, 0.8], [0.3, 0.7])
+    with pytest.raises(SpecValidationError, match="no weights"):
+        dataclasses.replace(iid, kind="periodic")
 
 
 def test_start_distribution():
