@@ -236,20 +236,22 @@ class EnvironmentSpec:
             raise SpecValidationError("a periodic spec reads its slices in turn: no weights")
 
     def _is_documented_block_pattern(self, s: EnvironmentSlice, rep) -> bool:
-        # Appendix-style (L,R) embedding with L != R: p has zero rows
-        # [0, L-R) and zero columns [R, L); only those conditions may fail.
+        # (L,R) embedding with L != R, k = |L-R|, m = min(L, R): p (L > R) or
+        # q (R > L) has zero rows [0, k) and columns [m, d) (an L > R embedding)
+        # or zero rows [m, d) and columns [0, k) (an R > L one), each pattern
+        # also that of the other's reflection; only those conditions may fail.
         if self.bounded_jump is None:
             return False
         L, R = self.bounded_jump
         if L == R:
             return False
-        if L > R:
-            zero_rows, zero_cols, m = range(0, L - R), range(R, L), s.p
-        else:
-            zero_rows, zero_cols, m = range(0, R - L), range(L, R), s.q
-        ok = all(m[i, :].sum() == 0 for i in zero_rows) and all(
-            m[:, j].sum() == 0 for j in zero_cols
-        )
+        k, m = abs(L - R), min(L, R)
+        mat = s.p if L > R else s.q
+
+        def zero(rows: slice, cols: slice) -> bool:
+            return not mat[rows].any() and not mat[:, cols].any()
+
+        ok = zero(slice(0, k), slice(m, None)) or zero(slice(m, None), slice(0, k))
         return ok and not rep.singular_stay
 
     @property
@@ -391,8 +393,9 @@ def embed_bounded_jump(
     step z to the left/stay/right matrix via the level offset of x + z.
 
     When L > R the resulting p matrices have zero rows i in [1, L-R] and zero
-    columns j in [R+1, L]; the spec is flagged bounded-jump so validation
-    accepts that documented pattern (mirrored for R > L).
+    columns j in [R+1, L]; when R > L the q matrices have zero rows i in
+    [L+1, R] and zero columns j in [1, R-L]. The spec is flagged bounded-jump
+    so validation accepts that documented pattern.
     """
     if L < 1 or R < 1:
         raise SpecValidationError("need L >= 1 and R >= 1")

@@ -23,10 +23,10 @@ Two evaluation paths:
 
 Every estimator, full or truncated, takes its directions from the two rolls
 of `products` (`_roll_left` for mu, `_roll_right` for nu), rolled once:
-over a window from uniform starts, over one period from the mu_0 and nu_0
-that the period's rolls come back to. The value terms are the logs of the
-forward roll's normalizers mu_k Phi_k 1; the derivative terms are one
-batched product mu_k Phi'_k nu_{k+1} over all levels.
+over a window from uniform starts, over one period from mu_0 and nu_0, the
+left and right Perron vectors of the period product. The value terms are
+the logs of the forward roll's normalizers mu_k Phi_k 1; the derivative
+terms are one batched product mu_k Phi'_k nu_{k+1} over all levels.
 
 `LmgfEvaluator` forms every estimate in one place: the mean of the
 per-level terms, with a 95% CLT bar over a window's n levels (0 on a
@@ -51,7 +51,6 @@ import numpy as np
 
 from .env import EnvironmentSpec, EnvironmentWindow, n_kappa, sample_window
 from .phi import (
-    NEWTON_MAX_STEPS,
     ConvergenceError,
     _check_truncated_range,
     CriticalExponent,
@@ -67,7 +66,6 @@ from .phi import (
 from .products import _roll_left, _roll_right
 
 DEFAULT_MARGIN = 320
-FP_TOL = 1e-13
 REGIME_TOL = 1e-8  # floor of _classify's regime threshold on |Lambda(0)|
 
 
@@ -123,25 +121,30 @@ def _sandwich_check(lam: float, value: float, kappa: float, slack: float) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _cycle_fixed_point(step, start: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    cur = start
-    for _ in range(max_iter):
-        prev, cur = cur, step(cur)
-        if np.abs(cur - prev).max() <= tol:
-            return cur
-    raise ConvergenceError(float(np.abs(cur - prev).max()), max_iter)
+def _perron(m: np.ndarray) -> np.ndarray:
+    """The eigenvector of m's eigenvalue with the largest real part, taken
+    entrywise in absolute value and scaled to sum 1: the Perron vector of a
+    nonnegative irreducible m."""
+    w, v = np.linalg.eig(m)
+    x = np.abs(v[:, np.argmax(w.real)])
+    return x / x.sum()
 
 
-def _cycle_starts(phis: np.ndarray, nu: bool = True, tol: float = 1e-14,
-                  max_iter: int = 100_000):
-    """(mu_0, nu_0): the directions that one period's forward roll from mu_0
-    and backward roll from nu_0 come back to; nu_0 is None unless `nu`."""
-    uniform = np.full(phis.shape[1], 1.0 / phis.shape[1])
-    mu0 = _cycle_fixed_point(lambda mu: _roll_left(phis, mu)[0][-1], uniform, tol, max_iter)
-    if not nu:
-        return mu0, None
-    nu0 = _cycle_fixed_point(lambda nu: _roll_right(phis, nu)[0][0], uniform, tol, max_iter)
-    return mu0, nu0
+def _cycle_starts(phis: np.ndarray, nu: bool = True):
+    """(mu_0, nu_0): the left and right Perron vectors of the period product
+    P = Phi_0 ... Phi_{n-1} (Seneta, Non-negative Matrices and Markov Chains,
+    ch. 1 and 3), so one period's forward roll from mu_0 and backward roll
+    from nu_0 come back to them. P is formed one factor at a time and
+    normalized after each product; nu_0 is None unless `nu`. At d = 1 both
+    are the unit vector."""
+    d = phis.shape[1]
+    if d == 1:
+        return np.ones(1), (np.ones(1) if nu else None)
+    P = np.eye(d)
+    for phi in phis:
+        P = P @ phi
+        P /= P.sum()
+    return _perron(P.T), (_perron(P) if nu else None)
 
 
 def _bilinear(Z: np.ndarray, phis: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -222,8 +225,8 @@ class LmgfEvaluator:
 
     def _starts(self, phis: np.ndarray, nu: bool = True):
         """(mu_0, nu_0) for the direction rolls over `phis`: uniform (None)
-        on a window, the vectors one period's rolls come back to on a
-        period. Value terms roll mu only; without `nu`, nu_0 is None."""
+        on a window, the Perron vectors of the period product on a period.
+        Value terms roll mu only; without `nu`, nu_0 is None."""
         return (None, None) if self.window is not None else _cycle_starts(phis, nu)
 
     def _memoized(self, kind: str, lam: float, estimator) -> LmgfEstimate:
@@ -256,15 +259,10 @@ class LmgfEvaluator:
     def _phi(self, lam: float):
         """The PeriodicPhi or window PhiSolution of lam. The last one is kept,
         so a Legendre search's final value reuses the sweep of the Lambda'
-        evaluated at the same lambda.
-
-        For lam <= 0 a periodic solve whose Newton steps run out still
-        yields a usable value with its tail bias (a fixed point exists a
-        priori); `_derivative` refuses such a solution.
-        """
+        evaluated at the same lambda."""
         if self._last_phi[0] != lam:
             if self.window is None:
-                sol = solve_phi_periodic(self.spec, lam, tol=FP_TOL)
+                sol = solve_phi_periodic(self.spec, lam)
             else:
                 sol = solve_phi_window(self.window, lam, shift=self.margin or None,
                                        kappa=self.spec.kappa)
@@ -302,8 +300,6 @@ class LmgfEvaluator:
     def _derivative(self, lam: float) -> LmgfEstimate:
         sol = self._phi(lam)
         if self.window is None:
-            if sol.iterations == NEWTON_MAX_STEPS:
-                raise ConvergenceError(sol.residual, sol.iterations)
             phis, dphis = sol.phis, periodic_phi_derivative(self.spec, lam, sol)
         else:
             i0 = self.window.index_of(0)

@@ -446,9 +446,8 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
     iteration for non-linear equations in Markov chains). Newton stops
     when |delta| <= tol, or when |delta| stops shrinking while the period
     residual is <= tol (the rounding floor at a nearly singular root); one
-    more pass from the last x gives every position. After NEWTON_MAX_STEPS
-    steps the last iterate is returned for lambda <= 0, where a fixed
-    point exists a priori, and ConvergenceError is raised otherwise.
+    more pass from the last x gives every position. If NEWTON_MAX_STEPS
+    steps run out first, ConvergenceError is raised, at every lambda.
     """
     if spec.kind != "periodic":
         raise ValueError("solve_phi_periodic needs a periodic spec")
@@ -480,7 +479,7 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
             x = np.maximum(x + delta, 0.0)
             last, step = step, float(np.abs(delta).max())
             done = step <= tol or (step >= last and float(np.abs(res).max()) <= tol)
-    if not done and lam > 0:
+    if not done:
         raise ConvergenceError(step, it)
     return PeriodicPhi(phis=phis, lam=lam, iterations=it, residual=step, tail=step)
 

@@ -710,6 +710,38 @@ def enumerate_hitting_distribution(window, n, M, start_height=0, max_steps=None)
     return out
 
 
+def cramer_speed_rate(kernel, L, d, x, iters=200):
+    """Cramér's rate of a walk on Z with step kernel `kernel` on [-L, R], in
+    strip levels of width d: sup_theta {theta d x - log sum_z k(z) e^{theta z}},
+    for d x strictly between the least and the largest step. The supremum
+    sits where the tilted mean step sum_z z k(z) e^{theta z} / sum_z k(z)
+    e^{theta z} (increasing in theta) equals d x; theta is bisected on that."""
+    z = np.arange(-L, len(kernel) - L)
+    k = np.asarray(kernel, dtype=float)
+
+    def log_mgf(theta):
+        return math.log(float((k * np.exp(theta * z)).sum()))
+
+    def tilted_mean(theta):
+        w = k * np.exp(theta * z)
+        return float((w * z).sum() / w.sum())
+
+    target = d * x
+    lo, hi = -1.0, 1.0
+    while tilted_mean(lo) > target:
+        lo *= 2.0
+    while tilted_mean(hi) < target:
+        hi *= 2.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if tilted_mean(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    theta = 0.5 * (lo + hi)
+    return theta * target - log_mgf(theta)
+
+
 def power_iteration_direction(mat, iters=400):
     """Dominant left-eigenvector direction of a positive matrix."""
     v = np.full(mat.shape[0], 1.0 / mat.shape[0])

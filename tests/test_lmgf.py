@@ -5,7 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stripldp.env import EnvironmentSpec, homogeneous_d1_spec, sample_window, two_point_d1_spec
+from stripldp.env import (
+    EnvironmentSlice,
+    EnvironmentSpec,
+    embed_bounded_jump,
+    homogeneous_d1_spec,
+    sample_window,
+    two_point_d1_spec,
+)
 from stripldp.lmgf import (
     LmgfEvaluator,
     analyze_environment,
@@ -13,7 +20,7 @@ from stripldp.lmgf import (
     lambda_eta_prime,
     lambda_eta_truncated,
 )
-from stripldp.phi import solve_phi_window
+from stripldp.phi import solve_phi_periodic, solve_phi_window
 from stripldp.rates import _analyze_pair
 
 from conftest import (
@@ -380,6 +387,53 @@ def test_periodic_terms_roll_one_cycle(name, monkeypatch):
         assert np.abs(Z[-1] - mu0).max() <= 1e-14
         R = lmgf._roll_right(phis, nu0)[0]
         assert np.abs(R[0] - nu0).max() <= 1e-14
+
+
+STARTS_SPECS = {
+    **PERIODIC_SPECS,
+    "bj21": lambda: embed_bounded_jump([0.35, 0.35, 0.0, 0.30], 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STARTS_SPECS))
+def test_periodic_starts_are_perron_vectors(name):
+    """mu_0 and nu_0 are the left and right Perron vectors of the period
+    product P = Phi_0 ... Phi_{n-1}, normalized after each factor: mu_0 P =
+    rho mu_0 and P nu_0 = rho nu_0 to 1e-15 relative to rho. The (2,1)
+    embedding's Phi has a zero column, and mu_0 keeps its exact zero there."""
+    import stripldp.lmgf as lmgf
+
+    spec = STARTS_SPECS[name]()
+    for lam in (-30.0, -1.0, 0.0):
+        phis = solve_phi_periodic(spec, lam).phis
+        mu0, nu0 = lmgf._cycle_starts(phis)
+        P = np.eye(spec.d)
+        for phi in phis:
+            P = P @ phi
+            P = P / P.sum()
+        rho = float(np.linalg.eigvals(P).real.max())
+        assert abs(mu0.sum() - 1.0) <= 1e-15 and abs(nu0.sum() - 1.0) <= 1e-15
+        assert np.abs(mu0 @ P - rho * mu0).max() <= 1e-15 * rho
+        assert np.abs(P @ nu0 - rho * nu0).max() <= 1e-15 * rho
+        if name == "bj21":
+            assert mu0[1] == 0.0
+
+
+def test_small_coupling_periodic_lambda_at_zero():
+    """Heights coupled by eps = 1e-5 leave the period product a spectral gap
+    of order eps: rolled around the period, its directions do not repeat to
+    1e-14 within 1e5 cycles, yet its Perron vectors are exact. The
+    right-transient spec has Lambda(0) = 0 and a finite Lambda'(0), not the
+    infinite estimate of a diverging solve."""
+    eps = 1e-5
+    slice_ = EnvironmentSlice(
+        q=np.array([[0.3 - eps, eps], [eps, 0.4 - eps]]), r=np.zeros((2, 2)),
+        p=np.array([[0.7 - eps, eps], [eps, 0.6 - eps]]),
+    )
+    spec = EnvironmentSpec(kind="periodic", d=2, kappa=0.99 * eps, slices=(slice_,))
+    ev = LmgfEvaluator(spec)
+    assert abs(ev.value(0.0).value) <= 1e-12
+    assert math.isfinite(ev.derivative(0.0).value)
 
 
 PINNED = json.loads(Path(__file__).with_name("pinned_estimates.json").read_text())

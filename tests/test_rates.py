@@ -27,7 +27,7 @@ from stripldp.rates import (
     speed_rate_curve,
 )
 
-from conftest import d1_lambda_crit, d1_phi_closed, random_d2_iid_spec
+from conftest import cramer_speed_rate, d1_lambda_crit, d1_phi_closed, random_d2_iid_spec
 
 
 def brute_force_J(p, t, lam_lo=-12.0, n_pts=200_001):
@@ -382,6 +382,32 @@ def test_tilts_keep_the_bounded_jump_marker():
     )
     fam = _TiltFamily(spec, 300, 0)
     assert fam.evaluator(fam.base).spec.content_hash() == spec.content_hash()
+
+
+def test_r_greater_than_l_bounded_jump_speed_is_cramer():
+    """The direct (1,2) embedding has zero rows [1, 2) and zero columns
+    [0, 1) in q, the mirror of the (2,1) pattern; it validates, and its speed
+    rate on x > 0 is Cramér's rate of the kernel."""
+    kernel = [0.4, 0.1, 0.25, 0.25]
+    spec = embed_bounded_jump(kernel, 1, 2)
+    xs = [0.1, 0.3, 0.5, 0.7, 0.9]
+    curve = speed_rate_curve(spec, xs)
+    for x, got in zip(xs, curve.values):
+        assert abs(got - cramer_speed_rate(kernel, 1, spec.d, x)) <= 1e-10
+
+
+def test_bounded_jump_hitting_rate_at_one_step():
+    """On the L = R = 2 kernel, J(1) = -lim (Lambda(lambda) - lambda) as
+    lambda -> -inf: the log of the Perron root of p = [[1/4, 0], [1/4, 1/4]],
+    log 4. That root is double with one eigenvector, so rolling directions
+    around the period until they repeat converges only like 1/n there; the
+    Perron vector of the period product gives a finite Lambda at the search's
+    lambda = -30 end, and no shape warning."""
+    spec = embed_bounded_jump([0.2, 0.2, 0.1, 0.25, 0.25], 2, 2)
+    curve = hitting_rate_curve(spec, [1.0, 2.0, 3.0])
+    assert math.isfinite(curve.values[0])
+    assert abs(curve.values[0] - math.log(4.0)) <= 1e-6
+    assert curve.warnings == []
 
 
 def test_tilt_bound_depends_only_on_t():
