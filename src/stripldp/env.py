@@ -18,7 +18,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -269,6 +269,17 @@ class EnvironmentSpec:
             m.setflags(write=False)
         return out
 
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """Each support slice as one tuple of Python floats (its q, r and p,
+        each row-major), held in a 1-d object array: a sampled window
+        gathers its levels' rows from it by slice index."""
+        out = np.empty(len(self.slices), dtype=object)
+        for k, row in enumerate(_level_rows(*self.stacks)):
+            out[k] = row
+        out.setflags(write=False)
+        return out
+
     def invert(self) -> "EnvironmentSpec":
         """Spec of the reflected environment (q and p swapped, levels negated)."""
         slices = self.slices
@@ -287,9 +298,24 @@ class EnvironmentSpec:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _level_rows(q: np.ndarray, r: np.ndarray, p: np.ndarray) -> list:
+    """One tuple of Python floats a level of the (n, d, d) stacks: q, r and
+    p, each row-major."""
+    n = len(q)
+    return list(map(tuple, np.concatenate(
+        [m.reshape(n, -1) for m in (q, r, p)], axis=1).tolist()))
+
+
 @dataclass(frozen=True)
 class EnvironmentWindow:
-    """Contiguous slice sequence for levels [lo, hi), stored as stacked arrays."""
+    """Contiguous slice sequence for levels [lo, hi), stored as stacked arrays.
+
+    `rows[k]` holds level lo+k as one tuple of Python floats (q, r and p,
+    each row-major): the sweeps at d <= 2 read these and never convert the
+    arrays. A sampled window's levels share their support slice's tuple, so
+    the rows cost one reference a level; a window built from arrays alone
+    gets rows of its own.
+    """
 
     q: np.ndarray  # (n, d, d)
     r: np.ndarray
@@ -298,6 +324,7 @@ class EnvironmentWindow:
     hi: int
     seed: int | None = None
     spec_hash: str | None = None
+    rows: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.hi - self.lo
@@ -307,6 +334,10 @@ class EnvironmentWindow:
             if m.shape != (n, self.d, self.d):
                 raise SpecValidationError("window arrays must be (n, d, d)")
             m.setflags(write=False)
+        if self.rows is None:
+            object.__setattr__(self, "rows", _level_rows(self.q, self.r, self.p))
+        elif len(self.rows) != n:
+            raise SpecValidationError("window needs one row a level")
 
     @property
     def d(self) -> int:
@@ -329,7 +360,7 @@ class EnvironmentWindow:
         a, b = self.index_of(lo), self.index_of(hi - 1) + 1
         return EnvironmentWindow(
             q=self.q[a:b], r=self.r[a:b], p=self.p[a:b],
-            lo=lo, hi=hi, seed=self.seed, spec_hash=self.spec_hash,
+            lo=lo, hi=hi, seed=self.seed, spec_hash=self.spec_hash, rows=self.rows[a:b],
         )
 
 
@@ -356,7 +387,8 @@ def sample_window(
         idx = np.minimum(idx, len(spec.slices) - 1)
     q, r, p = (m[idx] for m in spec.stacks)
     return EnvironmentWindow(
-        q=q, r=r, p=p, lo=lo, hi=hi, seed=seed, spec_hash=spec.content_hash()
+        q=q, r=r, p=p, lo=lo, hi=hi, seed=seed, spec_hash=spec.content_hash(),
+        rows=spec.rows[idx].tolist(),
     )
 
 

@@ -154,12 +154,15 @@ def _bilinear(Z: np.ndarray, phis: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 def _log_terms(phis: np.ndarray, mu0: np.ndarray | None = None):
     """log(mu_k Phi_k 1) at every level: the logs of the normalizers of the
-    forward roll from mu0 (uniform when omitted). numpy's vectorized log
+    forward roll from mu0 (uniform when omitted), which at d = 2 sums on
+    Python floats (see `products._roll_left`). numpy's vectorized log
     (d = 1) and libm's `math.log` (d > 1, one level at a time) differ in the
     last bit on a few inputs in a thousand; the split keeps each reported
     window value the same to the last bit."""
     s = _roll_left(phis, mu0)[1]
-    return np.log(s) if phis.shape[1] == 1 else np.fromiter(map(math.log, s), float, len(s))
+    if phis.shape[1] == 1:
+        return np.log(s)
+    return np.fromiter(map(math.log, s.tolist()), float, len(s))
 
 
 def _derivative_terms(phis: np.ndarray, dphis: np.ndarray, mu0: np.ndarray | None = None,

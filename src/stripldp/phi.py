@@ -16,13 +16,15 @@ bound (1/kappa) e^{-lambda} for lambda > 0) certifies supercriticality.
 Six loops do all the sweeping: Phi and Phi' each have a scalar one, a
 2x2 one and a general one. A window pass (the Phi solve, its boundary
 re-solve, Phi', and each lambda_crit midpoint) takes the loop of its d:
-at d = 1 one division a level, bit for bit the 1x1 LAPACK solve (on 3320
-two-point levels, phi_derivative takes 0.7 ms against 17 ms on a 2-core
-x86-64 Xeon); at d = 2 one closed-form 2x2 elimination a level on Python
-floats, whose positive pivot and Schur complement are the whole M-matrix
-certificate (1.2-1.7 us a Phi level and 1.4-1.8 us a Phi' level,
-against 10-14 us for LAPACK, on the same Xeon); at d >= 3 one LAPACK
-solve a level. The general loops also make every pass of the periodic
+at d = 1 one division a level, bit for bit the 1x1 LAPACK solve; at
+d = 2 one closed-form 2x2 elimination a level on Python floats, whose
+positive pivot and Schur complement are the whole M-matrix certificate;
+at d >= 3 one LAPACK solve a level. The d <= 2 loops read the window's
+levels from `EnvironmentWindow.rows`, tuples of Python floats made once
+per support slice, and call no numpy function inside the loop. On a
+2-core x86-64 Xeon a level costs about 0.15 us of Phi or Phi' at d = 1,
+0.7 us of Phi and 1.0 us of Phi' at d = 2, against 10-14 us for a LAPACK
+level. The general loops also make every pass of the periodic
 Newton solve, the two Phi' passes over a period around the periodic Phi'
 solve and each Newton step's Jacobian, at every d. A window's Phi' is one
 pass over the solved Phi; the boundary re-solve is Phi's only. Level k of
@@ -111,36 +113,32 @@ def divergence_bound(kappa: float, lam: float, tol: float = 1e-12) -> float:
     return 1.0 + 10.0 * tol
 
 
-def _sweep_d1(q, r, p, el: float, phi0: float, bound: float, ref=None):
-    """Scalar fast path ('q','r','p' are flat float lists; 'ref' a float list)."""
-    n = len(q)
-    out = np.empty((n, 1, 1))
-    f = phi0
-    for k in range(n):
-        m = el * (r[k] + q[k] * f)
+def _sweep_d1(rows, el: float, f: float, bound: float, ref=None):
+    """_sweep's scalar levels: one division a level over the window's
+    (q, r, p) float rows; 'ref' is a float list."""
+    vals = []
+    for k, (q, r, p) in enumerate(rows):
+        m = el * (r + q * f)
         if m >= 1.0:
-            return out, k
-        f = el * p[k] / (1.0 - m)
+            return _levels(vals, 1), k
+        f = el * p / (1.0 - m)
         if f > bound:
-            return out, k
-        out[k, 0, 0] = f
+            return _levels(vals, 1), k
+        vals.append(f)
         if ref is not None and f == ref[k]:
-            return out[:k + 1], -1
-    return out, -1
+            return _levels(vals, 1), -1
+    return _levels(vals, 1), -1
 
 
-SWEEP_CHUNK = 256  # d = 2 window levels converted to Python floats at a time
+def _levels(vals: list, d: int) -> np.ndarray:
+    """The (n, d, d) stack of a float loop's flat, row-major level values."""
+    return np.array(vals, dtype=float).reshape(-1, d, d)
 
 
-def _float_rows(a: int, *stacks) -> list:
-    """Levels a..a+SWEEP_CHUNK-1 of the (n, 2, 2) stacks as lists of Python
-    floats, one list a level holding each stack's matrix row-major in turn
-    (converting a whole 6000-level window at once costs megabytes)."""
-    block = np.concatenate([s[a:a + SWEEP_CHUNK] for s in stacks], axis=1)
-    return block.reshape(len(block), -1).tolist()
+SWEEP_CHUNK = 256  # d = 2 sweep levels per float chunk of `ref` and of the output
 
 
-def _sweep_d2(q, r, p, el: float, phi0: np.ndarray, bound: float, ref=None):
+def _sweep_d2(rows, el: float, phi0: np.ndarray, bound: float, ref=None):
     """_sweep's 2x2 levels on Python floats, by closed-form elimination.
 
     I - M with M = e^l (r_k + q_k Phi_{k-1}) >= 0 is a Z-matrix, and a 2x2
@@ -150,9 +148,11 @@ def _sweep_d2(q, r, p, el: float, phi0: np.ndarray, bound: float, ref=None):
     certificate. The elimination needs no row exchange, and every entry of
     Phi_k is a sum of nonnegative terms, so none is clamped. A level also
     fails when an entry of Phi_k exceeds `bound`. With `ref`, the pass
-    returns after the first level equal to ref's.
+    returns after the first level equal to ref's. Levels go SWEEP_CHUNK at a
+    time: ref is converted to floats only as far as the pass reads it, and
+    each chunk's values are written out at its end.
     """
-    n = len(q)
+    n = len(rows)
     out = np.empty((n, 2, 2))
     flat = out.reshape(-1)
     f00, f01, f10, f11 = phi0.ravel().tolist()
@@ -160,7 +160,7 @@ def _sweep_d2(q, r, p, el: float, phi0: np.ndarray, bound: float, ref=None):
         same = None if ref is None else ref[a:a + SWEEP_CHUNK].reshape(-1, 4).tolist()
         vals = []
         for i, (q00, q01, q10, q11, r00, r01, r10, r11, p00, p01, p10, p11) in enumerate(
-                _float_rows(a, q, r, p)):
+                rows[a:a + SWEEP_CHUNK]):
             m00 = el * (r00 + (q00 * f00 + q01 * f10))
             m01 = el * (r01 + (q00 * f01 + q01 * f11))
             m10 = el * (r10 + (q10 * f00 + q11 * f10))
@@ -265,13 +265,10 @@ def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, ref=None):
     """
     el = math.exp(lam)
     if window.d == 1:
-        q = window.q[:, 0, 0].tolist()
-        r = window.r[:, 0, 0].tolist()
-        p = window.p[:, 0, 0].tolist()
         ref1 = None if ref is None else ref[:, 0, 0].tolist()
-        return _sweep_d1(q, r, p, el, float(phi0[0, 0]), bound, ref1)
+        return _sweep_d1(window.rows, el, float(phi0[0, 0]), bound, ref1)
     if window.d == 2:
-        return _sweep_d2(window.q, window.r, window.p, el, phi0, bound, ref)
+        return _sweep_d2(window.rows, el, phi0, bound, ref)
     return _sweep_general(window.q, window.r, window.p, el, phi0, bound, ref)
 
 
@@ -489,64 +486,60 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
 # ---------------------------------------------------------------------------
 
 
-def _derivative_sweep(q, r, el: float, phis, phi0, dphi0):
-    """One pass of the Phi' recursion of phi_derivative over the given phis;
-    phi0, dphi0 feed level 0 (Phi_{-1}, Phi'_{-1}). The loop is the d = 1
-    division, the d = 2 elimination on floats (_derivative_d2) or, at
-    d >= 3, the LAPACK solve."""
-    n, d, _ = phis.shape
+def _derivative_sweep(window: EnvironmentWindow, lam: float, phis: np.ndarray):
+    """One pass of phi_derivative's Phi' recursion over the window's `phis`,
+    from Phi_{lo-1} = Phi'_{lo-1} = 0. The loop is the d = 1 division, the
+    d = 2 elimination on floats (_derivative_d2), both over window.rows, or,
+    at d >= 3, the LAPACK solve."""
+    el = math.exp(lam)
+    d = window.d
     if d == 1:
         # a 1x1 solve is one division: the same formula on floats, same bits
-        qs, rs, cur = q[:, 0, 0].tolist(), r[:, 0, 0].tolist(), phis[:, 0, 0].tolist()
-        f, df = float(phi0[0, 0]), float(dphi0[0, 0])
+        f = df = 0.0
         vals = []
-        for k in range(n):
-            df = (cur[k] + el * ((qs[k] * df) * cur[k])) / (1.0 - el * (rs[k] + qs[k] * f))
+        for (q, r, _), c in zip(window.rows, phis[:, 0, 0].tolist()):
+            df = (c + el * ((q * df) * c)) / (1.0 - el * (r + q * f))
             vals.append(df)
-            f = cur[k]
-        return np.array(vals).reshape(-1, 1, 1)
+            f = c
+        return _levels(vals, 1)
     if d == 2:
-        return _derivative_d2(q, r, el, phis, phi0, dphi0)
+        return _derivative_d2(window.rows, el, phis)
     eye = np.eye(d)
+    zero = np.zeros((d, d))
     with _linalg_errstate():
-        return _derivative_levels(q, r, eye, el, phis, phi0, dphi0)
+        return _derivative_levels(window.q, window.r, eye, el, phis, zero, zero)
 
 
-def _derivative_d2(q, r, el: float, phis, phi0, dphi0):
+def _derivative_d2(rows, el: float, phis):
     """_derivative_sweep's 2x2 levels on Python floats: the elimination of
     _sweep_d2, with its m, pivot and Schur complement (computed from the
     same Phi_{k-1}, bit for bit), applied to the right side
     Phi_k + e^l q_k Phi'_{k-1} Phi_k. The Phi pass certified every pivot."""
-    n = len(phis)
-    out = np.empty((n, 2, 2))
-    flat = out.reshape(-1)
-    f00, f01, f10, f11 = phi0.ravel().tolist()
-    g00, g01, g10, g11 = dphi0.ravel().tolist()
-    for a in range(0, n, SWEEP_CHUNK):
-        vals = []
-        for q00, q01, q10, q11, r00, r01, r10, r11, c00, c01, c10, c11 in _float_rows(
-                a, q, r, phis):
-            m00 = el * (r00 + (q00 * f00 + q01 * f10))
-            m01 = el * (r01 + (q00 * f01 + q01 * f11))
-            m10 = el * (r10 + (q10 * f00 + q11 * f10))
-            m11 = el * (r11 + (q10 * f01 + q11 * f11))
-            pivot = 1.0 - m00
-            mult = m10 / pivot
-            schur = (1.0 - m11) - mult * m01
-            h00, h01 = q00 * g00 + q01 * g10, q00 * g01 + q01 * g11  # q_k Phi'_{k-1}
-            h10, h11 = q10 * g00 + q11 * g10, q10 * g01 + q11 * g11
-            b00 = c00 + el * (h00 * c00 + h01 * c10)
-            b01 = c01 + el * (h00 * c01 + h01 * c11)
-            b10 = c10 + el * (h10 * c00 + h11 * c10)
-            b11 = c11 + el * (h10 * c01 + h11 * c11)
-            g10 = (b10 + mult * b00) / schur
-            g11 = (b11 + mult * b01) / schur
-            g00 = (b00 + m01 * g10) / pivot
-            g01 = (b01 + m01 * g11) / pivot
-            vals += g00, g01, g10, g11
-            f00, f01, f10, f11 = c00, c01, c10, c11
-        flat[4 * a:4 * a + len(vals)] = vals
-    return out
+    f00 = f01 = f10 = f11 = g00 = g01 = g10 = g11 = 0.0
+    vals = []
+    cur = iter(phis.ravel().tolist())  # zipped four times: Phi_k's entries in turn
+    for (q00, q01, q10, q11, r00, r01, r10, r11, _, _, _, _), c00, c01, c10, c11 in zip(
+            rows, cur, cur, cur, cur):
+        m00 = el * (r00 + (q00 * f00 + q01 * f10))
+        m01 = el * (r01 + (q00 * f01 + q01 * f11))
+        m10 = el * (r10 + (q10 * f00 + q11 * f10))
+        m11 = el * (r11 + (q10 * f01 + q11 * f11))
+        pivot = 1.0 - m00
+        mult = m10 / pivot
+        schur = (1.0 - m11) - mult * m01
+        h00, h01 = q00 * g00 + q01 * g10, q00 * g01 + q01 * g11  # q_k Phi'_{k-1}
+        h10, h11 = q10 * g00 + q11 * g10, q10 * g01 + q11 * g11
+        b00 = c00 + el * (h00 * c00 + h01 * c10)
+        b01 = c01 + el * (h00 * c01 + h01 * c11)
+        b10 = c10 + el * (h10 * c00 + h11 * c10)
+        b11 = c11 + el * (h10 * c01 + h11 * c11)
+        g10 = (b10 + mult * b00) / schur
+        g11 = (b11 + mult * b01) / schur
+        g00 = (b00 + m01 * g10) / pivot
+        g01 = (b01 + m01 * g11) / pivot
+        vals += g00, g01, g10, g11
+        f00, f01, f10, f11 = c00, c01, c10, c11
+    return _levels(vals, 2)
 
 
 def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d):
@@ -600,8 +593,7 @@ def phi_derivative(
     """
     if phi_solution is None:
         phi_solution = solve_phi_window(window, lam, kappa=kappa)
-    zero = np.zeros((window.d, window.d))
-    return _derivative_sweep(window.q, window.r, math.exp(lam), phi_solution.phis, zero, zero)
+    return _derivative_sweep(window, lam, phi_solution.phis)
 
 
 def periodic_phi_derivative(

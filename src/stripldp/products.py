@@ -15,7 +15,15 @@ coefficient is measured from the actual factors
 
 All direction rolling in the package goes through `_roll_left` (the mu
 recurrence) and `_roll_right` (its nu mirror): the vectors here, the Lambda
-estimators of `lmgf` and the backward vectors of the tilted sampler.
+estimators of `lmgf` and the backward vectors of the tilted sampler. At
+d = 2 both run on Python floats (`_roll_2x2`, about 0.4 us a level against
+2.6 us for numpy's per-level calls on a 2-core x86-64 Xeon); each entry of
+w = z Phi is the plain sum of two products, which is not always numpy's
+result: numpy's vector-matrix product rounds otherwise in the last bit
+(one entry of w or both differ on about 30% of random 2x2 inputs with
+numpy 2.4 and OpenBLAS), and without a fused multiply-add in Python
+3.11's math module no float loop can follow it. The two agree within
+1e-15 relative. At d >= 3 the rolls keep numpy's products.
 
 Appendix-style environments from (L, R) embeddings with L > R have Phi with
 zero columns [R+1, L]; those are handled by block reduction on the positive
@@ -108,15 +116,18 @@ def _roll_left(factors: np.ndarray, start: np.ndarray | None = None):
     `factors` has shape (n, d, d); `start` is the probability vector z_0
     (uniform when omitted). Returns the directions Z, shape (n+1, d), and
     the normalizers s, shape (n,). At d = 1 every direction is 1 and s is
-    the factor itself.
+    the factor itself; at d = 2 the roll runs on Python floats (_roll_2x2).
     """
     n, d, _ = factors.shape
     if d == 1:
         return np.ones((n + 1, 1)), factors[:, 0, 0]
+    z = np.full(d, 1.0 / d) if start is None else np.asarray(start, dtype=float)
+    if d == 2:
+        return _roll_2x2(factors.reshape(n, 4).tolist(), *z.tolist())
     ones, w = np.ones(d), np.empty(d)
     Z = np.empty((n + 1, d))
     s = np.empty(n)
-    z = Z[0] = np.full(d, 1.0 / d) if start is None else start
+    Z[0] = z
     for k, phi in enumerate(factors):
         np.matmul(z, phi, out=w)
         s[k] = t = np.dot(w, ones)
@@ -129,20 +140,43 @@ def _roll_right(factors: np.ndarray, start: np.ndarray | None = None):
 
     The mirror of `_roll_left`: `start` is r_n, R has shape (n+1, d) with
     R[k] the direction of Phi_k ... Phi_{n-1} start, and s[k] is level k's
-    normalizer.
+    normalizer. At d = 2 it is the forward float roll over the transposed
+    factors in reverse order.
     """
     n, d, _ = factors.shape
     if d == 1:
         return np.ones((n + 1, 1)), factors[:, 0, 0]
+    r = np.full(d, 1.0 / d) if start is None else np.asarray(start, dtype=float)
+    if d == 2:
+        R, s = _roll_2x2(factors[::-1].transpose(0, 2, 1).reshape(n, 4).tolist(), *r.tolist())
+        return R[::-1].copy(), s[::-1].copy()
     ones, w = np.ones(d), np.empty(d)
     R = np.empty((n + 1, d))
     s = np.empty(n)
-    r = R[n] = np.full(d, 1.0 / d) if start is None else start
+    R[n] = r
     for k in range(n - 1, -1, -1):
         np.matmul(factors[k], r, out=w)
         s[k] = t = np.dot(w, ones)
         r = np.divide(w, t, out=R[k])
     return R, s
+
+
+def _roll_2x2(rows: list, z0: float, z1: float):
+    """The forward roll of `_roll_left` over 2x2 factors given as row-major
+    float rows, from the direction (z0, z1): w_j = z0 a_0j + z1 a_1j, then
+    t = w0 + w1 and z = w / t, with no numpy call. This is the plain float
+    recurrence, not numpy's `z @ phi` to the last bit (module docstring)."""
+    Z = [z0, z1]
+    s = []
+    for a00, a01, a10, a11 in rows:
+        w0 = z0 * a00 + z1 * a10
+        w1 = z0 * a01 + z1 * a11
+        t = w0 + w1
+        z0 = w0 / t
+        z1 = w1 / t
+        Z += z0, z1
+        s.append(t)
+    return np.array(Z).reshape(-1, 2), np.array(s)
 
 
 def _contractions(arr: np.ndarray) -> np.ndarray:

@@ -463,15 +463,44 @@ def ref_periodic_directions(phis, tol=1e-14, max_iter=100_000):
     return mu, nu
 
 
+def ref_roll_2x2(factors, start=None, side="left"):
+    """One direction roll over 2x2 factors on Python floats, a level at a
+    time: forward (side 'left') v_{k+1} = v_k Phi_k / (v_k Phi_k 1) from
+    v_0 = start, or backward (side 'right') v_k = Phi_k v_{k+1} /
+    (1 Phi_k v_{k+1}) from v_n = start (uniform when omitted). Returns the
+    directions, (n+1, 2), and the normalizers, (n,), level k's at index k."""
+    mats = [np.asarray(f, dtype=float).tolist() for f in factors]
+    v = [0.5, 0.5] if start is None else [float(x) for x in start]
+    dirs, norms = [v], []
+    levels = range(len(mats)) if side == "left" else reversed(range(len(mats)))
+    for k in levels:
+        a = mats[k]
+        if side == "left":
+            w = [v[0] * a[0][j] + v[1] * a[1][j] for j in range(2)]
+        else:
+            w = [a[i][0] * v[0] + a[i][1] * v[1] for i in range(2)]
+        t = w[0] + w[1]
+        v = [w[0] / t, w[1] / t]
+        dirs.append(v)
+        norms.append(t)
+    if side == "right":
+        dirs.reverse()
+        norms.reverse()
+    return np.array(dirs), np.array(norms)
+
+
 def ref_log_terms(phis, periodic):
     """Value terms log(mu_k Phi_k 1): the forward z loop (uniform start) on a
-    window, the cyclic directions on a period."""
+    window, the plain float roll at d = 2, the cyclic directions on a
+    period."""
     per, d, _ = phis.shape
     if periodic:
         mu, _ = ref_periodic_directions(phis)
         return [math.log(float(mu[k] @ phis[k] @ np.ones(d))) for k in range(per)]
     if d == 1:
         return np.log(phis[:, 0, 0])
+    if d == 2:
+        return np.array([math.log(s) for s in ref_roll_2x2(phis)[1]])
     terms = np.empty(per)
     z = np.full(d, 1.0 / d)
     ones = np.ones(d)
@@ -486,7 +515,7 @@ def ref_log_terms(phis, periodic):
 def ref_derivative_terms(phis, dphis, periodic):
     """Derivative terms mu_k Phi'_k nu_{k+1} / (mu_k Phi_k nu_{k+1}): on a
     window the backward R loop from the uniform vector at level n, then the
-    forward z loop."""
+    forward z loop (both the plain float roll at d = 2)."""
     n, d, _ = phis.shape
     if periodic:
         mu, nu = ref_periodic_directions(phis)
@@ -494,23 +523,26 @@ def ref_derivative_terms(phis, dphis, periodic):
                 / float(mu[k] @ phis[k] @ nu[(k + 1) % n]) for k in range(n)]
     if d == 1:
         return dphis[:, 0, 0] / phis[:, 0, 0]
-    R = np.empty((n + 1, d))
-    R[n] = 1.0 / d
-    for k in range(n - 1, -1, -1):
-        w = phis[k] @ R[k + 1]
-        R[k] = w / w.sum()
-    terms = np.empty(n)
-    z = np.full(d, 1.0 / d)
-    for k in range(n):
-        terms[k] = float(z @ dphis[k] @ R[k + 1]) / float(z @ phis[k] @ R[k + 1])
-        w = z @ phis[k]
-        z = w / w.sum()
-    return terms
+    if d == 2:
+        Z, R = ref_roll_2x2(phis)[0], ref_roll_2x2(phis, side="right")[0]
+    else:
+        R = np.empty((n + 1, d))
+        R[n] = 1.0 / d
+        for k in range(n - 1, -1, -1):
+            w = phis[k] @ R[k + 1]
+            R[k] = w / w.sum()
+        Z = np.empty((n + 1, d))
+        Z[0] = 1.0 / d
+        for k in range(n):
+            w = Z[k] @ phis[k]
+            Z[k + 1] = w / w.sum()
+    return np.array([float(Z[k] @ dphis[k] @ R[k + 1]) / float(Z[k] @ phis[k] @ R[k + 1])
+                     for k in range(n)])
 
 
 def ref_tilted_sampler_tables(evaluator, lam, M, n, start_pi):
-    """(log_Z, cdfs) of build_tilted_sampler with its backward h loop and
-    running log scale."""
+    """(log_Z, cdfs) of build_tilted_sampler with its backward h loop (the
+    plain float roll at d = 2) and running log scale."""
     ker_all = evaluator._kernels(M)
     if evaluator.spec.kind == "periodic":
         ker = ker_all[np.arange(n) % ker_all.shape[0]]
@@ -522,10 +554,15 @@ def ref_tilted_sampler_tables(evaluator, lam, M, n, start_pi):
     hs[n] = np.ones(d) / d
     logscales = np.empty(n + 1)
     logscales[n] = math.log(d)
+    if d == 2:
+        hs, norms = ref_roll_2x2([weights[k].sum(axis=0) for k in range(n)], side="right")
     for k in range(n - 1, -1, -1):
-        w = weights[k].sum(axis=0) @ hs[k + 1]
-        s = w.sum()
-        hs[k] = w / s
+        if d == 2:
+            s = float(norms[k])
+        else:
+            w = weights[k].sum(axis=0) @ hs[k + 1]
+            s = w.sum()
+            hs[k] = w / s
         logscales[k] = logscales[k + 1] + math.log(s)
     log_Z = math.log(float(start_pi @ hs[0])) + logscales[0]
     cdfs = np.empty((n, d, M * d))
@@ -582,7 +619,8 @@ def ref_batch_walk(lookup, lo, target, U, d, h0, M=None):
 
 
 def ref_positive_product_direction(arr, side):
-    """(v, error_radius) of one product roll with its running rho certificate."""
+    """(v, error_radius) of one product roll with its running rho certificate
+    (v from the plain float roll at d = 2)."""
     def rho_pair(A, B):
         terms = A[:, :, None] * B[None, :, :]
         return float((terms.min(axis=1) / terms.sum(axis=1)).min())
@@ -602,6 +640,8 @@ def ref_positive_product_direction(arr, side):
             v = v / v.sum()
             if k < n - 1:
                 eps *= 1.0 - d * rho_pair(arr[k + 1].T, arr[k].T)
+    if d == 2:
+        v = ref_roll_2x2(arr, side=side)[0][-1 if side == "left" else 0]
     return v, (float("inf") if eps >= 1.0 else 2.0 * eps / (1.0 - eps))
 
 

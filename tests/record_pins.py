@@ -7,10 +7,13 @@
 `pinned_curves.json` holds the CSV, tilt trace and warnings of every curve
 in `test_rates.PINNED_CURVES` (`test_curves_pinned`). Re-record only in a
 change that means to move these outputs, and say in CHANGES.md which values
-moved and why.
+moved and why: the script prints every pin entry it changes, each value
+that moved (old -> new) and the entry's largest relative change.
 """
 
 import json
+import math
+import re
 from pathlib import Path
 
 from test_lmgf import ROLL_SPECS, all_estimates
@@ -18,10 +21,61 @@ from test_rates import PINNED_CURVES, curve_pin
 
 HERE = Path(__file__).parent
 ESTIMATE_SPECS = ("p075", "window-d1", "window-d2", "period3-d2")
+# a float as repr and the CSV write it: a decimal point or an exponent
+NUMBER = re.compile(r"-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+|inf|nan)")
+
+
+def parts(entry) -> dict:
+    """The items of a pin entry (a list of reprs or a dict of fields), each
+    as one string."""
+    items = entry.items() if isinstance(entry, dict) else enumerate(entry or ())
+    return {key: json.dumps(value, sort_keys=True) for key, value in items}
+
+
+def moved(old: str, new: str):
+    """The (old, new) numbers that differ between two items of one layout,
+    or None when the text around the numbers differs too."""
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return None
+    return [(a, b) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new)) if a != b]
+
+
+def relative(a: str, b: str) -> float:
+    x, y = float(a), float(b)
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(y - x) / max(abs(x), abs(y))
+
+
+def report(name: str, old_doc: dict, new_doc: dict) -> None:
+    """Print each entry of the pin file `name` that the new document changes."""
+    for key in sorted(set(old_doc) | set(new_doc)):
+        old, new = parts(old_doc.get(key)), parts(new_doc.get(key))
+        changed = [k for k in sorted(set(old) | set(new)) if old.get(k) != new.get(k)]
+        if not changed:
+            continue
+        lines, worst = [], 0.0
+        for item in changed:
+            pairs = moved(old.get(item, ""), new.get(item, ""))
+            if pairs is None:
+                lines.append(f"    [{item}] rewritten: {old.get(item)} -> {new.get(item)}")
+                worst = math.inf
+                continue
+            for a, b in pairs:
+                worst = max(worst, relative(a, b))
+                lines.append(f"    [{item}] {a} -> {b}")
+        print(f"{name} {key}: {len(changed)} of {len(new) or len(old)} items changed, "
+              f"largest relative change {worst:.2g}")
+        print("\n".join(lines))
 
 
 def write(name: str, doc: dict) -> None:
-    (HERE / name).write_text(json.dumps(doc, indent=1) + "\n")
+    path = HERE / name
+    if path.exists():
+        report(name, json.loads(path.read_text()), doc)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def main() -> None:

@@ -300,3 +300,48 @@ def test_kappa_range_enforced():
         homogeneous_d1_spec(0.5, kappa=0.5)
     with pytest.raises(SpecValidationError):
         n_kappa(0.7)
+
+
+# ---------------------------------------------------------------------------
+# float rows: one tuple of Python floats a level, shared per support slice
+# ---------------------------------------------------------------------------
+
+
+def level_row(w, k):
+    """Level lo+k of the window's arrays as the row layout: q, r, p row-major."""
+    return tuple(w.q[k].ravel().tolist() + w.r[k].ravel().tolist() + w.p[k].ravel().tolist())
+
+
+ROW_SPECS = {
+    "d1-iid": lambda: two_point_d1_spec([0.7, 0.8], [0.3, 0.7]),
+    "d2-iid": lambda: random_d2_iid_spec(4),
+    "d2-period3": _period3_d2_spec,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_SPECS))
+def test_window_rows_are_the_levels_as_floats(name):
+    """Every level's row holds the window's q, r and p bit for bit, as
+    Python floats; levels of one support slice share one row object, the
+    spec's; and a sub-window reuses its parent's rows."""
+    spec = ROW_SPECS[name]()
+    w = sample_window(spec, -40, 300, seed=3)
+    assert len(w.rows) == w.n_levels
+    for k, row in enumerate(w.rows):
+        assert row == level_row(w, k) and all(type(x) is float for x in row)
+    assert len({id(row) for row in w.rows}) == len(spec.slices)
+    assert {id(row) for row in w.rows} == {id(row) for row in spec.rows}
+    sub = w.sub(-5, 100)
+    assert all(a is b for a, b in zip(sub.rows, w.rows[35:140], strict=True))
+
+
+@pytest.mark.parametrize("name", sorted(ROW_SPECS))
+def test_built_windows_take_rows_from_their_arrays(name):
+    """Windows built from arrays (a reflection, a JSON document) get rows
+    equal to their own q, r and p, level by level."""
+    w = sample_window(ROW_SPECS[name](), -20, 60, seed=1)
+    for built in (invert_window(w),
+                  window_from_json_dict(json.loads(json.dumps(window_to_json_dict(w))))):
+        assert [tuple(row) for row in built.rows] == [
+            level_row(built, k) for k in range(built.n_levels)]
+    assert invert_window(invert_window(w)).rows == w.rows

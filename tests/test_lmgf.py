@@ -29,6 +29,7 @@ from conftest import (
     random_d2_iid_spec,
     ref_derivative_terms,
     ref_log_terms,
+    ref_roll_2x2,
 )
 
 
@@ -345,7 +346,10 @@ def periodic_of(spec):
 
 def roll_loop(phis, z):
     """One forward roll from z, one level at a time: the directions z_k and
-    the normalizers z_k Phi_k 1."""
+    the normalizers z_k Phi_k 1 (the plain float roll at d = 2)."""
+    if phis.shape[1] == 2:
+        Z, s = ref_roll_2x2(phis, z)
+        return Z, list(s)
     Z, s = [], []
     for phi in phis:
         Z.append(z)

@@ -546,7 +546,7 @@ def test_window_derivative_runs_two_phi_sweeps(monkeypatch):
     calls, dcalls = [], []
     monkeypatch.setattr(phi, "_sweep", lambda *a, **k: calls.append(a[1]) or sweep(*a, **k))
     monkeypatch.setattr(phi, "_derivative_sweep",
-                        lambda *a, **k: dcalls.append(len(a[3])) or dsweep(*a, **k))
+                        lambda *a, **k: dcalls.append(len(a[2])) or dsweep(*a, **k))
     for spec in (two_point_d1_spec([0.7, 0.8], [0.5, 0.5]), random_d2_iid_spec(1, drift=0.4)):
         ev = LmgfEvaluator(spec, n_levels=400, seed=0)
         calls.clear()
@@ -723,3 +723,54 @@ def test_lambda_crit_periodic_brackets_the_qbd_formula(seed, drift):
         spec = EnvironmentSpec(kind="periodic", d=2, kappa=base.kappa, slices=(s,))
         lo, hi = estimate_lambda_crit(spec).bracket
         assert lo <= qbd_lambda_crit(s) <= hi
+
+
+# ---------------------------------------------------------------------------
+# order properties of the window Phi on random specs, against the truncated
+# DP (which reads the window's arrays, not its float rows)
+# ---------------------------------------------------------------------------
+
+PROPERTY_SPEC = dict(
+    seed=st.integers(0, 10_000),
+    d=st.integers(1, 3),
+    n_support=st.integers(1, 3),
+    drift=st.floats(0.0, 0.6),
+    window_seed=st.integers(0, 1_000),
+)
+
+
+def random_window(seed, d, n_support, drift, window_seed, n=60):
+    spec = random_d2_iid_spec(seed, n_support=n_support, drift=drift, d=d)
+    return spec, sample_window(spec, -20, n, seed=window_seed)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**PROPERTY_SPEC)
+def test_window_phi_at_zero_is_substochastic(seed, d, n_support, drift, window_seed):
+    """Phi_k(0)(i, .) is the law of the height at the first visit to level
+    k+1, on the event that the walk gets there: every row sums to at most 1."""
+    spec, window = random_window(seed, d, n_support, drift, window_seed)
+    phis = solve_phi_window(window, 0.0, kappa=spec.kappa).phis
+    assert (phis >= 0.0).all()
+    assert phis.sum(axis=2).max() <= 1.0 + 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**PROPERTY_SPEC)
+def test_truncated_phi_rises_in_M_below_the_window_phi(seed, d, n_support, drift, window_seed):
+    """Phi_{k,M}(lambda) counts the excursions of Phi_k of at most M steps.
+    From k >= lo + M - 1 none of them leaves the window, so for lambda <= 0
+    it lies below the window's Phi_k entrywise, and it does not decrease in
+    M; both within 1e-12 relative, the rounding of sums in another order."""
+    spec, window = random_window(seed, d, n_support, drift, window_seed)
+    depths = (1, 2, 4, 8, 16)
+    k0 = window.lo + depths[-1] - 1
+    kernels = {M: truncated_kernels_range(window, M, k0, window.hi) for M in depths}
+    for lam in (-1.0, -0.2, 0.0):
+        full = solve_phi_window(window, lam, kappa=spec.kappa).phis[k0 - window.lo:]
+        prev = np.zeros_like(full)
+        for M in depths:
+            trunc = np.stack([kernels_to_phi(W, lam) for W in kernels[M]])
+            assert (trunc <= full * (1.0 + 1e-12)).all(), (lam, M)
+            assert (prev <= trunc * (1.0 + 1e-12)).all(), (lam, M)
+            prev = trunc

@@ -26,6 +26,7 @@ from conftest import (
     power_iteration_direction,
     random_d2_iid_spec,
     ref_positive_product_direction,
+    ref_roll_2x2,
 )
 
 
@@ -282,6 +283,42 @@ def test_block_32_embedding():
 # ---- the two direction rolls ----------------------------------------------
 
 
+def numpy_roll(factors, start, side):
+    """Either roll with numpy's vector-matrix product, its sum and a
+    division a level (the d > 2 form of the rolls, at every d)."""
+    n, d, _ = factors.shape
+    v = np.full(d, 1.0 / d) if start is None else start
+    V, s = [v], []
+    for k in (range(n) if side == "left" else range(n - 1, -1, -1)):
+        w = v @ factors[k] if side == "left" else factors[k] @ v
+        s.append(w.sum())
+        v = w / s[-1]
+        V.append(v)
+    if side == "right":
+        V.reverse()
+        s.reverse()
+    return np.array(V), np.array(s)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 60), spread=st.floats(1.0, 1e4),
+       with_start=st.booleans())
+def test_d2_rolls_are_the_plain_float_roll(seed, n, spread, with_start):
+    """At d = 2 both rolls, from the uniform start or a given one, are the
+    plain float recurrence of ref_roll_2x2 bit for bit, and lie within
+    1e-15 relative of numpy's vector-matrix roll at every level."""
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(1.0, spread, (n, 2, 2)) / spread
+    start = rng.dirichlet(np.ones(2)) if with_start else None
+    for side, roll in (("left", _roll_left), ("right", _roll_right)):
+        V, s = roll(f, start)
+        want_V, want_s = ref_roll_2x2(f, start, side)
+        assert bitwise_equal(V, want_V) and bitwise_equal(s, want_s), side
+        np_V, np_s = numpy_roll(f, start, side)
+        assert (np.abs(V - np_V) <= 1e-15 * np.abs(np_V)).all(), side
+        assert (np.abs(s - np_s) <= 1e-15 * np_s).all(), side
+
+
 def bitwise_equal(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -293,21 +330,35 @@ def assert_same_direction(a, b):
         assert bitwise_equal(x, y) if f.name == "v" else repr(x) == repr(y), f.name
 
 
+def same_roll(got, want, d):
+    """Bitwise at d != 2; at d = 2, where the rolls sum on Python floats
+    and numpy's products may round otherwise, within 1e-15 relative."""
+    if d != 2:
+        return bitwise_equal(got, want)
+    return np.abs(np.asarray(got) - want).max() <= 1e-15 * np.abs(want).max()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10_000), d=st.integers(1, 3), n=st.integers(2, 40),
        spread=st.floats(1.0, 1e3))
 def test_rolls_match_raw_products(seed, d, n, spread):
+    """Both rolls against numpy's normalized products, prefix by prefix: to
+    the bit, except at d = 2, where they agree within 1e-15 and equal the
+    plain float roll of ref_roll_2x2 to the bit."""
     f = np.random.default_rng(seed).uniform(1.0, spread, (n, d, d)) / spread
     Z, s = _roll_left(f)
     R, t = _roll_right(f)
     assert bitwise_equal(Z[0], np.full(d, 1.0 / d)) and bitwise_equal(R[n], Z[0])
     for m in range(1, n + 1):  # every prefix, and every suffix
-        assert bitwise_equal(Z[m], raw_normalized_left(f[:m]))
-        assert bitwise_equal(R[n - m], raw_normalized_right(f[n - m:]))
-    assert bitwise_equal(s, [(Z[k] @ f[k]).sum() for k in range(n)])
-    assert bitwise_equal(t, [(f[k] @ R[k + 1]).sum() for k in range(n)])
+        assert same_roll(Z[m], raw_normalized_left(f[:m]), d)
+        assert same_roll(R[n - m], raw_normalized_right(f[n - m:]), d)
+    assert same_roll(s, [(Z[k] @ f[k]).sum() for k in range(n)], d)
+    assert same_roll(t, [(f[k] @ R[k + 1]).sum() for k in range(n)], d)
+    if d == 2:
+        want = (*ref_roll_2x2(f), *ref_roll_2x2(f, side="right"))
+        assert all(map(bitwise_equal, (Z, s, R, t), want))
     pi = np.random.default_rng(seed + 1).dirichlet(np.ones(d))
-    assert bitwise_equal(_roll_left(f, pi)[0][-1], raw_normalized_left(f, pi=pi))
+    assert same_roll(_roll_left(f, pi)[0][-1], raw_normalized_left(f, pi=pi), d)
 
     mus, nus = mu_vectors(f), nu_vectors(f)
     assert_same_direction(positive_product_direction(f, "left"), mus[-1])
