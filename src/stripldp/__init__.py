@@ -21,34 +21,26 @@ from .env import (
 from .phi import (
     ConvergenceError,
     CriticalExponent,
-    PhiMatrix,
     PhiSolution,
     SupercriticalError,
     estimate_lambda_crit,
     phi_derivative,
-    phi_truncated,
     solve_phi_periodic,
     solve_phi_window,
 )
 from .products import (
-    BlockPhi,
     DirectionVector,
     NonPositiveFactorError,
-    block_direction,
     block_mu_vectors,
     block_nu_vectors,
     mu_vectors,
     nu_vectors,
-    positive_product_direction,
 )
 from .lmgf import (
     EnvironmentAnalysis,
     LmgfEstimate,
     LmgfEvaluator,
     analyze_environment,
-    lambda_eta,
-    lambda_eta_prime,
-    lambda_eta_truncated,
 )
 from .rates import (
     RateCurve,

@@ -244,8 +244,9 @@ def cmd_convert_bounded_jump(args) -> int:
     if L != R:
         print(
             f"warning: L={L} != R={R}: the embedded strip violates full "
-            "ellipticity with the documented zero pattern; block-reduced "
-            "products are required downstream",
+            "ellipticity with the documented zero pattern; its Phi has zero "
+            "columns, so direction vectors with certified radii need "
+            "block_mu_vectors / block_nu_vectors",
             file=sys.stderr,
         )
     out_doc = spec_to_json_dict(spec)

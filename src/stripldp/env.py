@@ -44,7 +44,7 @@ def _as_matrix(m, d: int | None = None) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvironmentSlice:
     """One level's transition triple (q, r, p), each d x d."""
 
@@ -183,7 +183,7 @@ def validate_ellipticity(slice_: EnvironmentSlice, kappa: float) -> EllipticityR
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvironmentSpec:
     """Generative law for environment slices, on a finite support `slices`.
 
@@ -198,6 +198,9 @@ class EnvironmentSpec:
     Averaged-rate machinery takes i.i.d. specs: their level marginals
     factorize and every tilted product law stays on the support, the
     regularity the variational bounds rely on.
+
+    Specs, like slices and windows, compare and hash by identity (their
+    fields hold arrays); `content_hash` compares content.
     """
 
     kind: str
@@ -306,7 +309,7 @@ def _level_rows(q: np.ndarray, r: np.ndarray, p: np.ndarray) -> list:
         [m.reshape(n, -1) for m in (q, r, p)], axis=1).tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvironmentWindow:
     """Contiguous slice sequence for levels [lo, hi), stored as stacked arrays.
 
@@ -324,7 +327,7 @@ class EnvironmentWindow:
     hi: int
     seed: int | None = None
     spec_hash: str | None = None
-    rows: list | None = field(default=None, repr=False, compare=False)
+    rows: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.hi - self.lo

@@ -52,16 +52,15 @@ import numpy as np
 from .env import EnvironmentSpec, EnvironmentWindow, n_kappa, sample_window
 from .phi import (
     ConvergenceError,
-    _check_truncated_range,
     CriticalExponent,
     SupercriticalError,
     estimate_lambda_crit,
     periodic_phi_derivative,
-    periodic_truncated_kernels,
     solve_phi_periodic,
     solve_phi_window,
     phi_derivative,
     truncated_kernels_range,
+    truncated_phis,
 )
 from .products import _roll_left, _roll_right
 
@@ -316,14 +315,17 @@ class LmgfEvaluator:
     # -- truncated ------------------------------------------------------------
 
     def _kernels(self, M: int) -> np.ndarray:
+        """The depth-M hitting kernels of levels 0..n_levels-1, or of one
+        period on a periodic spec; (levels, M, d, d)."""
         if M not in self._kernel_cache:
-            if self.spec.kind == "periodic":
-                self._kernel_cache[M] = periodic_truncated_kernels(self.spec, M)
+            if self.window is None:
+                n = self.spec.period
+                window = sample_window(self.spec, -M, n)
+            elif self.window.lo > -M:
+                raise ValueError("window margin too small for truncation depth M")
             else:
-                if self.window.lo > -M:
-                    raise ValueError("window margin too small for truncation depth M")
-                self._kernel_cache[M] = truncated_kernels_range(
-                    self.window, M, 0, self.n_levels)
+                n, window = self.n_levels, self.window
+            self._kernel_cache[M] = truncated_kernels_range(window, M, 0, n)
         return self._kernel_cache[M]
 
     def value_truncated(self, lam: float, M: int) -> LmgfEstimate:
@@ -336,10 +338,7 @@ class LmgfEvaluator:
         """Lambda_M (kind 'truncated') or Lambda'_M from the depth-M kernels,
         weighted by e^{lam m} (Phi_M) and by m e^{lam m} (Phi'_M)."""
         ker = self._kernels(M)
-        _check_truncated_range(lam, M)
-        m = np.arange(1, M + 1)
-        e = np.exp(lam * m)
-        phis = np.einsum("m,kmij->kij", e, ker)
+        phis = truncated_phis(ker, lam)
         # M >= N_kappa guarantees positive truncated matrices; rather than a
         # hard depth gate (which would reject the perfectly well defined d=1,
         # M=1 case) the positivity itself is enforced
@@ -352,7 +351,9 @@ class LmgfEvaluator:
         if kind == "truncated":
             terms = _log_terms(phis, mu0)
         else:
-            terms = _derivative_terms(phis, np.einsum("m,kmij->kij", m * e, ker), mu0, nu0)
+            m = np.arange(1, M + 1)
+            dphis = np.einsum("m,kmij->kij", m * np.exp(lam * m), ker)
+            terms = _derivative_terms(phis, dphis, mu0, nu0)
         return self._estimate(lam, terms, _paper_window_bound(_measured_c(phis), self.n_levels),
                               kind, M)
 
@@ -381,27 +382,6 @@ class LmgfEvaluator:
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-
-def lambda_eta(
-    spec: EnvironmentSpec, lam: float, n_levels: int = 3000,
-    seed: int | None = 0, margin: int = DEFAULT_MARGIN,
-) -> LmgfEstimate:
-    return LmgfEvaluator(spec, n_levels, seed, margin).value(lam)
-
-
-def lambda_eta_prime(
-    spec: EnvironmentSpec, lam: float, n_levels: int = 3000,
-    seed: int | None = 0, margin: int = DEFAULT_MARGIN,
-) -> LmgfEstimate:
-    return LmgfEvaluator(spec, n_levels, seed, margin).derivative(lam)
-
-
-def lambda_eta_truncated(
-    spec: EnvironmentSpec, lam: float, M: int, n_levels: int = 3000,
-    seed: int | None = 0,
-) -> LmgfEstimate:
-    return LmgfEvaluator(spec, n_levels, seed, margin=max(M, DEFAULT_MARGIN)).value_truncated(lam, M)
 
 
 @dataclass(frozen=True)

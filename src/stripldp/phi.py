@@ -39,10 +39,16 @@ from one stacked Phi' pass (_period_map, shared with the periodic Phi'),
 and one d^2 x d^2 solve whose nonnegative inverse is the step's M-matrix
 certificate.
 
-Truncated matrices Phi_{k,M} are computed exactly by one dynamic program
-over time steps, run for a whole range of start levels at once; the
-term-by-term derivatives Phi'_k come from the forward sensitivity of the
-same fixed point.
+Truncated matrices Phi_{k,M} are computed exactly: one dynamic program
+over time steps gives the hitting kernels of a whole range of start levels
+at once, a (K, M, d, d) stack, and truncated_phis weights them into
+Phi_{k,M}(lambda). The term-by-term derivatives Phi'_k come from the
+forward sensitivity of the same fixed point.
+
+Every Phi sequence leaves this module as one (n, d, d) array, level k at
+row k - lo: PhiSolution.phis over a window, PeriodicPhi.phis over a
+period, and the arrays of phi_derivative, periodic_phi_derivative and
+truncated_phis.
 """
 
 from __future__ import annotations
@@ -86,18 +92,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(
             f"no convergence after {iterations} iterations, residual {residual:.3e}"
         )
-
-
-@dataclass(frozen=True)
-class PhiMatrix:
-    """One level's MGF matrix: kind is 'full' or 'truncated'."""
-
-    entries: np.ndarray
-    level: int
-    lam: float
-    kind: str = "full"
-    M: int | None = None
-    warmup: bool = False
 
 
 def divergence_bound(kappa: float, lam: float, tol: float = 1e-12) -> float:
@@ -293,16 +287,6 @@ class PhiSolution:
     def __len__(self) -> int:
         return self.phis.shape[0]
 
-    def __getitem__(self, i: int) -> PhiMatrix:
-        if i < 0:
-            i += len(self)
-        return PhiMatrix(
-            entries=self.phis[i],
-            level=self.window.lo + i,
-            lam=self.lam,
-            warmup=i < self.warmup_levels,
-        )
-
     def at_level(self, level: int) -> np.ndarray:
         return self.phis[self.window.index_of(level)]
 
@@ -411,17 +395,16 @@ NEWTON_MAX_STEPS = 100  # Newton steps of solve_phi_periodic before it gives up
 class PeriodicPhi:
     """Phi values for one period of a periodic spec (position k = level k mod period).
 
-    `iterations` counts Newton steps; `residual` and `tail` are the size of
-    the last one, which bounds the remaining distance to the fixed point
-    both where Newton converges quadratically and where it halves the
-    distance each step (at a singular root, the recurrent boundary).
+    `iterations` counts Newton steps; `tail` is the size of the last one,
+    which bounds the remaining distance to the fixed point both where
+    Newton converges quadratically and where it halves the distance each
+    step (at a singular root, the recurrent boundary).
     """
 
     phis: np.ndarray  # (period, d, d)
     lam: float
     iterations: int
-    residual: float
-    tail: float = 0.0
+    tail: float
 
     @property
     def period(self) -> int:
@@ -478,7 +461,7 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
             done = step <= tol or (step >= last and float(np.abs(res).max()) <= tol)
     if not done:
         raise ConvergenceError(step, it)
-    return PeriodicPhi(phis=phis, lam=lam, iterations=it, residual=step, tail=step)
+    return PeriodicPhi(phis=phis, lam=lam, iterations=it, tail=step)
 
 
 # ---------------------------------------------------------------------------
@@ -689,15 +672,6 @@ def _kernel_block(window: EnvironmentWindow, M: int, k0: int, W: np.ndarray) -> 
         cur = nxt
 
 
-def hitting_kernels(window: EnvironmentWindow, k: int, M: int) -> np.ndarray:
-    """W[m-1](i,j) = P^{(k,i)}( T_{k+1} = m, Y_{T_{k+1}} = j ) for m = 1..M.
-
-    The one-level case of truncated_kernels_range; requires the window to
-    cover (k-M, k].
-    """
-    return truncated_kernels_range(window, M, k, k + 1)[0]
-
-
 TRUNCATED_EXP_CAP = 400.0  # linear-domain DP refuses e^{lam*M} beyond this exponent
 
 
@@ -711,25 +685,13 @@ def _check_truncated_range(lam: float, M: int) -> None:
         )
 
 
-def kernels_to_phi(W: np.ndarray, lam: float) -> np.ndarray:
-    _check_truncated_range(lam, W.shape[0])
-    m = np.arange(1, W.shape[0] + 1)
-    return np.einsum("m,mij->ij", np.exp(lam * m), W)
-
-
-def phi_truncated(window: EnvironmentWindow, lam: float, M: int, k: int) -> PhiMatrix:
-    """Exact Phi_{k,M}(lambda); finite for every real lambda."""
-    W = hitting_kernels(window, k, M)
-    return PhiMatrix(
-        entries=kernels_to_phi(W, lam), level=k, lam=lam, kind="truncated", M=M
-    )
-
-
-def periodic_truncated_kernels(spec: EnvironmentSpec, M: int) -> np.ndarray:
-    """Hitting kernels for one period of a periodic spec; shape (period, M, d, d)."""
-    per = spec.period
-    window = sample_window(spec, -M, per)
-    return truncated_kernels_range(window, M, 0, per)
+def truncated_phis(ker: np.ndarray, lam: float) -> np.ndarray:
+    """Exact Phi_{k,M}(lambda) = sum_m e^{lam m} W_k[m-1] for every level of
+    a (K, M, d, d) kernel stack; shape (K, d, d). Finite for every real
+    lambda, but lambda * M above TRUNCATED_EXP_CAP raises ValueError."""
+    M = ker.shape[1]
+    _check_truncated_range(lam, M)
+    return np.einsum("m,kmij->kij", np.exp(lam * np.arange(1, M + 1)), ker)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,11 @@ numpy 2.4 and OpenBLAS), and without a fused multiply-add in Python
 1e-15 relative. At d >= 3 the rolls keep numpy's products.
 
 Appendix-style environments from (L, R) embeddings with L > R have Phi with
-zero columns [R+1, L]; those are handled by block reduction on the positive
-R x R upper-left blocks, never by the positive-product routines directly.
+zero columns [R+1, L]. The two rolls take such factors as they are, and the
+exact zeros survive: every Lambda estimator and the tilted sampler use them
+so. Only `mu_vectors` and `nu_vectors`, whose radii need strictly positive
+factors, refuse them; `block_mu_vectors` and `block_nu_vectors` give their
+directions and radii from the positive R x R upper-left blocks.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi import PhiMatrix, PhiSolution
+from .phi import PhiSolution
 
 
 class NonPositiveFactorError(ValueError):
@@ -47,8 +50,7 @@ class NonPositiveFactorError(ValueError):
 class DirectionVector:
     """Probability vector on heights with a certified distance to the limit.
 
-    side 'left' -> mu (l1 radius), side 'right' -> nu (l-infinity radius);
-    kind 'truncated' marks vectors built from Phi_{k,M} factors.
+    side 'left' -> mu (l1 radius), side 'right' -> nu (l-infinity radius).
     """
 
     v: np.ndarray
@@ -56,8 +58,6 @@ class DirectionVector:
     lam: float
     side: str
     error_radius: float
-    kind: str = "full"
-    M: int | None = None
     warmup: bool = False
     factors_consumed: int = 0
 
@@ -69,45 +69,15 @@ class DirectionVector:
         object.__setattr__(self, "v", v)
 
 
-@dataclass(frozen=True)
-class BlockPhi:
-    """Positive blocks of a zero-column Phi: A is R x R, B is (L-R) x R."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        if self.A.shape[0] != self.A.shape[1] or self.B.shape[1] != self.A.shape[1]:
-            raise ValueError("A must be R x R and B (L-R) x R")
-        if (self.A <= 0).any() or (self.B.size and (self.B <= 0).any()):
-            raise ValueError("block entries must be strictly positive")
-
-    @property
-    def zero_columns(self) -> int:
-        return self.B.shape[0]
-
-    @classmethod
-    def from_full(cls, phi: np.ndarray, R: int) -> "BlockPhi":
-        d = phi.shape[0]
-        if R < 1 or R >= d:
-            raise ValueError("need 1 <= R < d for block reduction")
-        if phi[:, R:].any():
-            raise ValueError("columns beyond R must be exactly zero")
-        return cls(A=phi[:R, :R].copy(), B=phi[R:, :R].copy())
-
-
-def _factor_stack(phis) -> tuple[np.ndarray, int, float, str, int | None]:
-    """Coerce a PhiSolution or a sequence of PhiMatrix to (array, lo, lam, kind, M)."""
+def _factor_stack(phis) -> tuple[np.ndarray, int, float]:
+    """(array, lo, lam) of a PhiSolution, or of an (n, d, d) stack of
+    factors (levels from 0, lambda unknown)."""
     if isinstance(phis, PhiSolution):
-        return phis.phis, phis.window.lo, phis.lam, "full", None
-    mats = list(phis)
-    if not mats:
-        raise ValueError("need at least one factor")
-    if isinstance(mats[0], PhiMatrix):
-        arr = np.stack([m.entries for m in mats])
-        return arr, mats[0].level, mats[0].lam, mats[0].kind, mats[0].M
-    arr = np.stack([np.asarray(m, dtype=float) for m in mats])
-    return arr, 0, float("nan"), "full", None
+        return phis.phis, phis.window.lo, phis.lam
+    arr = np.asarray(phis, dtype=float)
+    if arr.ndim != 3 or not len(arr):
+        raise ValueError("need an (n, d, d) stack of at least one factor")
+    return arr, 0, float("nan")
 
 
 def _roll_left(factors: np.ndarray, start: np.ndarray | None = None):
@@ -209,23 +179,6 @@ def closed_form_radius(c: float, m: int) -> float:
     return 2.0 / c**4 * (1.0 - c**4) ** (m - 1)
 
 
-def positive_product_direction(factors, side: str = "left") -> DirectionVector:
-    """Limiting direction of the normalized product of positive matrices.
-
-    side 'left': lim pi G_1 G_2 ... G_m / (.. 1), independent of pi (computed
-    from the uniform start): the last of `mu_vectors`. side 'right': the
-    direction of G_1 ... G_m 1, the first of `nu_vectors`. The certificate
-    is the running product of measured per-step contraction coefficients.
-    """
-    if len(_factor_stack(factors)[0]) < 2:
-        raise ValueError("need at least 2 factors")
-    if side == "left":
-        return mu_vectors(factors)[-1]
-    if side == "right":
-        return nu_vectors(factors)[0]
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def _positive_stack(phis, block_routine: str):
     stack = _factor_stack(phis)
     if (stack[0] <= 0).any():
@@ -242,14 +195,14 @@ def mu_vectors(phis, warmup: int = 1) -> list[DirectionVector]:
     mu_{k+1} = mu_k Phi_k / (mu_k Phi_k 1); the first max(warmup, 1) vectors
     are flagged unreliable. Radii shrink with the measured rho products.
     """
-    arr, lo, lam, kind, M = _positive_stack(phis, "block_mu_vectors")
+    arr, lo, lam = _positive_stack(phis, "block_mu_vectors")
     Z, _ = _roll_left(arr)
     eps = np.cumprod(_contractions(arr))  # eps[m-2]: after m factors
     return [
         DirectionVector(
             v=Z[m], level=lo + m, lam=lam, side="left",
             error_radius=_radius_from_eps(float(eps[m - 2])) if m >= 2 else float("inf"),
-            kind=kind, M=M, warmup=m < max(warmup, 1), factors_consumed=m,
+            warmup=m < max(warmup, 1), factors_consumed=m,
         )
         for m in range(len(arr) + 1)
     ]
@@ -257,7 +210,7 @@ def mu_vectors(phis, warmup: int = 1) -> list[DirectionVector]:
 
 def nu_vectors(phis, warmup: int = 1) -> list[DirectionVector]:
     """Rolling right directions nu for levels lo..hi (nu_k consumes factors k..hi-1)."""
-    arr, lo, lam, kind, M = _positive_stack(phis, "block_nu_vectors")
+    arr, lo, lam = _positive_stack(phis, "block_nu_vectors")
     n = len(arr)
     R, _ = _roll_right(arr)
     eps = np.cumprod(_contractions(arr)[::-1])  # eps[m-2]: after the last m factors
@@ -265,7 +218,7 @@ def nu_vectors(phis, warmup: int = 1) -> list[DirectionVector]:
         DirectionVector(
             v=R[k], level=lo + k, lam=lam, side="right",
             error_radius=_radius_from_eps(float(eps[n - k - 2])) if n - k >= 2 else float("inf"),
-            kind=kind, M=M, warmup=n - k < max(warmup, 1), factors_consumed=n - k,
+            warmup=n - k < max(warmup, 1), factors_consumed=n - k,
         )
         for k in range(n + 1)
     ]
@@ -288,7 +241,7 @@ def _check_block_pattern(arr: np.ndarray, R: int) -> None:
 def block_mu_vectors(phis, R: int, warmup: int = 1) -> list[DirectionVector]:
     """Left directions for zero-column Phi stacks: roll the R x R A-blocks,
     pad with d-R exact zeros."""
-    arr, lo, lam, kind, M = _factor_stack(phis)
+    arr, lo, lam = _factor_stack(phis)
     _check_block_pattern(arr, R)
     d = arr.shape[1]
     out = []
@@ -297,7 +250,7 @@ def block_mu_vectors(phis, R: int, warmup: int = 1) -> list[DirectionVector]:
         padded[:R] = dv.v
         out.append(DirectionVector(
             v=padded, level=lo + dv.factors_consumed, lam=lam, side="left",
-            error_radius=dv.error_radius, kind=kind, M=M, warmup=dv.warmup,
+            error_radius=dv.error_radius, warmup=dv.warmup,
             factors_consumed=dv.factors_consumed,
         ))
     return out
@@ -307,7 +260,7 @@ def block_nu_vectors(phis, R: int, warmup: int = 1) -> list[DirectionVector]:
     """Right directions via the sigma construction: sigma_k is the direction of
     A_{[k,n]} 1 (`nu_vectors` on the A-blocks);
     nu_k = Phi_k sigma~_{k+1} / (1^t Phi_k sigma~_{k+1})."""
-    arr, lo, lam, kind, M = _factor_stack(phis)
+    arr, lo, lam = _factor_stack(phis)
     _check_block_pattern(arr, R)
     n, d, _ = arr.shape
     sigmas = nu_vectors(arr[:, :R, :R])
@@ -319,39 +272,15 @@ def block_nu_vectors(phis, R: int, warmup: int = 1) -> list[DirectionVector]:
         scale = float(arr[k, :, :R].max()) * d / total
         out.append(DirectionVector(
             v=w / total, level=lo + k, lam=lam, side="right",
-            error_radius=sigmas[k + 1].error_radius * max(scale, 1.0), kind=kind, M=M,
+            error_radius=sigmas[k + 1].error_radius * max(scale, 1.0),
             warmup=(n - k) < max(warmup, 1), factors_consumed=n - k,
         ))
     return out
 
 
-def block_direction(blocks, side: str = "left", R: int | None = None) -> DirectionVector:
-    """Limiting direction for a sequence of BlockPhi (or zero-column stacks).
-
-    side 'left' returns the padded mu limit of the block products; side
-    'right' the nu vector of the earliest level via the sigma construction.
-    """
-    if blocks and isinstance(blocks[0], BlockPhi):
-        R = blocks[0].A.shape[0]
-        d = R + blocks[0].zero_columns
-        arr = np.zeros((len(blocks), d, d))
-        for k, b in enumerate(blocks):
-            arr[k, :R, :R] = b.A
-            arr[k, R:, :R] = b.B
-    else:
-        arr, _, _, _, _ = _factor_stack(blocks)
-        if R is None:
-            raise ValueError("R is required when passing raw matrices")
-    if side == "left":
-        return block_mu_vectors(arr, R)[-1]
-    if side == "right":
-        return block_nu_vectors(arr, R)[0]
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def raw_normalized_left(factors, pi: np.ndarray | None = None) -> np.ndarray:
     """pi G_1 ... G_m normalized, with no positivity requirement (oracle helper)."""
-    arr, _, _, _, _ = _factor_stack(factors)
+    arr = _factor_stack(factors)[0]
     v = np.full(arr.shape[1], 1.0 / arr.shape[1]) if pi is None else np.asarray(pi, float)
     for k in range(arr.shape[0]):
         v = v @ arr[k]
@@ -361,7 +290,7 @@ def raw_normalized_left(factors, pi: np.ndarray | None = None) -> np.ndarray:
 
 def raw_normalized_right(factors) -> np.ndarray:
     """G_1 ... G_m 1 normalized (oracle helper)."""
-    arr, _, _, _, _ = _factor_stack(factors)
+    arr = _factor_stack(factors)[0]
     v = np.ones(arr.shape[1])
     v = v / v.sum()
     for k in range(arr.shape[0] - 1, -1, -1):

@@ -355,7 +355,7 @@ def ref_solve_phi_periodic(spec, lam, tol=1e-13, max_iter=200_000):
             f[k] = np.maximum(new, 0.0)
             carry = f[k]
         if change <= tol:
-            return PeriodicPhi(phis=f, lam=lam, iterations=it, residual=change,
+            return PeriodicPhi(phis=f, lam=lam, iterations=it,
                                tail=_tail_estimate(change, prev_change))
         prev_change = change
     raise ConvergenceError(change, max_iter)

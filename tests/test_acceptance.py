@@ -25,9 +25,9 @@ from stripldp.montecarlo import (
 )
 from stripldp.phi import (
     estimate_lambda_crit,
-    hitting_kernels,
-    phi_truncated,
     solve_phi_window,
+    truncated_kernels_range,
+    truncated_phis,
 )
 from stripldp.products import (
     block_mu_vectors,
@@ -111,7 +111,7 @@ def test_criterion_03_truncated_phi_brute_force():
     for w, Ms in ((w1, (1, 4, 8)), (w2, (3, 8))):
         for M in Ms:
             for lam in (-1.0, 0.0, 0.5):
-                dp = phi_truncated(w, lam, M, 0).entries
+                dp = truncated_phis(truncated_kernels_range(w, M, 0, 1), lam)[0]
                 brute = enumerate_truncated_phi(w, 0, M, lam)
                 worst = max(worst, float(np.abs(dp - brute).max()))
     elapsed = time.perf_counter() - t_start
@@ -285,7 +285,8 @@ def test_criterion_09_importance_sampling_ldp():
     # exact values of the estimand, by n-fold convolution of the closed-form
     # excursion-length law, which the program's kernel must reproduce
     ker = sample_window(spec, -20, 1, seed=0)
-    kernel_err = float(np.abs(hitting_kernels(ker, 0, M)[:, 0, 0] - ldp.law[1:]).max())
+    W = truncated_kernels_range(ker, M, 0, 1)[0]
+    kernel_err = float(np.abs(W[:, 0, 0] - ldp.law[1:]).max())
     ns = (100, 200, 400, 800)
     exact = {}
     dist = np.ones(1)

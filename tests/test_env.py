@@ -345,3 +345,15 @@ def test_built_windows_take_rows_from_their_arrays(name):
         assert [tuple(row) for row in built.rows] == [
             level_row(built, k) for k in range(built.n_levels)]
     assert invert_window(invert_window(w)).rows == w.rows
+
+
+def test_specs_slices_and_windows_compare_by_identity():
+    """Their fields hold arrays, so == is identity and hash works; equal
+    content shows in content_hash and in the arrays."""
+    a, b = random_d2_iid_spec(1), random_d2_iid_spec(1)
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert a.content_hash() == b.content_hash()
+    assert a.slices[0] != b.slices[0] and len({*a.slices, *b.slices}) == 2 * len(a.slices)
+    w1, w2 = sample_window(a, 0, 5, seed=0), sample_window(a, 0, 5, seed=0)
+    assert w1 == w1 and w1 != w2 and len({w1, w2}) == 2
+    assert all(np.array_equal(getattr(w1, m), getattr(w2, m)) for m in "qrp")

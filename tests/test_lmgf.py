@@ -13,13 +13,7 @@ from stripldp.env import (
     sample_window,
     two_point_d1_spec,
 )
-from stripldp.lmgf import (
-    LmgfEvaluator,
-    analyze_environment,
-    lambda_eta,
-    lambda_eta_prime,
-    lambda_eta_truncated,
-)
+from stripldp.lmgf import LmgfEvaluator, analyze_environment
 from stripldp.phi import solve_phi_periodic, solve_phi_window
 from stripldp.rates import _analyze_pair
 
@@ -34,31 +28,31 @@ from conftest import (
 
 
 def test_lambda_eta_zero_right_transient(p075_spec):
-    est = lambda_eta(p075_spec, 0.0, n_levels=500)
+    est = LmgfEvaluator(p075_spec, n_levels=500).value(0.0)
     assert est.value == pytest.approx(0.0, abs=1e-12)
     assert est.statistical_error == 0.0  # periodic specs are exact averages
 
 
 def test_lambda_eta_closed_form(p075_spec):
-    est = lambda_eta(p075_spec, 0.1, n_levels=2000)
+    est = LmgfEvaluator(p075_spec, n_levels=2000).value(0.1)
     expect = math.log(d1_phi_closed(0.75, 0.1))
     assert abs(est.value - expect) < 1e-10
     assert abs(est.value - expect) < est.deterministic_error
 
 
 def test_lambda_eta_left_transient(p025_spec):
-    est = lambda_eta(p025_spec, 0.0, n_levels=500)
+    est = LmgfEvaluator(p025_spec, n_levels=500).value(0.0)
     assert est.value == pytest.approx(math.log(1.0 / 3.0), abs=1e-10)
 
 
 def test_lambda_eta_supercritical_inf(p075_spec):
-    est = lambda_eta(p075_spec, d1_lambda_crit(0.75) + 0.05, n_levels=500)
+    est = LmgfEvaluator(p075_spec, n_levels=500).value(d1_lambda_crit(0.75) + 0.05)
     assert est.supercritical and est.value == math.inf
 
 
 def test_sandwich_and_monotone(p075_spec):
     grid = np.linspace(-2.5, 0.0, 9)
-    vals = [lambda_eta(p075_spec, l, n_levels=400).value for l in grid]
+    vals = [LmgfEvaluator(p075_spec, n_levels=400).value(l).value for l in grid]
     for lam, v in zip(grid, vals):
         assert lam + math.log(p075_spec.kappa) - 1e-12 <= v <= lam + 1e-12
     assert all(b >= a - 1e-13 for a, b in zip(vals, vals[1:]))
@@ -76,19 +70,19 @@ def test_convexity_midpoint():
 
 
 def test_derivative_expected_time(p075_spec):
-    est = lambda_eta_prime(p075_spec, 0.0, n_levels=500)
+    est = LmgfEvaluator(p075_spec, n_levels=500).derivative(0.0)
     assert est.value == pytest.approx(2.0, abs=1e-9)
 
 
 def test_derivative_closed_form_recurrent(recurrent_spec):
-    est = lambda_eta_prime(recurrent_spec, -1.0, n_levels=500)
+    est = LmgfEvaluator(recurrent_spec, n_levels=500).derivative(-1.0)
     h = 1e-6
     fd = (math.log(d1_phi_closed(0.5, -1 + h)) - math.log(d1_phi_closed(0.5, -1 - h))) / (2 * h)
     assert est.value == pytest.approx(fd, abs=1e-6)
 
 
 def test_derivative_far_negative_lambda(p075_spec):
-    est = lambda_eta_prime(p075_spec, -5.0, n_levels=300)
+    est = LmgfEvaluator(p075_spec, n_levels=300).derivative(-5.0)
     assert 1.0 <= est.value <= 1.1
     fd = (math.log(d1_phi_closed(0.75, -5 + 1e-6))
           - math.log(d1_phi_closed(0.75, -5 - 1e-6))) / 2e-6
@@ -111,18 +105,18 @@ def test_derivative_fd_duality(maker, n_levels):
 
 def test_truncated_single_step(p075_spec):
     for lam in (-1.0, 0.0, 0.7):
-        est = lambda_eta_truncated(p075_spec, lam, M=1, n_levels=200)
+        est = LmgfEvaluator(p075_spec, n_levels=200).value_truncated(lam, 1)
         assert est.value == pytest.approx(lam + math.log(0.75), abs=1e-12)
 
 
 def test_truncated_two_paths(p075_spec):
-    est = lambda_eta_truncated(p075_spec, 0.0, M=3, n_levels=200)
+    est = LmgfEvaluator(p075_spec, n_levels=200).value_truncated(0.0, 3)
     assert est.value == pytest.approx(math.log(0.890625), abs=1e-12)
 
 
 def test_truncated_m_sweep_converges(p075_spec):
     lam = 0.05
-    full = lambda_eta(p075_spec, lam, n_levels=2000).value
+    full = LmgfEvaluator(p075_spec, n_levels=2000).value(lam).value
     prev = -math.inf
     ev = LmgfEvaluator(p075_spec, n_levels=2000, seed=0)
     for M in (4, 8, 16, 32, 64, 128):
@@ -156,9 +150,9 @@ def test_truncated_rejects_depth_losing_positivity():
         slices=(EnvironmentSlice(q=q, r=r, p=p),),
     )
     with pytest.raises(ValueError):
-        lambda_eta_truncated(spec, 0.0, M=1, n_levels=100)
+        LmgfEvaluator(spec, n_levels=100).value_truncated(0.0, 1)
     # deep enough truncation restores positivity and is accepted
-    est = lambda_eta_truncated(spec, 0.0, M=16, n_levels=100)
+    est = LmgfEvaluator(spec, n_levels=100).value_truncated(0.0, 16)
     assert math.isfinite(est.value)
 
 

@@ -21,16 +21,13 @@ from stripldp.phi import (
     SupercriticalError,
     divergence_bound,
     estimate_lambda_crit,
-    hitting_kernels,
-    kernels_to_phi,
     periodic_phi_derivative,
-    periodic_truncated_kernels,
     phi_derivative,
-    phi_truncated,
     residual_norm,
     solve_phi_periodic,
     solve_phi_window,
     truncated_kernels_range,
+    truncated_phis,
 )
 
 from conftest import (
@@ -51,6 +48,11 @@ from conftest import (
 
 def window_for(spec, lo=-80, hi=80, seed=1):
     return sample_window(spec, lo, hi, seed=seed)
+
+
+def truncated_phi(window, lam, M, k):
+    """Phi_{k,M}(lambda) of one level."""
+    return truncated_phis(truncated_kernels_range(window, M, k, k + 1), lam)[0]
 
 
 def test_phi_right_transient_stochastic(p075_spec):
@@ -103,7 +105,7 @@ def test_monotone_in_lambda():
 
 def test_truncated_single_path(p075_spec):
     w = window_for(p075_spec, -10, 1)
-    assert phi_truncated(w, 0.0, 1, 0).entries[0, 0] == pytest.approx(0.75)
+    assert truncated_phi(w, 0.0, 1, 0)[0, 0] == pytest.approx(0.75)
 
 
 def test_truncated_two_paths_formula(p075_spec):
@@ -111,7 +113,7 @@ def test_truncated_two_paths_formula(p075_spec):
     w = window_for(p075_spec, -10, 1)
     for lam in (-0.7, 0.0, 0.4):
         expect = 0.75 * math.exp(lam) + 0.140625 * math.exp(3 * lam)
-        got = phi_truncated(w, lam, 3, 0).entries[0, 0]
+        got = truncated_phi(w, lam, 3, 0)[0, 0]
         assert got == pytest.approx(expect, abs=1e-14)
 
 
@@ -119,7 +121,7 @@ def test_truncated_vs_enumeration_d2():
     spec = random_d2_iid_spec(5)
     w = window_for(spec, -6, 1, seed=3)
     for lam in (-1.0, 0.0, 0.5):
-        dp = phi_truncated(w, lam, 4, 0).entries
+        dp = truncated_phi(w, lam, 4, 0)
         brute = enumerate_truncated_phi(w, 0, 4, lam)
         assert np.abs(dp - brute).max() < 1e-12
 
@@ -132,7 +134,7 @@ def test_truncation_monotone_and_converging(p075_spec):
     gaps = []
     for j in range(0, 8):
         M = 2 ** j
-        val = phi_truncated(w, lam, M, 0).entries[0, 0]
+        val = truncated_phi(w, lam, M, 0)[0, 0]
         assert val >= prev - 1e-15
         assert val <= full + 1e-12
         gaps.append(full - val)
@@ -213,10 +215,11 @@ def test_divergence_bound_regimes():
 
 def test_hitting_kernels_mass(p075_spec):
     w = window_for(p075_spec, -20, 1)
-    W = hitting_kernels(w, 0, 9)
+    ker = truncated_kernels_range(w, 9, 0, 1)
+    W = ker[0]
     # odd excursion lengths only on a width-1 strip with r = 0
     assert W[1].sum() == 0.0 and W[3].sum() == 0.0
-    assert kernels_to_phi(W, 0.0)[0, 0] == pytest.approx(
+    assert truncated_phis(ker, 0.0)[0, 0, 0] == pytest.approx(
         sum(W[m][0, 0] for m in range(9)), abs=1e-15
     )
 
@@ -489,16 +492,18 @@ def test_truncated_kernels_match_reference(seed, kind, M, k0, n, rows):
     with mock.patch.object(phi, "KERNEL_BLOCK_ENTRIES", rows * M * spec.d ** 2):
         got = truncated_kernels_range(window, M, k0, k0 + n)
     assert bitwise_equal(got, ref_kernels_range(window, M, k0, k0 + n))
-    assert bitwise_equal(hitting_kernels(window, k0, M), got[0])
+    assert bitwise_equal(truncated_kernels_range(window, M, k0, k0 + 1)[0], got[0])
 
 
 @pytest.mark.parametrize("M", [1, 7, 24])
 def test_periodic_truncated_kernels_match_reference(M):
+    import stripldp.lmgf as lmgf
+
     base = random_d2_iid_spec(1, drift=0.4)
     period3 = EnvironmentSpec(kind="periodic", d=2, kappa=base.kappa, slices=base.slices)
     for spec in (period3, *BOUNDED_JUMP_SPECS):
         want = ref_kernels_range(sample_window(spec, -M, spec.period), M, 0, spec.period)
-        assert bitwise_equal(periodic_truncated_kernels(spec, M), want)
+        assert bitwise_equal(lmgf.LmgfEvaluator(spec)._kernels(M), want)
 
 
 def test_truncated_kernels_range_checks():
@@ -511,6 +516,20 @@ def test_truncated_kernels_range_checks():
     for short in (exact.sub(exact.lo + 1, exact.hi), exact.sub(exact.lo, exact.hi - 1)):
         with pytest.raises(ValueError, match="must cover"):
             truncated_kernels_range(short, M, k0, k1)
+
+
+def test_truncated_phis_refuse_overflowing_weights(p075_spec):
+    """Weights e^{lam m} with lam * M above 400 are refused, by truncated_phis
+    and so by the evaluator's Lambda_M; lam * M = 400 and any lam <= 0 pass."""
+    from stripldp.lmgf import LmgfEvaluator
+
+    ker = np.full((2, 401, 1, 1), 1e-200)
+    with pytest.raises(ValueError, match="lambda\\*M = 401 > 400"):
+        truncated_phis(ker, 1.0)
+    assert np.isfinite(truncated_phis(ker[:, :400], 1.0)).all()
+    assert np.isfinite(truncated_phis(ker, -50.0)).all()
+    with pytest.raises(ValueError, match="lambda\\*M = 401 > 400"):
+        LmgfEvaluator(p075_spec, n_levels=10).value_truncated(1.0, 401)
 
 
 def test_phi_derivative_infers_kappa_once(monkeypatch):
@@ -632,7 +651,7 @@ def test_periodic_derivative_closed_form(p, r):
         if lam >= lam_c:
             continue
         pp = PeriodicPhi(phis=np.full((1, 1, 1), d1_phi_closed(p, lam, r)), lam=lam,
-                         iterations=0, residual=0.0)
+                         iterations=0, tail=0.0)
         want = d1_phi_prime_closed(p, lam, r)
         assert periodic_phi_derivative(spec, lam, pp)[0, 0, 0] == pytest.approx(want, rel=1e-13)
 
@@ -652,7 +671,7 @@ def test_periodic_derivative_refuses_spectral_radius_above_one(d, monkeypatch):
     lam = 0.0
     pp = solve_phi_periodic(spec, lam)
     big = PeriodicPhi(phis=1.7 * pp.phis, lam=lam, iterations=pp.iterations,
-                      residual=pp.residual)
+                      tail=pp.tail)
     q, r, _ = spec.stacks
     eye = np.eye(d)
     for k in range(spec.period):
@@ -770,7 +789,7 @@ def test_truncated_phi_rises_in_M_below_the_window_phi(seed, d, n_support, drift
         full = solve_phi_window(window, lam, kappa=spec.kappa).phis[k0 - window.lo:]
         prev = np.zeros_like(full)
         for M in depths:
-            trunc = np.stack([kernels_to_phi(W, lam) for W in kernels[M]])
+            trunc = truncated_phis(kernels[M], lam)
             assert (trunc <= full * (1.0 + 1e-12)).all(), (lam, M)
             assert (prev <= trunc * (1.0 + 1e-12)).all(), (lam, M)
             prev = trunc

@@ -1,13 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stripldp.env import embed_bounded_jump, homogeneous_d1_spec, sample_window
-from stripldp.phi import solve_phi_window
+from stripldp.phi import solve_phi_window, truncated_kernels_range, truncated_phis
 from stripldp.products import (
-    BlockPhi,
     NonPositiveFactorError,
     _roll_left,
     _roll_right,
@@ -17,7 +14,6 @@ from stripldp.products import (
     measured_c,
     mu_vectors,
     nu_vectors,
-    positive_product_direction,
     raw_normalized_left,
     raw_normalized_right,
 )
@@ -37,7 +33,7 @@ def solved_factors(spec, lam, lo=-40, hi=40, seed=5):
 
 def test_d1_direction_trivial(p075_spec):
     sol = solved_factors(p075_spec, -0.2)
-    dv = positive_product_direction(sol, side="left")
+    dv = mu_vectors(sol)[-1]
     assert dv.v[0] == pytest.approx(1.0)
     for m in mu_vectors(sol):
         assert m.v[0] == pytest.approx(1.0)
@@ -45,7 +41,7 @@ def test_d1_direction_trivial(p075_spec):
 
 def test_doubly_stochastic_one_step():
     G = np.full((3, 3), 1.0 / 3.0)
-    dv = positive_product_direction([G, G], side="left")
+    dv = mu_vectors([G, G])[-1]
     assert np.abs(dv.v - 1.0 / 3.0).max() < 1e-15
 
 
@@ -53,11 +49,11 @@ def test_power_iteration_oracle():
     rng = np.random.default_rng(0)
     A = rng.uniform(0.2, 1.0, (2, 2))
     B = rng.uniform(0.2, 1.0, (2, 2))
-    dv = positive_product_direction([A, B] * 30, side="left")
+    dv = mu_vectors([A, B] * 30)[-1]
     lead = power_iteration_direction(np.linalg.matrix_power(A @ B, 12))
     assert np.abs(dv.v - lead).max() < 1e-10
     # right side against the column direction of the same product
-    dvr = positive_product_direction([A, B] * 30, side="right")
+    dvr = nu_vectors([A, B] * 30)[0]
     P = np.linalg.matrix_power(A @ B, 12)
     col = P @ np.ones(2)
     col = col / col.sum()
@@ -67,7 +63,7 @@ def test_power_iteration_oracle():
 def test_rejects_nonpositive():
     G = np.array([[0.5, 0.0], [0.4, 0.6]])
     with pytest.raises(NonPositiveFactorError):
-        positive_product_direction([G, G], side="left")
+        nu_vectors([G, G])
     with pytest.raises(NonPositiveFactorError):
         mu_vectors([G, G])
 
@@ -175,8 +171,6 @@ def test_rolling_matches_fresh_product():
 
 def test_truncated_mu_converges_to_full():
     # mu_{n,M} -> mu_n at a fixed level as the truncation depth grows
-    from stripldp.phi import phi_truncated
-
     spec = random_d2_iid_spec(11)
     w = sample_window(spec, -200, 40, seed=4)
     lam = -0.2
@@ -185,7 +179,7 @@ def test_truncated_mu_converges_to_full():
     gaps = []
     for j in (1, 2, 3, 4, 5):
         M = 2 ** j
-        mats = [phi_truncated(w, lam, M, k) for k in range(-30, 20)]
+        mats = truncated_phis(truncated_kernels_range(w, M, -30, 20), lam)
         mus_m = mu_vectors(mats, warmup=10)
         gaps.append(np.abs(mus_m[50].v - target).sum())
     assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
@@ -207,6 +201,11 @@ def test_block_zero_pattern_exact(block_solution):
     assert (block_solution.phis[:, :, 1] == 0.0).all()
     mus = block_mu_vectors(block_solution, R=1)
     assert all(m.v[1] == 0.0 for m in mus)
+    # a nonzero entry in a column beyond R is refused
+    spoiled = block_solution.phis.copy()
+    spoiled[5, 0, 1] = 1e-300
+    with pytest.raises(ValueError, match="columns beyond R must be exactly zero"):
+        block_mu_vectors(spoiled, R=1)
 
 
 def test_block_mu_matches_full_product(block_solution):
@@ -233,31 +232,9 @@ def test_block_nu_matches_full_product(block_solution, block_32_solution):
             assert np.abs(dv.v - direct).max() < max(dv.error_radius, 1e-12)
 
 
-def test_block_phi_type():
-    phi = np.array([[0.4, 0.0], [0.7, 0.0]])
-    bp = BlockPhi.from_full(phi, R=1)
-    assert bp.A.shape == (1, 1) and bp.B.shape == (1, 1)
-    assert bp.zero_columns == 1
-    with pytest.raises(ValueError):
-        BlockPhi.from_full(np.array([[0.4, 0.1], [0.7, 0.0]]), R=1)
-
-
 def test_positive_rejects_block_pattern(block_solution):
     with pytest.raises(NonPositiveFactorError):
         mu_vectors(block_solution)
-
-
-def test_block_direction_wrapper(block_solution):
-    from stripldp.products import block_direction
-
-    blocks = [BlockPhi.from_full(m, R=1) for m in block_solution.phis[:30]]
-    left = block_direction(blocks, side="left")
-    assert left.v[1] == 0.0
-    direct = raw_normalized_left(block_solution.phis[:30])
-    assert np.abs(left.v - direct).sum() < 1e-8
-    right = block_direction(blocks, side="right")
-    direct_r = raw_normalized_right(block_solution.phis[:30])
-    assert np.abs(right.v - direct_r).max() < 1e-6
 
 
 def test_block_32_embedding():
@@ -324,12 +301,6 @@ def bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_same_direction(a, b):
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        assert bitwise_equal(x, y) if f.name == "v" else repr(x) == repr(y), f.name
-
-
 def same_roll(got, want, d):
     """Bitwise at d != 2; at d = 2, where the rolls sum on Python floats
     and numpy's products may round otherwise, within 1e-15 relative."""
@@ -361,8 +332,6 @@ def test_rolls_match_raw_products(seed, d, n, spread):
     assert same_roll(_roll_left(f, pi)[0][-1], raw_normalized_left(f, pi=pi), d)
 
     mus, nus = mu_vectors(f), nu_vectors(f)
-    assert_same_direction(positive_product_direction(f, "left"), mus[-1])
-    assert_same_direction(positive_product_direction(f, "right"), nus[0])
     for m in range(2, n + 1):  # radii against the running rho product
         v, radius = ref_positive_product_direction(f[:m], "left")
         assert bitwise_equal(mus[m].v, v) and mus[m].error_radius == radius
