@@ -258,16 +258,17 @@ class LmgfEvaluator:
         """Lambda(lam), memoized per evaluator."""
         return self._memoized("full", lam, self._value)
 
-    def _phi(self, lam: float):
-        """The PeriodicPhi or window PhiSolution of lam. The last one is kept,
-        so a Legendre search's final value reuses the sweep of the Lambda'
-        evaluated at the same lambda."""
+    def _phi(self, lam: float, derivative: bool = False):
+        """The PeriodicPhi or window PhiSolution of lam, a window's with its
+        Phi' from the same pass when `derivative` asks. The last one is
+        kept, so a Legendre search's final value reuses the pass of the
+        Lambda' evaluated at the same lambda."""
         if self._last_phi[0] != lam:
             if self.window is None:
                 sol = solve_phi_periodic(self.spec, lam)
             else:
                 sol = solve_phi_window(self.window, lam, shift=self.margin or None,
-                                       kappa=self.spec.kappa)
+                                       kappa=self.spec.kappa, derivative=derivative)
             self._last_phi = (lam, sol)
         return self._last_phi[1]
 
@@ -300,7 +301,7 @@ class LmgfEvaluator:
         return self._memoized("derivative", lam, self._derivative)
 
     def _derivative(self, lam: float) -> LmgfEstimate:
-        sol = self._phi(lam)
+        sol = self._phi(lam, derivative=True)
         if self.window is None:
             phis, dphis = sol.phis, periodic_phi_derivative(self.spec, lam, sol)
         else:

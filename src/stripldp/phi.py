@@ -13,25 +13,30 @@ M = e^lambda (r + q Phi_{k-1}), the Neumann series converges iff
 (I - M)^{-1} >= 0 entrywise, and a failure (or an entry above the a-priori
 bound (1/kappa) e^{-lambda} for lambda > 0) certifies supercriticality.
 
-Six loops do all the sweeping: Phi and Phi' each have a scalar one, a
-2x2 one and a general one. A window pass (the Phi solve, its boundary
-re-solve, Phi', and each lambda_crit midpoint) takes the loop of its d:
-at d = 1 one division a level, bit for bit the 1x1 LAPACK solve; at
-d = 2 one closed-form 2x2 elimination a level on Python floats, whose
-positive pivot and Schur complement are the whole M-matrix certificate;
-at d >= 3 one LAPACK solve a level. The d <= 2 loops read the window's
-levels from `EnvironmentWindow.rows`, tuples of Python floats made once
-per support slice, and call no numpy function inside the loop. On a
-2-core x86-64 Xeon a level costs about 0.15 us of Phi or Phi' at d = 1,
-0.7 us of Phi and 1.0 us of Phi' at d = 2, against 10-14 us for a LAPACK
-level. The general loops also make every pass of the periodic
-Newton solve, the two Phi' passes over a period around the periodic Phi'
-solve and each Newton step's Jacobian, at every d. A window's Phi' is one
-pass over the solved Phi; the boundary re-solve is Phi's only. Level k of
-the Phi sweep depends only on level k-1, so once the re-solve from a
+Four loops do all the sweeping: a scalar, a 2x2 and a general Phi loop,
+and the general Phi' loop. A window pass (the Phi solve, its boundary
+re-solve and each lambda_crit midpoint) takes the Phi loop of its d: at
+d = 1 one division a level, bit for bit the 1x1 LAPACK solve; at d = 2
+one closed-form 2x2 elimination a level on Python floats, whose positive
+pivot and Schur complement are the whole M-matrix certificate; at d >= 3
+one LAPACK solve a level. Each Phi loop forms the window's Phi' on
+request in the same level iteration, from the same m, pivot, multiplier
+and Schur complement (at d >= 3 by a second solve on the same matrix),
+bit for bit the separate Phi' recursion over the solved Phi. The d <= 2
+loops read the window's levels from `EnvironmentWindow.rows`, tuples of
+Python floats made once per support slice, call no numpy function inside
+the loop and, for a lambda_crit midpoint, make no level array. On a
+2-core x86-64 Xeon a level costs about 0.12 us of Phi and 0.24 us of Phi
+and Phi' together at d = 1, 0.62 us and 1.25 us at d = 2, against 10-14
+us for a LAPACK level. The general Phi' loop serves the periodic
+solvers alone: each Newton step's Jacobian and the two Phi' passes over a
+period around the periodic Phi' solve, at every d, while the general Phi
+loop makes every pass of the periodic Newton solve. Level k of the Phi
+sweep depends only on level k-1, so once the boundary re-solve from a
 later start equals the main sweep at one level, it equals it at every
-later level; the re-solve stops there, and the boundary gap it measures
-past that level is exactly 0.
+later level. The re-solve runs in blocks of RESOLVE_BLOCK levels and
+stops after the first block that ends on the main sweep's bits; the
+boundary gap it measures past the meeting level is exactly 0.
 
 The periodic Phi is the minimal fixed point of the cyclic sweep, found by
 Newton's method on Phi_{-1}: one Phi pass over the period, its Jacobian
@@ -107,32 +112,27 @@ def divergence_bound(kappa: float, lam: float, tol: float = 1e-12) -> float:
     return 1.0 + 10.0 * tol
 
 
-def _sweep_d1(rows, el: float, f: float, bound: float, ref=None):
-    """_sweep's scalar levels: one division a level over the window's
-    (q, r, p) float rows; 'ref' is a float list."""
-    vals = []
-    for k, (q, r, p) in enumerate(rows):
+def _sweep_d1(rows, el: float, f: float, bound: float, vals: list, dvals=None) -> int:
+    """_sweep's scalar levels over the window's (q, r, p) float rows: one
+    division a level. Appends each Phi_k to `vals` and, given the list
+    `dvals`, each Phi'_k; returns -1, or the failing level's index: the
+    number of levels appended."""
+    g = 0.0
+    for q, r, p in rows:
         m = el * (r + q * f)
         if m >= 1.0:
-            return _levels(vals, 1), k
+            return len(vals)
         f = el * p / (1.0 - m)
         if f > bound:
-            return _levels(vals, 1), k
+            return len(vals)
         vals.append(f)
-        if ref is not None and f == ref[k]:
-            return _levels(vals, 1), -1
-    return _levels(vals, 1), -1
+        if dvals is not None:
+            g = (f + el * ((q * g) * f)) / (1.0 - m)
+            dvals.append(g)
+    return -1
 
 
-def _levels(vals: list, d: int) -> np.ndarray:
-    """The (n, d, d) stack of a float loop's flat, row-major level values."""
-    return np.array(vals, dtype=float).reshape(-1, d, d)
-
-
-SWEEP_CHUNK = 256  # d = 2 sweep levels per float chunk of `ref` and of the output
-
-
-def _sweep_d2(rows, el: float, phi0: np.ndarray, bound: float, ref=None):
+def _sweep_d2(rows, el: float, f: list, bound: float, vals: list, dvals=None) -> int:
     """_sweep's 2x2 levels on Python floats, by closed-form elimination.
 
     I - M with M = e^l (r_k + q_k Phi_{k-1}) >= 0 is a Z-matrix, and a 2x2
@@ -141,44 +141,52 @@ def _sweep_d2(rows, el: float, phi0: np.ndarray, bound: float, ref=None):
     Sciences, ch. 6): the pivot 1 - m00 and the Schur complement, the whole
     certificate. The elimination needs no row exchange, and every entry of
     Phi_k is a sum of nonnegative terms, so none is clamped. A level also
-    fails when an entry of Phi_k exceeds `bound`. With `ref`, the pass
-    returns after the first level equal to ref's. Levels go SWEEP_CHUNK at a
-    time: ref is converted to floats only as far as the pass reads it, and
-    each chunk's values are written out at its end.
+    fails when an entry of Phi_k exceeds `bound`. Phi'_k takes the same
+    multiplier, pivot and Schur complement, applied to the right side
+    Phi_k + e^l q_k Phi'_{k-1} Phi_k. Level values go to the lists as in
+    _sweep_d1, row-major, and a failing level's index is a quarter of
+    len(vals).
     """
-    n = len(rows)
-    out = np.empty((n, 2, 2))
-    flat = out.reshape(-1)
-    f00, f01, f10, f11 = phi0.ravel().tolist()
-    for a in range(0, n, SWEEP_CHUNK):
-        same = None if ref is None else ref[a:a + SWEEP_CHUNK].reshape(-1, 4).tolist()
-        vals = []
-        for i, (q00, q01, q10, q11, r00, r01, r10, r11, p00, p01, p10, p11) in enumerate(
-                rows[a:a + SWEEP_CHUNK]):
-            m00 = el * (r00 + (q00 * f00 + q01 * f10))
-            m01 = el * (r01 + (q00 * f01 + q01 * f11))
-            m10 = el * (r10 + (q10 * f00 + q11 * f10))
-            m11 = el * (r11 + (q10 * f01 + q11 * f11))
-            pivot = 1.0 - m00
-            if not pivot > 0.0:
-                return out, a + i
-            mult = m10 / pivot
-            schur = (1.0 - m11) - mult * m01
-            if not schur > 0.0:
-                return out, a + i
-            b00, b01 = el * p00, el * p01
-            f10 = (el * p10 + mult * b00) / schur
-            f11 = (el * p11 + mult * b01) / schur
-            f00 = (b00 + m01 * f10) / pivot
-            f01 = (b01 + m01 * f11) / pivot
-            if f00 > bound or f01 > bound or f10 > bound or f11 > bound:
-                return out, a + i
-            vals += f00, f01, f10, f11
-            if same is not None and vals[-4:] == same[i]:
-                flat[4 * a:4 * a + len(vals)] = vals
-                return out[:a + i + 1], -1
-        flat[4 * a:4 * a + len(vals)] = vals
-    return out, -1
+    f00, f01, f10, f11 = f
+    g00 = g01 = g10 = g11 = 0.0
+    for q00, q01, q10, q11, r00, r01, r10, r11, p00, p01, p10, p11 in rows:
+        m00 = el * (r00 + (q00 * f00 + q01 * f10))
+        m01 = el * (r01 + (q00 * f01 + q01 * f11))
+        m10 = el * (r10 + (q10 * f00 + q11 * f10))
+        m11 = el * (r11 + (q10 * f01 + q11 * f11))
+        pivot = 1.0 - m00
+        if not pivot > 0.0:
+            return len(vals) // 4
+        mult = m10 / pivot
+        schur = (1.0 - m11) - mult * m01
+        if not schur > 0.0:
+            return len(vals) // 4
+        b00, b01 = el * p00, el * p01
+        f10 = (el * p10 + mult * b00) / schur
+        f11 = (el * p11 + mult * b01) / schur
+        f00 = (b00 + m01 * f10) / pivot
+        f01 = (b01 + m01 * f11) / pivot
+        if f00 > bound or f01 > bound or f10 > bound or f11 > bound:
+            return len(vals) // 4
+        vals += f00, f01, f10, f11
+        if dvals is not None:
+            h00, h01 = q00 * g00 + q01 * g10, q00 * g01 + q01 * g11  # q_k Phi'_{k-1}
+            h10, h11 = q10 * g00 + q11 * g10, q10 * g01 + q11 * g11
+            b00 = f00 + el * (h00 * f00 + h01 * f10)
+            b01 = f01 + el * (h00 * f01 + h01 * f11)
+            b10 = f10 + el * (h10 * f00 + h11 * f10)
+            b11 = f11 + el * (h10 * f01 + h11 * f11)
+            g10 = (b10 + mult * b00) / schur
+            g11 = (b11 + mult * b01) / schur
+            g00 = (b00 + m01 * g10) / pivot
+            g01 = (b01 + m01 * g11) / pivot
+            dvals += g00, g01, g10, g11
+    return -1
+
+
+def _levels(vals: list, d: int) -> np.ndarray:
+    """The (n, d, d) stack of a float loop's flat, row-major level values."""
+    return np.fromiter(vals, float, len(vals)).reshape(-1, d, d)
 
 
 try:
@@ -216,27 +224,34 @@ def _right_sides(el: float, p: np.ndarray, eye: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _sweep_general(q, r, p, el: float, phi0: np.ndarray, bound: float, ref=None):
-    """One pass of Phi_k = (I - e^l (r_k + q_k Phi_{k-1}))^{-1} e^l p_k, d > 2.
+def _sweep_general(q, r, p, el: float, phi0: np.ndarray, bound: float, derivative=False):
+    """One pass of Phi_k = (I - e^l (r_k + q_k Phi_{k-1}))^{-1} e^l p_k, d > 2;
+    returns (phis, dphis or None, bad level index or -1).
 
     Each level solves for [Phi_k | (I - M)^{-1}] at once; one test covers
     the M-matrix certificate (no negative entry in the inverse or in Phi_k)
-    and the a-priori entry bound. With `ref`, the pass returns as soon as a
-    level equals ref at that level bit for bit: from there on it would
-    repeat ref's computation exactly.
+    and the a-priori entry bound. With `derivative`, a second solve on the
+    same I - M gives Phi'_k.
     """
     eye = np.eye(q.shape[1])
+    dout = np.empty(q.shape) if derivative else None
     with _linalg_errstate():
-        return _sweep_levels(q, r, _right_sides(el, p, eye), eye, el, phi0, bound, ref)
+        phis, bad = _sweep_levels(q, r, _right_sides(el, p, eye), eye, el, phi0, bound, dout)
+    return phis, dout, bad
 
 
-def _sweep_levels(q, r, rhs, eye, el: float, f: np.ndarray, bound: float, ref=None):
-    """The level loop of _sweep_general; runs inside _linalg_errstate."""
+def _sweep_levels(q, r, rhs, eye, el: float, f: np.ndarray, bound: float, dout=None):
+    """The level loop of _sweep_general and of every periodic Newton pass;
+    runs inside _linalg_errstate. Given `dout` (n, d, d), level k also
+    solves (I - M) Phi'_k = Phi_k + e^l q_k Phi'_{k-1} Phi_k into dout[k],
+    from Phi'_{-1} = 0."""
     n, d, _ = q.shape
     out = np.empty((n, d, d))
+    g = np.zeros((d, d))
     for k in range(n):
+        a = eye - el * (r[k] + q[k] @ f)
         try:
-            sol = _solve(eye - el * (r[k] + q[k] @ f), rhs[k])
+            sol = _solve(a, rhs[k])
         except np.linalg.LinAlgError:
             return out, k
         f = sol[:, :d]
@@ -244,26 +259,37 @@ def _sweep_levels(q, r, rhs, eye, el: float, f: np.ndarray, bound: float, ref=No
         if sol.min() < NEG_ENTRY_TOL or f.max() > bound:
             return out, k
         f = np.maximum(f, 0.0, out=out[k])
-        if ref is not None and f.tobytes() == ref[k].tobytes():
-            return out[:k + 1], -1
+        if dout is not None:
+            g = dout[k] = _solve(a, f + el * (q[k] @ g @ f))
     return out, -1
 
 
-def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, ref=None):
-    """One exact pass from phi0 (d, d); returns (phis, bad_level_index or -1).
+def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, start: int = 0,
+           stop: int | None = None, derivative: bool = False, keep: bool = True):
+    """One exact pass over the window's levels start..stop-1 (row indices)
+    from Phi_{start-1} = phi0 (d, d); returns (phis, dphis, bad), bad the
+    failing level's index from `start`, or -1.
 
-    With `ref` (n, d, d) the pass stops after the first level where it
-    agrees with ref, and phis holds the levels up to that one. The loop is
-    the d = 1 division, the d = 2 elimination on floats or, at d >= 3, the
-    LAPACK solve.
+    With `derivative`, dphis holds every level's Phi' from Phi'_{start-1} =
+    0, formed in the same level iteration as its Phi; else it is None. At
+    d <= 2 a pass without `keep` converts its float list to no array
+    (phis is None): only its verdict counts. The loop is the d = 1
+    division, the d = 2 elimination on floats or, at d >= 3, the LAPACK
+    solve.
     """
     el = math.exp(lam)
-    if window.d == 1:
-        ref1 = None if ref is None else ref[:, 0, 0].tolist()
-        return _sweep_d1(window.rows, el, float(phi0[0, 0]), bound, ref1)
-    if window.d == 2:
-        return _sweep_d2(window.rows, el, phi0, bound, ref)
-    return _sweep_general(window.q, window.r, window.p, el, phi0, bound, ref)
+    d = window.d
+    if d > 2:
+        return _sweep_general(window.q[start:stop], window.r[start:stop],
+                              window.p[start:stop], el, phi0, bound, derivative)
+    vals, dvals = [], [] if derivative else None
+    rows = window.rows[start:stop]
+    if d == 1:
+        bad = _sweep_d1(rows, el, float(phi0[0, 0]), bound, vals, dvals)
+    else:
+        bad = _sweep_d2(rows, el, phi0.ravel().tolist(), bound, vals, dvals)
+    return (_levels(vals, d) if keep else None,
+            None if dvals is None else _levels(dvals, d), bad)
 
 
 @dataclass
@@ -273,8 +299,9 @@ class PhiSolution:
     Levels before `warmup_levels` (relative to window.lo) still feel the zero
     initialization at the left edge; `boundary_gap` is the measured influence
     of the first `shift` levels at each position, a proxy certificate for the
-    geometric forgetting of the left boundary. Only Phi measures it: the
-    Phi' of phi_derivative is one pass over `phis` with no re-solve.
+    geometric forgetting of the left boundary. Only Phi measures it. `dphis`
+    is the window's Phi' (phi_derivative's array) when the solve was asked
+    for it, formed in the Phi pass itself, else None.
     """
 
     window: EnvironmentWindow
@@ -283,6 +310,7 @@ class PhiSolution:
     warmup_levels: int = 0
     boundary_gap: np.ndarray | None = None
     shift: int = 0
+    dphis: np.ndarray | None = None  # (n, d, d)
 
     def __len__(self) -> int:
         return self.phis.shape[0]
@@ -291,21 +319,28 @@ class PhiSolution:
         return self.phis[self.window.index_of(level)]
 
 
+RESOLVE_BLOCK = 64  # levels per block of solve_phi_window's boundary re-solve
+
+
 def solve_phi_window(
     window: EnvironmentWindow,
     lam: float,
     shift: int | None = None,
     kappa: float | None = None,
+    derivative: bool = False,
 ) -> PhiSolution:
     """Solve the Phi fixed point over the window from the zero left boundary.
 
     The pass is the exact limit of the monotone sweep iteration (each level's
-    equation is linear given its left neighbor). Boundary forgetting is
-    measured by re-solving from `shift` levels in and flagging as warm-up
-    every level where the two solutions differ by more than WINDOW_TOL / 2.
-    The re-solve stops at the first level where it equals the main sweep
-    bit for bit: each level is computed from the one before alone, so from
-    there on it would repeat the main sweep exactly, and its gap is 0.
+    equation is linear given its left neighbor). With `derivative` the same
+    pass also gives phi_derivative's Phi' (`dphis`), bit for bit. Boundary
+    forgetting is measured by re-solving Phi from `shift` levels in and
+    flagging as warm-up every level where the two solutions differ by more
+    than WINDOW_TOL / 2. The re-solve runs in blocks of RESOLVE_BLOCK
+    levels, each from the last Phi of the block before, and stops after the
+    first block whose last level equals the main sweep bit for bit: each
+    level is computed from the one before alone, so from there on it
+    repeats the main sweep exactly, and its gap is 0.
     `kappa` is the spec's ellipticity constant (measured from the window's
     entry-height conditions when omitted); it calibrates the a-priori
     divergence threshold certifying supercriticality.
@@ -315,7 +350,7 @@ def solve_phi_window(
         kappa = _infer_kappa(window)
     kappa_bound = divergence_bound(kappa, lam, WINDOW_TOL)
     phi0 = np.zeros((window.d, window.d))
-    phis, bad = _sweep(window, lam, phi0, kappa_bound)
+    phis, dphis, bad = _sweep(window, lam, phi0, kappa_bound, derivative=derivative)
     if bad >= 0:
         raise SupercriticalError(lam, level=window.lo + bad)
 
@@ -324,14 +359,19 @@ def solve_phi_window(
     gap = np.full(n, np.nan)
     warmup = shift
     if shift < n:
-        sub = window.sub(window.lo + shift, window.hi)
-        phis2, bad2 = _sweep(sub, lam, phi0, kappa_bound, ref=phis[shift:])
-        if bad2 >= 0:
-            raise SupercriticalError(lam, level=sub.lo + bad2)
-        gap, warmup = _boundary_gap(phis, phis2, shift, 0.5 * WINDOW_TOL)
+        resolved = []
+        for a in range(shift, n, RESOLVE_BLOCK):
+            block, _, bad = _sweep(window, lam, phi0 if a == shift else block[-1],
+                                   kappa_bound, a, a + RESOLVE_BLOCK)
+            if bad >= 0:
+                raise SupercriticalError(lam, level=window.lo + a + bad)
+            resolved.append(block)
+            if block[-1].tobytes() == phis[a + len(block) - 1].tobytes():
+                break
+        gap, warmup = _boundary_gap(phis, np.concatenate(resolved), shift, 0.5 * WINDOW_TOL)
     return PhiSolution(
         window=window, lam=lam, phis=phis,
-        warmup_levels=warmup, boundary_gap=gap, shift=shift,
+        warmup_levels=warmup, boundary_gap=gap, shift=shift, dphis=dphis,
     )
 
 
@@ -469,66 +509,10 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
 # ---------------------------------------------------------------------------
 
 
-def _derivative_sweep(window: EnvironmentWindow, lam: float, phis: np.ndarray):
-    """One pass of phi_derivative's Phi' recursion over the window's `phis`,
-    from Phi_{lo-1} = Phi'_{lo-1} = 0. The loop is the d = 1 division, the
-    d = 2 elimination on floats (_derivative_d2), both over window.rows, or,
-    at d >= 3, the LAPACK solve."""
-    el = math.exp(lam)
-    d = window.d
-    if d == 1:
-        # a 1x1 solve is one division: the same formula on floats, same bits
-        f = df = 0.0
-        vals = []
-        for (q, r, _), c in zip(window.rows, phis[:, 0, 0].tolist()):
-            df = (c + el * ((q * df) * c)) / (1.0 - el * (r + q * f))
-            vals.append(df)
-            f = c
-        return _levels(vals, 1)
-    if d == 2:
-        return _derivative_d2(window.rows, el, phis)
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    with _linalg_errstate():
-        return _derivative_levels(window.q, window.r, eye, el, phis, zero, zero)
-
-
-def _derivative_d2(rows, el: float, phis):
-    """_derivative_sweep's 2x2 levels on Python floats: the elimination of
-    _sweep_d2, with its m, pivot and Schur complement (computed from the
-    same Phi_{k-1}, bit for bit), applied to the right side
-    Phi_k + e^l q_k Phi'_{k-1} Phi_k. The Phi pass certified every pivot."""
-    f00 = f01 = f10 = f11 = g00 = g01 = g10 = g11 = 0.0
-    vals = []
-    cur = iter(phis.ravel().tolist())  # zipped four times: Phi_k's entries in turn
-    for (q00, q01, q10, q11, r00, r01, r10, r11, _, _, _, _), c00, c01, c10, c11 in zip(
-            rows, cur, cur, cur, cur):
-        m00 = el * (r00 + (q00 * f00 + q01 * f10))
-        m01 = el * (r01 + (q00 * f01 + q01 * f11))
-        m10 = el * (r10 + (q10 * f00 + q11 * f10))
-        m11 = el * (r11 + (q10 * f01 + q11 * f11))
-        pivot = 1.0 - m00
-        mult = m10 / pivot
-        schur = (1.0 - m11) - mult * m01
-        h00, h01 = q00 * g00 + q01 * g10, q00 * g01 + q01 * g11  # q_k Phi'_{k-1}
-        h10, h11 = q10 * g00 + q11 * g10, q10 * g01 + q11 * g11
-        b00 = c00 + el * (h00 * c00 + h01 * c10)
-        b01 = c01 + el * (h00 * c01 + h01 * c11)
-        b10 = c10 + el * (h10 * c00 + h11 * c10)
-        b11 = c11 + el * (h10 * c01 + h11 * c11)
-        g10 = (b10 + mult * b00) / schur
-        g11 = (b11 + mult * b01) / schur
-        g00 = (b00 + m01 * g10) / pivot
-        g01 = (b01 + m01 * g11) / pivot
-        vals += g00, g01, g10, g11
-        f00, f01, f10, f11 = c00, c01, c10, c11
-    return _levels(vals, 2)
-
-
 def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d):
-    """The level loop of _derivative_sweep at d > 2 and of
-    periodic_phi_derivative, for one start prev_d or a stack of them;
-    runs inside _linalg_errstate."""
+    """The Phi' level loop of _period_map and periodic_phi_derivative over a
+    solved `phis`, fed by Phi_{-1} = prev_phi, for one start prev_d or a
+    stack of them; runs inside _linalg_errstate."""
     n = phis.shape[0]
     out = np.empty((n, *prev_d.shape))
     for k in range(n):
@@ -568,15 +552,26 @@ def phi_derivative(
 
         (I - e^l (r_k + q_k Phi_{k-1})) Phi'_k = Phi_k + e^l q_k Phi'_{k-1} Phi_k,
 
-    solved left to right with Phi'_{lo-1} = 0, in one pass over the Phi of
-    `phi_solution` (solved here with `kappa` when omitted).
+    solved left to right with Phi'_{lo-1} = 0. Its matrix is the Phi
+    sweep's own, so the Phi pass forms Phi'_k right after Phi_k, from the
+    same elimination at d <= 2 and by a second solve on the same matrix at
+    d >= 3. The result is `phi_solution.dphis` when that solution was
+    solved with `derivative`; else one such pass over the window of
+    `phi_solution` (whose Phi it repeats bit for bit, already certified),
+    or, without one, solve_phi_window(..., derivative=True) with `kappa`.
     Verified elsewhere against central finite differences of the Phi solve.
     Phi' has no boundary re-solve of its own: the left boundary's influence
     is measured on Phi alone, by solve_phi_window.
     """
     if phi_solution is None:
-        phi_solution = solve_phi_window(window, lam, kappa=kappa)
-    return _derivative_sweep(window, lam, phi_solution.phis)
+        return solve_phi_window(window, lam, kappa=kappa, derivative=True).dphis
+    if phi_solution.dphis is not None:
+        return phi_solution.dphis
+    _, dphis, bad = _sweep(window, lam, np.zeros((window.d, window.d)), math.inf,
+                           derivative=True, keep=False)
+    if bad >= 0:
+        raise SupercriticalError(lam, level=window.lo + bad)
+    return dphis
 
 
 def periodic_phi_derivative(
@@ -727,7 +722,8 @@ def estimate_lambda_crit(
     Every midpoint asks the exact verdict: one Newton solve on a periodic
     spec, else one _sweep over the window, the loop of its d (at d = 2 the
     2x2 elimination on floats, whose pivot signs are the M-matrix
-    certificate). In exact arithmetic the verdict is monotone in lambda:
+    certificate), of which only the failing level's index is read: at
+    d <= 2 the pass makes no level array. In exact arithmetic the verdict is monotone in lambda:
     each level's map increases in lambda and in Phi_{k-1}, so the spectral
     radius of M_k and the entries of Phi_k rise while the bound
     e^{-lambda}/kappa falls.
@@ -747,9 +743,7 @@ def estimate_lambda_crit(
         phi0 = np.zeros((spec.d, spec.d))
 
         def feasible(lam: float) -> bool:
-            bound = divergence_bound(spec.kappa, lam)
-            _, bad = _sweep(window, lam, phi0, bound)
-            return bad < 0
+            return _sweep(window, lam, phi0, divergence_bound(spec.kappa, lam), keep=False)[2] < 0
 
     if feasible(cap):
         # cannot happen for kappa < 1/2 unless degenerate; report the cap

@@ -534,9 +534,9 @@ def test_truncated_phis_refuse_overflowing_weights(p075_spec):
 
 def test_phi_derivative_infers_kappa_once(monkeypatch):
     """With kappa omitted and no Phi solution passed in, the window's kappa
-    is measured once (one linear solve per level) for the solve and its
-    boundary re-solve together, and the result is the one for that kappa.
-    Given a Phi solution, phi_derivative measures nothing."""
+    is measured once (one linear solve per level) for the fused Phi and
+    Phi' pass and its boundary re-solve together, and the result is the one
+    for that kappa. Given a Phi solution, phi_derivative measures nothing."""
     import stripldp.phi as phi
 
     spec = random_d2_iid_spec(1, drift=0.4)
@@ -554,25 +554,59 @@ def test_phi_derivative_infers_kappa_once(monkeypatch):
     assert calls == []
 
 
-def test_window_derivative_runs_two_phi_sweeps(monkeypatch):
-    """A window Lambda' at d = 1 and d = 2 sweeps Phi twice (the solve and
-    its boundary re-solve) and Phi' once: the derivative has no boundary
-    re-solve of its own."""
+def test_window_derivative_runs_one_fused_pass(monkeypatch):
+    """A window Lambda' at d = 1 and d = 2 runs one pass that forms Phi and
+    Phi' together, plus the boundary re-solve of Phi in consecutive blocks
+    of RESOLVE_BLOCK levels from `shift`; a Lambda at that lambda afterwards
+    runs no pass. A Lambda' after a Lambda at the same lambda runs the
+    fused pass once, with no re-solve, and gives the same estimate."""
     import stripldp.phi as phi
     from stripldp.lmgf import LmgfEvaluator
 
-    sweep, dsweep = phi._sweep, phi._derivative_sweep
-    calls, dcalls = [], []
-    monkeypatch.setattr(phi, "_sweep", lambda *a, **k: calls.append(a[1]) or sweep(*a, **k))
-    monkeypatch.setattr(phi, "_derivative_sweep",
-                        lambda *a, **k: dcalls.append(len(a[2])) or dsweep(*a, **k))
+    sweep, calls = phi._sweep, []
+
+    def counted(window, lam, phi0, bound, start=0, stop=None, derivative=False, keep=True):
+        calls.append((lam, start, stop, derivative, keep))
+        return sweep(window, lam, phi0, bound, start, stop, derivative, keep)
+
+    monkeypatch.setattr(phi, "_sweep", counted)
     for spec in (two_point_d1_spec([0.7, 0.8], [0.5, 0.5]), random_d2_iid_spec(1, drift=0.4)):
         ev = LmgfEvaluator(spec, n_levels=400, seed=0)
         calls.clear()
-        dcalls.clear()
         assert math.isfinite(ev.derivative(-0.3).value)
-        assert calls == [-0.3, -0.3]
-        assert dcalls == [ev.window.n_levels]
+        assert calls[0] == (-0.3, 0, None, True, True)
+        shift = ev.margin
+        block = phi.RESOLVE_BLOCK
+        assert calls[1:] == [(-0.3, a, a + block, False, True)
+                             for a in range(shift, shift + block * (len(calls) - 1), block)]
+        assert shift + block * (len(calls) - 1) < ev.window.n_levels
+        calls.clear()
+        assert math.isfinite(ev.value(-0.3).value)
+        assert calls == []
+
+        assert math.isfinite(ev.value(-0.2).value)
+        calls.clear()
+        got = ev.derivative(-0.2)
+        assert calls == [(-0.2, 0, None, True, False)]
+        assert got == LmgfEvaluator(spec, n_levels=400, seed=0).derivative(-0.2)
+
+
+@pytest.mark.parametrize("spec", [two_point_d1_spec([0.7, 0.8], [0.5, 0.5]),
+                                  random_d2_iid_spec(1, drift=0.4)], ids=["d1", "d2"])
+def test_lambda_crit_bisection_builds_no_level_array(spec, monkeypatch):
+    """At d <= 2 every lambda_crit midpoint reads its pass's verdict alone:
+    no level array is built, and the bracket is the one that passes keeping
+    every level give."""
+    import stripldp.phi as phi
+
+    sweep, levels, built = phi._sweep, phi._levels, []
+    monkeypatch.setattr(phi, "_levels", lambda *a: built.append(a[1]) or levels(*a))
+    got = estimate_lambda_crit(spec, window_len=2000, tol=1e-6)
+    assert built == []
+    monkeypatch.setattr(phi, "_sweep",
+                        lambda *a, keep=True, **k: sweep(*a, keep=True, **k))
+    assert estimate_lambda_crit(spec, window_len=2000, tol=1e-6) == got
+    assert built
 
 
 # ---------------------------------------------------------------------------
@@ -793,3 +827,23 @@ def test_truncated_phi_rises_in_M_below_the_window_phi(seed, d, n_support, drift
             assert (trunc <= full * (1.0 + 1e-12)).all(), (lam, M)
             assert (prev <= trunc * (1.0 + 1e-12)).all(), (lam, M)
             prev = trunc
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**PROPERTY_SPEC)
+def test_truncated_phi_converges_to_the_window_phi(seed, d, n_support, drift, window_seed):
+    """Phi_{k,M} -> Phi_k as M grows. From k >= lo + M no excursion of at
+    most M steps leaves the window, so Phi_k - Phi_{k,M} sums the window's
+    excursions longer than M: at least 0, and at most e^{lambda (M+1)} for
+    lambda <= 0 (they have probability at most 1). Entrywise, with 1e-14
+    relative slack for rounding."""
+    spec, window = random_window(seed, d, n_support, drift, window_seed)
+    for lam in (-1.0, -0.5):
+        full = solve_phi_window(window, lam, kappa=spec.kappa).phis
+        for M in (8, 16, 32):
+            k0 = window.lo + M
+            trunc = truncated_phis(truncated_kernels_range(window, M, k0, window.hi), lam)
+            gap = full[k0 - window.lo:] - trunc
+            slack = 1e-14 * full[k0 - window.lo:]
+            assert (gap >= -slack).all(), (lam, M)
+            assert (gap <= math.exp(lam * (M + 1)) + slack).all(), (lam, M)
