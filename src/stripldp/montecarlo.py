@@ -24,6 +24,12 @@ default_rng(SeedSequence(seed, spawn_key=(tag, i))), so any trial replays
 on its own. The streams are built a block of trials at a time: the
 SeedSequence hash runs vectorized over the block's trial numbers, and one
 PCG64 is loaded with each trial's seeded state in turn (trial_uniforms).
+A block is column-major, one row per trial, and holds at most about
+BLOCK_ENTRIES = 2^21 uniforms (16 MiB), so a step's uniforms for all trials
+are one contiguous column. The walkers find each move with 1-D takes: the
+direct walks count the partial sums below u in flat column tables of the
+cumulative move rows (_move_columns), and the tilted sampler binary-searches
+flat padded tables of its cdf rows (_sorted_search).
 """
 
 from __future__ import annotations
@@ -120,7 +126,7 @@ POOL_WORDS = 4
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK32, MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-BLOCK_ENTRIES = 8e6  # about the most uniforms one _trial_blocks block holds
+BLOCK_ENTRIES = 1 << 21  # about the most uniforms one _trial_blocks block holds
 SEED_BLOCK = 1024  # trials whose generator states are hashed together
 
 
@@ -202,31 +208,40 @@ def _pcg64_states(seed, tag: int, first: int, m: int):
 
 
 def trial_uniforms(seed, tag: int, first: int, m: int, k: int) -> np.ndarray:
-    """Uniform streams of trials first..first+m-1, k uniforms a row.
+    """Uniform streams of trials first..first+m-1, k uniforms a row, as an
+    (m, k) block in Fortran order, so that the column of one step is
+    contiguous.
 
     Row i is default_rng(SeedSequence(seed, spawn_key=(tag, first + i)))
     .random(k) bit for bit (seed None reads as 0): a splittable per-trial
     seed tree, so any single trial reproduces in isolation and results do
     not depend on batch chunking. The seeding runs vectorized over the
     trials (_pcg64_states); one PCG64 takes each trial's seeded state in
-    turn and fills its row. A negative seed raises ValueError.
+    turn and fills its row of a C-order buffer of SEED_BLOCK rows
+    (Generator.random fills no strided row), which is then copied into the
+    block. A negative seed raises ValueError.
     """
-    U = np.empty((m, k))
+    U = np.empty((m, k), order="F")
+    buf = np.empty((min(m, SEED_BLOCK), k))
     bitgen = np.random.PCG64(0)  # its seed is replaced before every draw
     gen = np.random.Generator(bitgen)
     doc = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for row, (state, inc) in zip(U, _pcg64_states(seed, tag, first, m)):
-        doc["state"] = {"state": state, "inc": inc}
-        bitgen.state = doc
-        gen.random(out=row)
+    states = _pcg64_states(seed, tag, first, m)
+    for top in range(0, m, SEED_BLOCK):
+        rows = buf[:min(SEED_BLOCK, m - top)]
+        for row, (state, inc) in zip(rows, states):
+            doc["state"] = {"state": state, "inc": inc}
+            bitgen.state = doc
+            gen.random(out=row)
+        U[top:top + len(rows)] = rows
     return U
 
 
 def _trial_blocks(seed, tag: int, trials: int, stride: int, first: int = 0):
-    """Uniform blocks of about BLOCK_ENTRIES entries at most, one row per
-    trial: the block that starts at trial j is trial_uniforms(seed, tag,
-    first + j, rows, stride), so its streams are seeded together and no
-    SeedSequence is built."""
+    """Column-major uniform blocks of at most BLOCK_ENTRIES + stride
+    entries, one row per trial: the block that starts at trial j is
+    trial_uniforms(seed, tag, first + j, rows, stride), so its streams are
+    seeded together and no SeedSequence is built."""
     chunk = max(1, min(trials, int(BLOCK_ENTRIES // stride) + 1))
     for done in range(0, trials, chunk):
         yield trial_uniforms(seed, tag, first + done, min(chunk, trials - done), stride)
@@ -297,35 +312,50 @@ def simulate_walk(
 # ---------------------------------------------------------------------------
 
 
-def _choose(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The move each uniform selects from its cumulative row: the block
-    (0 left, 1 stay, 2 right) times d plus the entry height."""
-    return np.minimum((u[:, None] > rows).sum(axis=1), rows.shape[1] - 1)
+def _move_columns(q, r, p) -> np.ndarray:
+    """(3d - 1, rows) table of the cumulative move rows of (..., d, d)
+    stacks: column c holds partial sum c of every row, the row of
+    (slot, h) at flat index slot * d + h. The last partial sum is left
+    out: a uniform above every other one takes the last move."""
+    cdf = np.cumsum(np.concatenate([q, r, p], axis=-1), axis=-1)
+    return np.ascontiguousarray(cdf.reshape(-1, cdf.shape[-1]).T[:-1])
 
 
-def _move_cdf(q, r, p) -> np.ndarray:
-    return np.cumsum(np.concatenate([q, r, p], axis=-1), axis=-1)
+def _choose(cols: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The move each uniform selects from its cumulative row (flat index
+    `at` into the column table `cols`): the block (0 left, 1 stay, 2 right)
+    times d plus the entry height. It counts the partial sums below u, the
+    same as min((u[:, None] > row).sum(1), 3d - 1) on the whole rows, whose
+    partial sums never fall."""
+    move = (u > cols[0].take(at)).astype(np.int64)
+    for col in cols[1:]:
+        move += u > col.take(at)
+    return move
 
 
 def _window_cdf(window: EnvironmentWindow):
     """Lookup (li, h, u, trial) -> move on one window, the same for every
-    trial."""
-    cdf = _move_cdf(window.q, window.r, window.p)  # (n, d, 3d)
-    return lambda li, h, u, trial: _choose(cdf[li, h], u)
+    trial: _choose on the window's (3d - 1, n d) column table of cumulative
+    move rows (_move_columns) at the flat index li * d + h."""
+    d = window.d
+    cols = _move_columns(window.q, window.r, window.p)  # (3d-1, n*d)
+    return lambda li, h, u, trial: _choose(cols, li * d + h, u)
 
 
 def _averaged_lookups(spec: EnvironmentSpec):
     """Per-trial i.i.d. environments as an index table into the support:
     maps environment uniforms (row i for trial i, one column per level) to
-    a lookup (li, h, u, trial) -> move."""
+    a lookup (li, h, u, trial) -> move on the support's flat column table."""
     if spec.kind != "iid":
         raise ValueError("averaged mode needs an i.i.d. finite-support spec")
-    support = _move_cdf(*spec.stacks)  # (S, d, 3d)
+    d = spec.d
+    cols = _move_columns(*spec.stacks)  # (3d-1, S*d)
     cum = np.cumsum(np.asarray(spec.weights))
 
     def lookups(env_uniforms):
         env = np.minimum(np.searchsorted(cum, env_uniforms, side="right"), len(cum) - 1)
-        return lambda li, h, u, trial: _choose(support[env[trial, li], h], u)
+        slots = env * d
+        return lambda li, h, u, trial: _choose(cols, slots[trial, li] + h, u)
 
     return lookups
 
@@ -378,8 +408,9 @@ def _batch_walk(lookup, lo, target, U, d, h0, M=None):
         if (li < 0).any():
             raise WindowExhaustedError("walk left the window")
         choice = lookup(li, h, U[:, step - 1] if all_live else U[ids, step - 1], ids)
-        lev += choice // d - 1
-        h = choice % d
+        block = choice // d
+        lev += block - 1
+        h = choice - block * d  # choice % d; numpy's integer remainder is slower
         hit = lev == target
         adv = lev > best
         best += adv  # nearest-level moves advance first passage by one
@@ -411,8 +442,9 @@ def _walk_levels(lookup, lo, U, d, h0):
         if (li < 0).any():
             raise WindowExhaustedError("walk left the window")
         choice = lookup(li, h, u, trial)
-        lev += choice // d - 1
-        h = choice % d
+        block = choice // d
+        lev += block - 1
+        h = choice - block * d
         yield lev
 
 
@@ -482,6 +514,21 @@ def _direct_estimate(event, n, hits, trials, mode, spec_hash, seed) -> TailEstim
 # ---------------------------------------------------------------------------
 
 
+def _sorted_search(table: np.ndarray, W: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min(searchsorted(cdf[row], u, side="right"), width - 1) for each u on
+    its own row, by a branchless binary search of log2(W) 1-D takes. Row r
+    of the flat table, at [r * W, (r + 1) * W), holds the first width - 1
+    entries of a nondecreasing cdf row padded with inf to the power of two
+    W >= width, so the count of entries <= u stays below W."""
+    start = rows * W
+    at = start.copy()
+    half = W >> 1
+    while half:
+        at += (table.take(at + (half - 1)) <= u) * half
+        half >>= 1
+    return at - start
+
+
 @dataclass
 class TiltedSampler:
     """Per-level excursion sampler under Q_{omega,n}^{lambda,M}."""
@@ -498,6 +545,11 @@ class TiltedSampler:
         """Sample `trials` tilted paths; trial i uses its own seed-tree stream
         (spawn index first_trial + i), so any trial replays in isolation."""
         d, n = self.d, self.n
+        width = self.cdfs.shape[2]
+        W = 1 << (width - 1).bit_length()  # a power of two >= width
+        tables = np.full((n, d, W), np.inf)  # the search tables of _sorted_search
+        tables[:, :, :width - 1] = self.cdfs[:, :, :-1]
+        tables = tables.reshape(n, d * W)
         T = np.zeros(trials, dtype=np.int64)
         h = np.zeros(trials, dtype=np.int64)
         done = 0
@@ -506,20 +558,10 @@ class TiltedSampler:
             hc = _start_heights(U[:, 0], self.start).astype(np.int64)
             Tc = T[done:done + m]
             for k in range(n):
-                u = U[:, k + 1]
-                if d == 1:
-                    idx = np.searchsorted(self.cdfs[k, 0], u, side="right")
-                    idx = np.minimum(idx, self.cdfs.shape[2] - 1)
-                else:
-                    idx = np.empty(m, dtype=np.int64)
-                    for i in range(d):
-                        mask = hc == i
-                        if mask.any():
-                            found = np.searchsorted(self.cdfs[k, i], u[mask],
-                                                    side="right")
-                            idx[mask] = np.minimum(found, self.cdfs.shape[2] - 1)
-                Tc += idx // d + 1
-                hc = idx % d
+                idx = _sorted_search(tables[k], W, hc, U[:, k + 1])
+                block = idx // d  # excursion length - 1
+                Tc += block + 1
+                hc = idx - block * d
             h[done:done + m] = hc
             done += m
         return T, h
@@ -582,24 +624,26 @@ def importance_sample_hitting(
     T, _ = sampler.sample(trials, seed)
 
     shift = lam * t * n
-    y = np.where(T >= t * n, np.exp(-lam * (T - t * n)), 0.0)
+    hit = T >= t * n
+    hits = int(hit.sum())
+    y = np.where(hit, np.exp(-lam * (T - t * n)), 0.0)
     mean_y = float(y.mean())
-    sd_y = float(y.std(ddof=1)) if trials > 1 else 0.0
     log_p = sampler.log_Z - shift + math.log(mean_y) if mean_y > 0 else -float("inf")
-    half = 1.959963984540054 * sd_y / math.sqrt(trials)
-    p_lo_rel = mean_y - half
-    p_hi_rel = mean_y + half
     sum_y = float(y.sum())
     ess = sum_y**2 / float((y**2).sum()) if sum_y > 0 else 0.0
     point = -log_p / n if math.isfinite(log_p) else float("inf")
-    ci = (
-        -(sampler.log_Z - shift + math.log(p_hi_rel)) / n if p_hi_rel > 0 else float("inf"),
-        -(sampler.log_Z - shift + math.log(p_lo_rel)) / n if p_lo_rel > 0 else float("inf"),
-    )
+    if trials == 1 or hits == 0:
+        # one sample, or none in the event, measures no spread: all that is
+        # sure is that the probability is at most 1
+        ci = (0.0, float("inf"))
+    else:
+        half = 1.959963984540054 * float(y.std(ddof=1)) / math.sqrt(trials)
+        ci = tuple(-(sampler.log_Z - shift + math.log(p)) / n if p > 0 else float("inf")
+                   for p in (mean_y + half, mean_y - half))
     est = TailEstimate(
         event=f"T_n >= {t}*n & tau <= {M}", n=n, point=point, ci=ci,
         method="importance-sampled", trials=trials, ess=ess,
-        hits=int((T >= t * n).sum()), spec_hash=spec.content_hash(), seed=seed,
+        hits=hits, spec_hash=spec.content_hash(), seed=seed,
         one_sided=not math.isfinite(ci[1]), prob=math.exp(log_p) if math.isfinite(log_p) else 0.0,
     )
     if return_samples:

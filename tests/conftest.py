@@ -579,6 +579,32 @@ def ref_trial_uniforms(seed, tag, trial, k):
     return np.random.default_rng(ss).random(k)
 
 
+def ref_choose(rows, u):
+    """Moves by inverse CDF on whole cumulative rows (trials, 3d): the number
+    of partial sums below u, clamped to 3d - 1."""
+    return np.minimum((u[:, None] > rows).sum(axis=1), rows.shape[1] - 1)
+
+
+def ref_move_cdf(q, r, p):
+    return np.cumsum(np.concatenate([q, r, p], axis=-1), axis=-1)
+
+
+def ref_window_lookup(window):
+    """Lookup (li, h, u, trial) -> move of montecarlo._window_cdf from the
+    (n, d, 3d) cumulative rows gathered per trial."""
+    cdf = ref_move_cdf(window.q, window.r, window.p)
+    return lambda li, h, u, trial: ref_choose(cdf[li, h], u)
+
+
+def ref_averaged_lookup(spec, env_uniforms):
+    """Lookup of montecarlo._averaged_lookups(spec)(env_uniforms) from the
+    (S, d, 3d) cumulative support rows gathered per trial."""
+    support = ref_move_cdf(*spec.stacks)
+    cum = np.cumsum(np.asarray(spec.weights))
+    env = np.minimum(np.searchsorted(cum, env_uniforms, side="right"), len(cum) - 1)
+    return lambda li, h, u, trial: ref_choose(support[env[trial, li], h], u)
+
+
 def ref_batch_walk(lookup, lo, target, U, d, h0, M=None):
     """(T, ok) of montecarlo._batch_walk from an active mask over all trials,
     indexing every array with the active trials at each step."""

@@ -19,6 +19,8 @@ from stripldp.montecarlo import (
     BudgetExhaustedError,
     _averaged_lookups,
     _batch_walk,
+    _choose,
+    _move_columns,
     _start_heights,
     _trial_blocks,
     _window_cdf,
@@ -35,8 +37,11 @@ from conftest import (
     d1_lambda_crit,
     enumerate_hitting_distribution,
     random_d2_iid_spec,
+    ref_averaged_lookup,
     ref_batch_walk,
+    ref_choose,
     ref_tilted_sampler_tables,
+    ref_window_lookup,
     ref_trial_uniforms,
 )
 
@@ -137,6 +142,19 @@ def test_is_small_case_unbiased(p075_spec):
     total = sum(exact.values())
     y_all = math.exp(log_Z) * np.exp(-lam * T)
     assert abs(float(y_all.mean()) - total) <= 4 * float(y_all.std()) / math.sqrt(len(T))
+
+
+@pytest.mark.parametrize("seed, t, trials, hits", [(0, 2.5, 1, 1), (0, 3.0, 1, 0),
+                                                  (6, 3.0, 3, 0)])
+def test_is_interval_without_spread_is_only_the_trivial_bound(seed, t, trials, hits):
+    """One sample, or none in the event, measures no spread: the interval is
+    only P <= 1, ci = (0, inf) on the rate scale, and one-sided."""
+    levels = 200 if trials == 1 else 40
+    est = importance_sample_hitting(LmgfEvaluator(PIN_SPECS["d1"], n_levels=levels, seed=seed),
+                                    t=t, M=16, trials=trials)
+    assert est.hits == hits
+    assert est.one_sided and est.ci == (0.0, math.inf)
+    assert math.isfinite(est.point) == (hits > 0) and est.point >= 0.0
 
 
 def test_is_preconditions(p075_spec):
@@ -257,6 +275,27 @@ def test_per_trial_stream_isolation(p075_spec):
     for i in (0, 17, 49):
         T_one, _ = sampler.sample(1, seed=3, first_trial=i)
         assert T_one[0] == T_batch[i]
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 16])
+def test_sorted_search_matches_searchsorted(width):
+    """The tilted sampler's branchless search gives
+    min(searchsorted(row, u, side="right"), width - 1) on each u's own row,
+    with uniforms equal to entries, 0, and 1 - 2^-53 above a row that ends
+    below 1."""
+    rng = np.random.default_rng(width)
+    rows = np.cumsum(rng.random((3, width)), axis=1)
+    rows /= rows[:, -1:] * (1.0 + 2.0**-40)
+    rows[1, 1:3] = rows[1, 0]  # zero-probability entries tie their partial sums
+    r = rng.integers(0, 3, 200)
+    u = rng.random(200)
+    u[:60] = rows[r[:60], rng.integers(0, width, 60)]
+    u[60:65], u[65:70] = 0.0, 1.0 - 2.0**-53
+    W = 1 << (width - 1).bit_length()
+    table = np.full((3, W), np.inf)
+    table[:, :width - 1] = rows[:, :-1]
+    ref = [min(int(np.searchsorted(rows[i], x, side="right")), width - 1) for i, x in zip(r, u)]
+    assert mc._sorted_search(table.ravel(), W, r, u).tolist() == ref
 
 
 @pytest.mark.parametrize("spec", [
@@ -452,6 +491,7 @@ def test_trial_uniforms_match_per_trial_streams(seed):
         for first in (0, 7, 2**32 - 2):
             for k in (1, 2, 201, 242):
                 block = trial_uniforms(seed, tag, first, 4, k)
+                assert block.flags.f_contiguous
                 assert block.tobytes() == ref_rows(seed, tag, first, 4, k).tobytes()
 
 
@@ -462,7 +502,18 @@ def test_trial_blocks_small_chunks_match_per_trial_streams(monkeypatch):
     first = 2**32 - 5
     blocks = list(_trial_blocks(3, mc.TAG_HIT, 10, 2, first))
     assert [len(U) for U in blocks] == [3, 3, 3, 1]
+    assert all(U.flags.f_contiguous and U.size <= 5 + 2 for U in blocks)
     assert np.concatenate(blocks).tobytes() == ref_rows(3, mc.TAG_HIT, first, 10, 2).tobytes()
+
+
+def test_trial_blocks_keep_the_entry_budget():
+    """Blocks stay column-major and within BLOCK_ENTRIES + stride entries, a
+    budget of at most 16 MiB of uniforms."""
+    assert mc.BLOCK_ENTRIES * 8 <= 16 << 20
+    stride = 1 << 15
+    blocks = list(_trial_blocks(0, mc.TAG_IS, 130, stride))
+    assert len(blocks) > 1 and sum(len(U) for U in blocks) == 130
+    assert all(U.flags.f_contiguous and U.size <= mc.BLOCK_ENTRIES + stride for U in blocks)
 
 
 def test_trial_uniforms_reject_a_negative_seed():
@@ -485,26 +536,46 @@ def test_trial_blocks_build_no_seed_sequence(monkeypatch):
 
 
 def _walk_inputs(spec, mode, lo, target, steps, trials=400):
+    """(lookup, reference lookup, h0, U) of a walk: the flat-table lookup and
+    the whole-row one of conftest on the same environment."""
     U = np.random.default_rng(7).random((trials, (target - lo) + 1 + steps))
     if mode == "quenched":
-        lookup = _window_cdf(sample_window(spec, lo, target + 1, seed=2))
+        window = sample_window(spec, lo, target + 1, seed=2)
+        lookup, ref_lookup = _window_cdf(window), ref_window_lookup(window)
     else:
-        lookup = _averaged_lookups(spec)(U[:, :target - lo])
+        env_uniforms = U[:, :target - lo]
+        lookup = _averaged_lookups(spec)(env_uniforms)
+        ref_lookup = ref_averaged_lookup(spec, env_uniforms)
     h0 = _start_heights(U[:, target - lo], StartDistribution.uniform(spec.d).pi)
-    return lookup, h0, U[:, target - lo + 1:]
+    return lookup, ref_lookup, h0, U[:, target - lo + 1:]
+
+
+def test_choose_matches_the_whole_row_count():
+    """A uniform equal to a partial sum takes that entry's move, not the
+    next; one above a last partial sum that ends below 1 takes the last
+    move, not one past it. Both as the whole-row count clamped to 3d - 1."""
+    probs = np.array([[0.125, 0.125, 0.25, 0.125, 0.125, 0.25 - 2.0**-50],
+                      [0.25, 0.25, 0.0, 0.25, 0.0, 0.25]])  # rows (q, r, p) at d = 2
+    rows = np.cumsum(probs, axis=1)
+    assert rows[0, -1] < 1.0 - 2.0**-53
+    u = np.array([0.0, 0.25, 0.5, 0.6, 1.0 - 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+    at = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1])
+    moves = _choose(_move_columns(*np.split(probs, 3, axis=1)), at, u)
+    assert moves.tolist() == [0, 1, 2, 3, 5, 0, 1, 3, 5]
+    assert moves.tolist() == ref_choose(rows[at], u).tolist()
 
 
 @pytest.mark.parametrize("M", [None, 5], ids=["uncapped", "M5"])
 @pytest.mark.parametrize("mode", ["quenched", "averaged"])
 @pytest.mark.parametrize("spec", ["d1", "d2"])
 def test_batch_walk_matches_reference_loop(spec, mode, M):
-    """T and ok equal, bit for bit, those of the loop over an active mask;
-    the runs include trials that never hit and, with M, trials that break
+    """T and ok equal, bit for bit, those of the loop over an active mask
+    on conftest's whole-row lookups; the runs include trials that never hit and, with M, trials that break
     the cap."""
     spec = PIN_SPECS[spec]
-    lookup, h0, U = _walk_inputs(spec, mode, -60, 15, 30)
+    lookup, ref_lookup, h0, U = _walk_inputs(spec, mode, -60, 15, 30)
     T, ok = _batch_walk(lookup, -60, 15, U, spec.d, h0, M)
-    T_ref, ok_ref = ref_batch_walk(lookup, -60, 15, U, spec.d, h0, M)
+    T_ref, ok_ref = ref_batch_walk(ref_lookup, -60, 15, U, spec.d, h0, M)
     assert T.tobytes() == T_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
     assert np.isinf(T).any() and np.isfinite(T).any()
     assert ok.all() == (M is None)
@@ -515,7 +586,7 @@ def test_batch_walk_matches_reference_loop(spec, mode, M):
 def test_batch_walk_leaves_the_window_as_reference(mode, M):
     """A window with a 2-level left margin: both loops raise."""
     spec = PIN_SPECS["d1"]
-    lookup, h0, U = _walk_inputs(spec, mode, -2, 15, 30)
-    for walk in (_batch_walk, ref_batch_walk):
+    lookup, ref_lookup, h0, U = _walk_inputs(spec, mode, -2, 15, 30)
+    for walk, move in ((_batch_walk, lookup), (ref_batch_walk, ref_lookup)):
         with pytest.raises(WindowExhaustedError):
-            walk(lookup, -2, 15, U, spec.d, h0, M)
+            walk(move, -2, 15, U, spec.d, h0, M)
