@@ -27,7 +27,7 @@ PCG64 is loaded with each trial's seeded state in turn (trial_uniforms).
 A block is column-major, one row per trial, and holds at most about
 BLOCK_ENTRIES = 2^21 uniforms (16 MiB), so a step's uniforms for all trials
 are one contiguous column. The walkers find each move with 1-D takes: the
-direct walks count the partial sums below u in flat column tables of the
+direct walks count the partial sums at or below u in flat column tables of the
 cumulative move rows (_move_columns), and the tilted sampler binary-searches
 flat padded tables of its cdf rows (_sorted_search).
 """
@@ -248,9 +248,12 @@ def _trial_blocks(seed, tag: int, trials: int, stride: int, first: int = 0):
 
 
 def _start_heights(u: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Inverse-CDF start heights, clamped to d - 1: the partial sums of pi may
-    end below the largest uniform Generator.random returns."""
-    return np.minimum((u[:, None] > np.cumsum(pi)[None, :]).sum(axis=1), len(pi) - 1)
+    """Inverse-CDF start heights: the count of partial sums of pi at or
+    below u, searchsorted's side="right", so no height of probability 0
+    below the top is drawn, not even by u = 0.0; clamped to d - 1, as the
+    partial sums may end below the largest uniform Generator.random
+    returns."""
+    return np.minimum((u[:, None] >= np.cumsum(pi)[None, :]).sum(axis=1), len(pi) - 1)
 
 
 def _wilson(hits: int, trials: int, z: float = 1.959963984540054):
@@ -316,7 +319,7 @@ def _move_columns(q, r, p) -> np.ndarray:
     """(3d - 1, rows) table of the cumulative move rows of (..., d, d)
     stacks: column c holds partial sum c of every row, the row of
     (slot, h) at flat index slot * d + h. The last partial sum is left
-    out: a uniform above every other one takes the last move."""
+    out: a uniform at or above every other one takes the last move."""
     cdf = np.cumsum(np.concatenate([q, r, p], axis=-1), axis=-1)
     return np.ascontiguousarray(cdf.reshape(-1, cdf.shape[-1]).T[:-1])
 
@@ -324,12 +327,14 @@ def _move_columns(q, r, p) -> np.ndarray:
 def _choose(cols: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The move each uniform selects from its cumulative row (flat index
     `at` into the column table `cols`): the block (0 left, 1 stay, 2 right)
-    times d plus the entry height. It counts the partial sums below u, the
-    same as min((u[:, None] > row).sum(1), 3d - 1) on the whole rows, whose
+    times d plus the entry height. It counts the partial sums at or below
+    u, searchsorted's side="right" as in simulate_walk, so no move of
+    probability 0 before the last is taken, not even by u = 0.0: the same as
+    min((u[:, None] >= row).sum(1), 3d - 1) on the whole rows, whose
     partial sums never fall."""
-    move = (u > cols[0].take(at)).astype(np.int64)
+    move = (u >= cols[0].take(at)).astype(np.int64)
     for col in cols[1:]:
-        move += u > col.take(at)
+        move += u >= col.take(at)
     return move
 
 

@@ -13,36 +13,43 @@ M = e^lambda (r + q Phi_{k-1}), the Neumann series converges iff
 (I - M)^{-1} >= 0 entrywise, and a failure (or an entry above the a-priori
 bound (1/kappa) e^{-lambda} for lambda > 0) certifies supercriticality.
 
-Four loops do all the sweeping: a scalar, a 2x2 and a general Phi loop,
-and the general Phi' loop. A window pass (the Phi solve, its boundary
-re-solve and each lambda_crit midpoint) takes the Phi loop of its d: at
-d = 1 one division a level, bit for bit the 1x1 LAPACK solve; at d = 2
-one closed-form 2x2 elimination a level on Python floats, whose positive
-pivot and Schur complement are the whole M-matrix certificate; at d >= 3
-one LAPACK solve a level. Each Phi loop forms the window's Phi' on
-request in the same level iteration, from the same m, pivot, multiplier
-and Schur complement (at d >= 3 by a second solve on the same matrix),
-bit for bit the separate Phi' recursion over the solved Phi. The d <= 2
-loops read the window's levels from `EnvironmentWindow.rows`, tuples of
-Python floats made once per support slice, call no numpy function inside
-the loop and, for a lambda_crit midpoint, make no level array. On a
-2-core x86-64 Xeon a level costs about 0.12 us of Phi and 0.24 us of Phi
-and Phi' together at d = 1, 0.62 us and 1.25 us at d = 2, against 10-14
-us for a LAPACK level. The general Phi' loop serves the periodic
-solvers alone: each Newton step's Jacobian and the two Phi' passes over a
-period around the periodic Phi' solve, at every d, while the general Phi
-loop makes every pass of the periodic Newton solve. Level k of the Phi
-sweep depends only on level k-1, so once the boundary re-solve from a
-later start equals the main sweep at one level, it equals it at every
+Five loops do all the sweeping: a scalar, a 2x2 and a general Phi loop,
+and a scalar and a general Phi' loop over a solved Phi. A window pass
+(the Phi solve, its boundary re-solve and each lambda_crit midpoint)
+takes the Phi loop of its d: at d = 1 one division a level, bit for bit
+the 1x1 LAPACK solve with one right-hand side (with two, such as the
+general loop's [e^l p_k | I], OpenBLAS multiplies by the reciprocal
+instead, which rounds differently); at d = 2 one closed-form 2x2
+elimination a level on Python floats, whose positive pivot and Schur
+complement are the whole M-matrix certificate; at d >= 3 one LAPACK
+solve a level. Each Phi loop forms the window's Phi' on request in the
+same level iteration, from the same m, pivot, multiplier and Schur
+complement (at d >= 3 by a second solve on the same matrix), bit for bit
+the separate Phi' recursion over the solved Phi. The d <= 2 loops read
+the window's levels from `EnvironmentWindow.rows`, tuples of Python
+floats made once per support slice, call no numpy function inside the
+loop and, for a lambda_crit midpoint, make no level array. On a 2-core
+x86-64 Xeon a level costs about 0.12 us of Phi and 0.24 us of Phi and
+Phi' together at d = 1, 0.62 us and 1.25 us at d = 2, against 10-14 us
+for a LAPACK level. The Phi' loops over a solved Phi serve the periodic
+solvers alone: each Newton step's Jacobian and the Phi' passes over a
+period around the periodic Phi' solve. The periodic solvers take the
+loops of their d, as windows do: at d = 1 the scalar Phi loop makes
+every pass of the Newton solve and the scalar Phi' loop the rest, on the
+spec's float rows (`EnvironmentSpec.rows`) with no numpy call but the
+result array; at d >= 2 the general Phi and Phi' loops. Level k of the
+Phi sweep depends only on level k-1, so once the boundary re-solve from
+a later start equals the main sweep at one level, it equals it at every
 later level. The re-solve runs in blocks of RESOLVE_BLOCK levels and
 stops after the first block that ends on the main sweep's bits; the
 boundary gap it measures past the meeting level is exactly 0.
 
 The periodic Phi is the minimal fixed point of the cyclic sweep, found by
 Newton's method on Phi_{-1}: one Phi pass over the period, its Jacobian
-from one stacked Phi' pass (_period_map, shared with the periodic Phi'),
-and one d^2 x d^2 solve whose nonnegative inverse is the step's M-matrix
-certificate.
+from the Phi' lanes of one more pass (_period_map, shared with the
+periodic Phi'), and one d^2 x d^2 solve whose nonnegative inverse is the
+step's M-matrix certificate; at d = 1 that solve is the division
+res / (1 - T), certified by 1 - T > 0.
 
 Truncated matrices Phi_{k,M} are computed exactly: one dynamic program
 over time steps gives the hitting kernels of a whole range of start levels
@@ -113,10 +120,11 @@ def divergence_bound(kappa: float, lam: float, tol: float = 1e-12) -> float:
 
 
 def _sweep_d1(rows, el: float, f: float, bound: float, vals: list, dvals=None) -> int:
-    """_sweep's scalar levels over the window's (q, r, p) float rows: one
-    division a level. Appends each Phi_k to `vals` and, given the list
-    `dvals`, each Phi'_k; returns -1, or the failing level's index: the
-    number of levels appended."""
+    """The scalar Phi levels of _sweep and of every d = 1 periodic Newton
+    pass over (q, r, p) float rows, from Phi_{-1} = f: one division a
+    level. Appends each Phi_k to `vals` and, given the list `dvals`, each
+    Phi'_k from Phi'_{-1} = 0; returns -1, or the failing level's index:
+    the number of levels appended."""
     g = 0.0
     for q, r, p in rows:
         m = el * (r + q * f)
@@ -468,12 +476,20 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
     residual is <= tol (the rounding floor at a nearly singular root); one
     more pass from the last x gives every position. If NEWTON_MAX_STEPS
     steps run out first, ConvergenceError is raised, at every lambda.
+
+    At d = 1 the solve runs on Python floats (_solve_periodic_d1), with
+    the same steps, guards and stopping rule: the pass is _sweep_d1's, T
+    comes from _period_map_d1, and the step is the division
+    delta = res / (1 - T), refused unless 1 - T > 0. Its Phi differs from
+    the LAPACK solves' by rounding alone: they multiply by a reciprocal.
     """
     if spec.kind != "periodic":
         raise ValueError("solve_phi_periodic needs a periodic spec")
     bound = divergence_bound(spec.kappa, lam, tol)
     el = math.exp(lam)
     d = spec.d
+    if d == 1:
+        return _solve_periodic_d1(spec.rows, lam, el, bound, tol)
     q, r, p = spec.stacks
     eye, eye2 = np.eye(d), np.eye(d * d)
     rhs = _right_sides(el, p, eye)
@@ -504,6 +520,35 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
     return PeriodicPhi(phis=phis, lam=lam, iterations=it, tail=step)
 
 
+def _solve_periodic_d1(rows, lam: float, el: float, bound: float, tol: float) -> PeriodicPhi:
+    """solve_phi_periodic at d = 1 on Python floats: each Newton step is one
+    _sweep_d1 pass from x, _period_map_d1's T over it and the division
+    delta = res / (1 - T), with the same guards and stopping rule."""
+    x = 0.0
+    step = math.inf
+    done = False
+    for it in range(NEWTON_MAX_STEPS + 1):
+        vals = []
+        bad = _sweep_d1(rows, el, x, bound, vals)
+        if bad >= 0:
+            raise SupercriticalError(lam, level=bad)
+        if done or it == NEWTON_MAX_STEPS:
+            break
+        res = vals[-1] - x
+        a = 1.0 - _period_map_d1(rows, el, vals, x)[1]  # I - T; a^{-1} >= 0 iff T < 1
+        if a == 0.0:
+            raise SupercriticalError(lam, detail="singular Newton step")
+        if not a > 0.0:
+            raise SupercriticalError(lam, detail="period map expands")
+        delta = res / a
+        x = max(x + delta, 0.0)
+        last, step = step, abs(delta)
+        done = step <= tol or (step >= last and abs(res) <= tol)
+    if not done:
+        raise ConvergenceError(step, it)
+    return PeriodicPhi(phis=_levels(vals, 1), lam=lam, iterations=it, tail=step)
+
+
 # ---------------------------------------------------------------------------
 # term-by-term derivative Phi'_k (forward sensitivity of the fixed point)
 # ---------------------------------------------------------------------------
@@ -523,6 +568,13 @@ def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d):
     return out
 
 
+# unit starts of the period maps, scaled by 2^40 (exact), keep T's own
+# digits through the subtraction of s: 1e-6 below lambda_crit on p = 0.75,
+# where I - T is nearly singular, the error of Phi' falls from 1.5e-13 to
+# 3.3e-14
+LANE_SCALE = 2.0 ** 40
+
+
 def _period_map(q, r, eye, el: float, phis, prev):
     """(s, T): one period of phi_derivative's recursion over `phis`, fed by
     Phi_{-1} = prev, is the affine map y -> T y + s of y = vec Phi'_{-1}
@@ -530,13 +582,30 @@ def _period_map(q, r, eye, el: float, phis, prev):
     One stacked pass from the zero and the d^2 unit matrices gives both;
     runs inside _linalg_errstate."""
     d = eye.shape[0]
-    # unit starts scaled by 2^40 (exact) keep T's own digits through the
-    # subtraction of s: 1e-6 below lambda_crit on p = 0.75, where I - T is
-    # nearly singular, the error of Phi' falls from 1.5e-13 to 3.3e-14
-    scale = 2.0 ** 40
-    starts = np.concatenate((np.zeros((1, d, d)), scale * np.eye(d * d).reshape(d * d, d, d)))
+    starts = np.concatenate((np.zeros((1, d, d)),
+                             LANE_SCALE * np.eye(d * d).reshape(d * d, d, d)))
     ends = _derivative_levels(q, r, eye, el, phis, prev, starts)[-1].reshape(d * d + 1, d * d)
-    return ends[0], (ends[1:] - ends[0]).T / scale
+    return ends[0], (ends[1:] - ends[0]).T / LANE_SCALE
+
+
+def _derivative_d1(rows, el: float, phis, f: float, g: float) -> list:
+    """_derivative_levels at d = 1 on Python floats: phi_derivative's
+    recursion over the solved float levels `phis`, fed by Phi_{-1} = f and
+    Phi'_{-1} = g, one division a level (the 1x1 solve with one right-hand
+    side); returns every Phi'_k."""
+    out = []
+    for (q, r, _), cur in zip(rows, phis):
+        g = (cur + el * ((q * g) * cur)) / (1.0 - el * (r + q * f))
+        out.append(g)
+        f = cur
+    return out
+
+
+def _period_map_d1(rows, el: float, phis, prev: float):
+    """(s, T): _period_map at d = 1 on Python floats, its two lanes the
+    _derivative_d1 passes from Phi'_{-1} = 0 and LANE_SCALE."""
+    s = _derivative_d1(rows, el, phis, prev, 0.0)[-1]
+    return s, (_derivative_d1(rows, el, phis, prev, LANE_SCALE)[-1] - s) / LANE_SCALE
 
 
 def phi_derivative(
@@ -587,11 +656,20 @@ def periodic_phi_derivative(
     solve, O(d^6), gives x and (I - T)^{-1}; one pass from x gives every
     position. As T >= 0, (I - T)^{-1} >= 0 iff rho(T) < 1 (the sweeps'
     M-matrix certificate); a singular I - T or a negative entry of its
-    inverse raises ConvergenceError: there is no finite fixed point.
+    inverse raises ConvergenceError: there is no finite fixed point. At
+    d = 1 the same steps run on Python floats over the given Phi: the two
+    lanes of _period_map_d1, x = s / (1 - T), refused unless 1 - T > 0,
+    and one _derivative_d1 pass from x.
     """
     el = math.exp(lam)
     phis = periodic.phis
     d = spec.d
+    if d == 1:
+        vals = phis.ravel().tolist()
+        s, T = _period_map_d1(spec.rows, el, vals, vals[-1])
+        if not 1.0 - T > 0.0:
+            raise ConvergenceError(float("inf"), 1)
+        return _levels(_derivative_d1(spec.rows, el, vals, vals[-1], s / (1.0 - T)), 1)
     q, r, _ = spec.stacks
     eye, eye2 = np.eye(d), np.eye(d * d)
     with _linalg_errstate():

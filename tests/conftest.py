@@ -581,8 +581,9 @@ def ref_trial_uniforms(seed, tag, trial, k):
 
 def ref_choose(rows, u):
     """Moves by inverse CDF on whole cumulative rows (trials, 3d): the number
-    of partial sums below u, clamped to 3d - 1."""
-    return np.minimum((u[:, None] > rows).sum(axis=1), rows.shape[1] - 1)
+    of partial sums at or below u (searchsorted's side="right"), clamped to
+    3d - 1."""
+    return np.minimum((u[:, None] >= rows).sum(axis=1), rows.shape[1] - 1)
 
 
 def ref_move_cdf(q, r, p):

@@ -551,9 +551,11 @@ def _walk_inputs(spec, mode, lo, target, steps, trials=400):
 
 
 def test_choose_matches_the_whole_row_count():
-    """A uniform equal to a partial sum takes that entry's move, not the
-    next; one above a last partial sum that ends below 1 takes the last
-    move, not one past it. Both as the whole-row count clamped to 3d - 1."""
+    """A uniform equal to a partial sum takes the next entry's move
+    (searchsorted's side="right"), so it skips the entries of probability 0
+    that tie that sum; one above a last partial sum that ends below 1 takes
+    the last move, not one past it. Both as the whole-row count clamped to
+    3d - 1."""
     probs = np.array([[0.125, 0.125, 0.25, 0.125, 0.125, 0.25 - 2.0**-50],
                       [0.25, 0.25, 0.0, 0.25, 0.0, 0.25]])  # rows (q, r, p) at d = 2
     rows = np.cumsum(probs, axis=1)
@@ -561,8 +563,35 @@ def test_choose_matches_the_whole_row_count():
     u = np.array([0.0, 0.25, 0.5, 0.6, 1.0 - 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
     at = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1])
     moves = _choose(_move_columns(*np.split(probs, 3, axis=1)), at, u)
-    assert moves.tolist() == [0, 1, 2, 3, 5, 0, 1, 3, 5]
+    assert moves.tolist() == [0, 2, 3, 3, 5, 1, 3, 5, 5]
     assert moves.tolist() == ref_choose(rows[at], u).tolist()
+    ref = [min(int(np.searchsorted(rows[i], x, side="right")), 5) for i, x in zip(at, u)]
+    assert moves.tolist() == ref
+
+
+def test_choose_takes_no_move_of_probability_zero():
+    """u = 0.0, which Generator.random can return, takes the first move of
+    positive probability, not a first move of probability 0 (a
+    bounded-jump spec's zero q entries), at d = 1 and at d = 2."""
+    probs = np.array([[0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.5, 0.0, 0.25, 0.25]])
+    d1 = _move_columns(*np.split(probs[:1, :3], 3, axis=1))
+    d2 = _move_columns(*np.split(probs[1:], 3, axis=1))
+    u = np.zeros(2)
+    assert _choose(d1, np.array([0, 0]), u).tolist() == [1, 1]
+    assert _choose(d2, np.array([0, 0]), u).tolist() == [2, 2]
+
+
+def test_start_heights_draw_no_height_of_probability_zero():
+    """A start law with pi[0] = 0 never starts at height 0, not even from
+    u = 0.0; a uniform equal to a partial sum starts one height up, the
+    searchsorted(side="right") rule of simulate_walk."""
+    pi = np.array([0.0, 0.25, 0.0, 0.75])
+    u = np.array([0.0, 0.1, 0.25, 0.5, 1.0 - 2.0**-53])
+    heights = _start_heights(u, pi)
+    assert heights.tolist() == [1, 1, 3, 3, 3]
+    assert heights.tolist() == [min(int(np.searchsorted(np.cumsum(pi), x, side="right")), 3)
+                                for x in u]
 
 
 @pytest.mark.parametrize("M", [None, 5], ids=["uncapped", "M5"])

@@ -389,26 +389,73 @@ def cyclic_phi_residual(spec, lam, phis):
     return worst
 
 
-def test_periodic_kernels_match_reference():
-    """Newton's periodic Phi solves the cyclic equation at every position
-    to 1e-14 * max(1, max Phi), lies within twice the reference cycle's
-    extrapolated tail (plus that rounding floor) of the cycle's result,
-    and above it: the cycle rises to the fixed point from below. Past
-    lambda_crit both refuse."""
-    base = random_d2_iid_spec(1, drift=0.4)
-    spec = EnvironmentSpec(kind="periodic", d=2, kappa=base.kappa, slices=base.slices)
-    for lam in (-1.0, -0.1, 0.015, 0.027):
+PERIODIC_CASES = {  # lambdas below lambda_crit, and one past it
+    1: ((-1.0, -0.1, 0.035, 0.065), 0.15),  # lambda_crit = 0.07269
+    2: ((-1.0, -0.1, 0.015, 0.027), 0.08),  # lambda_crit = 0.03018
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_periodic_kernels_match_reference(d):
+    """Newton's periodic Phi on a period-3 spec solves the cyclic equation
+    at every position to 1e-14 * max(1, max Phi), lies within twice the
+    reference cycle's extrapolated tail (plus that rounding floor) of the
+    cycle's result, and above it: the cycle rises to the fixed point from
+    below. Past lambda_crit both refuse. At d = 1 the Newton steps run on
+    Python floats and divide where the reference's LAPACK solve, with two
+    right-hand sides, multiplies by a reciprocal, so the two rounded fixed
+    points may differ by an ulp either way (seen: one position 1 ulp below
+    at lambda = -1 and -0.1)."""
+    lams, past = PERIODIC_CASES[d]
+    base = random_d2_iid_spec(1, drift=0.4, d=d)
+    spec = EnvironmentSpec(kind="periodic", d=d, kappa=base.kappa, slices=base.slices)
+    assert spec.period == 3
+    for lam in lams:
         pp = solve_phi_periodic(spec, lam)
         ref = ref_solve_phi_periodic(spec, lam)
         floor = 1e-14 * max(1.0, float(pp.phis.max()))
         assert cyclic_phi_residual(spec, lam, pp.phis) <= floor
         assert float(np.abs(pp.phis - ref.phis).max()) <= 2.0 * ref.tail + floor
-        assert (pp.phis >= ref.phis).all()
+        below = ref.phis - np.spacing(ref.phis) if d == 1 else ref.phis
+        assert (pp.phis >= below).all()
         check_periodic_derivative(spec, lam, pp)
     with pytest.raises(SupercriticalError):
-        solve_phi_periodic(spec, 0.08)
+        solve_phi_periodic(spec, past)
     with pytest.raises(SupercriticalError):
-        ref_solve_phi_periodic(spec, 0.08)
+        ref_solve_phi_periodic(spec, past)
+
+
+class _NoLinalg:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.linalg.{name} called")
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("phi._solve called")
+
+
+def test_d1_periodic_solvers_call_no_linear_algebra(p075_spec, monkeypatch):
+    """At d = 1, solve_phi_periodic and periodic_phi_derivative run on
+    Python floats: with phi._solve and np.linalg made to raise, both still
+    solve p = 0.75 and a period-3 spec at -1, 0 and 1e-6 below
+    lambda_crit, to the cyclic equations' residual bounds of
+    test_periodic_kernels_match_reference and check_periodic_derivative."""
+    import stripldp.phi as phi
+
+    base = random_d2_iid_spec(1, drift=0.4, d=1)
+    period3 = EnvironmentSpec(kind="periodic", d=1, kappa=base.kappa, slices=base.slices)
+    cases = [(spec, lam) for spec in (p075_spec, period3)
+             for lam in (-1.0, 0.0, estimate_lambda_crit(spec, tol=1e-9).bracket[0] - 1e-6)]
+    monkeypatch.setattr(phi, "_solve", _no_solve)
+    monkeypatch.setattr(np, "linalg", _NoLinalg())
+    solved = [(solve_phi_periodic(spec, lam), spec, lam) for spec, lam in cases]
+    solved = [(pp, periodic_phi_derivative(spec, lam, pp), spec, lam) for pp, spec, lam in solved]
+    monkeypatch.undo()
+    for pp, dph, spec, lam in solved:
+        assert pp.phis.shape == dph.shape == (spec.period, 1, 1)
+        assert cyclic_phi_residual(spec, lam, pp.phis) <= 1e-14 * max(1.0, float(pp.phis.max()))
+        scale = max(1.0, float(np.abs(dph).max()))
+        assert cyclic_derivative_residual(spec, lam, pp.phis, dph) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("p, r", [(0.75, 0.0), (0.6, 0.1)])
