@@ -214,12 +214,13 @@ class LmgfEvaluator:
     def _estimate(self, lam: float, terms, det: float, kind: str,
                   M: int | None = None, bias: float = 0.0) -> LmgfEstimate:
         """The mean of the per-level terms and its 95% CLT bar over a
-        window's n levels; a period's mean is exact, so its bar is 0, as is
-        that of a one-level window."""
+        window's n levels; a period's mean is exact, so its bar is 0. One
+        level has no spread to measure, so a one-level window's bar is
+        unmeasured: inf."""
         n = self.n_levels
         stat = 0.0
-        if self.window is not None and n > 1:
-            stat = 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(n)
+        if self.window is not None:
+            stat = 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(n) if n > 1 else math.inf
         return LmgfEstimate(
             lam=lam, value=float(np.mean(terms)), deterministic_error=det,
             statistical_error=stat, n=n, kind=kind, M=M, boundary_bias=bias,

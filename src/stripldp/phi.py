@@ -13,9 +13,9 @@ M = e^lambda (r + q Phi_{k-1}), the Neumann series converges iff
 (I - M)^{-1} >= 0 entrywise, and a failure (or an entry above the a-priori
 bound (1/kappa) e^{-lambda} for lambda > 0) certifies supercriticality.
 
-Five loops do all the sweeping: a scalar, a 2x2 and a general Phi loop,
-and a scalar and a general Phi' loop over a solved Phi. A window pass
-(the Phi solve, its boundary re-solve and each lambda_crit midpoint)
+Six loops do all the sweeping: a scalar, a 2x2 and a general Phi loop,
+and a scalar, a 2x2 and a general Phi' loop over a solved Phi. A window
+pass (the Phi solve, its boundary re-solve and each lambda_crit midpoint)
 takes the Phi loop of its d: at d = 1 one division a level, bit for bit
 the 1x1 LAPACK solve with one right-hand side (with two, such as the
 general loop's [e^l p_k | I], OpenBLAS multiplies by the reciprocal
@@ -32,12 +32,15 @@ loop and, for a lambda_crit midpoint, make no level array. On a 2-core
 x86-64 Xeon a level costs about 0.12 us of Phi and 0.24 us of Phi and
 Phi' together at d = 1, 0.62 us and 1.25 us at d = 2, against 10-14 us
 for a LAPACK level. The Phi' loops over a solved Phi serve the periodic
-solvers alone: each Newton step's Jacobian and the Phi' passes over a
-period around the periodic Phi' solve. The periodic solvers take the
-loops of their d, as windows do: at d = 1 the scalar Phi loop makes
-every pass of the Newton solve and the scalar Phi' loop the rest, on the
-spec's float rows (`EnvironmentSpec.rows`) with no numpy call but the
-result array; at d >= 2 the general Phi and Phi' loops. Level k of the
+solvers alone, and run one Phi' recursion for several starts (lanes) at
+once: each Newton step's Jacobian and the passes around the periodic
+Phi' solve. The periodic solvers take the loops of their d, as windows
+do, and at d <= 2 read the spec's float rows (`EnvironmentSpec.rows`):
+at d = 1 the scalar loops, with no numpy call but the result array; at
+d = 2 the 2x2 loops, whose Phi' loop forms each level's elimination once
+for all five lanes of a Jacobian (about 6 us a level on the host above
+where the stacked LAPACK solve takes 19 us), and one 4x4 LAPACK solve a
+Newton step; at d >= 3 the general loops. Level k of the
 Phi sweep depends only on level k-1, so once the boundary re-solve from
 a later start equals the main sweep at one level, it equals it at every
 later level. The re-solve runs in blocks of RESOLVE_BLOCK levels and
@@ -49,7 +52,8 @@ Newton's method on Phi_{-1}: one Phi pass over the period, its Jacobian
 from the Phi' lanes of one more pass (_period_map, shared with the
 periodic Phi'), and one d^2 x d^2 solve whose nonnegative inverse is the
 step's M-matrix certificate; at d = 1 that solve is the division
-res / (1 - T), certified by 1 - T > 0.
+res / (1 - T), certified by 1 - T > 0. One Newton loop serves every d;
+_cycle_loops hands it the passes and the step of the spec's d.
 
 Truncated matrices Phi_{k,M} are computed exactly: one dynamic program
 over time steps gives the hitting kernels of a whole range of start levels
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +146,8 @@ def _sweep_d1(rows, el: float, f: float, bound: float, vals: list, dvals=None) -
 
 
 def _sweep_d2(rows, el: float, f: list, bound: float, vals: list, dvals=None) -> int:
-    """_sweep's 2x2 levels on Python floats, by closed-form elimination.
+    """_sweep's 2x2 levels, and those of every d = 2 periodic Newton pass,
+    on Python floats by closed-form elimination.
 
     I - M with M = e^l (r_k + q_k Phi_{k-1}) >= 0 is a Z-matrix, and a 2x2
     Z-matrix is a nonsingular M-matrix iff its leading principal minors are
@@ -249,8 +255,8 @@ def _sweep_general(q, r, p, el: float, phi0: np.ndarray, bound: float, derivativ
 
 
 def _sweep_levels(q, r, rhs, eye, el: float, f: np.ndarray, bound: float, dout=None):
-    """The level loop of _sweep_general and of every periodic Newton pass;
-    runs inside _linalg_errstate. Given `dout` (n, d, d), level k also
+    """The level loop of _sweep_general and of every periodic Newton pass at
+    d >= 3; runs inside _linalg_errstate. Given `dout` (n, d, d), level k also
     solves (I - M) Phi'_k = Phi_k + e^l q_k Phi'_{k-1} Phi_k into dout[k],
     from Phi'_{-1} = 0."""
     n, d, _ = q.shape
@@ -459,94 +465,162 @@ class PeriodicPhi:
         return self.phis.shape[0]
 
 
+def _cycle_loops(spec: EnvironmentSpec, lam: float) -> tuple:
+    """(zero, sweep, newton, derivative): the periodic solvers' loops at
+    lambda, those of the spec's d.
+
+    `zero` is Newton's start x = Phi_{-1} = 0. sweep(x, bound, vals)
+    appends the Phi pass from Phi_{-1} = x to `vals` (flat, row-major) and
+    returns the failing level's index or -1. newton(vals, x) ->
+    (x', |delta|, |res|) is Newton's step from x given that pass:
+    res = Phi_{period-1} - x, T the pass's Jacobian in x,
+    (I - T) delta = res and x' = max(x + delta, 0), with the norms the
+    largest entries in absolute value; it raises SupercriticalError when
+    I - T is singular or (I - T)^{-1} has a negative entry. derivative(vals)
+    is the periodic Phi' over the solved Phi `vals`, flat, and raises
+    ConvergenceError on the same failures.
+
+    At d = 1, x is a float, every pass a _sweep_d1 pass over the spec's
+    float rows (`EnvironmentSpec.rows`), T comes from _period_map_d1's two
+    lanes and each solve is the division by 1 - T, refused unless
+    1 - T > 0. At d >= 2, x is a flat list of d^2 floats, T comes from one
+    pass of the zero and the d^2 unit lanes (_period_map) and each solve is
+    one d^2 x d^2 LAPACK solve (_affine_solve); the passes are _sweep_d2
+    and _derivative_d2 on the float rows at d = 2, and the LAPACK loops
+    _sweep_levels and _derivative_levels on the stacks at d >= 3, their
+    arrays converted to and from lists, which is exact.
+    """
+    el = math.exp(lam)
+    d = spec.d
+    if d == 1:
+        rows = spec.rows
+
+        def newton(vals, x):
+            res = vals[-1] - x
+            a = 1.0 - _period_map_d1(rows, el, vals, x)[1]  # I - T; a^{-1} >= 0 iff T < 1
+            if a == 0.0:
+                raise SupercriticalError(lam, detail="singular Newton step")
+            if not a > 0.0:
+                raise SupercriticalError(lam, detail="period map expands")
+            delta = res / a
+            return max(x + delta, 0.0), abs(delta), abs(res)
+
+        def derivative(vals):
+            s, T = _period_map_d1(rows, el, vals, vals[-1])
+            if not 1.0 - T > 0.0:
+                raise ConvergenceError(float("inf"), 1)
+            out = []
+            _derivative_d1(rows, el, vals, vals[-1], s / (1.0 - T), 0.0, out)
+            return out
+
+        return 0.0, functools.partial(_sweep_d1, rows, el), newton, derivative
+
+    dd = d * d
+    if d == 2:
+        rows = spec.rows
+        sweep = functools.partial(_sweep_d2, rows, el)
+        derive = functools.partial(_derivative_d2, rows, el)
+    else:
+        q, r, p = spec.stacks
+        eye = np.eye(d)
+        rhs = _right_sides(el, p, eye)
+
+        def sweep(x, bound, vals):
+            with _linalg_errstate():
+                phis, bad = _sweep_levels(q, r, rhs, eye, el, np.reshape(x, (d, d)), bound)
+            vals += phis.ravel().tolist()
+            return bad
+
+        def derive(vals, prev, lanes, out=None):
+            with _linalg_errstate():
+                levels = _derivative_levels(q, r, eye, el, _levels(vals, d), np.reshape(prev, (d, d)),
+                                            np.reshape(lanes, (-1, d, d)))
+            if out is not None:
+                out += levels.ravel().tolist()
+            return levels[-1].ravel().tolist()
+
+    def newton(vals, x):
+        res = list(map(operator.sub, vals[-dd:], x))
+        delta, failure = _affine_solve(_period_map(derive, vals, x)[1], res)
+        if failure:
+            raise SupercriticalError(lam, detail=failure)
+        return ([max(a + b, 0.0) for a, b in zip(x, delta)],
+                max(map(abs, delta)), max(map(abs, res)))
+
+    def derivative(vals):
+        prev = vals[-dd:]
+        s, T = _period_map(derive, vals, prev)
+        y, failure = _affine_solve(T, s)
+        if failure:
+            raise ConvergenceError(float("inf"), 1)
+        out = []
+        derive(vals, prev, y, out)
+        return out
+
+    return [0.0] * dd, sweep, newton, derivative
+
+
 def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) -> PeriodicPhi:
     """The minimal fixed point of the cyclic sweep (position 0 fed by
     position period-1), equal to the bi-infinite Phi of the periodic
     environment, by Newton's method on x = Phi_{-1}.
 
     One sweep pass from x over the period gives Phi_0..Phi_{period-1} (with
-    the sweeps' per-level certificate and entry bound); _period_map gives
-    the pass's Jacobian T in x, and one solve (I - T)[delta | Y] =
-    [Phi_{period-1} - x | I] the step, x <- max(x + delta, 0). As T >= 0,
-    Y >= 0 iff rho(T) < 1; a singular I - T or a negative entry of Y raises
-    SupercriticalError. From the zero start on this monotone, order-convex
-    map the steps rise to the minimal solution (Latouche 1994, Newton's
-    iteration for non-linear equations in Markov chains). Newton stops
-    when |delta| <= tol, or when |delta| stops shrinking while the period
-    residual is <= tol (the rounding floor at a nearly singular root); one
-    more pass from the last x gives every position. If NEWTON_MAX_STEPS
-    steps run out first, ConvergenceError is raised, at every lambda.
+    the sweeps' per-level certificate and entry bound); the Phi' lanes of
+    one more pass give its Jacobian T in x, and one solve of
+    (I - T) delta = Phi_{period-1} - x the step, x <- max(x + delta, 0). As
+    T >= 0, (I - T)^{-1} >= 0 iff rho(T) < 1; a singular I - T or a
+    negative entry of its inverse raises SupercriticalError. From the zero
+    start on this monotone, order-convex map the steps rise to the minimal
+    solution (Latouche 1994, Newton's iteration for non-linear equations in
+    Markov chains). Newton stops when |delta| <= tol, or when |delta| stops
+    shrinking while the period residual is <= tol (the rounding floor at a
+    nearly singular root); one more pass from the last x gives every
+    position. If NEWTON_MAX_STEPS steps run out first, ConvergenceError is
+    raised, at every lambda.
 
-    At d = 1 the solve runs on Python floats (_solve_periodic_d1), with
-    the same steps, guards and stopping rule: the pass is _sweep_d1's, T
-    comes from _period_map_d1, and the step is the division
-    delta = res / (1 - T), refused unless 1 - T > 0. Its Phi differs from
-    the LAPACK solves' by rounding alone: they multiply by a reciprocal.
+    The passes and the step are those of the spec's d (_cycle_loops): at
+    d <= 2 on Python floats, with the step one division at d = 1 and one
+    4x4 LAPACK solve at d = 2. Their Phi differs from the LAPACK loops' by
+    rounding alone (a LAPACK solve with two right-hand sides multiplies by
+    a reciprocal where the float loops divide).
     """
     if spec.kind != "periodic":
         raise ValueError("solve_phi_periodic needs a periodic spec")
     bound = divergence_bound(spec.kappa, lam, tol)
-    el = math.exp(lam)
-    d = spec.d
-    if d == 1:
-        return _solve_periodic_d1(spec.rows, lam, el, bound, tol)
-    q, r, p = spec.stacks
-    eye, eye2 = np.eye(d), np.eye(d * d)
-    rhs = _right_sides(el, p, eye)
-    x = np.zeros((d, d))
-    step = math.inf
-    done = False
-    with _linalg_errstate():
-        for it in range(NEWTON_MAX_STEPS + 1):
-            phis, bad = _sweep_levels(q, r, rhs, eye, el, x, bound)
-            if bad >= 0:
-                raise SupercriticalError(lam, level=bad)
-            if done or it == NEWTON_MAX_STEPS:
-                break
-            res = phis[-1] - x
-            try:
-                sol = _solve(eye2 - _period_map(q, r, eye, el, phis, x)[1],
-                             np.column_stack((res.ravel(), eye2)))
-            except np.linalg.LinAlgError:
-                raise SupercriticalError(lam, detail="singular Newton step") from None
-            if sol[:, 1:].min() < NEG_ENTRY_TOL:
-                raise SupercriticalError(lam, detail="period map expands")
-            delta = sol[:, 0].reshape(d, d)
-            x = np.maximum(x + delta, 0.0)
-            last, step = step, float(np.abs(delta).max())
-            done = step <= tol or (step >= last and float(np.abs(res).max()) <= tol)
-    if not done:
-        raise ConvergenceError(step, it)
-    return PeriodicPhi(phis=phis, lam=lam, iterations=it, tail=step)
-
-
-def _solve_periodic_d1(rows, lam: float, el: float, bound: float, tol: float) -> PeriodicPhi:
-    """solve_phi_periodic at d = 1 on Python floats: each Newton step is one
-    _sweep_d1 pass from x, _period_map_d1's T over it and the division
-    delta = res / (1 - T), with the same guards and stopping rule."""
-    x = 0.0
+    x, sweep, newton, _ = _cycle_loops(spec, lam)
     step = math.inf
     done = False
     for it in range(NEWTON_MAX_STEPS + 1):
         vals = []
-        bad = _sweep_d1(rows, el, x, bound, vals)
+        bad = sweep(x, bound, vals)
         if bad >= 0:
             raise SupercriticalError(lam, level=bad)
         if done or it == NEWTON_MAX_STEPS:
             break
-        res = vals[-1] - x
-        a = 1.0 - _period_map_d1(rows, el, vals, x)[1]  # I - T; a^{-1} >= 0 iff T < 1
-        if a == 0.0:
-            raise SupercriticalError(lam, detail="singular Newton step")
-        if not a > 0.0:
-            raise SupercriticalError(lam, detail="period map expands")
-        delta = res / a
-        x = max(x + delta, 0.0)
-        last, step = step, abs(delta)
-        done = step <= tol or (step >= last and abs(res) <= tol)
+        x, delta, res = newton(vals, x)
+        last, step = step, delta
+        done = step <= tol or (step >= last and res <= tol)
     if not done:
         raise ConvergenceError(step, it)
-    return PeriodicPhi(phis=_levels(vals, 1), lam=lam, iterations=it, tail=step)
+    return PeriodicPhi(phis=_levels(vals, spec.d), lam=lam, iterations=it, tail=step)
+
+
+def _affine_solve(T: list, b: list):
+    """(y, None) with (I - T) y = b, for T >= 0 given row-major as a flat
+    list, by one LAPACK solve of (I - T)[y | Y] = [b | I], when
+    Y = (I - T)^{-1} >= 0, that is rho(T) < 1; else (None, why): I - T is
+    singular, or Y has an entry below NEG_ENTRY_TOL."""
+    n = len(b)
+    eye2 = np.eye(n)
+    try:
+        with _linalg_errstate():
+            sol = _solve(eye2 - np.reshape(T, (n, n)), np.column_stack((b, eye2)))
+    except np.linalg.LinAlgError:
+        return None, "singular Newton step"
+    if sol[:, 1:].min() < NEG_ENTRY_TOL:
+        return None, "period map expands"
+    return sol[:, 0].tolist(), None
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +629,9 @@ def _solve_periodic_d1(rows, lam: float, el: float, bound: float, tol: float) ->
 
 
 def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d):
-    """The Phi' level loop of _period_map and periodic_phi_derivative over a
-    solved `phis`, fed by Phi_{-1} = prev_phi, for one start prev_d or a
-    stack of them; runs inside _linalg_errstate."""
+    """The Phi' level loop of the periodic solvers at d >= 3 over a solved
+    `phis`, fed by Phi_{-1} = prev_phi, for one start prev_d or a stack of
+    them; runs inside _linalg_errstate."""
     n = phis.shape[0]
     out = np.empty((n, *prev_d.shape))
     for k in range(n):
@@ -568,6 +642,62 @@ def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d):
     return out
 
 
+def _derivative_d1(rows, el: float, phis, f: float, s: float, t: float, out=None):
+    """_derivative_levels at d = 1 on Python floats, for two lanes:
+    phi_derivative's recursion over the solved float levels `phis`, fed by
+    Phi_{-1} = f, from Phi'_{-1} = s and t. Each level forms
+    1 - e^l (r + q Phi_{k-1}) once and divides each lane by it (the 1x1
+    solve with one right-hand side). Returns both lanes' last Phi'; given
+    the list `out`, appends each level's Phi' of the first lane."""
+    for (q, r, _), cur in zip(rows, phis):
+        a = 1.0 - el * (r + q * f)
+        s = (cur + el * ((q * s) * cur)) / a
+        t = (cur + el * ((q * t) * cur)) / a
+        if out is not None:
+            out.append(s)
+        f = cur
+    return s, t
+
+
+def _derivative_d2(rows, el: float, phis, prev, lanes, out=None) -> list:
+    """phi_derivative's recursion at d = 2 on Python floats over the solved
+    float levels `phis`, fed by Phi_{-1} = prev, from each lane's Phi'_{-1};
+    levels and lanes are flat row-major 2x2 matrices, and `lanes` their
+    concatenation. At each level, _sweep_d2's elimination of
+    I - e^l (r_k + q_k Phi_{k-1}), that is m, the pivot, the multiplier and
+    the Schur complement, is formed once and applied to every lane's right
+    side Phi_k + e^l q_k Phi'_{k-1} Phi_k; the Phi given is solved, so its
+    pass certified the pivots. Returns the lanes' last Phi'; given `out`,
+    appends each level's lanes."""
+    f00, f01, f10, f11 = prev
+    cur = iter(phis)
+    for (q00, q01, q10, q11, r00, r01, r10, r11, *_), c00, c01, c10, c11 in zip(
+            rows, cur, cur, cur, cur):
+        m00 = el * (r00 + (q00 * f00 + q01 * f10))
+        m01 = el * (r01 + (q00 * f01 + q01 * f11))
+        m10 = el * (r10 + (q10 * f00 + q11 * f10))
+        m11 = el * (r11 + (q10 * f01 + q11 * f11))
+        pivot = 1.0 - m00
+        mult = m10 / pivot
+        schur = (1.0 - m11) - mult * m01
+        g = iter(lanes)
+        lanes = []
+        for g00, g01, g10, g11 in zip(g, g, g, g):
+            h00, h01 = q00 * g00 + q01 * g10, q00 * g01 + q01 * g11  # q_k Phi'_{k-1}
+            h10, h11 = q10 * g00 + q11 * g10, q10 * g01 + q11 * g11
+            b00 = c00 + el * (h00 * c00 + h01 * c10)
+            b01 = c01 + el * (h00 * c01 + h01 * c11)
+            b10 = c10 + el * (h10 * c00 + h11 * c10)
+            b11 = c11 + el * (h10 * c01 + h11 * c11)
+            g10 = (b10 + mult * b00) / schur
+            g11 = (b11 + mult * b01) / schur
+            lanes += (b00 + m01 * g10) / pivot, (b01 + m01 * g11) / pivot, g10, g11
+        if out is not None:
+            out += lanes
+        f00, f01, f10, f11 = c00, c01, c10, c11
+    return lanes
+
+
 # unit starts of the period maps, scaled by 2^40 (exact), keep T's own
 # digits through the subtraction of s: 1e-6 below lambda_crit on p = 0.75,
 # where I - T is nearly singular, the error of Phi' falls from 1.5e-13 to
@@ -575,37 +705,31 @@ def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d):
 LANE_SCALE = 2.0 ** 40
 
 
-def _period_map(q, r, eye, el: float, phis, prev):
-    """(s, T): one period of phi_derivative's recursion over `phis`, fed by
-    Phi_{-1} = prev, is the affine map y -> T y + s of y = vec Phi'_{-1}
-    (row-major). T alone is the Jacobian of the Phi pass in Phi_{-1} = prev.
-    One stacked pass from the zero and the d^2 unit matrices gives both;
-    runs inside _linalg_errstate."""
-    d = eye.shape[0]
-    starts = np.concatenate((np.zeros((1, d, d)),
-                             LANE_SCALE * np.eye(d * d).reshape(d * d, d, d)))
-    ends = _derivative_levels(q, r, eye, el, phis, prev, starts)[-1].reshape(d * d + 1, d * d)
-    return ends[0], (ends[1:] - ends[0]).T / LANE_SCALE
+@functools.cache
+def _unit_lanes(dd: int) -> tuple:
+    """The zero lane and the dd unit lanes, scaled by LANE_SCALE, run
+    together."""
+    return (0.0,) * dd + tuple(LANE_SCALE if i == j else 0.0
+                               for j in range(dd) for i in range(dd))
 
 
-def _derivative_d1(rows, el: float, phis, f: float, g: float) -> list:
-    """_derivative_levels at d = 1 on Python floats: phi_derivative's
-    recursion over the solved float levels `phis`, fed by Phi_{-1} = f and
-    Phi'_{-1} = g, one division a level (the 1x1 solve with one right-hand
-    side); returns every Phi'_k."""
-    out = []
-    for (q, r, _), cur in zip(rows, phis):
-        g = (cur + el * ((q * g) * cur)) / (1.0 - el * (r + q * f))
-        out.append(g)
-        f = cur
-    return out
+def _period_map(derive, vals, prev):
+    """(s, T): one period of phi_derivative's recursion over the solved
+    levels `vals`, fed by Phi_{-1} = prev, is the affine map y -> T y + s of
+    y = vec Phi'_{-1} (row-major). T alone is the Jacobian of the Phi pass
+    in Phi_{-1} = prev. One `derive` pass (_cycle_loops) of the zero lane
+    and the d^2 unit lanes gives both, T row-major as a flat list."""
+    dd = len(prev)
+    ends = derive(vals, prev, _unit_lanes(dd))
+    s = ends[:dd]
+    return s, [(e - si) / LANE_SCALE for i, si in enumerate(s) for e in ends[dd + i::dd]]
 
 
 def _period_map_d1(rows, el: float, phis, prev: float):
-    """(s, T): _period_map at d = 1 on Python floats, its two lanes the
-    _derivative_d1 passes from Phi'_{-1} = 0 and LANE_SCALE."""
-    s = _derivative_d1(rows, el, phis, prev, 0.0)[-1]
-    return s, (_derivative_d1(rows, el, phis, prev, LANE_SCALE)[-1] - s) / LANE_SCALE
+    """(s, T): _period_map at d = 1 on Python floats, its two lanes, from
+    Phi'_{-1} = 0 and LANE_SCALE, one _derivative_d1 pass."""
+    s, t = _derivative_d1(rows, el, phis, prev, 0.0, LANE_SCALE)
+    return s, (t - s) / LANE_SCALE
 
 
 def phi_derivative(
@@ -651,36 +775,17 @@ def periodic_phi_derivative(
     """Cyclic analogue of phi_derivative; returns (period, d, d).
 
     With Phi fixed, one period of phi_derivative's recursion is an affine map
-    x -> T x + s of x = vec Phi'_{-1} = vec Phi'_{period-1}. One pass from the
-    zero and the d^2 (scaled) unit matrices gives s and T; one d^2 x d^2
-    solve, O(d^6), gives x and (I - T)^{-1}; one pass from x gives every
-    position. As T >= 0, (I - T)^{-1} >= 0 iff rho(T) < 1 (the sweeps'
-    M-matrix certificate); a singular I - T or a negative entry of its
-    inverse raises ConvergenceError: there is no finite fixed point. At
-    d = 1 the same steps run on Python floats over the given Phi: the two
-    lanes of _period_map_d1, x = s / (1 - T), refused unless 1 - T > 0,
-    and one _derivative_d1 pass from x.
+    x -> T x + s of x = vec Phi'_{-1} = vec Phi'_{period-1}. One pass of the
+    zero and the d^2 (scaled) unit lanes gives s and T (_period_map); one
+    _affine_solve, a d^2 x d^2 solve, O(d^6), gives x and certifies
+    (I - T)^{-1} >= 0, that is rho(T) < 1 (the sweeps' M-matrix
+    certificate); one pass from x gives every position. A singular I - T
+    or a negative entry of its inverse raises ConvergenceError: there is no
+    finite fixed point. The passes are the Phi' loops of the spec's d over
+    the given Phi (_cycle_loops): at d <= 2 on Python floats, with x =
+    s / (1 - T) at d = 1 and one 4x4 LAPACK solve at d = 2.
     """
-    el = math.exp(lam)
-    phis = periodic.phis
-    d = spec.d
-    if d == 1:
-        vals = phis.ravel().tolist()
-        s, T = _period_map_d1(spec.rows, el, vals, vals[-1])
-        if not 1.0 - T > 0.0:
-            raise ConvergenceError(float("inf"), 1)
-        return _levels(_derivative_d1(spec.rows, el, vals, vals[-1], s / (1.0 - T)), 1)
-    q, r, _ = spec.stacks
-    eye, eye2 = np.eye(d), np.eye(d * d)
-    with _linalg_errstate():
-        s, T = _period_map(q, r, eye, el, phis, phis[-1])
-        try:
-            sol = _solve(eye2 - T, np.column_stack((s, eye2)))
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(float("inf"), 1) from None
-        if sol[:, 1:].min() < NEG_ENTRY_TOL:
-            raise ConvergenceError(float("inf"), 1)
-        return _derivative_levels(q, r, eye, el, phis, phis[-1], sol[:, 0].reshape(d, d))
+    return _levels(_cycle_loops(spec, lam)[3](periodic.phis.ravel().tolist()), spec.d)
 
 
 # ---------------------------------------------------------------------------

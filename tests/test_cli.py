@@ -130,6 +130,18 @@ def test_rate_hitting_csv(p075_path, tmp_path, counts):
         assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-8
 
 
+def test_rate_on_one_level_reports_unmeasured_stat_errors(two_point_path, tmp_path):
+    """A truncated curve on a one-level window writes every stat_error as
+    inf (unmeasured), and its values as finite numbers."""
+    out = str(tmp_path / "j.csv")
+    assert main(["rate", "--spec", two_point_path, "--kind", "hitting", "--M", "16",
+                 "--grid", "2:1:3", "--levels", "1", "--out", out]) == 0
+    rows = [l.strip().split(",") for l in open(out) if not l.startswith("#")]
+    assert rows[0][-1] == "stat_error" and len(rows) == 3
+    for row in rows[1:]:
+        assert row[-1] == "inf" and math.isfinite(float(row[1]))
+
+
 def test_rate_speed_has_lambda_crit_row(p075_path, tmp_path, counts):
     out = str(tmp_path / "i.csv")
     assert main(["rate", "--spec", p075_path, "--kind", "speed",

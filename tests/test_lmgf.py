@@ -446,14 +446,19 @@ def test_estimates_pinned(name):
     assert [repr(e) for e in all_estimates(ROLL_SPECS[name]())] == PINNED[name]
 
 
-def test_one_level_window_has_finite_stat_bars():
+def test_one_level_window_reports_unmeasured_stat_bars():
     """A one-level window has no spread to measure: every estimator,
-    truncated ones included, reports a stat bar of 0, not the NaN of a
-    one-sample standard deviation."""
+    truncated ones included, reports its stat bar as unmeasured, inf, not
+    as 0 or as the NaN of a one-sample standard deviation. A period's mean
+    is exact, so its bar stays 0 at any n_levels."""
     ev = LmgfEvaluator(two_point_d1_spec([0.7, 0.8], [0.5, 0.5]), n_levels=1, seed=0)
     for est in (ev.value(-0.5), ev.derivative(-0.5),
                 ev.value_truncated(-0.5, 16), ev.derivative_truncated(-0.5, 16)):
-        assert est.n == 1 and est.statistical_error == 0.0
+        assert est.n == 1 and est.statistical_error == math.inf
+    ev = LmgfEvaluator(period3_d2_spec(), n_levels=1)
+    for est in (ev.value(-0.5), ev.derivative(-0.5),
+                ev.value_truncated(-0.5, 16), ev.derivative_truncated(-0.5, 16)):
+        assert est.statistical_error == 0.0
 
 
 # ---------------------------------------------------------------------------

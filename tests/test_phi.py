@@ -401,11 +401,12 @@ def test_periodic_kernels_match_reference(d):
     at every position to 1e-14 * max(1, max Phi), lies within twice the
     reference cycle's extrapolated tail (plus that rounding floor) of the
     cycle's result, and above it: the cycle rises to the fixed point from
-    below. Past lambda_crit both refuse. At d = 1 the Newton steps run on
-    Python floats and divide where the reference's LAPACK solve, with two
+    below. Past lambda_crit both refuse. The Newton passes run on Python
+    floats and divide where the reference's LAPACK solve, with two
     right-hand sides, multiplies by a reciprocal, so the two rounded fixed
-    points may differ by an ulp either way (seen: one position 1 ulp below
-    at lambda = -1 and -0.1)."""
+    points may differ by an ulp either way (seen: at d = 1 one position 1
+    ulp below at lambda = -1 and -0.1; at d = 2 four of the twelve entries
+    1 ulp below at lambda = -1)."""
     lams, past = PERIODIC_CASES[d]
     base = random_d2_iid_spec(1, drift=0.4, d=d)
     spec = EnvironmentSpec(kind="periodic", d=d, kappa=base.kappa, slices=base.slices)
@@ -416,8 +417,7 @@ def test_periodic_kernels_match_reference(d):
         floor = 1e-14 * max(1.0, float(pp.phis.max()))
         assert cyclic_phi_residual(spec, lam, pp.phis) <= floor
         assert float(np.abs(pp.phis - ref.phis).max()) <= 2.0 * ref.tail + floor
-        below = ref.phis - np.spacing(ref.phis) if d == 1 else ref.phis
-        assert (pp.phis >= below).all()
+        assert (pp.phis >= ref.phis - np.spacing(ref.phis)).all()
         check_periodic_derivative(spec, lam, pp)
     with pytest.raises(SupercriticalError):
         solve_phi_periodic(spec, past)
@@ -430,32 +430,74 @@ class _NoLinalg:
         raise AssertionError(f"np.linalg.{name} called")
 
 
-def _no_solve(*args, **kwargs):
-    raise AssertionError("phi._solve called")
-
-
 def test_d1_periodic_solvers_call_no_linear_algebra(p075_spec, monkeypatch):
     """At d = 1, solve_phi_periodic and periodic_phi_derivative run on
-    Python floats: with phi._solve and np.linalg made to raise, both still
-    solve p = 0.75 and a period-3 spec at -1, 0 and 1e-6 below
-    lambda_crit, to the cyclic equations' residual bounds of
-    test_periodic_kernels_match_reference and check_periodic_derivative."""
+    Python floats: with np.linalg made to raise and phi._solve counted,
+    both solve p = 0.75 and a period-3 spec at -1, 0 and 1e-6 below
+    lambda_crit with no solve, to the cyclic equations' residual bounds of
+    test_periodic_kernels_match_reference and check_periodic_derivative.
+    At d = 2 the passes run on floats too, and the only LAPACK call is the
+    4x4 solve: one for each Newton step and one for the periodic Phi'."""
     import stripldp.phi as phi
 
-    base = random_d2_iid_spec(1, drift=0.4, d=1)
-    period3 = EnvironmentSpec(kind="periodic", d=1, kappa=base.kappa, slices=base.slices)
-    cases = [(spec, lam) for spec in (p075_spec, period3)
+    def period3(d):
+        base = random_d2_iid_spec(1, drift=0.4, d=d)
+        return EnvironmentSpec(kind="periodic", d=d, kappa=base.kappa, slices=base.slices)
+
+    cases = [(spec, lam) for spec in (p075_spec, period3(1), period3(2))
              for lam in (-1.0, 0.0, estimate_lambda_crit(spec, tol=1e-9).bracket[0] - 1e-6)]
-    monkeypatch.setattr(phi, "_solve", _no_solve)
+    solve, calls = phi._solve, []
+    monkeypatch.setattr(phi, "_solve", lambda *a: calls.append(a) or solve(*a))
     monkeypatch.setattr(np, "linalg", _NoLinalg())
-    solved = [(solve_phi_periodic(spec, lam), spec, lam) for spec, lam in cases]
-    solved = [(pp, periodic_phi_derivative(spec, lam, pp), spec, lam) for pp, spec, lam in solved]
+    solved = []
+    for spec, lam in cases:
+        calls.clear()
+        pp = solve_phi_periodic(spec, lam)
+        newton = len(calls)
+        dph = periodic_phi_derivative(spec, lam, pp)
+        solved.append((pp, dph, spec, lam, newton, len(calls) - newton))
     monkeypatch.undo()
-    for pp, dph, spec, lam in solved:
-        assert pp.phis.shape == dph.shape == (spec.period, 1, 1)
+    for pp, dph, spec, lam, newton, derivative in solved:
+        d = spec.d
+        assert (newton, derivative) == ((0, 0) if d == 1 else (pp.iterations, 1))
+        assert pp.phis.shape == dph.shape == (spec.period, d, d)
         assert cyclic_phi_residual(spec, lam, pp.phis) <= 1e-14 * max(1.0, float(pp.phis.max()))
         scale = max(1.0, float(np.abs(dph).max()))
         assert cyclic_derivative_residual(spec, lam, pp.phis, dph) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10_000),
+    period=st.integers(1, 5),
+    drift=st.floats(0.0, 0.6),
+    gap_exp=st.floats(-6.0, 0.5),
+)
+def test_2x2_derivative_lanes_agree_with_lapack(seed, period, drift, gap_exp):
+    """The 2x2 Phi' loop over a solved period (_derivative_d2) eliminates
+    on Python floats where _derivative_levels solves with LAPACK: from the
+    zero lane, the LANE_SCALE unit lanes and a random start, every level
+    of every lane agrees to 1e-13 relative, up to 1e-6 below
+    lambda_crit."""
+    import stripldp.phi as phi
+
+    base = random_d2_iid_spec(seed, kappa=0.05, n_support=period, drift=drift)
+    spec = EnvironmentSpec(kind="periodic", d=2, kappa=base.kappa, slices=base.slices)
+    lam = estimate_lambda_crit(spec, tol=1e-7).bracket[0] - 10.0 ** gap_exp
+    phis = solve_phi_periodic(spec, lam).phis
+    start = np.random.default_rng(seed).uniform(0.0, 10.0, 4)
+    lanes = (*phi._unit_lanes(4), *start)
+    el = math.exp(lam)
+    got = []
+    ends = phi._derivative_d2(spec.rows, el, phis.ravel().tolist(), phis[-1].ravel().tolist(),
+                              lanes, got)
+    q, r, _ = spec.stacks
+    with phi._linalg_errstate():
+        want = phi._derivative_levels(q, r, np.eye(2), el, phis, phis[-1],
+                                      np.reshape(lanes, (-1, 2, 2)))
+    got = np.reshape(got, want.shape)
+    assert np.array_equal(np.reshape(ends, want[-1].shape), got[-1])
+    assert max_relative_error(got, want) <= 1e-13
 
 
 @pytest.mark.parametrize("p, r", [(0.75, 0.0), (0.6, 0.1)])
