@@ -468,7 +468,8 @@ def _classify(ev: LmgfEvaluator, ev_inv: LmgfEvaluator,
             t0 = ev.derivative(-1e-6).value  # definitional limit on the spec itself
 
     lam_star = lc.bracket[0] - lc.tolerance
-    if lam_star <= -1e-6:
+    # t* >= t0 on every walk, so an infinite t0 leaves no linear branch
+    if lam_star <= -1e-6 or not math.isfinite(t0):
         t_star = t0
     else:
         ts = ev.derivative(lam_star).value

@@ -104,6 +104,14 @@ def test_analyze_recurrent_regime(tmp_path):
     assert doc["regime"] == "recurrent" and doc["v0"] == 0.0
 
 
+def test_analyze_one_level_t_star_not_below_t0(two_point_path, tmp_path):
+    out = str(tmp_path / "an.json")
+    assert main(["analyze", "--spec", two_point_path, "--levels", "1",
+                 "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    assert doc["t_star"] >= doc["t0"] == math.inf
+
+
 def test_analyze_malformed_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"d": 1, "kind": ')

@@ -233,6 +233,15 @@ def test_analyze_iid_two_point():
     assert 0.3 < an.v0 < 0.6
 
 
+def test_one_level_analysis_keeps_t_star_at_or_above_t0():
+    """One level reads the two-point spec as recurrent, so t0 is infinite;
+    t* >= t0 on every walk, so t* is infinite too, with no Lambda' asked at
+    lambda_crit."""
+    an = analyze_environment(two_point_d1_spec([0.7, 0.8], [0.5, 0.5]), n_levels=1, seed=0)
+    assert an.regime == "recurrent" and an.t0 == math.inf
+    assert an.t_star >= an.t0
+
+
 def test_d3_lambda_duality_and_bounds():
     # width-3 strip: same machinery, no d-specific indexing anywhere
     rng = np.random.default_rng(31)

@@ -421,6 +421,143 @@ def test_tilt_bound_depends_only_on_t():
     assert repr(_TiltFamily(_two_point(), 300, 0).bound(3.0)) == repr(first)
 
 
+def full_coordinate_ascent(f, free0, w_floor, rounds=4, xtol=1e-4):
+    """The coordinate ascent with neither early stop: every round searches
+    every weight, until a round gains less than 1e-9. Returns (free, best)
+    and the (weight, kept) of each search, in order."""
+    free = free0.copy()
+    best = f(free)
+    searches = []
+    for _ in range(rounds):
+        improved = 0.0
+        for i in range(len(free)):
+            hi = 1.0 - (free.sum() - free[i]) - w_floor
+            if hi <= w_floor:
+                continue
+
+            def h(u, i=i):
+                trial = free.copy()
+                trial[i] = u
+                return f(trial)
+
+            u_star, val = golden_max(h, w_floor, hi, xtol=xtol)
+            kept = bool(val > best + 1e-12)
+            searches.append((i, kept))
+            if kept:
+                improved += val - best
+                best = val
+                free[i] = u_star
+        if improved < 1e-9:
+            break
+    return (free, best), searches
+
+
+@pytest.mark.parametrize("weights, coupling, want_searches", [
+    ((0.5, 0.5), 0.0, 1),  # one free weight: one golden search, not two
+    ((0.2, 0.3, 0.5), 0.3, 7),  # two: the full ascent's 8th search repeats the 6th
+])
+def test_coordinate_ascent_stops_on_the_last_mover(weights, coupling, want_searches,
+                                                   monkeypatch):
+    """On a concave objective the ascent returns the full ascent's (free,
+    best) bit for bit, and stops on coming back to the weight whose step was
+    kept last, with no kept step since."""
+    from stripldp import rates
+
+    fam = _TiltFamily(two_point_d1_spec([0.6, 0.7, 0.8][:len(weights)], weights), 10, 0)
+
+    def f(x):
+        y = x - np.array([0.3, 0.2])[:len(x)]
+        return float(-(y * y).sum() - coupling * y.prod())
+
+    want, searches = full_coordinate_ascent(f, fam.base_free, fam.w_floor)
+    last, stop = None, len(searches)
+    for k, (i, kept) in enumerate(searches):
+        if i == last:
+            stop = k
+            break
+        if kept:
+            last = i
+    assert stop == want_searches < len(searches)
+
+    searched = []
+
+    def golden_counted(*args, **kwargs):
+        searched.append(args)
+        return golden_max(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "golden_max", golden_counted)
+    got = fam._coordinate_ascent(f, fam.base_free)
+    assert len(searched) == want_searches
+    assert repr(got) == repr(want)
+
+
+def test_coordinate_ascent_certified_stop():
+    """`certified` is asked after the first evaluation and after each kept
+    step; the ascent returns the first point where it holds."""
+    fam = _TiltFamily(two_point_d1_spec([0.6, 0.7, 0.8], (0.2, 0.3, 0.5)), 10, 0)
+
+    def f(x):
+        y = x - np.array([0.3, 0.2])
+        return float(-(y * y).sum() - 0.3 * y.prod())
+
+    asked = []
+
+    def certified(best):
+        asked.append(best)
+        return len(asked) == 3
+
+    free, best = fam._coordinate_ascent(f, fam.base_free, certified=certified)
+    (_, full), searches = full_coordinate_ascent(f, fam.base_free, fam.w_floor)
+    assert [kept for _, kept in searches[:2]] == [True, True]
+    assert best == asked[-1] == f(free) < full
+    assert asked[0] == f(fam.base_free) < asked[1] < asked[2]
+    free, best = fam._coordinate_ascent(f, fam.base_free, certified=lambda b: True)
+    assert list(free) == list(fam.base_free) and best == asked[0]
+
+
+def test_two_point_seed16_weak_duality_warning_pinned():
+    """The one known weak-duality violation, t = 4 on the two-point spec at
+    seed 16 and 300 levels: its dual comes from a lambda whose ascent ran in
+    full, so the early stops leave its every digit."""
+    curve = averaged_rate_upper(_two_point(), [4.0], n_levels=300, seed=16)
+    assert curve.warnings == [
+        "weak duality violated at t=4.0: dual 0.13976537287665752 > upper "
+        "0.12992461569095948"]
+
+
+@pytest.mark.parametrize("name", ["averaged-hitting-two-point", "averaged-hitting-d2"])
+def test_dual_early_stops_are_certified(name, monkeypatch):
+    """On the pinned averaged curves, each envelope value of the weak-duality
+    check is at most the full ascent's at its lambda, the full one where the
+    ascent did not stop early, and where it did, it passes the check at
+    every t of the curve."""
+    full_lower = _TiltFamily.lambda_family_lower
+    calls = []
+
+    def recorded(fam, lam, certified=None):
+        fired = []
+
+        def watched(best):
+            fired.append(certified(best))
+            return fired[-1]
+
+        env = full_lower(fam, lam, watched)
+        calls.append((fam, lam, env, any(fired)))
+        return env
+
+    monkeypatch.setattr(_TiltFamily, "lambda_family_lower", recorded)
+    curve = PINNED_CURVES[name]()
+    assert len(calls) == 12 and any(stopped for *_, stopped in calls)
+    for fam, lam, env, stopped in calls:
+        full = full_lower(fam, lam)
+        if stopped:
+            assert env <= full
+            assert all(lam * t - env <= upper + 1e-6
+                       for t, upper in zip(curve.abscissae, curve.values))
+        else:
+            assert repr(env) == repr(full)
+
+
 # ---------------------------------------------------------------------------
 # every curve kind pinned: CSV, tilt trace and warnings, byte for byte
 # ---------------------------------------------------------------------------
