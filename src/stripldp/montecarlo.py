@@ -21,15 +21,17 @@ error. The 'direct' method (finite-horizon proxy) remains for cross-checks.
 
 Every sampled estimator draws trial i's uniforms from its own stream,
 default_rng(SeedSequence(seed, spawn_key=(tag, i))), so any trial replays
-on its own. The streams are built a block of trials at a time: the
-SeedSequence hash runs vectorized over the block's trial numbers, and one
-PCG64 is loaded with each trial's seeded state in turn (trial_uniforms).
-A block is column-major, one row per trial, and holds at most about
-BLOCK_ENTRIES = 2^21 uniforms (16 MiB), so a step's uniforms for all trials
-are one contiguous column. The walkers find each move with 1-D takes: the
-direct walks count the partial sums at or below u in flat column tables of the
-cumulative move rows (_move_columns), and the tilted sampler binary-searches
-flat padded tables of its cdf rows (_sorted_search).
+on its own. The streams run as numpy lanes (_Lanes): each trial's PCG64
+state and increment are four uint64 arrays, seeded together by the
+SeedSequence hash run vectorized over the trial numbers, and one column,
+the next uniform of every live trial, is a 128-bit LCG step and PCG64's
+XSL-RR output on all of them at once. The walkers draw one column a step
+for the live trials only, and trials run in chunks whose lanes, step
+temporaries and environment draws take at most CHUNK_ENTRIES = 2^21
+8-byte words (16 MiB). The walkers find each move with 1-D takes: the
+direct walks count the partial sums at or below u in flat column tables of
+the cumulative move rows (_move_columns), and the tilted sampler
+binary-searches flat padded tables of its cdf rows (_sorted_search).
 """
 
 from __future__ import annotations
@@ -124,10 +126,18 @@ INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 POOL_WORDS = 4
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-MASK32, MASK128 = (1 << 32) - 1, (1 << 128) - 1
+MASK32 = (1 << 32) - 1
 
-BLOCK_ENTRIES = 1 << 21  # about the most uniforms one _trial_blocks block holds
-SEED_BLOCK = 1024  # trials whose generator states are hashed together
+# the operands of a lane step as uint64 scalars, which numpy takes faster
+# than Python ints (by about 20 us a column of 20000 lanes): PCG64_MULT's
+# 64-bit limbs, the 32-bit halves of its low limb, a 32-bit mask and shifts
+_MULT_HI, _MULT_LO = (np.uint64(v) for v in divmod(PCG64_MULT, 1 << 64))
+_MULT_LO0, _MULT_LO1 = np.uint64(PCG64_MULT & MASK32), np.uint64((PCG64_MULT >> 32) & MASK32)
+_LOW32 = np.uint64(MASK32)
+_11, _32, _58, _64 = (np.uint64(v) for v in (11, 32, 58, 64))
+
+CHUNK_ENTRIES = 1 << 21  # 8-byte words (16 MiB) the trials of one chunk take at most
+TRIAL_ENTRIES = 64  # words a trial takes at most: its lanes, walk state and step temporaries
 
 
 def _uint32_words(n) -> list[int]:
@@ -182,69 +192,128 @@ def _seed_hash(entropy) -> np.ndarray:
     return out.view("<u8")
 
 
-def _pcg64_states(seed, tag: int, first: int, m: int):
-    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=(tag, trial))) for
-    trials first..first+m-1, built SEED_BLOCK trials at a time.
+class _Lanes:
+    """PCG64 streams of many trials stepped together in numpy lanes.
 
-    A trial's spawn key words are its low word, then its high words; trials
-    between two multiples of 2^32 share the high words, so each sub-block
-    stays inside one such range and only the low word varies. PCG64 seeds
-    with val = generate_state(4, uint64), initstate = val[0]:val[1] and
-    initseq = val[2]:val[3], then takes two LCG steps from zero, adding
-    initstate after the first.
+    Each trial's 128-bit state and increment are its entries of four uint64
+    arrays (high and low limbs). `_column` advances every lane by one LCG
+    step, state * PCG64_MULT + inc mod 2^128, and returns the XSL-RR output
+    of the new states as doubles, (x >> 11) * 2^-53: one Generator.random
+    draw of each trial's own generator. `_keep` drops lanes, so that the
+    next column holds the uniforms of the trials kept only. The names are
+    private, so that a tracer of the public functions records no span per
+    column.
     """
-    run = _uint32_words(seed if seed is not None else 0)
-    run += [0] * (POOL_WORDS - len(run))  # a spawn key pads the entropy to the pool
-    head = run + _uint32_words(tag)
-    t, end = first, first + m
-    while t < end:
-        stop = min(end, t + SEED_BLOCK, ((t >> 32) + 1) << 32)
-        low = np.arange(stop - t, dtype=np.uint32) + (t & MASK32)
-        high = _uint32_words(t >> 32) if t >> 32 else []
-        for s_hi, s_lo, q_hi, q_lo in _seed_hash(head + [low] + high).tolist():
-            inc = (((q_hi << 64) | q_lo) << 1 | 1) & MASK128
-            yield (((inc + ((s_hi << 64) | s_lo)) * PCG64_MULT + inc) & MASK128), inc
-        t = stop
+
+    __slots__ = ("hi", "lo", "inc_hi", "inc_lo")
+
+    def __init__(self, seed, tag: int, first: int, m: int):
+        """The lanes of PCG64(SeedSequence(seed, spawn_key=(tag, trial))) for
+        trials first..first+m-1, seed None read as 0.
+
+        A trial's spawn key words are its low word, then its high words, so
+        the hash runs once for each range of trials between two multiples
+        of 2^32, in which only the low word varies. PCG64 seeds with
+        val = generate_state(4, uint64), initstate s = val[0]:val[1] and
+        initseq q = val[2]:val[3]: inc = q << 1 | 1, and the state is
+        (inc + s) * PCG64_MULT + inc, one LCG step from inc + s.
+        """
+        run = _uint32_words(seed if seed is not None else 0)
+        run += [0] * (POOL_WORDS - len(run))  # a spawn key pads the entropy to the pool
+        head = run + _uint32_words(tag)
+        vals, t, end = [], first, first + m
+        while t < end:
+            stop = min(end, ((t >> 32) + 1) << 32)
+            low = np.arange(stop - t, dtype=np.uint32) + (t & MASK32)
+            vals.append(_seed_hash(head + [low] + (_uint32_words(t >> 32) if t >> 32 else [])))
+            t = stop
+        s_hi, s_lo, q_hi, q_lo = (np.concatenate(vals) if vals else np.empty((0, 4), np.uint64)).T
+        self.inc_hi = (q_hi << 1) | (q_lo >> 63)
+        self.inc_lo = (q_lo << 1) | 1
+        self.lo = self.inc_lo + s_lo
+        self.hi = self.inc_hi + s_hi
+        self.hi += self.lo < s_lo  # the carry of the low limbs
+        self._step()
+
+    def _step(self):
+        """state = state * PCG64_MULT + inc mod 2^128 in every lane, in place.
+        With m_hi:m_lo the limbs of PCG64_MULT, the high limb gathers the
+        high half of lo * m_lo (from 32-bit halves, so no product wraps),
+        the wrapped cross terms hi * m_lo and lo * m_hi, inc's high limb and
+        the carry of the low limbs."""
+        hi, lo = self.hi, self.lo
+        u1 = lo >> _32
+        u0 = lo & _LOW32
+        t = u1 * _MULT_LO0
+        w = u0 * _MULT_LO0
+        w >>= _32
+        t += w  # u1 * m_lo0 + the high half of u0 * m_lo0: below 2^64
+        np.bitwise_and(t, _LOW32, out=w)
+        u0 *= _MULT_LO1
+        w += u0
+        t >>= _32
+        w >>= _32
+        u1 *= _MULT_LO1
+        hi *= _MULT_LO
+        hi += u1
+        hi += t
+        hi += w  # hi * m_lo + the high half of lo * m_lo
+        np.multiply(lo, _MULT_HI, out=t)
+        hi += t
+        hi += self.inc_hi
+        lo *= _MULT_LO
+        lo += self.inc_lo
+        hi += lo < self.inc_lo
+
+    def _column(self, out=None) -> np.ndarray:
+        """The next uniform of every lane: one step, then XSL-RR, the high
+        limb xor the low one rotated right by the state's top 6 bits, whose
+        top 53 bits make the double. numpy shifts a uint64 by 64 to 0, so
+        rotating by 0 takes no special case."""
+        self._step()
+        hi = self.hi
+        v = hi ^ self.lo
+        r = hi >> _58
+        x = v >> r
+        np.subtract(_64, r, out=r)
+        v <<= r
+        x |= v
+        x >>= _11
+        return np.multiply(x, 2.0**-53, out=out)
+
+    def _columns(self, k: int) -> np.ndarray:
+        """The next k uniforms of every lane as a (lanes, k) array in Fortran
+        order, one column each."""
+        U = np.empty((len(self.hi), k), order="F")
+        for col in U.T:
+            self._column(out=col)
+        return U
+
+    def _keep(self, keep: np.ndarray):
+        """Keep the lanes where the mask `keep` holds, in their order."""
+        self.hi, self.lo, self.inc_hi, self.inc_lo = (
+            a[keep] for a in (self.hi, self.lo, self.inc_hi, self.inc_lo))
 
 
 def trial_uniforms(seed, tag: int, first: int, m: int, k: int) -> np.ndarray:
     """Uniform streams of trials first..first+m-1, k uniforms a row, as an
-    (m, k) block in Fortran order, so that the column of one step is
-    contiguous.
+    (m, k) array in Fortran order: k columns of their lanes (_Lanes).
 
     Row i is default_rng(SeedSequence(seed, spawn_key=(tag, first + i)))
     .random(k) bit for bit (seed None reads as 0): a splittable per-trial
     seed tree, so any single trial reproduces in isolation and results do
-    not depend on batch chunking. The seeding runs vectorized over the
-    trials (_pcg64_states); one PCG64 takes each trial's seeded state in
-    turn and fills its row of a C-order buffer of SEED_BLOCK rows
-    (Generator.random fills no strided row), which is then copied into the
-    block. A negative seed raises ValueError.
+    not depend on how trials are chunked. A negative seed raises
+    ValueError.
     """
-    U = np.empty((m, k), order="F")
-    buf = np.empty((min(m, SEED_BLOCK), k))
-    bitgen = np.random.PCG64(0)  # its seed is replaced before every draw
-    gen = np.random.Generator(bitgen)
-    doc = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    states = _pcg64_states(seed, tag, first, m)
-    for top in range(0, m, SEED_BLOCK):
-        rows = buf[:min(SEED_BLOCK, m - top)]
-        for row, (state, inc) in zip(rows, states):
-            doc["state"] = {"state": state, "inc": inc}
-            bitgen.state = doc
-            gen.random(out=row)
-        U[top:top + len(rows)] = rows
-    return U
+    return _Lanes(seed, tag, first, m)._columns(k)
 
 
-def _trial_blocks(seed, tag: int, trials: int, stride: int, first: int = 0):
-    """Column-major uniform blocks of at most BLOCK_ENTRIES + stride
-    entries, one row per trial: the block that starts at trial j is
-    trial_uniforms(seed, tag, first + j, rows, stride), so its streams are
-    seeded together and no SeedSequence is built."""
-    chunk = max(1, min(trials, int(BLOCK_ENTRIES // stride) + 1))
-    for done in range(0, trials, chunk):
-        yield trial_uniforms(seed, tag, first + done, min(chunk, trials - done), stride)
+def _chunks(trials: int, draws: int):
+    """(first, size) of the chunks of `trials` trials, each as large as
+    CHUNK_ENTRIES words hold when a trial takes TRIAL_ENTRIES words and
+    `draws` environment draws (their uniforms, then their table indices)."""
+    chunk = max(1, CHUNK_ENTRIES // (TRIAL_ENTRIES + 2 * draws))
+    return ((first, min(chunk, trials - first)) for first in range(0, trials, chunk))
 
 
 def _start_heights(u: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -358,22 +427,23 @@ def _averaged_lookups(spec: EnvironmentSpec):
     cum = np.cumsum(np.asarray(spec.weights))
 
     def lookups(env_uniforms):
-        env = np.minimum(np.searchsorted(cum, env_uniforms, side="right"), len(cum) - 1)
-        slots = env * d
+        slots = np.searchsorted(cum, env_uniforms, side="right")
+        np.minimum(slots, len(cum) - 1, out=slots)
+        slots *= d
         return lambda li, h, u, trial: _choose(cols, slots[trial, li] + h, u)
 
     return lookups
 
 
-def _trials(spec, seed, tag, trials, lo, hi, steps, mode, start):
+def _trials(spec, seed, tag, trials, lo, hi, mode, start):
     """The trial loop of the direct estimators: for each chunk of trials,
-    the lookup, the start heights and a (chunk, steps) block of step
-    uniforms.
+    the lookup, the start heights and the lanes of the chunk's streams
+    (_Lanes), which the walk then draws a column a step from.
 
     Quenched mode walks every trial on the window [lo, hi) of `seed`.
     Averaged mode gives each trial its own i.i.d. environment on those
-    levels, drawn from the head of the trial's stream; the stream's next
-    uniform draws the start height.
+    levels, drawn from the head of the trial's stream, one column a level;
+    the stream's next uniform draws the start height.
     """
     if mode == "quenched":
         lookup, draws = _window_cdf(sample_window(spec, lo, hi, seed=seed)), 0
@@ -382,22 +452,24 @@ def _trials(spec, seed, tag, trials, lo, hi, steps, mode, start):
     else:
         raise ValueError("mode must be 'quenched' or 'averaged'")
     pi = (start or StartDistribution.uniform(spec.d)).pi
-    for U in _trial_blocks(seed, tag, trials, draws + 1 + steps):
+    for first, m in _chunks(trials, draws):
+        lanes = _Lanes(seed, tag, first, m)
         if draws:
-            lookup = lookups(U[:, :draws])
-        yield lookup, _start_heights(U[:, draws], pi), U[:, draws + 1:]
+            lookup = lookups(lanes._columns(draws))
+        yield lookup, _start_heights(lanes._column(), pi), lanes
 
 
-def _batch_walk(lookup, lo, target, U, d, h0, M=None):
+def _batch_walk(lookup, lo, target, lanes, steps, d, h0, M=None):
     """Returns (T, ok): first-passage times of `target` (inf if not reached
-    within U.shape[1] steps) and whether every excursion respected the cap M.
-    Trial i consumes row i of the uniform block U; trials that have hit stop,
-    so they never step out of the window.
+    within `steps` steps) and whether every excursion respected the cap M.
+    Each step draws one column of `lanes` (a _Lanes, or anything with its
+    _column and _keep), trial i's lane for trial i; trials that have hit
+    stop, so they never step out of the window.
 
     The walk state is held for the live trials only (trial numbers `ids`),
-    compacted on the steps where some trial hits or breaks the cap; until
-    the first of those, each step reads its column of U as a view."""
-    trials, steps = U.shape
+    and the lanes with it: both are compacted on the steps where some trial
+    hits or breaks the cap."""
+    trials = len(h0)
     ids = np.arange(trials)
     lev = np.zeros(trials, dtype=np.int64)
     h = h0.astype(np.int64)
@@ -405,14 +477,13 @@ def _batch_walk(lookup, lo, target, U, d, h0, M=None):
     last_adv = np.zeros(trials, dtype=np.int64)
     T = np.full(trials, np.inf)
     ok = np.ones(trials, dtype=bool)
-    all_live = True
     for step in range(1, steps + 1):
         if not ids.size:
             break
         li = lev - lo
         if (li < 0).any():
             raise WindowExhaustedError("walk left the window")
-        choice = lookup(li, h, U[:, step - 1] if all_live else U[ids, step - 1], ids)
+        choice = lookup(li, h, lanes._column(), ids)
         block = choice // d
         lev += block - 1
         h = choice - block * d  # choice % d; numpy's integer remainder is slower
@@ -432,21 +503,21 @@ def _batch_walk(lookup, lo, target, U, d, h0, M=None):
             ok[ids[gone & ~hit]] = False  # the trials that broke the cap
             keep = ~gone
             ids, lev, h, best, last_adv = (a[keep] for a in (ids, lev, h, best, last_adv))
-            all_live = False
+            lanes._keep(keep)
     return T, ok
 
 
-def _walk_levels(lookup, lo, U, d, h0):
-    """Levels of every trial after each of U.shape[1] steps, yielded as one
-    array updated in place. Trial i consumes row i of the uniform block U."""
+def _walk_levels(lookup, lo, lanes, steps, d, h0):
+    """Levels of every trial after each of `steps` steps, yielded as one
+    array updated in place. Each step draws one column of `lanes`."""
     lev = np.zeros(len(h0), dtype=np.int64)
     h = h0.astype(np.int64)
     trial = np.arange(len(h0))
-    for u in U.T:
+    for _ in range(steps):
         li = lev - lo
         if (li < 0).any():
             raise WindowExhaustedError("walk left the window")
-        choice = lookup(li, h, u, trial)
+        choice = lookup(li, h, lanes._column(), trial)
         block = choice // d
         lev += block - 1
         h = choice - block * d
@@ -480,9 +551,9 @@ def empirical_hitting_tail(
     for margin in HIT_MARGINS:
         hits = 0
         try:
-            for lookup, h0, U in _trials(spec, seed, TAG_HIT, trials, -margin, n,
-                                         steps, mode, start):
-                T, ok = _batch_walk(lookup, -margin, n, U, spec.d, h0, M)
+            for lookup, h0, lanes in _trials(spec, seed, TAG_HIT, trials, -margin, n,
+                                             mode, start):
+                T, ok = _batch_walk(lookup, -margin, n, lanes, steps, spec.d, h0, M)
                 hits += int(((T >= t * n) & ok).sum())  # unhit trials carry T = inf
         except WindowExhaustedError:
             continue
@@ -557,18 +628,16 @@ class TiltedSampler:
         tables = tables.reshape(n, d * W)
         T = np.zeros(trials, dtype=np.int64)
         h = np.zeros(trials, dtype=np.int64)
-        done = 0
-        for U in _trial_blocks(seed, TAG_IS, trials, n + 1, first_trial):
-            m = len(U)
-            hc = _start_heights(U[:, 0], self.start).astype(np.int64)
-            Tc = T[done:done + m]
+        for first, m in _chunks(trials, 0):
+            lanes = _Lanes(seed, TAG_IS, first_trial + first, m)
+            hc = _start_heights(lanes._column(), self.start).astype(np.int64)
+            Tc = T[first:first + m]
             for k in range(n):
-                idx = _sorted_search(tables[k], W, hc, U[:, k + 1])
+                idx = _sorted_search(tables[k], W, hc, lanes._column())
                 block = idx // d  # excursion length - 1
                 Tc += block + 1
                 hc = idx - block * d
-            h[done:done + m] = hc
-            done += m
+            h[first:first + m] = hc
         return T, h
 
 
@@ -735,10 +804,11 @@ def slowdown_probability(
         raise ValueError("method must be 'exact' or 'direct'")
     horizon = SLOWDOWN_HORIZON * n
     hits = 0
-    for lookup, h0, U in _trials(spec, seed, TAG_SLOW, trials, -SLOWDOWN_MARGIN,
-                                 horizon + 2, horizon, mode, start):
+    for lookup, h0, lanes in _trials(spec, seed, TAG_SLOW, trials, -SLOWDOWN_MARGIN,
+                                     horizon + 2, mode, start):
         event = np.zeros(len(h0), dtype=bool)
-        for step, lev in enumerate(_walk_levels(lookup, -SLOWDOWN_MARGIN, U, d, h0), 1):
+        levels = _walk_levels(lookup, -SLOWDOWN_MARGIN, lanes, horizon, d, h0)
+        for step, lev in enumerate(levels, 1):
             if step >= n:
                 event |= lev <= 0
         hits += int(event.sum())
@@ -768,9 +838,9 @@ def empirical_speed_tail(
     below = x < v0
     left = max(SPEED_MARGIN, n + 2)
     hits = 0
-    for lookup, h0, U in _trials(spec, seed, TAG_SPEED, trials, -left, n + 2, n,
-                                 mode, start):
-        *_, lev = _walk_levels(lookup, -left, U, spec.d, h0)
+    for lookup, h0, lanes in _trials(spec, seed, TAG_SPEED, trials, -left, n + 2,
+                                     mode, start):
+        *_, lev = _walk_levels(lookup, -left, lanes, n, spec.d, h0)
         hits += int((lev <= x * n).sum() if below else (lev >= x * n).sum())
     return _direct_estimate(
         event=f"X_n {'<=' if below else '>='} {x}*n", n=n, hits=hits,

@@ -606,6 +606,22 @@ def ref_averaged_lookup(spec, env_uniforms):
     return lambda li, h, u, trial: ref_choose(support[env[trial, li], h], u)
 
 
+class BlockLanes:
+    """The two operations of montecarlo's trial lanes on a fixed (trials,
+    steps) block U: `_column` gives the next column of U for the live
+    trials, `_keep` drops trials by a mask over the live ones."""
+
+    def __init__(self, U):
+        self.U, self.live, self.step = U, np.arange(len(U)), 0
+
+    def _column(self):
+        self.step += 1
+        return self.U[self.live, self.step - 1]
+
+    def _keep(self, keep):
+        self.live = self.live[keep]
+
+
 def ref_batch_walk(lookup, lo, target, U, d, h0, M=None):
     """(T, ok) of montecarlo._batch_walk from an active mask over all trials,
     indexing every array with the active trials at each step."""

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stripldp.env import (
     EnvironmentSlice,
@@ -18,11 +19,11 @@ from stripldp.env import WindowExhaustedError
 from stripldp.montecarlo import (
     BudgetExhaustedError,
     _averaged_lookups,
+    _Lanes,
     _batch_walk,
     _choose,
     _move_columns,
     _start_heights,
-    _trial_blocks,
     _window_cdf,
     build_tilted_sampler,
     empirical_hitting_tail,
@@ -34,6 +35,7 @@ from stripldp.montecarlo import (
 )
 
 from conftest import (
+    BlockLanes,
     d1_lambda_crit,
     enumerate_hitting_distribution,
     random_d2_iid_spec,
@@ -440,6 +442,21 @@ def test_importance_sampling_pinned(spec, M, digest, pinned):
     assert hashlib.sha256(T.tobytes()).hexdigest()[:16] == digest
 
 
+def test_estimates_do_not_depend_on_the_trial_chunk(monkeypatch):
+    """With small chunks, every pinned direct estimate (quenched and
+    averaged) and both importance-sampled ones, with their T digests, stay
+    the same: each trial's stream is its own. Quenched runs and the tilted
+    sampler go in chunks of 97 trials, averaged runs, whose chunks also
+    hold their environment draws, in chunks of 24 to 28; every run ends on
+    a shorter chunk."""
+    monkeypatch.setattr(mc, "CHUNK_ENTRIES", 97 * mc.TRIAL_ENTRIES)
+    for key, pinned in PINNED.items():
+        spec, kind, mode = key
+        assert PIN_CALLS[kind](PIN_SPECS[spec], mode).as_dict() == pinned, key
+    for spec, M, digest, pinned in PINNED_IS:
+        test_importance_sampling_pinned(spec, M, digest, pinned)
+
+
 def test_averaged_direct_slowdown_draws_environments():
     # averaged mode walks each trial on its own environment, so the hits
     # leave those of the one quenched window
@@ -495,25 +512,53 @@ def test_trial_uniforms_match_per_trial_streams(seed):
                 assert block.tobytes() == ref_rows(seed, tag, first, 4, k).tobytes()
 
 
-def test_trial_blocks_small_chunks_match_per_trial_streams(monkeypatch):
-    """Chunks of 3 trials, states built 2 at a time, crossing trial 2^32."""
-    monkeypatch.setattr(mc, "BLOCK_ENTRIES", 5)
-    monkeypatch.setattr(mc, "SEED_BLOCK", 2)
-    first = 2**32 - 5
-    blocks = list(_trial_blocks(3, mc.TAG_HIT, 10, 2, first))
-    assert [len(U) for U in blocks] == [3, 3, 3, 1]
-    assert all(U.flags.f_contiguous and U.size <= 5 + 2 for U in blocks)
-    assert np.concatenate(blocks).tobytes() == ref_rows(3, mc.TAG_HIT, first, 10, 2).tobytes()
+@pytest.mark.parametrize("first", [0, 5, 2**32 - 3], ids=["0", "5", "2^32-3"])
+@pytest.mark.parametrize("seed", [None, 0, 2**130 + 7], ids=["None", "0", "2^130+7"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 7),
+       masks=st.lists(st.lists(st.booleans(), min_size=7, max_size=7), min_size=1, max_size=6))
+def test_lanes_continue_their_streams_through_compactions(seed, first, m, masks):
+    """Random compactions between columns: each surviving lane continues its
+    own trial's SeedSequence stream bit for bit, the same column of it as
+    every other lane, including across trial 2^32."""
+    lanes = _Lanes(seed, mc.TAG_HIT, first, m)
+    trials = np.arange(first, first + m)
+    drawn = []
+    for mask in masks:
+        drawn.append((trials, lanes._column()))
+        keep = np.array(mask[:len(trials)], dtype=bool)
+        trials = trials[keep]
+        lanes._keep(keep)
+    drawn.append((trials, lanes._column()))
+    for k, (alive, column) in enumerate(drawn):
+        ref = [ref_trial_uniforms(seed, mc.TAG_HIT, int(t), k + 1)[k] for t in alive]
+        assert column.tobytes() == np.array(ref, dtype=float).tobytes()
 
 
-def test_trial_blocks_keep_the_entry_budget():
-    """Blocks stay column-major and within BLOCK_ENTRIES + stride entries, a
-    budget of at most 16 MiB of uniforms."""
-    assert mc.BLOCK_ENTRIES * 8 <= 16 << 20
-    stride = 1 << 15
-    blocks = list(_trial_blocks(0, mc.TAG_IS, 130, stride))
-    assert len(blocks) > 1 and sum(len(U) for U in blocks) == 130
-    assert all(U.flags.f_contiguous and U.size <= mc.BLOCK_ENTRIES + stride for U in blocks)
+@pytest.mark.parametrize("m", [0, 1])
+def test_lanes_of_no_trial_and_of_one(m):
+    """Zero lanes give empty columns and keep through an empty mask; one
+    lane is its trial's stream."""
+    lanes = _Lanes(2**130 + 7, mc.TAG_SLOW, 2**32 - 1, m)
+    first = lanes._column()
+    lanes._keep(np.ones(m, dtype=bool))
+    rows = np.stack([first, lanes._column()], axis=1)
+    assert rows.shape == (m, 2)
+    assert rows.tobytes() == ref_rows(2**130 + 7, mc.TAG_SLOW, 2**32 - 1, m, 2).tobytes()
+    assert trial_uniforms(0, mc.TAG_HIT, 0, m, 3).shape == (m, 3)
+
+
+def test_trial_chunks_keep_the_entry_budget():
+    """A chunk's trials take at most CHUNK_ENTRIES words, 16 MiB, with their
+    environment draws, and the chunks cover every trial once, in order."""
+    assert mc.CHUNK_ENTRIES * 8 <= 16 << 20
+    for trials, draws in ((100_000, 0), (20_000, 0), (9000, 584), (5, 1 << 22)):
+        chunks = list(mc._chunks(trials, draws))
+        assert [f for f, _ in chunks] == list(np.cumsum([0] + [m for _, m in chunks[:-1]]))
+        assert sum(m for _, m in chunks) == trials
+        assert all(m == 1 or m * (mc.TRIAL_ENTRIES + 2 * draws) <= mc.CHUNK_ENTRIES
+                   for _, m in chunks)
+    assert len(list(mc._chunks(20_000, 0))) == 1  # the bench's 20000-trial ops
 
 
 def test_trial_uniforms_reject_a_negative_seed():
@@ -521,17 +566,23 @@ def test_trial_uniforms_reject_a_negative_seed():
         trial_uniforms(-1, mc.TAG_HIT, 0, 2, 3)
 
 
-def test_trial_blocks_build_no_seed_sequence(monkeypatch):
-    """A pass over 5000 trials seeds every stream without one SeedSequence."""
+def test_walks_build_no_seed_sequence_or_generator(monkeypatch):
+    """A 5000-trial walk seeds and steps every stream without one
+    SeedSequence, PCG64 or Generator. Averaged mode draws its environments
+    from the same streams too, so the whole estimate builds none."""
     built = []
-    seed_sequence = np.random.SeedSequence
 
-    def counted(*args, **kwargs):
-        built.append(args)
-        return seed_sequence(*args, **kwargs)
+    def counted(cls):
+        def make(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return make
 
-    monkeypatch.setattr(np.random, "SeedSequence", counted)
-    assert sum(len(U) for U in _trial_blocks(0, mc.TAG_HIT, 5000, 3)) == 5000
+    for name in ("SeedSequence", "PCG64", "Generator"):
+        monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
+    est = empirical_hitting_tail(PIN_SPECS["d1"], n=5, t=2.0, trials=5000, seed=0,
+                                 mode="averaged")
+    assert est.trials == 5000 and 0 < est.hits < 5000
     assert built == []
 
 
@@ -603,7 +654,7 @@ def test_batch_walk_matches_reference_loop(spec, mode, M):
     the cap."""
     spec = PIN_SPECS[spec]
     lookup, ref_lookup, h0, U = _walk_inputs(spec, mode, -60, 15, 30)
-    T, ok = _batch_walk(lookup, -60, 15, U, spec.d, h0, M)
+    T, ok = _batch_walk(lookup, -60, 15, BlockLanes(U), U.shape[1], spec.d, h0, M)
     T_ref, ok_ref = ref_batch_walk(ref_lookup, -60, 15, U, spec.d, h0, M)
     assert T.tobytes() == T_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
     assert np.isinf(T).any() and np.isfinite(T).any()
@@ -616,6 +667,7 @@ def test_batch_walk_leaves_the_window_as_reference(mode, M):
     """A window with a 2-level left margin: both loops raise."""
     spec = PIN_SPECS["d1"]
     lookup, ref_lookup, h0, U = _walk_inputs(spec, mode, -2, 15, 30)
-    for walk, move in ((_batch_walk, lookup), (ref_batch_walk, ref_lookup)):
-        with pytest.raises(WindowExhaustedError):
-            walk(move, -2, 15, U, spec.d, h0, M)
+    with pytest.raises(WindowExhaustedError):
+        _batch_walk(lookup, -2, 15, BlockLanes(U), U.shape[1], spec.d, h0, M)
+    with pytest.raises(WindowExhaustedError):
+        ref_batch_walk(ref_lookup, -2, 15, U, spec.d, h0, M)
