@@ -133,11 +133,6 @@ def n_kappa(kappa: float) -> int:
     return math.ceil(math.log(kappa / 2.0) / math.log(1.0 - 2.0 * kappa))
 
 
-def c_lambda(kappa: float, lam: float) -> float:
-    """Uniform lower bound on Phi entries: (kappa/2) * min(e^(lam*N_kappa), 1)."""
-    return 0.5 * kappa * min(math.exp(lam * n_kappa(kappa)), 1.0)
-
-
 def lambda_crit_cap(kappa: float) -> float:
     """A-priori upper bound -log(kappa^2 / 2) on the critical exponent."""
     return -math.log(kappa * kappa / 2.0)

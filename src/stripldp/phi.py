@@ -116,8 +116,7 @@ def divergence_bound(kappa: float, lam: float, tol: float = 1e-12) -> float:
 
     (1/kappa) e^{-lambda} bounds every true Phi entry for lambda in
     (0, lambda_crit]; window values only ever undershoot the true ones.
-    For lambda <= 0 every entry is a subprobability, so 1 is the bound
-    (tighter than 1/c_lambda and safe against c_lambda underflow).
+    For lambda <= 0 every entry is a subprobability, so 1 is the bound.
     """
     if lam > 0:
         return (1.0 / kappa) * math.exp(-lam) * (1.0 + 10.0 * tol)
@@ -422,19 +421,6 @@ def _infer_kappa(window: EnvironmentWindow) -> float:
             return 1e-9
         worst = min(worst, float(sol.min()))
     return max(worst, 1e-9)
-
-
-def residual_norm(solution: PhiSolution) -> float:
-    """Max-norm defect of the fixed-point equation over all levels."""
-    w, el = solution.window, math.exp(solution.lam)
-    prev = np.zeros((w.d, w.d))
-    worst = 0.0
-    for k in range(len(solution)):
-        cur = solution.phis[k]
-        rhs = el * (w.p[k] + w.r[k] @ cur + w.q[k] @ prev @ cur)
-        worst = max(worst, float(np.abs(cur - rhs).max()))
-        prev = cur
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +875,9 @@ class CriticalExponent:
             raise ValueError("lambda_crit must lie inside its bracket")
 
 
+CERTIFICATE_HALF_WIDTH = 128  # levels either side of the binding site in a certificate pass
+
+
 def estimate_lambda_crit(
     spec: EnvironmentSpec,
     window_len: int = 6000,
@@ -900,42 +889,115 @@ def estimate_lambda_crit(
     lambda = 0 is feasible a priori (entries of Phi(0) are probabilities)
     and is never asked. A window solve that diverges, exceeds the a-priori
     entry bound, or fails to converge counts as infeasible, shrinking the
-    verdict conservatively.
+    verdict conservatively. The exact verdict at lambda is one Newton solve
+    on a periodic spec, else one zero-start _sweep over the window, the
+    loop of its d, of which only the failing level's index is read: at
+    d <= 2 no pass makes a level array. The bracket is the plain
+    bisection's, which asks the exact verdict at every midpoint, bit for
+    bit; on a d <= 2 window most verdicts come cheaper, by three facts
+    about the float loops _sweep_d1 and _sweep_d2:
 
-    Every midpoint asks the exact verdict: one Newton solve on a periodic
-    spec, else one _sweep over the window, the loop of its d (at d = 2 the
-    2x2 elimination on floats, whose pivot signs are the M-matrix
-    certificate), of which only the failing level's index is read: at
-    d <= 2 the pass makes no level array. In exact arithmetic the verdict is monotone in lambda:
-    each level's map increases in lambda and in Phi_{k-1}, so the spectral
-    radius of M_k and the entries of Phi_k rise while the bound
-    e^{-lambda}/kappa falls.
+    F1, monotone in the tilt. Let two passes run at the computed pairs
+    (el', bound') <= (el, bound) in el and >= in bound. Every level forms
+    nonnegative floats from nonnegative inputs by +, x and /, and uses
+    1 - m, the pivot and the Schur complement only as subtrahend or
+    divisor; rounding to nearest is monotone, so by induction on the level,
+    as long as the upper pass passes, the lower one's m are entrywise <=,
+    its pivot and Schur complement >= (and so positive), and its Phi_k <=
+    (and so within bound' >= bound). The lower pass passes every level the
+    upper one passes. The pairs are compared as computed, e^lambda by
+    math.exp and the bound by divergence_bound, so nothing rests on libm's
+    exp being monotone.
+    F2, monotone in the start. The same induction, with a zero Phi_{j-1}
+    below the full pass's, shows that a zero-start pass over levels
+    [j, stop) stays below the full pass: if it fails at a level, the full
+    pass fails at or before that level, an exact infeasible verdict.
+    F3, deterministic. _sweep(window, lam, phi0, bound, start, stop,
+    keep=False) is both passes, and the same arguments give the same bits.
+
+    So a midpoint's verdict is a lookup when F1 implies it from `ok`, the
+    largest exactly feasible pair, or `no`, the smallest infeasible one;
+    else a zero-start pass over CERTIFICATE_HALF_WIDTH levels either side of
+    `site`, the last infeasible pass's failing level, certifies it
+    infeasible when it fails (F2), and passes it tentatively when it does
+    not. A bisection's lo never falls, so every tentative midpoint is <= the
+    final lo; one full pass confirms lo, after which F1 makes every
+    tentative verdict exact and the path the plain bisection's. When the
+    confirmation fails, its failing level becomes the site (the half-width
+    doubles when the failure lies within it of the old site, where the
+    zero start was too close), and the bisection reruns, asking again only
+    the midpoints no verdict implies. It ends: each rerun adds an exact
+    infeasible verdict below the last, and a certificate pass that covers
+    the window is the full pass. Periodic specs and d >= 3, where F1 is not
+    shown, ask the exact verdict at every midpoint, once.
     """
     cap = lambda_crit_cap(spec.kappa)
+    exact = {}  # lambda -> its exact verdict
+    certified = spec.kind != "periodic" and spec.d <= 2
+    ok = no = site = None
+    half = CERTIFICATE_HALF_WIDTH
     if spec.kind == "periodic":
         ptol = min(1e-13, tol * 1e-4)
 
-        def feasible(lam: float) -> bool:
+        def solve(lam: float) -> int:
             try:
                 solve_phi_periodic(spec, lam, tol=ptol)
-                return True
+                return -1
             except (SupercriticalError, ConvergenceError):
-                return False
+                return 0
     else:
         window = sample_window(spec, 0, window_len, seed=seed)
         phi0 = np.zeros((spec.d, spec.d))
 
-        def feasible(lam: float) -> bool:
-            return _sweep(window, lam, phi0, divergence_bound(spec.kappa, lam), keep=False)[2] < 0
+        def solve(lam: float, start: int = 0, stop: int | None = None) -> int:
+            return _sweep(window, lam, phi0, divergence_bound(spec.kappa, lam), start, stop,
+                          keep=False)[2]
 
-    if feasible(cap):
+    def verdict(lam: float, confirm: bool) -> bool | None:
+        """Exact feasibility of lam, or None for a tentative pass (unless
+        `confirm`)."""
+        nonlocal ok, no, site, half
+        if lam in exact:
+            return exact[lam]
+        if not certified:
+            exact[lam] = solve(lam) < 0
+            return exact[lam]
+        key = math.exp(lam), divergence_bound(spec.kappa, lam)
+        if ok is not None and key[0] <= ok[0] and key[1] >= ok[1]:
+            return True
+        if no is not None and key[0] >= no[0] and key[1] <= no[1]:
+            return False
+        if not confirm:
+            start, stop = max(site - half, 0), site + half
+            if start > 0 or stop < window.n_levels:
+                bad = solve(lam, start, stop)
+                if bad < 0:
+                    return None
+                site, no = start + bad, key
+                return False
+        bad = solve(lam)
+        exact[lam] = bad < 0
+        if bad < 0:
+            ok = key
+            return True
+        if site is not None and abs(bad - site) < half:
+            half *= 2
+        site, no = bad, key
+        return False
+
+    if verdict(cap, True):
         # cannot happen for kappa < 1/2 unless degenerate; report the cap
         return CriticalExponent(lambda_crit=cap, bracket=(cap - tol, cap), tolerance=tol)
-    lo, hi = 0.0, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return CriticalExponent(lambda_crit=0.5 * (lo + hi), bracket=(lo, hi), tolerance=tol)
+    while True:
+        lo, hi, tentative = 0.0, cap, []
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            feasible = verdict(mid, False)
+            if feasible is None:
+                tentative.append(mid)
+            if feasible is False:
+                hi = mid
+            else:
+                lo = mid
+        if all(verdict(lam, True) for lam in reversed(tentative)):
+            return CriticalExponent(lambda_crit=0.5 * (lo + hi), bracket=(lo, hi), tolerance=tol)

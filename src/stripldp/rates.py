@@ -597,14 +597,3 @@ def averaged_speed_upper(
     point = _speed(rate(fam), rate(fam_inv),
                    (analysis.lambda_crit.lambda_crit, float("nan"), 0.0, 0.0))
     return _curve(x_grid, point, "averaged-speed-upper", analysis, seed)
-
-
-def refined_t_grid(t0: float, lo: float, hi: float, n: int = 41) -> np.ndarray:
-    """Grid on [lo, hi] geometrically clustered around t0, where J is flat."""
-    if not (lo < t0 < hi) or not math.isfinite(t0):
-        return np.linspace(lo, hi, n)
-    n_left = max(2, int(n * (t0 - lo) / (hi - lo)))
-    n_right = max(2, n - n_left)
-    left = t0 - (t0 - lo) * np.geomspace(1.0, 1e-3, n_left)
-    right = t0 + (hi - t0) * np.geomspace(1e-3, 1.0, n_right)
-    return np.unique(np.concatenate([[lo], left, [t0], right, [hi]]))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stripldp.env import EnvironmentSlice, EnvironmentSpec
+from stripldp.env import EnvironmentSlice, EnvironmentSpec, n_kappa
 
 
 def d1_phi_closed(p, lam, r=0.0):
@@ -162,6 +162,36 @@ def random_d2_iid_spec(seed, kappa=0.08, n_support=3, drift=0.0, d=2):
     return EnvironmentSpec(
         kind="iid", d=d, kappa=kappa, slices=slices, weights=tuple(w)
     )
+
+
+def c_lambda(kappa, lam):
+    """Uniform lower bound on Phi entries: (kappa/2) * min(e^(lam*N_kappa), 1)."""
+    return 0.5 * kappa * min(math.exp(lam * n_kappa(kappa)), 1.0)
+
+
+def residual_norm(solution):
+    """Max-norm defect of the fixed-point equation over all levels of a
+    PhiSolution."""
+    w, el = solution.window, math.exp(solution.lam)
+    prev = np.zeros((w.d, w.d))
+    worst = 0.0
+    for k in range(len(solution)):
+        cur = solution.phis[k]
+        rhs = el * (w.p[k] + w.r[k] @ cur + w.q[k] @ prev @ cur)
+        worst = max(worst, float(np.abs(cur - rhs).max()))
+        prev = cur
+    return worst
+
+
+def refined_t_grid(t0, lo, hi, n=41):
+    """Grid on [lo, hi] geometrically clustered around t0, where J is flat."""
+    if not (lo < t0 < hi) or not math.isfinite(t0):
+        return np.linspace(lo, hi, n)
+    n_left = max(2, int(n * (t0 - lo) / (hi - lo)))
+    n_right = max(2, n - n_left)
+    left = t0 - (t0 - lo) * np.geomspace(1.0, 1e-3, n_left)
+    right = t0 + (hi - t0) * np.geomspace(1e-3, 1.0, n_right)
+    return np.unique(np.concatenate([[lo], left, [t0], right, [hi]]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Rewrite the pinned outputs from the generators the tests use.
 
-    PYTHONPATH=src python tests/record_pins.py
+    PYTHONPATH=src python tests/record_pins.py [--check]
 
 `pinned_estimates.json` holds the repr of every estimate that
 `test_lmgf.all_estimates` forms on four specs (`test_estimates_pinned`);
@@ -8,12 +8,15 @@
 in `test_rates.PINNED_CURVES` (`test_curves_pinned`). Re-record only in a
 change that means to move these outputs, and say in CHANGES.md which values
 moved and why: the script prints every pin entry it changes, each value
-that moved (old -> new) and the entry's largest relative change.
+that moved (old -> new) and the entry's largest relative change. With
+`--check` it prints the same report, writes nothing, and exits 1 if any pin
+file would change.
 """
 
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 from test_lmgf import ROLL_SPECS, all_estimates
@@ -71,22 +74,32 @@ def report(name: str, old_doc: dict, new_doc: dict) -> None:
         print("\n".join(lines))
 
 
-def write(name: str, doc: dict) -> None:
+def write(name: str, doc: dict, check: bool) -> bool:
+    """Report what `doc` changes in the pin file `name` and, unless `check`,
+    write it; True when the file's text would change."""
     path = HERE / name
-    if path.exists():
-        report(name, json.loads(path.read_text()), doc)
-    path.write_text(json.dumps(doc, indent=1) + "\n")
+    text = json.dumps(doc, indent=1) + "\n"
+    old = path.read_text() if path.exists() else None
+    if old is not None:
+        report(name, json.loads(old), doc)
+    if not check:
+        path.write_text(text)
+    return old != text
 
 
-def main() -> None:
-    write("pinned_estimates.json", {
+def main(argv: list) -> int:
+    check = argv == ["--check"]
+    if argv and not check:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
+    changed = write("pinned_estimates.json", {
         name: [repr(e) for e in all_estimates(ROLL_SPECS[name]())]
         for name in ESTIMATE_SPECS
-    })
-    write("pinned_curves.json", {
+    }, check)
+    changed |= write("pinned_curves.json", {
         name: curve_pin(make()) for name, make in PINNED_CURVES.items()
-    })
+    }, check)
+    return int(check and changed)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -37,7 +37,7 @@ from stripldp.products import (
     raw_normalized_left,
     raw_normalized_right,
 )
-from stripldp.rates import hitting_rate_curve, legendre_point, refined_t_grid
+from stripldp.rates import hitting_rate_curve, legendre_point
 
 from conftest import (
     d1_lambda_crit,
@@ -46,6 +46,7 @@ from conftest import (
     enumerate_hitting_distribution,
     enumerate_truncated_phi,
     random_d2_iid_spec,
+    refined_t_grid,
 )
 
 

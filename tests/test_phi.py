@@ -3,12 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stripldp.env import (
     EnvironmentSlice,
     EnvironmentSpec,
-    c_lambda,
     embed_bounded_jump,
     homogeneous_d1_spec,
     lambda_crit_cap,
@@ -23,7 +22,6 @@ from stripldp.phi import (
     estimate_lambda_crit,
     periodic_phi_derivative,
     phi_derivative,
-    residual_norm,
     solve_phi_periodic,
     solve_phi_window,
     truncated_kernels_range,
@@ -31,6 +29,7 @@ from stripldp.phi import (
 )
 
 from conftest import (
+    c_lambda,
     d1_lambda_crit,
     d1_phi_closed,
     d1_phi_prime_closed,
@@ -43,6 +42,7 @@ from conftest import (
     ref_phi_derivative,
     ref_solve_phi_periodic,
     ref_solve_phi_window,
+    residual_norm,
 )
 
 
@@ -821,20 +821,161 @@ def periodic_of(spec):
     return EnvironmentSpec(kind="periodic", d=spec.d, kappa=spec.kappa, slices=spec.slices)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 10_000),
+    d=st.sampled_from([1, 2]),
     drift=st.floats(0.0, 0.6),
     window_seed=st.integers(0, 3),
     window_len=st.integers(50, 1500),
     tol=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]),
 )
-def test_lambda_crit_d2_matches_plain_bisection(seed, drift, window_seed, window_len, tol):
-    """The bracket bisected on the 2x2 float sweep is the plain LAPACK
+def test_lambda_crit_d2_matches_plain_bisection(seed, d, drift, window_seed, window_len, tol):
+    """The bracket bisected on the float sweeps, the 2x2 elimination and
+    the d = 1 division, from certified partial passes, is the plain LAPACK
     bisection's, bit for bit."""
-    spec = random_d2_iid_spec(seed, drift=drift)
+    spec = random_d2_iid_spec(seed, drift=drift, d=d)
     args = dict(window_len=window_len, tol=tol, seed=window_seed)
     assert estimate_lambda_crit(spec, **args) == ref_estimate_lambda_crit(spec, **args)
+
+
+BENCH_SPECS = {"two-point": lambda: two_point_d1_spec([0.7, 0.8], [0.5, 0.5]),
+               "d2-bench": lambda: random_d2_iid_spec(1, drift=0.4)}
+
+
+@pytest.mark.parametrize("window_seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(BENCH_SPECS))
+def test_lambda_crit_matches_plain_bisection_at_bench_size(name, window_seed):
+    """The bench's d = 1 and d = 2 specs on the default 6000-level window."""
+    spec = BENCH_SPECS[name]()
+    args = dict(window_len=6000, tol=1e-6, seed=window_seed)
+    assert estimate_lambda_crit(spec, **args) == ref_estimate_lambda_crit(spec, **args)
+
+
+def record_sweeps(monkeypatch) -> list:
+    """(start, stop, levels swept) of every phi._sweep call from here on."""
+    import stripldp.phi as phi
+
+    sweep, calls = phi._sweep, []
+
+    def recording(window, lam, phi0, bound, start=0, stop=None, **kwargs):
+        out = sweep(window, lam, phi0, bound, start, stop, **kwargs)
+        levels = len(range(window.n_levels)[start:stop])
+        calls.append((start, stop, levels if out[2] < 0 else out[2] + 1))
+        return out
+
+    monkeypatch.setattr(phi, "_sweep", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SPECS))
+def test_lambda_crit_replays_wrong_tentative_verdicts(name, monkeypatch):
+    """With certificate passes of one level either side of the binding site,
+    tentative midpoints pass that the full window refuses: the confirmation
+    fails, the bisection reruns, the half-width doubles, and the bracket is
+    still the plain one."""
+    import stripldp.phi as phi
+
+    monkeypatch.setattr(phi, "CERTIFICATE_HALF_WIDTH", 1)
+    calls = record_sweeps(monkeypatch)
+    spec = BENCH_SPECS[name]()
+    args = dict(window_len=2000, tol=1e-6, seed=0)
+    assert estimate_lambda_crit(spec, **args) == ref_estimate_lambda_crit(spec, **args)
+    full = [c for c in calls if c[:2] == (0, None)]
+    assert len(full) >= 3  # the cap, a failed confirmation, the last one
+    assert max(stop - start for start, stop, _ in calls if stop is not None) > 2
+
+
+def test_lambda_crit_sweeps_under_half_the_plain_levels(monkeypatch):
+    """The bench d = 2 spec on its 6000-level window at seed 0: the plain
+    bisection sweeps 65,140 levels, the certified one at most 30,000."""
+    calls = record_sweeps(monkeypatch)
+    estimate_lambda_crit(BENCH_SPECS["d2-bench"](), seed=0)
+    assert sum(levels for _, _, levels in calls) <= 30_000
+
+
+@pytest.mark.parametrize("kind", ["periodic", "d3"])
+def test_lambda_crit_exact_kinds_solve_as_often_as_plain(kind, monkeypatch):
+    """Periodic specs and d = 3 windows ask the exact verdict at every
+    midpoint, and once only: as many solves as the plain bisection."""
+    import conftest
+    import stripldp.phi as phi
+
+    if kind == "periodic":
+        spec, args = periodic_of(random_d2_iid_spec(1, drift=0.4)), {}
+        solvers = ((phi, "solve_phi_periodic"), (conftest, "ref_solve_phi_periodic"))
+    else:
+        spec, args = random_d2_iid_spec(4, drift=0.3, d=3), dict(window_len=300)
+        solvers = ((phi, "_sweep"), (conftest, "ref_sweep"))
+    counts = {}
+    for module, name in solvers:
+        def counting(*a, _solve=getattr(module, name), _name=name, **k):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _solve(*a, **k)
+        monkeypatch.setattr(module, name, counting)
+    assert estimate_lambda_crit(spec, **args) == ref_estimate_lambda_crit(spec, **args)
+    ours, ref = (counts[name] for _, name in solvers)
+    assert ours == ref > 20
+
+
+def passed_levels(bad: int, n: int) -> int:
+    return n if bad < 0 else bad
+
+
+MONOTONE_CASE = dict(
+    seed=st.integers(0, 10_000),
+    d=st.sampled_from([1, 2]),
+    drift=st.floats(0.0, 0.6),
+    window_seed=st.integers(0, 3),
+)
+
+
+def monotone_case(seed, d, drift, window_seed, u, n=400):
+    """A random d <= 2 window of n levels and u times its lambda_crit."""
+    spec = random_d2_iid_spec(seed, drift=drift, d=d)
+    window = sample_window(spec, 0, n, seed=window_seed)
+    lc = estimate_lambda_crit(spec, window_len=n, tol=1e-4, seed=window_seed).lambda_crit
+    return spec, window, u * lc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**MONOTONE_CASE, u=st.floats(0.5, 1.5), gap=st.floats(0.0, 0.05))
+def test_window_pass_is_monotone_in_the_tilt(seed, d, drift, window_seed, u, gap):
+    """F1 of estimate_lambda_crit: at computed pairs (e^lambda, bound)
+    ordered, the pass at the lower pair fails no level the upper one
+    passes, and stays entrywise at or below it."""
+    import stripldp.phi as phi
+
+    spec, window, hi = monotone_case(seed, d, drift, window_seed, u)
+    lams = (hi * (1.0 - gap), hi)
+    (el_lo, b_lo), (el_hi, b_hi) = ((math.exp(l), divergence_bound(spec.kappa, l)) for l in lams)
+    assume(el_lo <= el_hi and b_lo >= b_hi)
+    phi0 = np.zeros((d, d))
+    lower, _, bad_lo = phi._sweep(window, lams[0], phi0, b_lo)
+    upper, _, bad_hi = phi._sweep(window, lams[1], phi0, b_hi)
+    n = passed_levels(bad_hi, window.n_levels)
+    assert passed_levels(bad_lo, window.n_levels) >= n
+    assert (lower[:n] <= upper[:n]).all()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**MONOTONE_CASE, u=st.floats(1.0, 2.0), start=st.integers(0, 399),
+       width=st.integers(1, 400))
+def test_window_pass_from_a_later_zero_start_stays_below(seed, d, drift, window_seed, u,
+                                                         start, width):
+    """F2 of estimate_lambda_crit: a zero-start pass over levels
+    [start, start + width) stays entrywise at or below the full pass's
+    levels, and when it fails, the full pass fails at or before that level."""
+    import stripldp.phi as phi
+
+    spec, window, lam = monotone_case(seed, d, drift, window_seed, u)
+    phi0, bound = np.zeros((d, d)), divergence_bound(spec.kappa, lam)
+    full, _, bad = phi._sweep(window, lam, phi0, bound)
+    part, _, part_bad = phi._sweep(window, lam, phi0, bound, start, start + width)
+    if part_bad >= 0:
+        assert 0 <= bad <= start + part_bad
+    both = min(len(part), passed_levels(bad, window.n_levels) - start)
+    assert (part[:max(both, 0)] <= full[start:start + max(both, 0)]).all()
 
 
 @pytest.mark.parametrize("seed, tol", [(1, 1e-6), (3, 1e-4), (7, 1e-2)])

@@ -23,11 +23,16 @@ from stripldp.rates import (
     golden_max,
     hitting_rate_curve,
     legendre_point,
-    refined_t_grid,
     speed_rate_curve,
 )
 
-from conftest import cramer_speed_rate, d1_lambda_crit, d1_phi_closed, random_d2_iid_spec
+from conftest import (
+    cramer_speed_rate,
+    d1_lambda_crit,
+    d1_phi_closed,
+    random_d2_iid_spec,
+    refined_t_grid,
+)
 
 
 def brute_force_J(p, t, lam_lo=-12.0, n_pts=200_001):
