@@ -13,34 +13,22 @@ M = e^lambda (r + q Phi_{k-1}), the Neumann series converges iff
 (I - M)^{-1} >= 0 entrywise, and a failure (or an entry above the a-priori
 bound (1/kappa) e^{-lambda} for lambda > 0) certifies supercriticality.
 
-Six loops do all the sweeping: a scalar, a 2x2 and a general Phi loop,
-and a scalar, a 2x2 and a general Phi' loop over a solved Phi. A window
-pass (the Phi solve, its boundary re-solve and each lambda_crit midpoint)
-takes the Phi loop of its d: at d = 1 one division a level, bit for bit
-the 1x1 LAPACK solve with one right-hand side (with two, such as the
-general loop's [e^l p_k | I], OpenBLAS multiplies by the reciprocal
-instead, which rounds differently); at d = 2 one closed-form 2x2
-elimination a level on Python floats, whose positive pivot and Schur
-complement are the whole M-matrix certificate; at d >= 3 one LAPACK
-solve a level. Each Phi loop forms the window's Phi' on request in the
-same level iteration, from the same m, pivot, multiplier and Schur
-complement (at d >= 3 by a second solve on the same matrix), bit for bit
-the separate Phi' recursion over the solved Phi. The d <= 2 loops read
-the window's levels from `EnvironmentWindow.rows`, tuples of Python
-floats made once per support slice, call no numpy function inside the
-loop and, for a lambda_crit midpoint, make no level array. On a 2-core
-x86-64 Xeon a level costs about 0.12 us of Phi and 0.24 us of Phi and
-Phi' together at d = 1, 0.62 us and 1.25 us at d = 2, against 10-14 us
-for a LAPACK level. The Phi' loops over a solved Phi serve the periodic
-solvers alone, and run one Phi' recursion for several starts (lanes) at
-once: each Newton step's Jacobian and the passes around the periodic
-Phi' solve. The periodic solvers take the loops of their d, as windows
-do, and at d <= 2 read the spec's float rows (`EnvironmentSpec.rows`):
-at d = 1 the scalar loops, with no numpy call but the result array; at
-d = 2 the 2x2 loops, whose Phi' loop forms each level's elimination once
-for all five lanes of a Jacobian (about 6 us a level on the host above
-where the stacked LAPACK solve takes 19 us), and one 4x4 LAPACK solve a
-Newton step; at d >= 3 the general loops. Level k of the
+One generated elimination does all the sweeping. _level_source(d)
+writes out, as Python source, the straight-line Gaussian elimination of
+one d x d level with no row exchange, in the order of its docstring, and
+_level_loop compiles it once per d on first use, in two kinds: the Phi
+pass, which forms a window's Phi' in the same level iteration on
+request, from the same m, pivots and multipliers, and the Phi' lanes over
+a solved Phi, unrolled for a fixed number of starts (lanes). Positive
+pivots are the whole M-matrix certificate; every entry of Phi_k is a sum
+of nonnegative terms, so none is clamped. At d = 1 a level is one
+division and at d = 2 the closed-form 2x2 elimination. The loops read
+levels as tuples of Python floats (`EnvironmentWindow.rows`,
+`EnvironmentSpec.rows`), made once per support slice, and call no numpy
+function inside the loop; a lambda_crit midpoint makes no level array.
+On a 2-core x86-64 Xeon a level of Phi costs about 0.1 us at d = 1,
+0.55-0.6 us at d = 2 and 1.5-1.8 us at d = 3, and of Phi and Phi'
+together 0.2, 1.1-1.3 and 3.4-4.1 us. Level k of the
 Phi sweep depends only on level k-1, so once the boundary re-solve from
 a later start equals the main sweep at one level, it equals it at every
 later level. The re-solve runs in blocks of RESOLVE_BLOCK levels and
@@ -49,10 +37,10 @@ boundary gap it measures past the meeting level is exactly 0.
 
 The periodic Phi is the minimal fixed point of the cyclic sweep, found by
 Newton's method on Phi_{-1}: one Phi pass over the period, its Jacobian
-from the Phi' lanes of one more pass (_period_map, shared with the
-periodic Phi'), and one d^2 x d^2 solve whose nonnegative inverse is the
-step's M-matrix certificate; at d = 1 that solve is the division
-res / (1 - T), certified by 1 - T > 0. One Newton loop serves every d;
+from the d^2 + 1 Phi' lanes of one more pass (_period_map, whose map the
+periodic Phi' solves too), and one d^2 x d^2 LAPACK solve whose
+nonnegative inverse is the step's M-matrix certificate; at d = 1 that
+solve is the division res / (1 - T), certified by 1 - T > 0. One Newton loop serves every d;
 _cycle_loops hands it the passes and the step of the spec's d.
 
 Truncated matrices Phi_{k,M} are computed exactly: one dynamic program
@@ -123,158 +111,149 @@ def divergence_bound(kappa: float, lam: float, tol: float = 1e-12) -> float:
     return 1.0 + 10.0 * tol
 
 
-def _sweep_d1(rows, el: float, f: float, bound: float, vals: list, dvals=None) -> int:
-    """The scalar Phi levels of _sweep and of every d = 1 periodic Newton
-    pass over (q, r, p) float rows, from Phi_{-1} = f: one division a
-    level. Appends each Phi_k to `vals` and, given the list `dvals`, each
-    Phi'_k from Phi'_{-1} = 0; returns -1, or the failing level's index:
-    the number of levels appended."""
-    g = 0.0
-    for q, r, p in rows:
-        m = el * (r + q * f)
-        if m >= 1.0:
-            return len(vals)
-        f = el * p / (1.0 - m)
-        if f > bound:
-            return len(vals)
-        vals.append(f)
-        if dvals is not None:
-            g = (f + el * ((q * g) * f)) / (1.0 - m)
-            dvals.append(g)
-    return -1
+def _level_source(d: int, lanes: int | None = None) -> str:
+    """Python source of the level loop at d: one straight-line Gaussian
+    elimination of I - M, M = e^l (r_k + q_k Phi_{k-1}), written out for
+    d x d levels with no row exchange, as _level_loop compiles it.
 
+    Without `lanes`, the Phi pass level_loop(rows, el, f, bound, vals,
+    dvals=None) over (q, r, p) float rows from Phi_{-1} = f (flat,
+    row-major): it appends each Phi_k to `vals` (flat, row-major) and,
+    given the list `dvals`, each Phi'_k from Phi'_{-1} = 0, and returns the
+    failing level's index (len(vals) // d^2), or -1. A level fails when a
+    pivot is not > 0 or an entry of Phi_k exceeds `bound`. With `lanes`
+    = k, the Phi' lanes level_loop(rows, el, phis, f, starts, out=None)
+    over the solved flat levels `phis` fed by Phi_{-1} = f, for k starts
+    Phi'_{-1} given flat in `starts`: each level's elimination is formed
+    once and applied to every lane; it returns the lanes' last Phi' as one
+    flat list and, given `out`, appends each level's lanes to it.
 
-def _sweep_d2(rows, el: float, f: list, bound: float, vals: list, dvals=None) -> int:
-    """_sweep's 2x2 levels, and those of every d = 2 periodic Newton pass,
-    on Python floats by closed-form elimination.
+    The operations, in this order (sums left to right; el = e^l):
+    m_ij = el * (r_ij + (q_i0 * f_0j + q_i1 * f_1j + ...)); the stages
+    k = 0..d-1 of the elimination keep the pivots a_i (from 1.0 - m_ii)
+    and the off-diagonal entries' magnitudes u_ij (from m_ij): stage k
+    checks a_k, and for each row i > k takes the multiplier
+    t_ik = u_ik / a_k, then a_i = a_i - t_ik * u_ki and, for j > k, j != i,
+    u_ij = u_ij + t_ik * u_kj. A right side B goes forward as
+    b_i = b_i + t_ik * b_k at each stage k < i, from b = B, and back as
+    x_i = (b_i + u_i,i+1 * x_i+1 + ... + u_i,d-1 * x_d-1) / a_i for
+    i = d-1..0. B is el * p_k for Phi_k, and
+    Phi_k + el * (h Phi_k) with h = q_k Phi'_{k-1} (both products summed
+    as m's) for Phi'_k. The source computes each entry once, by one
+    expression over its updates in stage order, so it has these bits; at
+    d = 1 a level is one division and at d = 2 the closed-form 2x2
+    elimination.
 
-    I - M with M = e^l (r_k + q_k Phi_{k-1}) >= 0 is a Z-matrix, and a 2x2
-    Z-matrix is a nonsingular M-matrix iff its leading principal minors are
-    positive (Berman & Plemmons, Nonnegative Matrices in the Mathematical
-    Sciences, ch. 6): the pivot 1 - m00 and the Schur complement, the whole
-    certificate. The elimination needs no row exchange, and every entry of
-    Phi_k is a sum of nonnegative terms, so none is clamped. A level also
-    fails when an entry of Phi_k exceeds `bound`. Phi'_k takes the same
-    multiplier, pivot and Schur complement, applied to the right side
-    Phi_k + e^l q_k Phi'_{k-1} Phi_k. Level values go to the lists as in
-    _sweep_d1, row-major, and a failing level's index is a quarter of
-    len(vals).
+    I - M is a Z-matrix, and a Z-matrix is a nonsingular M-matrix iff its
+    leading principal minors are positive (Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, ch. 6), that is iff this
+    elimination meets only positive pivots: they are the whole
+    certificate. Multipliers, u, right sides and Phi_k are then sums and
+    quotients of nonnegative terms, so nothing is clamped.
     """
-    f00, f01, f10, f11 = f
-    g00 = g01 = g10 = g11 = 0.0
-    for q00, q01, q10, q11, r00, r01, r10, r11, p00, p01, p10, p11 in rows:
-        m00 = el * (r00 + (q00 * f00 + q01 * f10))
-        m01 = el * (r01 + (q00 * f01 + q01 * f11))
-        m10 = el * (r10 + (q10 * f00 + q11 * f10))
-        m11 = el * (r11 + (q10 * f01 + q11 * f11))
-        pivot = 1.0 - m00
-        if not pivot > 0.0:
-            return len(vals) // 4
-        mult = m10 / pivot
-        schur = (1.0 - m11) - mult * m01
-        if not schur > 0.0:
-            return len(vals) // 4
-        b00, b01 = el * p00, el * p01
-        f10 = (el * p10 + mult * b00) / schur
-        f11 = (el * p11 + mult * b01) / schur
-        f00 = (b00 + m01 * f10) / pivot
-        f01 = (b01 + m01 * f11) / pivot
-        if f00 > bound or f01 > bound or f10 > bound or f11 > bound:
-            return len(vals) // 4
-        vals += f00, f01, f10, f11
-        if dvals is not None:
-            h00, h01 = q00 * g00 + q01 * g10, q00 * g01 + q01 * g11  # q_k Phi'_{k-1}
-            h10, h11 = q10 * g00 + q11 * g10, q10 * g01 + q11 * g11
-            b00 = f00 + el * (h00 * f00 + h01 * f10)
-            b01 = f01 + el * (h00 * f01 + h01 * f11)
-            b10 = f10 + el * (h10 * f00 + h11 * f10)
-            b11 = f11 + el * (h10 * f01 + h11 * f11)
-            g10 = (b10 + mult * b00) / schur
-            g11 = (b11 + mult * b01) / schur
-            g00 = (b00 + m01 * g10) / pivot
-            g01 = (b01 + m01 * g11) / pivot
-            dvals += g00, g01, g10, g11
-    return -1
+    ix = range(d)
+
+    def mat(x):
+        return [[f"{x}{i}_{j}" for j in ix] for i in ix]
+
+    def flat(m):
+        return [x for row in m for x in row]
+
+    def plus(terms):
+        return " + ".join(terms)
+
+    def product(a, b):
+        return [[plus(f"{a[i][l]} * {b[l][j]}" for l in ix) for j in ix] for i in ix]
+
+    q, r, p, f, m, h = (mat(x) for x in "qrpfmh")
+    fail = "len(vals)" if d == 1 else f"len(vals) // {d * d}"
+    qf = product(q, f)
+    level = [[f"el * ({r[i][j]} + ({qf[i][j]}))" for j in ix] for i in ix]  # M, entrywise
+    # m_ii is used once, in the pivot a_i, so it is written there
+    factor = [f"{m[i][j]} = {level[i][j]}" for i in ix for j in ix if i != j]
+    t, u = {}, {}
+    for i in ix:
+        for j in range(i):
+            t[i, j] = f"t{i}_{j}"
+            num = plus([m[i][j]] + [f"{t[i, k]} * {u[k, j]}" for k in range(j)])
+            factor.append(f"{t[i, j]} = ({num}) / a{j}")
+        factor.append(" - ".join([f"a{i} = 1.0 - {level[i][i]}"]
+                                 + [f"{t[i, k]} * {u[k, i]}" for k in range(i)]))
+        if lanes is None:
+            factor += [f"if not a{i} > 0.0:", f"    return {fail}"]
+        for j in range(i + 1, d):
+            u[i, j] = plus([m[i][j]] + [f"{t[i, k]} * {u[k, j]}" for k in range(i)])
+            if i:
+                factor.append(f"u{i}_{j} = {u[i, j]}")
+                u[i, j] = f"u{i}_{j}"
+
+    def solve(rhs, x):
+        b, lines = {}, []
+        for i in ix:
+            for j in ix:
+                b[i, j] = plus([rhs[i][j]] + [f"{t[i, k]} * {b[k, j]}" for k in range(i)])
+                if i < d - 1:
+                    lines.append(f"b{i}_{j} = {b[i, j]}")
+                    b[i, j] = f"b{i}_{j}"
+        for i in reversed(ix):
+            for j in ix:
+                num = plus([b[i, j]] + [f"{u[i, l]} * {x[l][j]}" for l in range(i + 1, d)])
+                lines.append(f"{x[i][j]} = ({num}) / a{i}")
+        return lines
+
+    def derivative(cur, g):
+        qg = product(q, g)
+        if d == 1:  # h is used once: written where it is used
+            hs, lines = [[f"({qg[0][0]})"]], []
+        else:
+            hs, lines = h, [f"{h[i][j]} = {e}" for i, row in enumerate(qg)
+                            for j, e in enumerate(row)]
+        rhs = [[f"{cur[i][j]} + el * ({e})" for j, e in enumerate(row)]
+               for i, row in enumerate(product(hs, cur))]
+        return lines + solve(rhs, g)
+
+    def extend(target, names):
+        return f"{target}.append({names[0]})" if d == 1 else f"{target} += {', '.join(names)}"
+
+    row = ", ".join(flat(q) + flat(r) + flat(p))
+    if lanes is None:
+        g = mat("g")
+        head = ["def level_loop(rows, el, f, bound, vals, dvals=None):",
+                f"    {', '.join(flat(f))}, = f",
+                f"    {' = '.join(flat(g))} = 0.0",
+                f"    for {row} in rows:"]
+        body = (factor + solve([[f"el * {x}" for x in line] for line in p], f)
+                + [f"if {' or '.join(x + ' > bound' for x in flat(f))}:",
+                   f"    return {fail}", extend("vals", flat(f)), "if dvals is not None:"]
+                + ["    " + x for x in derivative(f, g) + [extend("dvals", flat(g))]])
+        tail = "    return -1"
+    else:
+        c, gs = mat("c"), [mat(f"g{k}_") for k in range(lanes)]
+        every = [x for g in gs for x in flat(g)]
+        levels = "phis" if d == 1 else ", ".join(["it"] * (d * d))
+        head = ["def level_loop(rows, el, phis, f, starts, out=None):",
+                f"    {', '.join(flat(f))}, = f",
+                f"    {', '.join(every)}, = starts"] + ["    it = iter(phis)"] * (d > 1) + [
+                f"    for ({row}), {', '.join(flat(c))} in zip(rows, {levels}):"]
+        body = (factor + [x for g in gs for x in derivative(c, g)]
+                + ["if out is not None:", "    " + extend("out", every)]
+                + [f"{a} = {b}" for a, b in zip(flat(f), flat(c))])
+        tail = f"    return [{', '.join(every)}]"
+    return "\n".join(head + ["        " + x for x in body] + [tail]) + "\n"
+
+
+@functools.cache
+def _level_loop(d: int, lanes: int | None = None):
+    """The level loop of _level_source(d, lanes), compiled on first use."""
+    scope = {}
+    exec(compile(_level_source(d, lanes), f"<phi level loop d={d} lanes={lanes}>", "exec"),
+         scope)
+    return scope["level_loop"]
 
 
 def _levels(vals: list, d: int) -> np.ndarray:
-    """The (n, d, d) stack of a float loop's flat, row-major level values."""
+    """The (n, d, d) stack of a level loop's flat, row-major level values."""
     return np.fromiter(vals, float, len(vals)).reshape(-1, d, d)
-
-
-try:
-    # the gufunc under np.linalg.solve; the sweeps call it once per level
-    # inside one errstate block rather than paying the wrapper's checks and
-    # errstate each time (same LAPACK call on the same arrays, same bits)
-    from numpy.linalg import _umath_linalg
-
-    _solve = functools.partial(_umath_linalg.solve, signature="dd->d")
-except (ImportError, AttributeError):  # pragma: no cover - numpy moved it
-    _solve = np.linalg.solve
-
-
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def _linalg_errstate():
-    """np.linalg.solve's error state: a singular matrix raises LinAlgError.
-
-    Held over a whole sweep. With a finite e^lambda and finite, bounded
-    inputs the solve is the only operation in the loop that can raise a
-    floating-point flag, so the wider block changes nothing else.
-    """
-    return np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                       divide="ignore", under="ignore")
-
-
-def _right_sides(el: float, p: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """[e^l p_k | I] for every level k: the right-hand sides of _sweep_levels."""
-    n, d, _ = p.shape
-    rhs = np.empty((n, d, 2 * d))
-    np.multiply(el, p, out=rhs[:, :, :d])
-    rhs[:, :, d:] = eye
-    return rhs
-
-
-def _sweep_general(q, r, p, el: float, phi0: np.ndarray, bound: float, derivative=False):
-    """One pass of Phi_k = (I - e^l (r_k + q_k Phi_{k-1}))^{-1} e^l p_k, d > 2;
-    returns (phis, dphis or None, bad level index or -1).
-
-    Each level solves for [Phi_k | (I - M)^{-1}] at once; one test covers
-    the M-matrix certificate (no negative entry in the inverse or in Phi_k)
-    and the a-priori entry bound. With `derivative`, a second solve on the
-    same I - M gives Phi'_k.
-    """
-    eye = np.eye(q.shape[1])
-    dout = np.empty(q.shape) if derivative else None
-    with _linalg_errstate():
-        phis, bad = _sweep_levels(q, r, _right_sides(el, p, eye), eye, el, phi0, bound, dout)
-    return phis, dout, bad
-
-
-def _sweep_levels(q, r, rhs, eye, el: float, f: np.ndarray, bound: float, dout=None):
-    """The level loop of _sweep_general and of every periodic Newton pass at
-    d >= 3; runs inside _linalg_errstate. Given `dout` (n, d, d), level k also
-    solves (I - M) Phi'_k = Phi_k + e^l q_k Phi'_{k-1} Phi_k into dout[k],
-    from Phi'_{-1} = 0."""
-    n, d, _ = q.shape
-    out = np.empty((n, d, d))
-    g = np.zeros((d, d))
-    for k in range(n):
-        a = eye - el * (r[k] + q[k] @ f)
-        try:
-            sol = _solve(a, rhs[k])
-        except np.linalg.LinAlgError:
-            return out, k
-        f = sol[:, :d]
-        # inverse nonnegativity <=> spectral radius of M < 1 (M-matrix)
-        if sol.min() < NEG_ENTRY_TOL or f.max() > bound:
-            return out, k
-        f = np.maximum(f, 0.0, out=out[k])
-        if dout is not None:
-            g = dout[k] = _solve(a, f + el * (q[k] @ g @ f))
-    return out, -1
 
 
 def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, start: int = 0,
@@ -284,23 +263,15 @@ def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, start: int
     failing level's index from `start`, or -1.
 
     With `derivative`, dphis holds every level's Phi' from Phi'_{start-1} =
-    0, formed in the same level iteration as its Phi; else it is None. At
-    d <= 2 a pass without `keep` converts its float list to no array
-    (phis is None): only its verdict counts. The loop is the d = 1
-    division, the d = 2 elimination on floats or, at d >= 3, the LAPACK
-    solve.
+    0, formed in the same level iteration as its Phi; else it is None. A
+    pass without `keep` converts its float list to no array (phis is
+    None): only its verdict counts. The pass is the level loop of the
+    window's d over its float rows.
     """
-    el = math.exp(lam)
     d = window.d
-    if d > 2:
-        return _sweep_general(window.q[start:stop], window.r[start:stop],
-                              window.p[start:stop], el, phi0, bound, derivative)
     vals, dvals = [], [] if derivative else None
-    rows = window.rows[start:stop]
-    if d == 1:
-        bad = _sweep_d1(rows, el, float(phi0[0, 0]), bound, vals, dvals)
-    else:
-        bad = _sweep_d2(rows, el, phi0.ravel().tolist(), bound, vals, dvals)
+    bad = _level_loop(d)(window.rows[start:stop], math.exp(lam), phi0.ravel().tolist(), bound,
+                         vals, dvals)
     return (_levels(vals, d) if keep else None,
             None if dvals is None else _levels(dvals, d), bad)
 
@@ -452,8 +423,8 @@ class PeriodicPhi:
 
 
 def _cycle_loops(spec: EnvironmentSpec, lam: float) -> tuple:
-    """(zero, sweep, newton, derivative): the periodic solvers' loops at
-    lambda, those of the spec's d.
+    """(zero, sweep, newton, derivative): the periodic solvers' passes and
+    steps at lambda, over the spec's float rows (`EnvironmentSpec.rows`).
 
     `zero` is Newton's start x = Phi_{-1} = 0. sweep(x, bound, vals)
     appends the Phi pass from Phi_{-1} = x to `vals` (flat, row-major) and
@@ -466,82 +437,59 @@ def _cycle_loops(spec: EnvironmentSpec, lam: float) -> tuple:
     is the periodic Phi' over the solved Phi `vals`, flat, and raises
     ConvergenceError on the same failures.
 
-    At d = 1, x is a float, every pass a _sweep_d1 pass over the spec's
-    float rows (`EnvironmentSpec.rows`), T comes from _period_map_d1's two
-    lanes and each solve is the division by 1 - T, refused unless
-    1 - T > 0. At d >= 2, x is a flat list of d^2 floats, T comes from one
-    pass of the zero and the d^2 unit lanes (_period_map) and each solve is
-    one d^2 x d^2 LAPACK solve (_affine_solve); the passes are _sweep_d2
-    and _derivative_d2 on the float rows at d = 2, and the LAPACK loops
-    _sweep_levels and _derivative_levels on the stacks at d >= 3, their
-    arrays converted to and from lists, which is exact.
+    Every pass is a level loop of the spec's d: the Phi pass, the d^2 + 1
+    Phi' lanes that give T (_period_map, written out on floats at d = 1),
+    and the one lane of the periodic Phi'. x is a flat list of d^2 floats.
+    At d = 1 each solve is the division by 1 - T, refused unless
+    1 - T > 0; at d >= 2 one d^2 x d^2 LAPACK solve (_affine_solve).
     """
     el = math.exp(lam)
-    d = spec.d
+    d, rows = spec.d, spec.rows
+    dd = d * d
+    sweep = functools.partial(_level_loop(d), rows, el)
+    jacobian = functools.partial(_level_loop(d, dd + 1), rows, el)
+
     if d == 1:
-        rows = spec.rows
+        lanes = _unit_lanes(1)
 
         def newton(vals, x):
-            res = vals[-1] - x
-            a = 1.0 - _period_map_d1(rows, el, vals, x)[1]  # I - T; a^{-1} >= 0 iff T < 1
+            s, t = jacobian(vals, x, lanes)
+            a = 1.0 - (t - s) / LANE_SCALE  # I - T; a^{-1} >= 0 iff T < 1
             if a == 0.0:
                 raise SupercriticalError(lam, detail="singular Newton step")
             if not a > 0.0:
                 raise SupercriticalError(lam, detail="period map expands")
+            res = vals[-1] - x[0]
             delta = res / a
-            return max(x + delta, 0.0), abs(delta), abs(res)
+            return [max(x[0] + delta, 0.0)], abs(delta), abs(res)
 
         def derivative(vals):
-            s, T = _period_map_d1(rows, el, vals, vals[-1])
-            if not 1.0 - T > 0.0:
+            prev = vals[-1:]
+            s, t = jacobian(vals, prev, lanes)
+            a = 1.0 - (t - s) / LANE_SCALE
+            if not a > 0.0:
                 raise ConvergenceError(float("inf"), 1)
             out = []
-            _derivative_d1(rows, el, vals, vals[-1], s / (1.0 - T), 0.0, out)
+            _level_loop(1, 1)(rows, el, vals, prev, (s / a,), out)
             return out
-
-        return 0.0, functools.partial(_sweep_d1, rows, el), newton, derivative
-
-    dd = d * d
-    if d == 2:
-        rows = spec.rows
-        sweep = functools.partial(_sweep_d2, rows, el)
-        derive = functools.partial(_derivative_d2, rows, el)
     else:
-        q, r, p = spec.stacks
-        eye = np.eye(d)
-        rhs = _right_sides(el, p, eye)
+        def newton(vals, x):
+            res = list(map(operator.sub, vals[-dd:], x))
+            delta, failure = _affine_solve(_period_map(jacobian, vals, x)[1], res)
+            if failure:
+                raise SupercriticalError(lam, detail=failure)
+            return ([max(a + b, 0.0) for a, b in zip(x, delta)],
+                    max(map(abs, delta)), max(map(abs, res)))
 
-        def sweep(x, bound, vals):
-            with _linalg_errstate():
-                phis, bad = _sweep_levels(q, r, rhs, eye, el, np.reshape(x, (d, d)), bound)
-            vals += phis.ravel().tolist()
-            return bad
-
-        def derive(vals, prev, lanes, out=None):
-            with _linalg_errstate():
-                levels = _derivative_levels(q, r, eye, el, _levels(vals, d), np.reshape(prev, (d, d)),
-                                            np.reshape(lanes, (-1, d, d)))
-            if out is not None:
-                out += levels.ravel().tolist()
-            return levels[-1].ravel().tolist()
-
-    def newton(vals, x):
-        res = list(map(operator.sub, vals[-dd:], x))
-        delta, failure = _affine_solve(_period_map(derive, vals, x)[1], res)
-        if failure:
-            raise SupercriticalError(lam, detail=failure)
-        return ([max(a + b, 0.0) for a, b in zip(x, delta)],
-                max(map(abs, delta)), max(map(abs, res)))
-
-    def derivative(vals):
-        prev = vals[-dd:]
-        s, T = _period_map(derive, vals, prev)
-        y, failure = _affine_solve(T, s)
-        if failure:
-            raise ConvergenceError(float("inf"), 1)
-        out = []
-        derive(vals, prev, y, out)
-        return out
+        def derivative(vals):
+            prev = vals[-dd:]
+            s, T = _period_map(jacobian, vals, prev)
+            y, failure = _affine_solve(T, s)
+            if failure:
+                raise ConvergenceError(float("inf"), 1)
+            out = []
+            _level_loop(d, 1)(rows, el, vals, prev, y, out)
+            return out
 
     return [0.0] * dd, sweep, newton, derivative
 
@@ -565,11 +513,9 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
     position. If NEWTON_MAX_STEPS steps run out first, ConvergenceError is
     raised, at every lambda.
 
-    The passes and the step are those of the spec's d (_cycle_loops): at
-    d <= 2 on Python floats, with the step one division at d = 1 and one
-    4x4 LAPACK solve at d = 2. Their Phi differs from the LAPACK loops' by
-    rounding alone (a LAPACK solve with two right-hand sides multiplies by
-    a reciprocal where the float loops divide).
+    The passes are the level loops of the spec's d over its float rows,
+    and the step one division at d = 1 and one d^2 x d^2 LAPACK solve at
+    d >= 2 (_cycle_loops).
     """
     if spec.kind != "periodic":
         raise ValueError("solve_phi_periodic needs a periodic spec")
@@ -590,6 +536,27 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
     if not done:
         raise ConvergenceError(step, it)
     return PeriodicPhi(phis=_levels(vals, spec.d), lam=lam, iterations=it, tail=step)
+
+
+try:
+    # the gufunc under np.linalg.solve: the same LAPACK call on the same
+    # arrays, without the wrapper's checks and errstate
+    from numpy.linalg import _umath_linalg
+
+    _solve = functools.partial(_umath_linalg.solve, signature="dd->d")
+except (ImportError, AttributeError):  # pragma: no cover - numpy moved it
+    _solve = np.linalg.solve
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _linalg_errstate():
+    """np.linalg.solve's error state for a _solve call: a singular matrix
+    raises LinAlgError."""
+    return np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
 def _affine_solve(T: list, b: list):
@@ -614,76 +581,6 @@ def _affine_solve(T: list, b: list):
 # ---------------------------------------------------------------------------
 
 
-def _derivative_levels(q, r, eye, el: float, phis, prev_phi, prev_d):
-    """The Phi' level loop of the periodic solvers at d >= 3 over a solved
-    `phis`, fed by Phi_{-1} = prev_phi, for one start prev_d or a stack of
-    them; runs inside _linalg_errstate."""
-    n = phis.shape[0]
-    out = np.empty((n, *prev_d.shape))
-    for k in range(n):
-        cur = phis[k]
-        out[k] = _solve(eye - el * (r[k] + q[k] @ prev_phi),
-                        cur + el * (q[k] @ prev_d @ cur))
-        prev_phi, prev_d = cur, out[k]
-    return out
-
-
-def _derivative_d1(rows, el: float, phis, f: float, s: float, t: float, out=None):
-    """_derivative_levels at d = 1 on Python floats, for two lanes:
-    phi_derivative's recursion over the solved float levels `phis`, fed by
-    Phi_{-1} = f, from Phi'_{-1} = s and t. Each level forms
-    1 - e^l (r + q Phi_{k-1}) once and divides each lane by it (the 1x1
-    solve with one right-hand side). Returns both lanes' last Phi'; given
-    the list `out`, appends each level's Phi' of the first lane."""
-    for (q, r, _), cur in zip(rows, phis):
-        a = 1.0 - el * (r + q * f)
-        s = (cur + el * ((q * s) * cur)) / a
-        t = (cur + el * ((q * t) * cur)) / a
-        if out is not None:
-            out.append(s)
-        f = cur
-    return s, t
-
-
-def _derivative_d2(rows, el: float, phis, prev, lanes, out=None) -> list:
-    """phi_derivative's recursion at d = 2 on Python floats over the solved
-    float levels `phis`, fed by Phi_{-1} = prev, from each lane's Phi'_{-1};
-    levels and lanes are flat row-major 2x2 matrices, and `lanes` their
-    concatenation. At each level, _sweep_d2's elimination of
-    I - e^l (r_k + q_k Phi_{k-1}), that is m, the pivot, the multiplier and
-    the Schur complement, is formed once and applied to every lane's right
-    side Phi_k + e^l q_k Phi'_{k-1} Phi_k; the Phi given is solved, so its
-    pass certified the pivots. Returns the lanes' last Phi'; given `out`,
-    appends each level's lanes."""
-    f00, f01, f10, f11 = prev
-    cur = iter(phis)
-    for (q00, q01, q10, q11, r00, r01, r10, r11, *_), c00, c01, c10, c11 in zip(
-            rows, cur, cur, cur, cur):
-        m00 = el * (r00 + (q00 * f00 + q01 * f10))
-        m01 = el * (r01 + (q00 * f01 + q01 * f11))
-        m10 = el * (r10 + (q10 * f00 + q11 * f10))
-        m11 = el * (r11 + (q10 * f01 + q11 * f11))
-        pivot = 1.0 - m00
-        mult = m10 / pivot
-        schur = (1.0 - m11) - mult * m01
-        g = iter(lanes)
-        lanes = []
-        for g00, g01, g10, g11 in zip(g, g, g, g):
-            h00, h01 = q00 * g00 + q01 * g10, q00 * g01 + q01 * g11  # q_k Phi'_{k-1}
-            h10, h11 = q10 * g00 + q11 * g10, q10 * g01 + q11 * g11
-            b00 = c00 + el * (h00 * c00 + h01 * c10)
-            b01 = c01 + el * (h00 * c01 + h01 * c11)
-            b10 = c10 + el * (h10 * c00 + h11 * c10)
-            b11 = c11 + el * (h10 * c01 + h11 * c11)
-            g10 = (b10 + mult * b00) / schur
-            g11 = (b11 + mult * b01) / schur
-            lanes += (b00 + m01 * g10) / pivot, (b01 + m01 * g11) / pivot, g10, g11
-        if out is not None:
-            out += lanes
-        f00, f01, f10, f11 = c00, c01, c10, c11
-    return lanes
-
-
 # unit starts of the period maps, scaled by 2^40 (exact), keep T's own
 # digits through the subtraction of s: 1e-6 below lambda_crit on p = 0.75,
 # where I - T is nearly singular, the error of Phi' falls from 1.5e-13 to
@@ -699,23 +596,17 @@ def _unit_lanes(dd: int) -> tuple:
                                for j in range(dd) for i in range(dd))
 
 
-def _period_map(derive, vals, prev):
+def _period_map(lanes, vals, prev):
     """(s, T): one period of phi_derivative's recursion over the solved
     levels `vals`, fed by Phi_{-1} = prev, is the affine map y -> T y + s of
     y = vec Phi'_{-1} (row-major). T alone is the Jacobian of the Phi pass
-    in Phi_{-1} = prev. One `derive` pass (_cycle_loops) of the zero lane
-    and the d^2 unit lanes gives both, T row-major as a flat list."""
+    in Phi_{-1} = prev. One pass of the d^2 + 1 `lanes` (_cycle_loops), the
+    zero lane and the d^2 unit lanes, gives both, T row-major as a flat
+    list."""
     dd = len(prev)
-    ends = derive(vals, prev, _unit_lanes(dd))
+    ends = lanes(vals, prev, _unit_lanes(dd))
     s = ends[:dd]
     return s, [(e - si) / LANE_SCALE for i, si in enumerate(s) for e in ends[dd + i::dd]]
-
-
-def _period_map_d1(rows, el: float, phis, prev: float):
-    """(s, T): _period_map at d = 1 on Python floats, its two lanes, from
-    Phi'_{-1} = 0 and LANE_SCALE, one _derivative_d1 pass."""
-    s, t = _derivative_d1(rows, el, phis, prev, 0.0, LANE_SCALE)
-    return s, (t - s) / LANE_SCALE
 
 
 def phi_derivative(
@@ -733,8 +624,7 @@ def phi_derivative(
 
     solved left to right with Phi'_{lo-1} = 0. Its matrix is the Phi
     sweep's own, so the Phi pass forms Phi'_k right after Phi_k, from the
-    same elimination at d <= 2 and by a second solve on the same matrix at
-    d >= 3. The result is `phi_solution.dphis` when that solution was
+    same elimination. The result is `phi_solution.dphis` when that solution was
     solved with `derivative`; else one such pass over the window of
     `phi_solution` (whose Phi it repeats bit for bit, already certified),
     or, without one, solve_phi_window(..., derivative=True) with `kappa`.
@@ -767,9 +657,9 @@ def periodic_phi_derivative(
     (I - T)^{-1} >= 0, that is rho(T) < 1 (the sweeps' M-matrix
     certificate); one pass from x gives every position. A singular I - T
     or a negative entry of its inverse raises ConvergenceError: there is no
-    finite fixed point. The passes are the Phi' loops of the spec's d over
-    the given Phi (_cycle_loops): at d <= 2 on Python floats, with x =
-    s / (1 - T) at d = 1 and one 4x4 LAPACK solve at d = 2.
+    finite fixed point. The passes are the Phi' lanes of the spec's d over
+    the given Phi (_cycle_loops), and at d = 1 the solve is the division
+    x = s / (1 - T), certified by 1 - T > 0.
     """
     return _levels(_cycle_loops(spec, lam)[3](periodic.phis.ravel().tolist()), spec.d)
 
@@ -890,24 +780,26 @@ def estimate_lambda_crit(
     and is never asked. A window solve that diverges, exceeds the a-priori
     entry bound, or fails to converge counts as infeasible, shrinking the
     verdict conservatively. The exact verdict at lambda is one Newton solve
-    on a periodic spec, else one zero-start _sweep over the window, the
-    loop of its d, of which only the failing level's index is read: at
-    d <= 2 no pass makes a level array. The bracket is the plain
-    bisection's, which asks the exact verdict at every midpoint, bit for
-    bit; on a d <= 2 window most verdicts come cheaper, by three facts
-    about the float loops _sweep_d1 and _sweep_d2:
+    on a periodic spec, else one zero-start _sweep over the window, of
+    which only the failing level's index is read: no pass makes a level
+    array. The bracket is the plain bisection's, which asks the exact
+    verdict at every midpoint, bit for bit; on a window most verdicts come
+    cheaper, by three facts about the level loop (_level_source), at every
+    d:
 
     F1, monotone in the tilt. Let two passes run at the computed pairs
     (el', bound') <= (el, bound) in el and >= in bound. Every level forms
-    nonnegative floats from nonnegative inputs by +, x and /, and uses
-    1 - m, the pivot and the Schur complement only as subtrahend or
-    divisor; rounding to nearest is monotone, so by induction on the level,
-    as long as the upper pass passes, the lower one's m are entrywise <=,
-    its pivot and Schur complement >= (and so positive), and its Phi_k <=
-    (and so within bound' >= bound). The lower pass passes every level the
-    upper one passes. The pairs are compared as computed, e^lambda by
-    math.exp and the bound by divergence_bound, so nothing rests on libm's
-    exp being monotone.
+    m, the multipliers, the off-diagonal updates, the right sides and
+    Phi_k as sums, products and quotients of nonnegative floats, and uses
+    a pivot only as what is subtracted from (1.0 - m_ii, a_i - t u) or as
+    a divisor; rounding to nearest is monotone, so by induction on the
+    level and, within it, on the elimination's steps, as long as the upper
+    pass passes, the lower one's m, multipliers and updates are entrywise
+    <=, its pivots >= (and so positive), and its Phi_k <= (and so within
+    bound' >= bound). The lower pass passes every level the upper one
+    passes. The pairs are compared as computed, e^lambda by math.exp and
+    the bound by divergence_bound, so nothing rests on libm's exp being
+    monotone.
     F2, monotone in the start. The same induction, with a zero Phi_{j-1}
     below the full pass's, shows that a zero-start pass over levels
     [j, stop) stays below the full pass: if it fails at a level, the full
@@ -928,12 +820,12 @@ def estimate_lambda_crit(
     zero start was too close), and the bisection reruns, asking again only
     the midpoints no verdict implies. It ends: each rerun adds an exact
     infeasible verdict below the last, and a certificate pass that covers
-    the window is the full pass. Periodic specs and d >= 3, where F1 is not
-    shown, ask the exact verdict at every midpoint, once.
+    the window is the full pass. Periodic specs, where F1 is not shown for
+    the Newton solve, ask the exact verdict at every midpoint, once.
     """
     cap = lambda_crit_cap(spec.kappa)
     exact = {}  # lambda -> its exact verdict
-    certified = spec.kind != "periodic" and spec.d <= 2
+    certified = spec.kind != "periodic"
     ok = no = site = None
     half = CERTIFICATE_HALF_WIDTH
     if spec.kind == "periodic":

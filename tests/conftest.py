@@ -196,60 +196,74 @@ def refined_t_grid(t0, lo, hi, n=41):
 
 # ---------------------------------------------------------------------------
 # reference transfer sweeps: the plain per-level loops the kernels in
-# stripldp.phi must reproduce bit for bit (np.linalg.solve on every level,
-# full boundary re-solves, one loop per periodic solver)
+# stripldp.phi must reproduce bit for bit (one elimination on nested lists
+# or np.linalg.solve on every level, full boundary re-solves, one loop per
+# periodic solver)
 # ---------------------------------------------------------------------------
 
 REF_NEG_ENTRY_TOL = -1e-12
 
 
-def ref_solve_2x2(m, b):
-    """(I - m)^{-1} b for 2x2 nested lists of Python floats, m >= 0, by
-    eliminating the first column (no row exchange); None unless the pivot
-    1 - m00 and the Schur complement are positive."""
-    (m00, m01), (m10, m11) = m
-    pivot = 1.0 - m00
-    if not pivot > 0.0:
-        return None
-    mult = m10 / pivot
-    schur = (1.0 - m11) - mult * m01
-    if not schur > 0.0:
-        return None
-    x1 = [(b[1][j] + mult * b[0][j]) / schur for j in range(2)]
-    x0 = [(b[0][j] + m01 * x1[j]) / pivot for j in range(2)]
-    return [x0, x1]
+def ref_solve(m, b):
+    """(I - m)^{-1} b for a d x d nested list m >= 0 and a d x c nested list
+    b of Python floats, by Gaussian elimination with no row exchange, stage
+    by stage in the order stripldp.phi._level_source states; None unless
+    every pivot is positive."""
+    d, c = len(m), len(b[0])
+    a = [[1.0 - m[i][j] if i == j else m[i][j] for j in range(d)] for i in range(d)]
+    b = [row[:] for row in b]
+    for k in range(d):
+        if not a[k][k] > 0.0:
+            return None
+        for i in range(k + 1, d):
+            t = a[i][k] / a[k][k]
+            for j in range(k + 1, d):
+                if j == i:
+                    a[i][i] = a[i][i] - t * a[k][i]
+                else:
+                    a[i][j] = a[i][j] + t * a[k][j]
+            for j in range(c):
+                b[i][j] = b[i][j] + t * b[k][j]
+    x = [None] * d
+    for i in reversed(range(d)):
+        x[i] = []
+        for j in range(c):
+            s = b[i][j]
+            for l in range(i + 1, d):
+                s = s + a[i][l] * x[l][j]
+            x[i].append(s / a[i][i])
+    return x
 
 
-def ref_matmul_2x2(a, b):
-    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+def ref_matmul(a, b):
+    """a b for square nested lists, each sum left to right."""
+    d = len(a)
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            s = a[i][0] * b[0][j]
+            for l in range(1, d):
+                s = s + a[i][l] * b[l][j]
+            row.append(s)
+        out.append(row)
+    return out
 
 
 def ref_sweep(window, lam, phi0, bound, lapack=False):
     """(phis, bad level index or -1) of one zero-start pass over the window:
-    one division a level at d = 1, one 2x2 elimination on Python floats at
-    d = 2, np.linalg.solve at d >= 3 (and at every d with `lapack`)."""
+    one ref_solve a level on Python floats, or, with `lapack`, one
+    np.linalg.solve a level."""
     el = math.exp(lam)
     n, d = window.n_levels, window.d
     out = np.empty((n, d, d))
-    if d == 1 and not lapack:
-        q, r, p = (a[:, 0, 0].tolist() for a in (window.q, window.r, window.p))
-        f = float(phi0[0, 0])
-        for k in range(n):
-            m = el * (r[k] + q[k] * f)
-            if m >= 1.0:
-                return out, k
-            f = el * p[k] / (1.0 - m)
-            if f > bound:
-                return out, k
-            out[k, 0, 0] = f
-        return out, -1
-    if d == 2 and not lapack:
+    if not lapack:
         f = phi0.tolist()
         for k in range(n):
-            qf = ref_matmul_2x2(window.q[k].tolist(), f)
+            qf = ref_matmul(window.q[k].tolist(), f)
             r, p = window.r[k].tolist(), window.p[k].tolist()
-            m = [[el * (r[i][j] + qf[i][j]) for j in range(2)] for i in range(2)]
-            f = ref_solve_2x2(m, [[el * x for x in row] for row in p])
+            m = [[el * (r[i][j] + qf[i][j]) for j in range(d)] for i in range(d)]
+            f = ref_solve(m, [[el * x for x in row] for row in p])
             if f is None or any(x > bound for row in f for x in row):
                 return out, k
             out[k] = f
@@ -276,8 +290,8 @@ def ref_sweep(window, lam, phi0, bound, lapack=False):
 
 
 def ref_derivative_sweep(window, lam, phis, dphi0, lapack=False):
-    """The Phi' recursion over `phis`: the 2x2 elimination of ref_sweep at
-    d = 2, np.linalg.solve at every other d (and at d = 2 with `lapack`)."""
+    """The Phi' recursion over `phis`: the ref_solve elimination of
+    ref_sweep, or np.linalg.solve with `lapack`."""
     el = math.exp(lam)
     n, d = window.n_levels, window.d
     eye = np.eye(d)
@@ -286,17 +300,34 @@ def ref_derivative_sweep(window, lam, phis, dphi0, lapack=False):
     prev_d = dphi0
     for k in range(n):
         cur = phis[k]
-        if d == 2 and not lapack:
+        if not lapack:
             q, r, c = window.q[k].tolist(), window.r[k].tolist(), cur.tolist()
-            qf = ref_matmul_2x2(q, prev_phi.tolist())
-            m = [[el * (r[i][j] + qf[i][j]) for j in range(2)] for i in range(2)]
-            h = ref_matmul_2x2(ref_matmul_2x2(q, prev_d.tolist()), c)
-            out[k] = ref_solve_2x2(m, [[c[i][j] + el * h[i][j] for j in range(2)]
-                                       for i in range(2)])
+            qf = ref_matmul(q, prev_phi.tolist())
+            m = [[el * (r[i][j] + qf[i][j]) for j in range(d)] for i in range(d)]
+            h = ref_matmul(ref_matmul(q, prev_d.tolist()), c)
+            out[k] = ref_solve(m, [[c[i][j] + el * h[i][j] for j in range(d)]
+                                   for i in range(d)])
         else:
             m = el * (window.r[k] + window.q[k] @ prev_phi)
             rhs = cur + el * (window.q[k] @ prev_d @ cur)
             out[k] = np.linalg.solve(eye - m, rhs)
+        prev_phi, prev_d = cur, out[k]
+    return out
+
+
+def ref_lapack_lanes(spec, lam, phis, starts):
+    """The Phi' recursion over one period of the solved periodic `phis`,
+    fed by Phi_{-1} = phis[-1], from each start Phi'_{-1} in `starts`
+    (k, d, d): one np.linalg.solve a level for all starts at once;
+    (period, k, d, d)."""
+    el = math.exp(lam)
+    eye = np.eye(spec.d)
+    out = np.empty((len(phis), *np.shape(starts)))
+    prev_phi, prev_d = phis[-1], np.asarray(starts, dtype=float)
+    for k, s in enumerate(spec.slices):
+        cur = phis[k]
+        out[k] = np.linalg.solve(eye - el * (s.r + s.q @ prev_phi),
+                                 cur + el * (s.q @ prev_d @ cur))
         prev_phi, prev_d = cur, out[k]
     return out
 

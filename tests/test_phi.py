@@ -38,6 +38,7 @@ from conftest import (
     random_d2_iid_spec,
     ref_estimate_lambda_crit,
     ref_hitting_kernels,
+    ref_lapack_lanes,
     ref_periodic_phi_derivative,
     ref_phi_derivative,
     ref_solve_phi_periodic,
@@ -316,13 +317,14 @@ def max_relative_error(got, want):
     return float((np.abs(got - want) / np.abs(want)).max())
 
 
-@pytest.mark.parametrize("kernel_case", [2], indirect=True, ids=["d2"])
+@pytest.mark.parametrize("kernel_case", [2, 3], indirect=True, ids=["d2", "d3"])
 def test_2x2_kernels_agree_with_lapack(kernel_case):
-    """The d = 2 window loops eliminate on Python floats where the LAPACK
-    loop solves: Phi and Phi' agree entrywise to 1e-13 relative up to
-    0.9 lambda_crit. 1e-7 below the window's lambda_crit both solvers are
-    ill-conditioned; there Phi agrees to 1e-9 and Phi' to 1e-8 (2.8e-11
-    and 3.6e-10 measured). Past lambda_crit both fail at the same level."""
+    """The window loops eliminate on Python floats with no row exchange
+    where the LAPACK reference solves with them: at d = 2 and d = 3, Phi
+    and Phi' agree entrywise to 1e-13 relative up to 0.9 lambda_crit.
+    1e-7 below the window's lambda_crit both solvers are ill-conditioned;
+    there Phi agrees to 1e-9 and Phi' to 1e-8 (at d = 2, 2.8e-11 and
+    3.6e-10 measured). Past lambda_crit both fail at the same level."""
     spec, window, (lc, hi) = kernel_case
     for lam, tol_phi, tol_dphi in ((-5.0, 1e-13, 1e-13), (-1.0, 1e-13, 1e-13),
                                    (-0.1, 1e-13, 1e-13), (0.9 * lc, 1e-13, 1e-13),
@@ -392,10 +394,11 @@ def cyclic_phi_residual(spec, lam, phis):
 PERIODIC_CASES = {  # lambdas below lambda_crit, and one past it
     1: ((-1.0, -0.1, 0.035, 0.065), 0.15),  # lambda_crit = 0.07269
     2: ((-1.0, -0.1, 0.015, 0.027), 0.08),  # lambda_crit = 0.03018
+    3: ((-1.0, -0.1, 0.0015, 0.0029), 0.01),  # lambda_crit = 0.003277
 }
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_periodic_kernels_match_reference(d):
     """Newton's periodic Phi on a period-3 spec solves the cyclic equation
     at every position to 1e-14 * max(1, max Phi), lies within twice the
@@ -403,10 +406,10 @@ def test_periodic_kernels_match_reference(d):
     cycle's result, and above it: the cycle rises to the fixed point from
     below. Past lambda_crit both refuse. The Newton passes run on Python
     floats and divide where the reference's LAPACK solve, with two
-    right-hand sides, multiplies by a reciprocal, so the two rounded fixed
-    points may differ by an ulp either way (seen: at d = 1 one position 1
-    ulp below at lambda = -1 and -0.1; at d = 2 four of the twelve entries
-    1 ulp below at lambda = -1)."""
+    right-hand sides, multiplies by a reciprocal, and pivots rows, so the
+    two rounded fixed points may differ by an ulp either way (seen: at
+    d = 1 one position 1 ulp below at lambda = -1 and -0.1; at d = 2 four
+    of the twelve entries 1 ulp below at lambda = -1)."""
     lams, past = PERIODIC_CASES[d]
     base = random_d2_iid_spec(1, drift=0.4, d=d)
     spec = EnvironmentSpec(kind="periodic", d=d, kappa=base.kappa, slices=base.slices)
@@ -436,15 +439,16 @@ def test_d1_periodic_solvers_call_no_linear_algebra(p075_spec, monkeypatch):
     both solve p = 0.75 and a period-3 spec at -1, 0 and 1e-6 below
     lambda_crit with no solve, to the cyclic equations' residual bounds of
     test_periodic_kernels_match_reference and check_periodic_derivative.
-    At d = 2 the passes run on floats too, and the only LAPACK call is the
-    4x4 solve: one for each Newton step and one for the periodic Phi'."""
+    At d = 2 and d = 3 the passes run on floats too, and the only LAPACK
+    call is the d^2 x d^2 solve: one for each Newton step and one for the
+    periodic Phi'."""
     import stripldp.phi as phi
 
     def period3(d):
         base = random_d2_iid_spec(1, drift=0.4, d=d)
         return EnvironmentSpec(kind="periodic", d=d, kappa=base.kappa, slices=base.slices)
 
-    cases = [(spec, lam) for spec in (p075_spec, period3(1), period3(2))
+    cases = [(spec, lam) for spec in (p075_spec, period3(1), period3(2), period3(3))
              for lam in (-1.0, 0.0, estimate_lambda_crit(spec, tol=1e-9).bracket[0] - 1e-6)]
     solve, calls = phi._solve, []
     monkeypatch.setattr(phi, "_solve", lambda *a: calls.append(a) or solve(*a))
@@ -469,32 +473,30 @@ def test_d1_periodic_solvers_call_no_linear_algebra(p075_spec, monkeypatch):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 10_000),
+    d=st.sampled_from([2, 3]),
     period=st.integers(1, 5),
     drift=st.floats(0.0, 0.6),
     gap_exp=st.floats(-6.0, 0.5),
 )
-def test_2x2_derivative_lanes_agree_with_lapack(seed, period, drift, gap_exp):
-    """The 2x2 Phi' loop over a solved period (_derivative_d2) eliminates
-    on Python floats where _derivative_levels solves with LAPACK: from the
-    zero lane, the LANE_SCALE unit lanes and a random start, every level
-    of every lane agrees to 1e-13 relative, up to 1e-6 below
-    lambda_crit."""
+def test_2x2_derivative_lanes_agree_with_lapack(seed, d, period, drift, gap_exp):
+    """The generated Phi' lanes over a solved period eliminate on Python
+    floats where the reference solves with LAPACK (ref_lapack_lanes): at
+    d = 2 and d = 3, from the zero lane, the LANE_SCALE unit lanes and a
+    random start, every level of every lane agrees to 1e-13 relative, up
+    to 1e-6 below lambda_crit."""
     import stripldp.phi as phi
 
-    base = random_d2_iid_spec(seed, kappa=0.05, n_support=period, drift=drift)
-    spec = EnvironmentSpec(kind="periodic", d=2, kappa=base.kappa, slices=base.slices)
+    dd = d * d
+    base = random_d2_iid_spec(seed, kappa=0.05, n_support=period, drift=drift, d=d)
+    spec = EnvironmentSpec(kind="periodic", d=d, kappa=base.kappa, slices=base.slices)
     lam = estimate_lambda_crit(spec, tol=1e-7).bracket[0] - 10.0 ** gap_exp
     phis = solve_phi_periodic(spec, lam).phis
-    start = np.random.default_rng(seed).uniform(0.0, 10.0, 4)
-    lanes = (*phi._unit_lanes(4), *start)
-    el = math.exp(lam)
+    start = np.random.default_rng(seed).uniform(0.0, 10.0, dd)
+    lanes = (*phi._unit_lanes(dd), *start)
     got = []
-    ends = phi._derivative_d2(spec.rows, el, phis.ravel().tolist(), phis[-1].ravel().tolist(),
-                              lanes, got)
-    q, r, _ = spec.stacks
-    with phi._linalg_errstate():
-        want = phi._derivative_levels(q, r, np.eye(2), el, phis, phis[-1],
-                                      np.reshape(lanes, (-1, 2, 2)))
+    ends = phi._level_loop(d, dd + 2)(spec.rows, math.exp(lam), phis.ravel().tolist(),
+                                      phis[-1].ravel().tolist(), lanes, got)
+    want = ref_lapack_lanes(spec, lam, phis, np.reshape(lanes, (-1, d, d)))
     got = np.reshape(got, want.shape)
     assert np.array_equal(np.reshape(ends, want[-1].shape), got[-1])
     assert max_relative_error(got, want) <= 1e-13
@@ -527,7 +529,7 @@ def test_periodic_phi_recurrent_at_zero(p, r):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 10_000),
-    d=st.integers(1, 3),
+    d=st.integers(1, 4),
     drift=st.floats(0.0, 0.6),
     lam=st.floats(-4.0, 0.6),
     n=st.integers(2, 160),
@@ -681,9 +683,10 @@ def test_window_derivative_runs_one_fused_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", [two_point_d1_spec([0.7, 0.8], [0.5, 0.5]),
-                                  random_d2_iid_spec(1, drift=0.4)], ids=["d1", "d2"])
+                                  random_d2_iid_spec(1, drift=0.4),
+                                  random_d2_iid_spec(2, drift=0.4, d=3)], ids=["d1", "d2", "d3"])
 def test_lambda_crit_bisection_builds_no_level_array(spec, monkeypatch):
-    """At d <= 2 every lambda_crit midpoint reads its pass's verdict alone:
+    """At every d each lambda_crit midpoint reads its pass's verdict alone:
     no level array is built, and the bracket is the one that passes keeping
     every level give."""
     import stripldp.phi as phi
@@ -704,9 +707,10 @@ def test_lambda_crit_bisection_builds_no_level_array(spec, monkeypatch):
 
 
 def test_one_by_one_solve_is_a_division():
-    """The scalar Phi' loops divide where the general loop solves: LAPACK's
-    1x1 solve gives the quotient's bits on seeded random inputs over twelve
-    decades."""
+    """The d = 1 level loops divide where a LAPACK reference solves (the
+    Phi' recursion of ref_derivative_sweep with `lapack`, one right-hand
+    side): LAPACK's 1x1 solve gives the quotient's bits on seeded random
+    inputs over twelve decades."""
     import stripldp.phi as phi
 
     rng = np.random.default_rng(0)
@@ -779,15 +783,19 @@ def test_periodic_derivative_closed_form(p, r):
         assert periodic_phi_derivative(spec, lam, pp)[0, 0, 0] == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_periodic_derivative_refuses_spectral_radius_above_one(d, monkeypatch):
     """A Phi scaled up past the fixed point makes one period's Phi' map T
-    expand (rho(T) >= 1, measured here from the unit starts' pass, while
-    every level's I - e^l (r + q Phi) stays an M-matrix): the solve raises
-    ConvergenceError rather than return a finite or a negative Phi', and the
-    evaluator reports the infinite estimate."""
+    expand (rho(T) >= 1, with T formed here from the levels' matrices,
+    while every level's I - e^l (r + q Phi) stays an M-matrix): the solve
+    raises ConvergenceError rather than return a finite or a negative
+    Phi', and the evaluator reports the infinite estimate.
+
+    At lambda = 0, level k maps Phi'_{k-1} to A_k^{-1} (Phi_k + q_k
+    Phi'_{k-1} Phi_k), A_k = I - (r_k + q_k Phi_{k-1}); its linear part,
+    on row-major vec, is kron(A_k^{-1} q_k, Phi_k^T), and T is the product
+    over the period, the last level leftmost."""
     import stripldp.lmgf as lmgf
-    import stripldp.phi as phi
 
     base = random_d2_iid_spec(1, drift=0.4, d=d)
     spec = EnvironmentSpec(kind="periodic", d=d, kappa=base.kappa, slices=base.slices)
@@ -796,13 +804,11 @@ def test_periodic_derivative_refuses_spectral_radius_above_one(d, monkeypatch):
     big = PeriodicPhi(phis=1.7 * pp.phis, lam=lam, iterations=pp.iterations,
                       tail=pp.tail)
     q, r, _ = spec.stacks
-    eye = np.eye(d)
+    T = np.eye(d * d)
     for k in range(spec.period):
-        inv = np.linalg.inv(eye - (r[k] + q[k] @ big.phis[k - 1]))
+        inv = np.linalg.inv(np.eye(d) - (r[k] + q[k] @ big.phis[k - 1]))
         assert inv.min() >= 0.0
-    starts = np.concatenate((np.zeros((1, d, d)), np.eye(d * d).reshape(d * d, d, d)))
-    ends = phi._derivative_levels(q, r, eye, 1.0, big.phis, big.phis[-1], starts)[-1]
-    T = (ends[1:] - ends[0]).reshape(d * d, d * d)
+        T = np.kron(inv @ q[k], big.phis[k].T) @ T
     assert max(abs(np.linalg.eigvals(T))) >= 1.0
     with pytest.raises(ConvergenceError):
         periodic_phi_derivative(spec, lam, big)
@@ -824,16 +830,16 @@ def periodic_of(spec):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 10_000),
-    d=st.sampled_from([1, 2]),
+    d=st.sampled_from([1, 2, 3]),
     drift=st.floats(0.0, 0.6),
     window_seed=st.integers(0, 3),
     window_len=st.integers(50, 1500),
     tol=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]),
 )
 def test_lambda_crit_d2_matches_plain_bisection(seed, d, drift, window_seed, window_len, tol):
-    """The bracket bisected on the float sweeps, the 2x2 elimination and
-    the d = 1 division, from certified partial passes, is the plain LAPACK
-    bisection's, bit for bit."""
+    """The bracket bisected on the level loops at d = 1, 2 and 3, from
+    certified partial passes, is the plain LAPACK bisection's, bit for
+    bit."""
     spec = random_d2_iid_spec(seed, drift=drift, d=d)
     args = dict(window_len=window_len, tol=tol, seed=window_seed)
     assert estimate_lambda_crit(spec, **args) == ref_estimate_lambda_crit(spec, **args)
@@ -894,28 +900,44 @@ def test_lambda_crit_sweeps_under_half_the_plain_levels(monkeypatch):
     assert sum(levels for _, _, levels in calls) <= 30_000
 
 
-@pytest.mark.parametrize("kind", ["periodic", "d3"])
-def test_lambda_crit_exact_kinds_solve_as_often_as_plain(kind, monkeypatch):
-    """Periodic specs and d = 3 windows ask the exact verdict at every
-    midpoint, and once only: as many solves as the plain bisection."""
+def test_lambda_crit_periodic_solves_as_often_as_plain(monkeypatch):
+    """Periodic specs ask the exact verdict at every midpoint, and once
+    only: as many Newton solves as the plain bisection's cyclic solves."""
     import conftest
     import stripldp.phi as phi
 
-    if kind == "periodic":
-        spec, args = periodic_of(random_d2_iid_spec(1, drift=0.4)), {}
-        solvers = ((phi, "solve_phi_periodic"), (conftest, "ref_solve_phi_periodic"))
-    else:
-        spec, args = random_d2_iid_spec(4, drift=0.3, d=3), dict(window_len=300)
-        solvers = ((phi, "_sweep"), (conftest, "ref_sweep"))
+    spec = periodic_of(random_d2_iid_spec(1, drift=0.4))
     counts = {}
-    for module, name in solvers:
+    for module, name in ((phi, "solve_phi_periodic"), (conftest, "ref_solve_phi_periodic")):
         def counting(*a, _solve=getattr(module, name), _name=name, **k):
             counts[_name] = counts.get(_name, 0) + 1
             return _solve(*a, **k)
         monkeypatch.setattr(module, name, counting)
+    assert estimate_lambda_crit(spec) == ref_estimate_lambda_crit(spec)
+    assert counts["solve_phi_periodic"] == counts["ref_solve_phi_periodic"] > 20
+
+
+def test_lambda_crit_d3_matches_plain_bisection_on_fewer_levels(monkeypatch):
+    """A d = 3 window bisects on certified partial passes too (F1 and F2
+    hold for the elimination at every d): its bracket is the plain LAPACK
+    bisection's bit for bit, on under half the plain bisection's levels.
+    This spec's failing level stays put as lambda nears lambda_crit. Where
+    it wanders deeper into the window, confirmations fail and the reruns
+    can sweep more levels than the plain bisection, at every d (seed 4,
+    drift 0.3, on 300 levels: 5347 against 3410)."""
+    import conftest
+
+    calls, sweep, plain = record_sweeps(monkeypatch), conftest.ref_sweep, []
+
+    def counting(window, *a, **k):
+        out = sweep(window, *a, **k)
+        plain.append(window.n_levels if out[1] < 0 else out[1] + 1)
+        return out
+
+    monkeypatch.setattr(conftest, "ref_sweep", counting)
+    spec, args = random_d2_iid_spec(2, drift=0.4, d=3), dict(window_len=1500)
     assert estimate_lambda_crit(spec, **args) == ref_estimate_lambda_crit(spec, **args)
-    ours, ref = (counts[name] for _, name in solvers)
-    assert ours == ref > 20
+    assert sum(levels for *_, levels in calls) <= 0.5 * sum(plain)
 
 
 def passed_levels(bad: int, n: int) -> int:
@@ -924,14 +946,14 @@ def passed_levels(bad: int, n: int) -> int:
 
 MONOTONE_CASE = dict(
     seed=st.integers(0, 10_000),
-    d=st.sampled_from([1, 2]),
+    d=st.sampled_from([1, 2, 3]),
     drift=st.floats(0.0, 0.6),
     window_seed=st.integers(0, 3),
 )
 
 
 def monotone_case(seed, d, drift, window_seed, u, n=400):
-    """A random d <= 2 window of n levels and u times its lambda_crit."""
+    """A random d <= 3 window of n levels and u times its lambda_crit."""
     spec = random_d2_iid_spec(seed, drift=drift, d=d)
     window = sample_window(spec, 0, n, seed=window_seed)
     lc = estimate_lambda_crit(spec, window_len=n, tol=1e-4, seed=window_seed).lambda_crit
