@@ -13,7 +13,7 @@ M = e^lambda (r + q Phi_{k-1}), the Neumann series converges iff
 (I - M)^{-1} >= 0 entrywise, and a failure (or an entry above the a-priori
 bound (1/kappa) e^{-lambda} for lambda > 0) certifies supercriticality.
 
-One generated elimination does all the sweeping. _level_source(d)
+One generated elimination does the sweeping at small d. _level_source(d)
 writes out, as Python source, the straight-line Gaussian elimination of
 one d x d level with no row exchange, in the order of its docstring, and
 _level_loop compiles it once per d on first use, in two kinds: the Phi
@@ -28,12 +28,18 @@ levels as tuples of Python floats (`EnvironmentWindow.rows`,
 function inside the loop; a lambda_crit midpoint makes no level array.
 On a 2-core x86-64 Xeon a level of Phi costs about 0.1 us at d = 1,
 0.55-0.6 us at d = 2 and 1.5-1.8 us at d = 3, and of Phi and Phi'
-together 0.2, 1.1-1.3 and 3.4-4.1 us. Level k of the
-Phi sweep depends only on level k-1, so once the boundary re-solve from
-a later start equals the main sweep at one level, it equals it at every
-later level. The re-solve runs in blocks of RESOLVE_BLOCK levels and
-stops after the first block that ends on the main sweep's bits; the
-boundary gap it measures past the meeting level is exactly 0.
+together 0.2, 1.1-1.3 and 3.4-4.1 us. The written-out work grows as
+(2 k + 1) d^3 for k lanes; past GENERATED_LEVEL_WORK (a Phi pass at
+d >= 6, the Newton lanes at d >= 4) _level_loop hands out the LAPACK
+loops of the same signatures instead, one solve a level, with row
+exchanges, certified by a tolerance on the inverse's entries.
+
+Level k of the Phi sweep depends only on level k-1, so once the boundary
+re-solve from a later start equals the main sweep at one level, it
+equals it at every later level. The re-solve runs in blocks of
+RESOLVE_BLOCK levels and stops after the first block that ends on the
+main sweep's bits; the boundary gap it measures past the meeting level
+is exactly 0.
 
 The periodic Phi is the minimal fixed point of the cyclic sweep, found by
 Newton's method on Phi_{-1}: one Phi pass over the period, its Jacobian
@@ -242,9 +248,28 @@ def _level_source(d: int, lanes: int | None = None) -> str:
     return "\n".join(head + ["        " + x for x in body] + [tail]) + "\n"
 
 
+# the most multiply-adds, about (2 k + 1) d^3 for k Phi' lanes (k = 1 for the
+# Phi pass, whose fused Phi' is one lane), a generated level writes out; past
+# it LAPACK costs less a level. On a 2-core x86-64 Xeon (600-level windows,
+# best of 5) the generated Phi / fused pass takes 7.4-7.9 / 15.4-17.0 us at
+# d = 5 against LAPACK's 10.3-11.7 / 16.4-18.8, and 13.3 / 29.2 at d = 6
+# against 11.5-12.8 / 17.7-19.6; with the d^2 + 1 Newton lanes generated a
+# period-3 solve takes 0.41 ms against 0.67 at d = 3, 1.33 against 0.84 at d = 4.
+GENERATED_LEVEL_WORK = 600
+
+
+def _generated(d: int, lanes: int | None = None) -> bool:
+    """Whether the level loop of (d, lanes) is generated, not LAPACK's."""
+    return (2 * (lanes or 1) + 1) * d ** 3 <= GENERATED_LEVEL_WORK
+
+
 @functools.cache
 def _level_loop(d: int, lanes: int | None = None):
-    """The level loop of _level_source(d, lanes), compiled on first use."""
+    """The level loop of _level_source(d, lanes), compiled on first use, or
+    past GENERATED_LEVEL_WORK the LAPACK loop of the same signature
+    (_sweep takes _lapack_levels itself there)."""
+    if not _generated(d, lanes):
+        return _lapack_pass if lanes is None else _lapack_lanes
     scope = {}
     exec(compile(_level_source(d, lanes), f"<phi level loop d={d} lanes={lanes}>", "exec"),
          scope)
@@ -254,6 +279,73 @@ def _level_loop(d: int, lanes: int | None = None):
 def _levels(vals: list, d: int) -> np.ndarray:
     """The (n, d, d) stack of a level loop's flat, row-major level values."""
     return np.fromiter(vals, float, len(vals)).reshape(-1, d, d)
+
+
+def _row_arrays(rows, d: int, el: float):
+    """(q, r, [e^l p | I]) as arrays for each level of `rows`, formed once
+    per distinct row tuple (a sampled window's levels share their slice's)."""
+    eye = np.eye(d)
+    seen = {}
+    for row in rows:
+        arrays = seen.get(id(row))
+        if arrays is None:
+            q, r, p = np.array(row).reshape(3, d, d)
+            arrays = seen[id(row)] = q, r, np.concatenate((el * p, eye), axis=1)
+        yield arrays
+
+
+def _lapack_levels(rows, el: float, f: np.ndarray, bound: float, derivative: bool = False):
+    """The Phi pass past GENERATED_LEVEL_WORK, from Phi_{-1} = f (d, d):
+    each level one LAPACK solve (with row exchanges) of
+    (I - M)[Phi_k | Y] = [e^l p_k | I], certified by no entry of Phi_k or
+    Y = (I - M)^{-1} below NEG_ENTRY_TOL and then clamped at 0; with
+    `derivative`, one more solve on the same I - M gives Phi'_k. Returns
+    (phis, dphis or None, bad) as _sweep does."""
+    d = f.shape[0]
+    eye = np.eye(d)
+    out = np.empty((len(rows), d, d))
+    dout = np.empty_like(out) if derivative else None
+    g = np.zeros((d, d))
+    bad = -1
+    with _linalg_errstate():
+        for k, (q, r, rhs) in enumerate(_row_arrays(rows, d, el)):
+            a = eye - el * (r + q @ f)
+            try:
+                sol = _solve(a, rhs)
+            except np.linalg.LinAlgError:
+                sol = None
+            if sol is None or sol.min() < NEG_ENTRY_TOL or sol[:, :d].max() > bound:
+                bad = k
+                break
+            f = np.maximum(sol[:, :d], 0.0, out=out[k])
+            if derivative:
+                g = dout[k] = _solve(a, f + el * (q @ g @ f))
+    n = len(out) if bad < 0 else bad
+    return out[:n], None if dout is None else dout[:n], bad
+
+
+def _lapack_pass(rows, el: float, f: list, bound: float, vals: list) -> int:
+    """_lapack_levels with the generated Phi pass's signature (no fused
+    Phi'), for the periodic Newton passes."""
+    d = math.isqrt(len(f))
+    phis, _, bad = _lapack_levels(rows, el, np.array(f).reshape(d, d), bound)
+    vals += phis.ravel().tolist()
+    return bad
+
+
+def _lapack_lanes(rows, el: float, phis: list, f: list, starts, out=None) -> list:
+    """The Phi' lanes past GENERATED_LEVEL_WORK, with the generated lanes'
+    signature: each level one LAPACK solve for every lane at once."""
+    d = math.isqrt(len(f))
+    eye = np.eye(d)
+    prev, g = np.array(f).reshape(d, d), np.array(starts).reshape(-1, d, d)
+    with _linalg_errstate():
+        for (q, r, _), cur in zip(_row_arrays(rows, d, el), _levels(phis, d)):
+            g = _solve(eye - el * (r + q @ prev), cur + el * (q @ g @ cur))
+            if out is not None:
+                out += g.ravel().tolist()
+            prev = cur
+    return g.ravel().tolist()
 
 
 def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, start: int = 0,
@@ -266,12 +358,14 @@ def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, start: int
     0, formed in the same level iteration as its Phi; else it is None. A
     pass without `keep` converts its float list to no array (phis is
     None): only its verdict counts. The pass is the level loop of the
-    window's d over its float rows.
+    window's d over its float rows, past GENERATED_LEVEL_WORK the LAPACK
+    loop on arrays, which always returns phis.
     """
-    d = window.d
+    d, rows, el = window.d, window.rows[start:stop], math.exp(lam)
+    if not _generated(d):
+        return _lapack_levels(rows, el, phi0, bound, derivative)
     vals, dvals = [], [] if derivative else None
-    bad = _level_loop(d)(window.rows[start:stop], math.exp(lam), phi0.ravel().tolist(), bound,
-                         vals, dvals)
+    bad = _level_loop(d)(rows, el, phi0.ravel().tolist(), bound, vals, dvals)
     return (_levels(vals, d) if keep else None,
             None if dvals is None else _levels(dvals, d), bad)
 
@@ -437,9 +531,10 @@ def _cycle_loops(spec: EnvironmentSpec, lam: float) -> tuple:
     is the periodic Phi' over the solved Phi `vals`, flat, and raises
     ConvergenceError on the same failures.
 
-    Every pass is a level loop of the spec's d: the Phi pass, the d^2 + 1
-    Phi' lanes that give T (_period_map, written out on floats at d = 1),
-    and the one lane of the periodic Phi'. x is a flat list of d^2 floats.
+    Every pass is a level loop of the spec's d (_level_loop): the Phi
+    pass, the d^2 + 1 Phi' lanes that give T (_period_map, written out on
+    floats at d = 1), and the one lane of the periodic Phi'. x is a flat
+    list of d^2 floats.
     At d = 1 each solve is the division by 1 - T, refused unless
     1 - T > 0; at d >= 2 one d^2 x d^2 LAPACK solve (_affine_solve).
     """
@@ -540,7 +635,8 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
 
 try:
     # the gufunc under np.linalg.solve: the same LAPACK call on the same
-    # arrays, without the wrapper's checks and errstate
+    # arrays, without the wrapper's checks and errstate, which the LAPACK
+    # level loops would pay at every level
     from numpy.linalg import _umath_linalg
 
     _solve = functools.partial(_umath_linalg.solve, signature="dd->d")
@@ -553,8 +649,10 @@ def _raise_singular(err, flag):
 
 
 def _linalg_errstate():
-    """np.linalg.solve's error state for a _solve call: a singular matrix
-    raises LinAlgError."""
+    """np.linalg.solve's error state for _solve calls: a singular matrix
+    raises LinAlgError. The LAPACK level loops hold it over a whole pass:
+    with a finite e^lambda and finite, bounded inputs the solve is the only
+    operation there that can raise a floating-point flag."""
     return np.errstate(call=_raise_singular, invalid="call", over="ignore",
                        divide="ignore", under="ignore")
 
@@ -766,6 +864,13 @@ class CriticalExponent:
 
 
 CERTIFICATE_HALF_WIDTH = 128  # levels either side of the binding site in a certificate pass
+# a certificate pass runs only while the window holds CERTIFICATE_SPAN of
+# them. On 41 windows (40 random d = 2 and d = 3 specs of 300 to 6000
+# levels, and the two-point spec) certificate passes of any width short of
+# the window swept more levels than the plain bisection on 16, up to 2.7
+# times; passes of at most an eighth of the window on 2, up to 1.35 times,
+# and kept every 6000-level gain
+CERTIFICATE_SPAN = 8
 
 
 def estimate_lambda_crit(
@@ -783,9 +888,9 @@ def estimate_lambda_crit(
     on a periodic spec, else one zero-start _sweep over the window, of
     which only the failing level's index is read: no pass makes a level
     array. The bracket is the plain bisection's, which asks the exact
-    verdict at every midpoint, bit for bit; on a window most verdicts come
-    cheaper, by three facts about the level loop (_level_source), at every
-    d:
+    verdict at every midpoint, bit for bit; on a window of d <= 2 most
+    verdicts come cheaper, by three facts about the generated level loop
+    (_level_source), which hold at every d:
 
     F1, monotone in the tilt. Let two passes run at the computed pairs
     (el', bound') <= (el, bound) in el and >= in bound. Every level forms
@@ -818,14 +923,21 @@ def estimate_lambda_crit(
     confirmation fails, its failing level becomes the site (the half-width
     doubles when the failure lies within it of the old site, where the
     zero start was too close), and the bisection reruns, asking again only
-    the midpoints no verdict implies. It ends: each rerun adds an exact
-    infeasible verdict below the last, and a certificate pass that covers
-    the window is the full pass. Periodic specs, where F1 is not shown for
-    the Newton solve, ask the exact verdict at every midpoint, once.
+    the midpoints no verdict implies. Certificate passes run only while the
+    window holds CERTIFICATE_SPAN of them; past that every verdict is
+    exact, as in the plain bisection. It ends: each rerun adds an exact
+    infeasible verdict below the last. Periodic specs, where F1 is not
+    shown for the Newton solve, and windows of d >= 3 ask the exact verdict
+    at every midpoint, once: F1 and F2 hold for the generated loop at
+    d = 3 too, but there the certified path swept more levels than the
+    plain bisection on 10 of 16 random windows of 3000 and 6000 levels (up
+    to 1.48 times), against 6 of 16 at d = 2, the bench's two specs not
+    among them; past GENERATED_LEVEL_WORK the loop is LAPACK's, with row
+    exchanges, a tolerance and a clamp, for which F1 is not shown.
     """
     cap = lambda_crit_cap(spec.kappa)
     exact = {}  # lambda -> its exact verdict
-    certified = spec.kind != "periodic"
+    certified = spec.kind != "periodic" and spec.d <= 2
     ok = no = site = None
     half = CERTIFICATE_HALF_WIDTH
     if spec.kind == "periodic":
@@ -859,14 +971,13 @@ def estimate_lambda_crit(
             return True
         if no is not None and key[0] >= no[0] and key[1] <= no[1]:
             return False
-        if not confirm:
-            start, stop = max(site - half, 0), site + half
-            if start > 0 or stop < window.n_levels:
-                bad = solve(lam, start, stop)
-                if bad < 0:
-                    return None
-                site, no = start + bad, key
-                return False
+        if not confirm and 2 * half * CERTIFICATE_SPAN <= window.n_levels:
+            start = max(site - half, 0)
+            bad = solve(lam, start, site + half)
+            if bad < 0:
+                return None
+            site, no = start + bad, key
+            return False
         bad = solve(lam)
         exact[lam] = bad < 0
         if bad < 0:
