@@ -28,10 +28,16 @@ the next uniform of every live trial, is a 128-bit LCG step and PCG64's
 XSL-RR output on all of them at once. The walkers draw one column a step
 for the live trials only, and trials run in chunks whose lanes, step
 temporaries and environment draws take at most CHUNK_ENTRIES = 2^21
-8-byte words (16 MiB). The walkers find each move with 1-D takes: the
-direct walks count the partial sums at or below u in flat column tables of
-the cumulative move rows (_move_columns), and the tilted sampler
-binary-searches flat padded tables of its cdf rows (_sorted_search).
+8-byte words (16 MiB). A walker's column holds raw draws, the 53-bit
+integers X whose uniforms are X 2^-53, and every partial sum c it compares
+with becomes the integer threshold ceil(c 2^53) (_thresholds), which
+decides c <= u exactly; no column is converted to floats. The walkers find
+each move with 1-D takes: the direct walks count the thresholds at or
+below X in flat column tables of the cumulative move rows (_move_columns),
+and the tilted sampler reads each level's count from a bucket table
+indexed by X's top bits (_bucket_table), binary-searching its padded
+threshold rows (_sorted_search) only for the draws in buckets that a
+threshold splits.
 """
 
 from __future__ import annotations
@@ -196,11 +202,12 @@ class _Lanes:
     """PCG64 streams of many trials stepped together in numpy lanes.
 
     Each trial's 128-bit state and increment are its entries of four uint64
-    arrays (high and low limbs). `_column` advances every lane by one LCG
-    step, state * PCG64_MULT + inc mod 2^128, and returns the XSL-RR output
-    of the new states as doubles, (x >> 11) * 2^-53: one Generator.random
-    draw of each trial's own generator. `_keep` drops lanes, so that the
-    next column holds the uniforms of the trials kept only. The names are
+    arrays (high and low limbs). `_raw_column` advances every lane by one
+    LCG step, state * PCG64_MULT + inc mod 2^128, and returns the top 53
+    bits X = x >> 11 of the XSL-RR output x of the new states, as uint64;
+    `_column` returns them as doubles, X * 2^-53: one Generator.random draw
+    of each trial's own generator. `_keep` drops lanes, so that the next
+    column holds the draws of the trials kept only. The names are
     private, so that a tracer of the public functions records no span per
     column.
     """
@@ -265,11 +272,12 @@ class _Lanes:
         lo += self.inc_lo
         hi += lo < self.inc_lo
 
-    def _column(self, out=None) -> np.ndarray:
-        """The next uniform of every lane: one step, then XSL-RR, the high
-        limb xor the low one rotated right by the state's top 6 bits, whose
-        top 53 bits make the double. numpy shifts a uint64 by 64 to 0, so
-        rotating by 0 takes no special case."""
+    def _raw_column(self) -> np.ndarray:
+        """The next draw of every lane as its 53-bit integer X (uint64): one
+        step, then XSL-RR, the high limb xor the low one rotated right by
+        the state's top 6 bits, whose top 53 bits are X. Generator.random
+        returns X * 2^-53 of it, exactly. numpy shifts a uint64 by 64 to 0,
+        so rotating by 0 takes no special case."""
         self._step()
         hi = self.hi
         v = hi ^ self.lo
@@ -279,7 +287,11 @@ class _Lanes:
         v <<= r
         x |= v
         x >>= _11
-        return np.multiply(x, 2.0**-53, out=out)
+        return x
+
+    def _column(self, out=None) -> np.ndarray:
+        """The next uniform of every lane, X * 2^-53 of its raw draw X."""
+        return np.multiply(self._raw_column(), 2.0**-53, out=out)
 
     def _columns(self, k: int) -> np.ndarray:
         """The next k uniforms of every lane as a (lanes, k) array in Fortran
@@ -323,6 +335,12 @@ def _start_heights(u: np.ndarray, pi: np.ndarray) -> np.ndarray:
     partial sums may end below the largest uniform Generator.random
     returns."""
     return np.minimum((u[:, None] >= np.cumsum(pi)[None, :]).sum(axis=1), len(pi) - 1)
+
+
+def _rate(log_p: float, n: int) -> float:
+    """-(1/n) log p from log p, the scale of every estimate: +0.0 at p = 1,
+    where the negated log alone gives -0.0."""
+    return -log_p / n + 0.0
 
 
 def _wilson(hits: int, trials: int, z: float = 1.959963984540054):
@@ -384,42 +402,57 @@ def simulate_walk(
 # ---------------------------------------------------------------------------
 
 
+def _thresholds(c) -> np.ndarray:
+    """The integer thresholds ceil(c 2^53) of partial sums c, as uint64, for
+    raw draws X, whose uniform is X 2^-53 (_Lanes._raw_column): a threshold
+    is at or below X iff c <= X 2^-53, exactly, as c 2^53 and its ceiling
+    are exact. A c at or below 0 gives 0, which every draw passes; a c
+    above 1 - 2^-53 (1.0, inf) gives the sentinel 2^53, which none does."""
+    return np.ceil(np.clip(c, 0.0, 1.0) * 2.0**53).astype(np.uint64)
+
+
 def _move_columns(q, r, p) -> np.ndarray:
     """(3d - 1, rows) table of the cumulative move rows of (..., d, d)
-    stacks: column c holds partial sum c of every row, the row of
-    (slot, h) at flat index slot * d + h. The last partial sum is left
-    out: a uniform at or above every other one takes the last move."""
+    stacks as integer thresholds (_thresholds): column c holds partial sum
+    c of every row, the row of (slot, h) at flat index slot * d + h. The
+    last partial sum is left out: a draw at or above every other one takes
+    the last move."""
     cdf = np.cumsum(np.concatenate([q, r, p], axis=-1), axis=-1)
-    return np.ascontiguousarray(cdf.reshape(-1, cdf.shape[-1]).T[:-1])
+    return np.ascontiguousarray(_thresholds(cdf.reshape(-1, cdf.shape[-1]).T[:-1]))
 
 
-def _choose(cols: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The move each uniform selects from its cumulative row (flat index
-    `at` into the column table `cols`): the block (0 left, 1 stay, 2 right)
-    times d plus the entry height. It counts the partial sums at or below
-    u, searchsorted's side="right" as in simulate_walk, so no move of
-    probability 0 before the last is taken, not even by u = 0.0: the same as
+def _choose(cols: np.ndarray, at: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The move each raw draw selects from its cumulative row (flat index
+    `at` into the threshold table `cols`): the block (0 left, 1 stay, 2
+    right) times d plus the entry height. It counts the thresholds at or
+    below x, the partial sums at or below its uniform u (searchsorted's
+    side="right", as in simulate_walk), so no move of probability 0 before
+    the last is taken, not even by u = 0.0: the same as
     min((u[:, None] >= row).sum(1), 3d - 1) on the whole rows, whose
     partial sums never fall."""
-    move = (u >= cols[0].take(at)).astype(np.int64)
-    for col in cols[1:]:
-        move += u >= col.take(at)
+    move = np.zeros(len(at), np.int8 if len(cols) < 128 else np.int64)
+    for col in cols:
+        move += x >= col.take(at)
     return move
 
 
 def _window_cdf(window: EnvironmentWindow):
-    """Lookup (li, h, u, trial) -> move on one window, the same for every
-    trial: _choose on the window's (3d - 1, n d) column table of cumulative
-    move rows (_move_columns) at the flat index li * d + h."""
+    """Lookup (li, h, x, trial) -> move on one window, the same for every
+    trial: _choose on the window's (3d - 1, n d) threshold table of
+    cumulative move rows (_move_columns) at the flat index li * d + h, at
+    d = 1 li itself (the height is always 0)."""
     d = window.d
     cols = _move_columns(window.q, window.r, window.p)  # (3d-1, n*d)
-    return lambda li, h, u, trial: _choose(cols, li * d + h, u)
+    if d == 1:
+        return lambda li, h, x, trial: _choose(cols, li, x)
+    return lambda li, h, x, trial: _choose(cols, li * d + h, x)
 
 
 def _averaged_lookups(spec: EnvironmentSpec):
     """Per-trial i.i.d. environments as an index table into the support:
     maps environment uniforms (row i for trial i, one column per level) to
-    a lookup (li, h, u, trial) -> move on the support's flat column table."""
+    a lookup (li, h, x, trial) -> move on the support's flat threshold
+    table."""
     if spec.kind != "iid":
         raise ValueError("averaged mode needs an i.i.d. finite-support spec")
     d = spec.d
@@ -429,8 +462,10 @@ def _averaged_lookups(spec: EnvironmentSpec):
     def lookups(env_uniforms):
         slots = np.searchsorted(cum, env_uniforms, side="right")
         np.minimum(slots, len(cum) - 1, out=slots)
+        if d == 1:
+            return lambda li, h, x, trial: _choose(cols, slots[trial, li], x)
         slots *= d
-        return lambda li, h, u, trial: _choose(cols, slots[trial, li] + h, u)
+        return lambda li, h, x, trial: _choose(cols, slots[trial, li] + h, x)
 
     return lookups
 
@@ -459,39 +494,52 @@ def _trials(spec, seed, tag, trials, lo, hi, mode, start):
         yield lookup, _start_heights(lanes._column(), pi), lanes
 
 
+def _step_levels(li, h, choice, d):
+    """Moves the walkers' rows `li` in place by their moves `choice` (which
+    it may overwrite) and returns their new heights. At d = 1 the height is
+    always 0 (None) and the move is the level step plus one."""
+    if d == 1:
+        choice -= 1
+        li += choice
+        return None
+    block = choice // d
+    li += block - 1
+    return choice - block * d  # choice % d; numpy's integer remainder is slower
+
+
 def _batch_walk(lookup, lo, target, lanes, steps, d, h0, M=None):
     """Returns (T, ok): first-passage times of `target` (inf if not reached
     within `steps` steps) and whether every excursion respected the cap M.
-    Each step draws one column of `lanes` (a _Lanes, or anything with its
-    _column and _keep), trial i's lane for trial i; trials that have hit
-    stop, so they never step out of the window.
+    Each step draws one column of raw draws from `lanes` (a _Lanes, or
+    anything with its _raw_column and _keep), trial i's lane for trial i;
+    trials that have hit stop, so they never step out of the window.
 
     The walk state is held for the live trials only (trial numbers `ids`),
     and the lanes with it: both are compacted on the steps where some trial
-    hits or breaks the cap."""
+    hits or breaks the cap. Levels are held as window rows, level - lo, and
+    the highest row reached and the step of its first passage only with a
+    cap M (first passages of a nearest-level walk are one level apart, so
+    without one the first step at `target` is T)."""
     trials = len(h0)
     ids = np.arange(trials)
-    lev = np.zeros(trials, dtype=np.int64)
-    h = h0.astype(np.int64)
-    best = np.zeros(trials, dtype=np.int64)
-    last_adv = np.zeros(trials, dtype=np.int64)
+    li = np.full(trials, -lo, dtype=np.int64)
+    h = h0.astype(np.int64) if d > 1 else None
+    goal = target - lo
+    if M is not None:
+        best = li.copy()
+        last_adv = np.zeros(trials, dtype=np.int64)
     T = np.full(trials, np.inf)
     ok = np.ones(trials, dtype=bool)
     for step in range(1, steps + 1):
         if not ids.size:
             break
-        li = lev - lo
-        if (li < 0).any():
+        if li.min() < 0:
             raise WindowExhaustedError("walk left the window")
-        choice = lookup(li, h, lanes._column(), ids)
-        block = choice // d
-        lev += block - 1
-        h = choice - block * d  # choice % d; numpy's integer remainder is slower
-        hit = lev == target
-        adv = lev > best
-        best += adv  # nearest-level moves advance first passage by one
-        gone = hit
+        h = _step_levels(li, h, lookup(li, h, lanes._raw_column(), ids), d)
+        gone = hit = li == goal
         if M is not None:
+            adv = li > best
+            best += adv  # nearest-level moves advance first passage by one
             # current excursion length, judged before first-passage bookkeeping
             # so an advance arriving after M steps still counts as a violation
             bad = (step - last_adv) > M
@@ -500,27 +548,29 @@ def _batch_walk(lookup, lo, target, lanes, steps, d, h0, M=None):
             gone = hit | bad
         if gone.any():
             T[ids[hit]] = step
-            ok[ids[gone & ~hit]] = False  # the trials that broke the cap
             keep = ~gone
-            ids, lev, h, best, last_adv = (a[keep] for a in (ids, lev, h, best, last_adv))
+            if M is not None:
+                ok[ids[bad]] = False  # the trials that broke the cap
+                best, last_adv = best[keep], last_adv[keep]
+            ids, li = ids[keep], li[keep]
+            if h is not None:
+                h = h[keep]
             lanes._keep(keep)
     return T, ok
 
 
 def _walk_levels(lookup, lo, lanes, steps, d, h0):
     """Levels of every trial after each of `steps` steps, yielded as one
-    array updated in place. Each step draws one column of `lanes`."""
+    array updated in place. Each step draws one column of raw draws from
+    `lanes`."""
     lev = np.zeros(len(h0), dtype=np.int64)
-    h = h0.astype(np.int64)
+    h = h0.astype(np.int64) if d > 1 else None
     trial = np.arange(len(h0))
     for _ in range(steps):
         li = lev - lo
-        if (li < 0).any():
+        if li.min(initial=0) < 0:
             raise WindowExhaustedError("walk left the window")
-        choice = lookup(li, h, lanes._column(), trial)
-        block = choice // d
-        lev += block - 1
-        h = choice - block * d
+        h = _step_levels(lev, h, lookup(li, h, lanes._raw_column(), trial), d)
         yield lev
 
 
@@ -571,15 +621,15 @@ def _direct_estimate(event, n, hits, trials, mode, spec_hash, seed) -> TailEstim
     p_lo, p_hi = _wilson(hits, trials)
     if hits == 0:
         return TailEstimate(
-            event=event, n=n, point=-math.log(p_hi) / n,
-            ci=(-math.log(p_hi) / n, float("inf")), method="direct",
+            event=event, n=n, point=_rate(math.log(p_hi), n),
+            ci=(_rate(math.log(p_hi), n), float("inf")), method="direct",
             trials=trials, ess=float(trials), mode=mode, hits=0,
             one_sided=True, spec_hash=spec_hash, seed=seed, prob=0.0,
         )
     phat = hits / trials
     return TailEstimate(
-        event=event, n=n, point=-math.log(phat) / n,
-        ci=(-math.log(p_hi) / n, -math.log(p_lo) / n if p_lo > 0 else float("inf")),
+        event=event, n=n, point=_rate(math.log(phat), n),
+        ci=(_rate(math.log(p_hi), n), _rate(math.log(p_lo), n) if p_lo > 0 else float("inf")),
         method="direct", trials=trials, ess=float(trials), mode=mode,
         hits=hits, spec_hash=spec_hash, seed=seed, prob=phat,
     )
@@ -594,8 +644,10 @@ def _sorted_search(table: np.ndarray, W: int, rows: np.ndarray, u: np.ndarray) -
     """min(searchsorted(cdf[row], u, side="right"), width - 1) for each u on
     its own row, by a branchless binary search of log2(W) 1-D takes. Row r
     of the flat table, at [r * W, (r + 1) * W), holds the first width - 1
-    entries of a nondecreasing cdf row padded with inf to the power of two
-    W >= width, so the count of entries <= u stays below W."""
+    entries of a nondecreasing cdf row padded to the power of two
+    W >= width with entries above every u (inf for uniforms, the sentinel
+    2^53 for raw draws and their thresholds), so the count of entries <= u
+    stays below W."""
     start = rows * W
     at = start.copy()
     half = W >> 1
@@ -603,6 +655,44 @@ def _sorted_search(table: np.ndarray, W: int, rows: np.ndarray, u: np.ndarray) -
         at += (table.take(at + (half - 1)) <= u) * half
         half >>= 1
     return at - start
+
+
+def _bucket_bits(m: int, k: int, n: int, d: int) -> int:
+    """log2 of the bucket count B of the sampler's tables (_bucket_table)
+    for a chunk of m trials on n levels of d rows of k thresholds. About
+    k / B of a level's m draws fall in flagged buckets and run
+    _sorted_search, each at about 16 times the cost of building one table
+    entry (on a 2-core x86-64 Xeon), so B near 4 sqrt(m k / d) spends the
+    least on both. B stays at most m / d, so that a level's table has no
+    more entries than the level has draws, and at most CHUNK_ENTRIES /
+    (n d), so that the tables fit the chunk's entry budget."""
+    bits = max(0, round(math.log2(max(1, 16 * m * k // d)) / 2))
+    while bits and (d << bits) > min(m, CHUNK_ENTRIES // max(n, 1)):
+        bits -= 1
+    return bits
+
+
+def _bucket_table(thr: np.ndarray, bits: int):
+    """(counts, flags), a guide table of the sorted threshold rows thr
+    (rows, k) for raw draws cut into B = 2^bits buckets by their top bits,
+    bucket b holding the draws [b 2^s, (b + 1) 2^s), s = 53 - bits.
+    counts[row * B + b] is the count of the row's thresholds at or below
+    the bucket's first draw, the count of every draw in the bucket unless
+    flags[row * B + b]: a threshold lies strictly inside the bucket. Count
+    j holds from bucket ceil(t_{j-1} / 2^s) up to ceil(t_j / 2^s), with
+    t_{-1} = 0 and t_k = 2^53. counts take the least unsigned type that
+    holds k (uint8 below 256 thresholds a row)."""
+    rows, k = thr.shape
+    B, s = 1 << bits, 53 - bits
+    edges = np.empty((rows, k + 2), np.int64)
+    edges[:, 0], edges[:, -1] = 0, B
+    edges[:, 1:-1] = (thr + ((1 << s) - 1)) >> s
+    values = np.arange(k + 1, dtype=np.min_scalar_type(k))
+    counts = np.repeat(np.tile(values, rows), np.diff(edges, axis=1).ravel())
+    row, j = np.nonzero(thr & ((1 << s) - 1))
+    flags = np.zeros(rows * B, bool)
+    flags[row * B + (thr[row, j] >> s).astype(np.int64)] = True
+    return counts, flags
 
 
 @dataclass
@@ -619,24 +709,47 @@ class TiltedSampler:
 
     def sample(self, trials: int, seed, first_trial: int = 0):
         """Sample `trials` tilted paths; trial i uses its own seed-tree stream
-        (spawn index first_trial + i), so any trial replays in isolation."""
+        (spawn index first_trial + i), so any trial replays in isolation.
+
+        Each level draws one column of raw draws and reads its entries'
+        counts (the excursion length - 1 times d plus the entry height)
+        from the level's bucket table (_bucket_table), whose bucket count
+        grows with the chunk; only the draws in flagged buckets run
+        _sorted_search on the threshold rows."""
         d, n = self.d, self.n
         width = self.cdfs.shape[2]
         W = 1 << (width - 1).bit_length()  # a power of two >= width
-        tables = np.full((n, d, W), np.inf)  # the search tables of _sorted_search
-        tables[:, :, :width - 1] = self.cdfs[:, :, :-1]
+        thr = _thresholds(self.cdfs[:, :, :-1])
+        tables = np.full((n, d, W), 1 << 53, np.uint64)  # the search tables of _sorted_search
+        tables[:, :, :width - 1] = thr
         tables = tables.reshape(n, d * W)
         T = np.zeros(trials, dtype=np.int64)
         h = np.zeros(trials, dtype=np.int64)
         for first, m in _chunks(trials, 0):
             lanes = _Lanes(seed, TAG_IS, first_trial + first, m)
             hc = _start_heights(lanes._column(), self.start).astype(np.int64)
+            bits = _bucket_bits(m, width - 1, n, d)
+            counts, flags = (a.reshape(n, d << bits) for a in
+                             _bucket_table(thr.reshape(n * d, width - 1), bits))
+            shift = np.uint64(53 - bits)
             Tc = T[first:first + m]
             for k in range(n):
-                idx = _sorted_search(tables[k], W, hc, lanes._column())
-                block = idx // d  # excursion length - 1
-                Tc += block + 1
-                hc = idx - block * d
+                x = lanes._raw_column()
+                at = (x >> shift).view(np.int64)
+                if d > 1:
+                    at += hc << bits
+                idx = counts[k].take(at)
+                fall = np.flatnonzero(flags[k].take(at))
+                if fall.size:
+                    idx[fall] = _sorted_search(tables[k], W, hc[fall], x[fall])
+                if d == 1:
+                    Tc += idx
+                else:
+                    idx = idx.astype(np.int64)
+                    block = idx // d
+                    Tc += block
+                    hc = idx - block * d
+            Tc += n  # the excursion lengths are the blocks plus one
             h[first:first + m] = hc
         return T, h
 
@@ -705,14 +818,14 @@ def importance_sample_hitting(
     log_p = sampler.log_Z - shift + math.log(mean_y) if mean_y > 0 else -float("inf")
     sum_y = float(y.sum())
     ess = sum_y**2 / float((y**2).sum()) if sum_y > 0 else 0.0
-    point = -log_p / n if math.isfinite(log_p) else float("inf")
+    point = _rate(log_p, n) if math.isfinite(log_p) else float("inf")
     if trials == 1 or hits == 0:
         # one sample, or none in the event, measures no spread: all that is
         # sure is that the probability is at most 1
         ci = (0.0, float("inf"))
     else:
         half = 1.959963984540054 * float(y.std(ddof=1)) / math.sqrt(trials)
-        ci = tuple(-(sampler.log_Z - shift + math.log(p)) / n if p > 0 else float("inf")
+        ci = tuple(_rate(sampler.log_Z - shift + math.log(p), n) if p > 0 else float("inf")
                    for p in (mean_y + half, mean_y - half))
     est = TailEstimate(
         event=f"T_n >= {t}*n & tau <= {M}", n=n, point=point, ci=ci,
@@ -793,7 +906,7 @@ def slowdown_probability(
                 p_total += float(dist[-base + k] @ B)
             probs.append(p_total)
         p = float(np.mean(probs))
-        point = -math.log(p) / n
+        point = _rate(math.log(p), n)
         return TailEstimate(
             event="inf_{m>=n} X_m <= 0", n=n, point=point, ci=(point, point),
             method="exact", trials=n_env, ess=float(n_env), mode=mode,

@@ -32,7 +32,9 @@ together 0.2, 1.1-1.3 and 3.4-4.1 us. The written-out work grows as
 (2 k + 1) d^3 for k lanes; past GENERATED_LEVEL_WORK (a Phi pass at
 d >= 6, the Newton lanes at d >= 4) _level_loop hands out the LAPACK
 loops of the same signatures instead, one solve a level, with row
-exchanges, certified by a tolerance on the inverse's entries.
+exchanges, certified by a tolerance on the inverse's entries; they read
+the levels' row arrays (_row_arrays), made once per window pass and once
+per periodic solve.
 
 Level k of the Phi sweep depends only on level k-1, so once the boundary
 re-solve from a later start equals the main sweep at one level, it
@@ -281,21 +283,26 @@ def _levels(vals: list, d: int) -> np.ndarray:
     return np.fromiter(vals, float, len(vals)).reshape(-1, d, d)
 
 
-def _row_arrays(rows, d: int, el: float):
+def _row_arrays(rows, d: int, el: float) -> list:
     """(q, r, [e^l p | I]) as arrays for each level of `rows`, formed once
-    per distinct row tuple (a sampled window's levels share their slice's)."""
+    per distinct row tuple (a sampled window's levels share their slice's):
+    the rows of the LAPACK level loops."""
     eye = np.eye(d)
     seen = {}
+    out = []
     for row in rows:
         arrays = seen.get(id(row))
         if arrays is None:
             q, r, p = np.array(row).reshape(3, d, d)
             arrays = seen[id(row)] = q, r, np.concatenate((el * p, eye), axis=1)
-        yield arrays
+        out.append(arrays)
+    return out
 
 
-def _lapack_levels(rows, el: float, f: np.ndarray, bound: float, derivative: bool = False):
-    """The Phi pass past GENERATED_LEVEL_WORK, from Phi_{-1} = f (d, d):
+def _lapack_levels(arrays: list, el: float, f: np.ndarray, bound: float,
+                   derivative: bool = False):
+    """The Phi pass past GENERATED_LEVEL_WORK over the row arrays of its
+    levels (_row_arrays at the same e^l), from Phi_{-1} = f (d, d):
     each level one LAPACK solve (with row exchanges) of
     (I - M)[Phi_k | Y] = [e^l p_k | I], certified by no entry of Phi_k or
     Y = (I - M)^{-1} below NEG_ENTRY_TOL and then clamped at 0; with
@@ -303,12 +310,12 @@ def _lapack_levels(rows, el: float, f: np.ndarray, bound: float, derivative: boo
     (phis, dphis or None, bad) as _sweep does."""
     d = f.shape[0]
     eye = np.eye(d)
-    out = np.empty((len(rows), d, d))
+    out = np.empty((len(arrays), d, d))
     dout = np.empty_like(out) if derivative else None
     g = np.zeros((d, d))
     bad = -1
     with _linalg_errstate():
-        for k, (q, r, rhs) in enumerate(_row_arrays(rows, d, el)):
+        for k, (q, r, rhs) in enumerate(arrays):
             a = eye - el * (r + q @ f)
             try:
                 sol = _solve(a, rhs)
@@ -324,23 +331,24 @@ def _lapack_levels(rows, el: float, f: np.ndarray, bound: float, derivative: boo
     return out[:n], None if dout is None else dout[:n], bad
 
 
-def _lapack_pass(rows, el: float, f: list, bound: float, vals: list) -> int:
+def _lapack_pass(arrays: list, el: float, f: list, bound: float, vals: list) -> int:
     """_lapack_levels with the generated Phi pass's signature (no fused
-    Phi'), for the periodic Newton passes."""
+    Phi'), for the periodic Newton passes: row arrays in the rows' place."""
     d = math.isqrt(len(f))
-    phis, _, bad = _lapack_levels(rows, el, np.array(f).reshape(d, d), bound)
+    phis, _, bad = _lapack_levels(arrays, el, np.array(f).reshape(d, d), bound)
     vals += phis.ravel().tolist()
     return bad
 
 
-def _lapack_lanes(rows, el: float, phis: list, f: list, starts, out=None) -> list:
+def _lapack_lanes(arrays: list, el: float, phis: list, f: list, starts, out=None) -> list:
     """The Phi' lanes past GENERATED_LEVEL_WORK, with the generated lanes'
-    signature: each level one LAPACK solve for every lane at once."""
+    signature (row arrays in the rows' place): each level one LAPACK solve
+    for every lane at once."""
     d = math.isqrt(len(f))
     eye = np.eye(d)
     prev, g = np.array(f).reshape(d, d), np.array(starts).reshape(-1, d, d)
     with _linalg_errstate():
-        for (q, r, _), cur in zip(_row_arrays(rows, d, el), _levels(phis, d)):
+        for (q, r, _), cur in zip(arrays, _levels(phis, d)):
             g = _solve(eye - el * (r + q @ prev), cur + el * (q @ g @ cur))
             if out is not None:
                 out += g.ravel().tolist()
@@ -363,7 +371,7 @@ def _sweep(window: EnvironmentWindow, lam: float, phi0, bound: float, start: int
     """
     d, rows, el = window.d, window.rows[start:stop], math.exp(lam)
     if not _generated(d):
-        return _lapack_levels(rows, el, phi0, bound, derivative)
+        return _lapack_levels(_row_arrays(rows, d, el), el, phi0, bound, derivative)
     vals, dvals = [], [] if derivative else None
     bad = _level_loop(d)(rows, el, phi0.ravel().tolist(), bound, vals, dvals)
     return (_levels(vals, d) if keep else None,
@@ -534,15 +542,21 @@ def _cycle_loops(spec: EnvironmentSpec, lam: float) -> tuple:
     Every pass is a level loop of the spec's d (_level_loop): the Phi
     pass, the d^2 + 1 Phi' lanes that give T (_period_map, written out on
     floats at d = 1), and the one lane of the periodic Phi'. x is a flat
-    list of d^2 floats.
+    list of d^2 floats. The LAPACK loops past GENERATED_LEVEL_WORK share
+    one list of the period's row arrays (_row_arrays), built here once.
     At d = 1 each solve is the division by 1 - T, refused unless
     1 - T > 0; at d >= 2 one d^2 x d^2 LAPACK solve (_affine_solve).
     """
     el = math.exp(lam)
     d, rows = spec.d, spec.rows
     dd = d * d
-    sweep = functools.partial(_level_loop(d), rows, el)
-    jacobian = functools.partial(_level_loop(d, dd + 1), rows, el)
+    arrays = None if _generated(d, dd + 1) else _row_arrays(rows, d, el)
+
+    def loop(lanes=None):
+        return functools.partial(_level_loop(d, lanes),
+                                 rows if _generated(d, lanes) else arrays, el)
+
+    sweep, jacobian = loop(), loop(dd + 1)
 
     if d == 1:
         lanes = _unit_lanes(1)
@@ -565,7 +579,7 @@ def _cycle_loops(spec: EnvironmentSpec, lam: float) -> tuple:
             if not a > 0.0:
                 raise ConvergenceError(float("inf"), 1)
             out = []
-            _level_loop(1, 1)(rows, el, vals, prev, (s / a,), out)
+            loop(1)(vals, prev, (s / a,), out)
             return out
     else:
         def newton(vals, x):
@@ -583,7 +597,7 @@ def _cycle_loops(spec: EnvironmentSpec, lam: float) -> tuple:
             if failure:
                 raise ConvergenceError(float("inf"), 1)
             out = []
-            _level_loop(d, 1)(rows, el, vals, prev, y, out)
+            loop(1)(vals, prev, y, out)
             return out
 
     return [0.0] * dd, sweep, newton, derivative

@@ -667,10 +667,19 @@ def ref_averaged_lookup(spec, env_uniforms):
     return lambda li, h, u, trial: ref_choose(support[env[trial, li], h], u)
 
 
+def raw_draws(u):
+    """The raw draws X = u 2^53 (uint64) of uniforms u, exact for multiples
+    of 2^-53 in [0, 1), as every Generator.random draw is."""
+    x = np.multiply(u, 2.0**53)
+    assert (x == np.floor(x)).all() and (x >= 0).all() and (x < 2.0**53).all()
+    return x.astype(np.uint64)
+
+
 class BlockLanes:
-    """The two operations of montecarlo's trial lanes on a fixed (trials,
+    """The operations of montecarlo's trial lanes on a fixed (trials,
     steps) block U: `_column` gives the next column of U for the live
-    trials, `_keep` drops trials by a mask over the live ones."""
+    trials, `_raw_column` the same column as raw draws (raw_draws), `_keep`
+    drops trials by a mask over the live ones."""
 
     def __init__(self, U):
         self.U, self.live, self.step = U, np.arange(len(U)), 0
@@ -678,6 +687,9 @@ class BlockLanes:
     def _column(self):
         self.step += 1
         return self.U[self.live, self.step - 1]
+
+    def _raw_column(self):
+        return raw_draws(self._column())
 
     def _keep(self, keep):
         self.live = self.live[keep]

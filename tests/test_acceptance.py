@@ -46,6 +46,7 @@ from conftest import (
     enumerate_hitting_distribution,
     enumerate_truncated_phi,
     random_d2_iid_spec,
+    raw_draws,
     refined_t_grid,
 )
 
@@ -161,7 +162,7 @@ def _mc_mean_speed(spec, n_steps, replicas, seed):
     for _ in range(n_steps):
         li = lev - w.lo
         u = rng.random(replicas)
-        choice = lookup(li, h, u, None)
+        choice = lookup(li, h, raw_draws(u), None)
         lev += choice // d - 1
         h = choice % d
     speeds = lev / n_steps

@@ -205,6 +205,22 @@ def test_simulate_direct_typical(p075_path, tmp_path, capsys):
     assert doc["point"] < 0.01
 
 
+def test_simulate_certain_event_writes_plus_zero(p075_path, tmp_path, capsys):
+    """T_20 >= 1.05 * 20 misses only a walk straight up, so all 50 trials
+    hit: the estimate of probability 1 is written with point 0.0 and the
+    interval's lower end 0.0, no -0.0."""
+    out = str(tmp_path / "sure.json")
+    code = main(["simulate", "--spec", p075_path, "--t", "1.05", "--levels", "20",
+                 "--trials", "50", "--seed", "0", "--out", out])
+    assert code == 0
+    text = open(out).read()
+    doc = json.loads(text)
+    assert (doc["hits"], doc["trials"], doc["prob"]) == (50, 50, 1.0)
+    assert "-0.0" not in text
+    for value in (doc["point"], doc["ci"][0]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_simulate_is_with_comparison(p075_path, tmp_path, capsys, counts):
     out = str(tmp_path / "is.json")
     code = main(["simulate", "--spec", p075_path, "--t", "3", "--method", "is",

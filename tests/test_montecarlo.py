@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -45,6 +46,7 @@ from conftest import (
     ref_tilted_sampler_tables,
     ref_window_lookup,
     ref_trial_uniforms,
+    raw_draws,
 )
 
 
@@ -300,6 +302,129 @@ def test_sorted_search_matches_searchsorted(width):
     assert mc._sorted_search(table.ravel(), W, r, u).tolist() == ref
 
 
+# partial sums whose thresholds ceil(c 2^53) are edge cases: signed zeros,
+# subnormals, multiples of 2^-53 and values between them, the last uniform
+# 1 - 2^-53, 1.0, the next double 1 + 2^-52 and inf
+THRESHOLD_EDGES = [0.0, -0.0, 5e-324, 2.0**-1074 * 12345, 2.0**-1022, 2.0**-53,
+                   3 * 2.0**-53, 0.1, 0.5, 1 - 2.0**-53, 1.0, 1 + 2.0**-52, math.inf, -1.0]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(c=st.one_of(st.sampled_from(THRESHOLD_EDGES),
+                   st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
+                   st.floats(-1.0, 2.0)),
+       side=st.sampled_from([-1, 0, 1]))
+def test_thresholds_decide_partial_sums_exactly(c, side):
+    """ceil(c 2^53) <= X iff c <= X 2^-53, for c and its nextafter
+    neighbours, at X = 0, 2^53 - 1 and the draws next to the threshold; a
+    threshold stays in [0, 2^53]."""
+    if side:
+        c = float(np.nextafter(c, side * math.inf))
+    t = int(mc._thresholds(np.array([c]))[0])
+    assert 0 <= t <= 2**53
+    for x in {0, 2**53 - 1, *(y for y in (t - 1, t, t + 1) if 0 <= y < 2**53)}:
+        assert (t <= x) == (c <= x * 2.0**-53), (c, t, x)
+
+
+def ref_tilted_sample(sampler, trials, seed, first_trial=0):
+    """(T, h) of TiltedSampler.sample trial by trial: the trial's uniforms,
+    its start height and one searchsorted (side="right") on its cdf row a
+    level, clamped to the row's last entry."""
+    n, d = sampler.n, sampler.d
+    width = sampler.cdfs.shape[2]
+    T = np.zeros(trials, dtype=np.int64)
+    h = np.zeros(trials, dtype=np.int64)
+    for i in range(trials):
+        u = ref_trial_uniforms(seed, mc.TAG_IS, first_trial + i, n + 1)
+        hi = int(_start_heights(u[:1], sampler.start)[0])
+        for k in range(n):
+            idx = min(int(np.searchsorted(sampler.cdfs[k, hi], u[k + 1], side="right")),
+                      width - 1)
+            T[i] += idx // d + 1
+            hi = idx % d
+        h[i] = hi
+    return T, h
+
+
+def crowded_sampler(n=30, d=2, M=4):
+    """A sampler whose cdf rows at every third level end in entries
+    1 - k 2^-50, all in the top bucket of any table of up to 2^48 buckets,
+    so that the draws there fall back to the search; the levels after them
+    have zero-probability ties, and those after those a height whose first
+    entry holds all the mass."""
+    rng = np.random.default_rng(11)
+    width = M * d
+    cdfs = np.cumsum(rng.random((n, d, width)), axis=2)
+    cdfs /= cdfs[:, :, -1:]
+    cdfs[::3, :, width // 2:] = 1.0 - np.arange(width // 2)[::-1] * 2.0**-50
+    cdfs[1::3, :, 1:3] = cdfs[1::3, :, :1]
+    cdfs[2::3, 0, :] = 1.0
+    return mc.TiltedSampler(lam=0.0, M=M, n=n, log_Z=0.0, cdfs=cdfs, d=d,
+                            start=StartDistribution.uniform(d).pi)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 5, 12])
+def test_bucket_table_matches_sorted_search(bits):
+    """On unflagged buckets the table's count is _sorted_search's, for
+    draws at the thresholds, next to them, on bucket edges and at random;
+    a flagged bucket holds a threshold strictly inside, and rows crowded
+    into one bucket flag it."""
+    sampler = crowded_sampler()
+    n, d, width = sampler.cdfs.shape
+    thr = mc._thresholds(sampler.cdfs[:, :, :-1]).reshape(n * d, width - 1)
+    W = 1 << (width - 1).bit_length()
+    table = np.full((n * d, W), 1 << 53, np.uint64)
+    table[:, :width - 1] = thr
+    counts, flags = mc._bucket_table(thr, bits)
+    assert counts.dtype == np.uint8 and counts.shape == flags.shape == (n * d << bits,)
+    rng = np.random.default_rng(bits)
+    rows = rng.integers(0, n * d, 6000)
+    near = thr[rows, rng.integers(0, width - 1, 6000)].astype(np.int64)
+    edges = rng.integers(0, 1 << bits, 6000) << (53 - bits)
+    x = np.concatenate([near - 1, near, near + 1, edges - 1, edges,
+                        rng.integers(0, 2**53, 6000), [0, 2**53 - 1]])
+    rows = np.concatenate([np.tile(rows, 5), rng.integers(0, n * d, 6002)])
+    keep = (x >= 0) & (x < 2**53)
+    x, rows = x[keep].astype(np.uint64), rows[keep]
+    want = mc._sorted_search(table.ravel(), W, rows, x)
+    at = (rows << bits) + (x >> np.uint64(53 - bits)).astype(np.int64)
+    plain = ~flags[at]
+    assert (counts[at][plain] == want[plain]).all()
+    first = (x >> np.uint64(53 - bits)) << np.uint64(53 - bits)
+    inside = [((thr[r] > f) & (thr[r] <= f + (2**(53 - bits) - 1))).any()
+              for r, f in zip(rows, first)]
+    assert flags[at].tolist() == inside
+    crowded = np.arange(0, n, 3)[:, None] * d + np.arange(d)
+    assert flags[(crowded.ravel() << bits) + (1 << bits) - 1].all()
+
+
+@pytest.mark.parametrize("trials, chunk", [(0, 97), (1, 97), (40, 97), (40, 7)],
+                         ids=["none", "one", "one-chunk", "chunks-7-7-..-5"])
+def test_tilted_sampler_matches_per_trial_search(monkeypatch, trials, chunk):
+    """T and the end heights equal the per-trial searchsorted loop, for no
+    trial, one trial, and chunks of 7 trials ending on a shorter one, on
+    the crowded sampler and on a d = 2 sampler from a window."""
+    monkeypatch.setattr(mc, "CHUNK_ENTRIES", chunk * mc.TRIAL_ENTRIES)
+    ev = LmgfEvaluator(random_d2_iid_spec(1, drift=0.4), n_levels=40, seed=3, margin=320)
+    for sampler in (crowded_sampler(), build_tilted_sampler(ev, ev.solve_tilt(3.0, 24), 24, 40)):
+        for first_trial in (0, 2**32 - 3):
+            T, h = sampler.sample(trials, seed=5, first_trial=first_trial)
+            T_ref, h_ref = ref_tilted_sample(sampler, trials, 5, first_trial)
+            assert T.tobytes() == T_ref.tobytes() and h.tobytes() == h_ref.tobytes()
+
+
+def test_bucket_count_follows_the_chunk():
+    """The bucket count grows with the chunk's trials, stays at most m / d
+    and within the chunk's entry budget, and is 1 for no trial or one."""
+    assert mc._bucket_bits(20_000, 15, 200, 1) == 11  # the bench's two-point IS op
+    assert mc._bucket_bits(2000, 47, 200, 2) == 9
+    for m in (0, 1):
+        assert mc._bucket_bits(m, 47, 200, 2) == 0
+    for m, k, n, d in ((32768, 47, 5000, 2), (3, 15, 10, 1), (500, 200, 50, 4)):
+        bits = mc._bucket_bits(m, k, n, d)
+        assert bits == 0 or (d << bits) <= min(m, mc.CHUNK_ENTRIES // n)
+
+
 @pytest.mark.parametrize("spec", [
     two_point_d1_spec([0.7, 0.8], [0.5, 0.5]),
     random_d2_iid_spec(1, drift=0.4),
@@ -477,6 +602,19 @@ def test_direct_estimators_reject_unknown_mode(call):
         call(PIN_SPECS["d1"])
 
 
+def test_certain_estimates_report_plus_zero():
+    """An estimated probability of 1 is rate 0.0, not -0.0, at the point
+    and the lower end of the interval, and so in JSON."""
+    est = mc._direct_estimate(event="e", n=7, hits=50, trials=50, mode="quenched",
+                              spec_hash="", seed=0)
+    assert est.prob == 1.0
+    for value in (est.point, est.ci[0]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert "-0.0" not in json.dumps(est.as_dict())
+    assert math.copysign(1.0, mc._rate(0.0, 3)) == 1.0
+    assert mc._rate(math.log(0.5), 3) == -math.log(0.5) / 3
+
+
 def test_start_heights_stay_on_the_strip():
     """The uniform start at d = 7 sums to less than 1 - 2^-53, a value
     Generator.random can return; that draw starts at the top height, not one
@@ -520,19 +658,23 @@ def test_trial_uniforms_match_per_trial_streams(seed):
 def test_lanes_continue_their_streams_through_compactions(seed, first, m, masks):
     """Random compactions between columns: each surviving lane continues its
     own trial's SeedSequence stream bit for bit, the same column of it as
-    every other lane, including across trial 2^32."""
-    lanes = _Lanes(seed, mc.TAG_HIT, first, m)
-    trials = np.arange(first, first + m)
-    drawn = []
-    for mask in masks:
-        drawn.append((trials, lanes._column()))
-        keep = np.array(mask[:len(trials)], dtype=bool)
-        trials = trials[keep]
-        lanes._keep(keep)
-    drawn.append((trials, lanes._column()))
-    for k, (alive, column) in enumerate(drawn):
-        ref = [ref_trial_uniforms(seed, mc.TAG_HIT, int(t), k + 1)[k] for t in alive]
-        assert column.tobytes() == np.array(ref, dtype=float).tobytes()
+    every other lane, including across trial 2^32; as uniforms, and as raw
+    draws X with uniform X 2^-53."""
+    for raw in (False, True):
+        lanes = _Lanes(seed, mc.TAG_HIT, first, m)
+        draw = lanes._raw_column if raw else lanes._column
+        trials = np.arange(first, first + m)
+        drawn = []
+        for mask in masks:
+            drawn.append((trials, draw()))
+            keep = np.array(mask[:len(trials)], dtype=bool)
+            trials = trials[keep]
+            lanes._keep(keep)
+        drawn.append((trials, draw()))
+        for k, (alive, column) in enumerate(drawn):
+            ref = np.array([ref_trial_uniforms(seed, mc.TAG_HIT, int(t), k + 1)[k]
+                            for t in alive], dtype=float)
+            assert column.tobytes() == (raw_draws(ref) if raw else ref).tobytes()
 
 
 @pytest.mark.parametrize("m", [0, 1])
@@ -613,7 +755,7 @@ def test_choose_matches_the_whole_row_count():
     assert rows[0, -1] < 1.0 - 2.0**-53
     u = np.array([0.0, 0.25, 0.5, 0.6, 1.0 - 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
     at = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1])
-    moves = _choose(_move_columns(*np.split(probs, 3, axis=1)), at, u)
+    moves = _choose(_move_columns(*np.split(probs, 3, axis=1)), at, raw_draws(u))
     assert moves.tolist() == [0, 2, 3, 3, 5, 1, 3, 5, 5]
     assert moves.tolist() == ref_choose(rows[at], u).tolist()
     ref = [min(int(np.searchsorted(rows[i], x, side="right")), 5) for i, x in zip(at, u)]
@@ -628,9 +770,9 @@ def test_choose_takes_no_move_of_probability_zero():
                       [0.0, 0.0, 0.5, 0.0, 0.25, 0.25]])
     d1 = _move_columns(*np.split(probs[:1, :3], 3, axis=1))
     d2 = _move_columns(*np.split(probs[1:], 3, axis=1))
-    u = np.zeros(2)
-    assert _choose(d1, np.array([0, 0]), u).tolist() == [1, 1]
-    assert _choose(d2, np.array([0, 0]), u).tolist() == [2, 2]
+    x = np.zeros(2, np.uint64)
+    assert _choose(d1, np.array([0, 0]), x).tolist() == [1, 1]
+    assert _choose(d2, np.array([0, 0]), x).tolist() == [2, 2]
 
 
 def test_start_heights_draw_no_height_of_probability_zero():
@@ -659,6 +801,25 @@ def test_batch_walk_matches_reference_loop(spec, mode, M):
     assert T.tobytes() == T_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
     assert np.isinf(T).any() and np.isfinite(T).any()
     assert ok.all() == (M is None)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(spec=st.sampled_from(["d1", "d2"]), mode=st.sampled_from(["quenched", "averaged"]),
+       M=st.sampled_from([None, 3, 5]), margin=st.integers(1, 12), steps=st.integers(1, 40))
+def test_batch_walk_stays_the_reference_near_the_window_edge(spec, mode, M, margin, steps):
+    """On windows with left margins of 1 to 12 levels, the walk raises
+    WindowExhaustedError exactly when the active-mask loop does, and
+    returns its T and ok otherwise."""
+    spec = PIN_SPECS[spec]
+    lookup, ref_lookup, h0, U = _walk_inputs(spec, mode, -margin, 6, steps, trials=60)
+    try:
+        want = ref_batch_walk(ref_lookup, -margin, 6, U, spec.d, h0, M)
+    except WindowExhaustedError:
+        with pytest.raises(WindowExhaustedError):
+            _batch_walk(lookup, -margin, 6, BlockLanes(U), U.shape[1], spec.d, h0, M)
+        return
+    T, ok = _batch_walk(lookup, -margin, 6, BlockLanes(U), U.shape[1], spec.d, h0, M)
+    assert T.tobytes() == want[0].tobytes() and ok.tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("M", [None, 5], ids=["uncapped", "M5"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -563,6 +564,34 @@ def test_wide_periodic_kernels_match_reference(d):
         assert cyclic_phi_residual(spec, lam, pp.phis) <= floor
         assert float(np.abs(pp.phis - ref.phis).max()) <= 2.0 * ref.tail + floor
         check_periodic_derivative(spec, lam, pp)
+
+
+def test_wide_periodic_solves_build_their_row_arrays_once(monkeypatch):
+    """At d = 6 every periodic pass is a LAPACK loop over the period's row
+    arrays: a period-3 solve_phi_periodic (4 Newton steps, 5 Phi passes and
+    4 Jacobian passes) builds them once, and so does its
+    periodic_phi_derivative (2 passes). Phi and Phi' keep the bytes of
+    the passes that built them each time (sha256, recorded with numpy's
+    bundled OpenBLAS on x86-64)."""
+    import stripldp.phi as phi
+
+    built = []
+
+    def counted(rows, d, el):
+        built.append(len(rows))
+        return real(rows, d, el)
+
+    real = phi._row_arrays
+    monkeypatch.setattr(phi, "_row_arrays", counted)
+    spec = periodic_of(wide_spec(6))
+    pp = solve_phi_periodic(spec, -0.3)
+    assert (pp.iterations, built) == (4, [3])
+    dphis = periodic_phi_derivative(spec, -0.3, pp)
+    assert built == [3, 3]
+    assert hashlib.sha256(pp.phis.tobytes()).hexdigest() == (
+        "b22e5043ccef4efea19fb3a104688106c52e6b9cc034c078bde106ea0dd700f9")
+    assert hashlib.sha256(dphis.tobytes()).hexdigest() == (
+        "976196cbf6e16272c8ec52e5c9f8259f97ac846cd3308b9c63fdbc8608596bef")
 
 
 @pytest.mark.parametrize("p, r", [(0.75, 0.0), (0.6, 0.1)])
