@@ -37,6 +37,11 @@ kernels of the truncated versions) and their det formula; `value` and
 infinite estimate, and the last Phi solve, so Lambda and Lambda' at one
 lambda (a Legendre search's last iterate) take one sweep.
 
+The truncated tilt lambda_{t,M}, the root of Lambda'_M = t behind J_M and
+the importance sampler, is found by safeguarded Newton (`solve_tilt`):
+each step is one pass over the depth-M kernels that forms Phi_M, Phi'_M
+and Phi''_M, and gives Lambda'_M with its slope.
+
 The scalars derived from Lambda: t0 = Lambda'(0-) (the hitting-time LLN
 constant, 1/v0 for right-transient walks), t* = Lambda'(lambda_crit-), and
 the transience regime read off the sign of Lambda(0).
@@ -66,6 +71,9 @@ from .products import _roll_left, _roll_right
 
 DEFAULT_MARGIN = 320
 REGIME_TOL = 1e-8  # floor of _classify's regime threshold on |Lambda(0)|
+SLOPE_RTOL = 1e-13  # |Lambda' - t| / t that ends a root search for Lambda' = t
+SLOPE_XTOL = 1e-12  # step or bracket width in lambda that ends it
+SLOPE_MAX_EVALS = 100  # bounds the loop; bisection alone ends it in under 70
 
 
 @dataclass(frozen=True)
@@ -164,13 +172,26 @@ def _log_terms(phis: np.ndarray, mu0: np.ndarray | None = None):
     return np.fromiter(map(math.log, s.tolist()), float, len(s))
 
 
+def _directions(phis: np.ndarray, mu0: np.ndarray | None = None,
+                nu0: np.ndarray | None = None):
+    """(mu_k, nu_{k+1}) at every level, mu rolled forward from mu0 and nu
+    backward from nu0 at level n (both uniform when omitted)."""
+    return _roll_left(phis, mu0)[0][:-1], _roll_right(phis, nu0)[0][1:]
+
+
+def _m_weighted(ker: np.ndarray, lam: float, power: int) -> np.ndarray:
+    """sum_m m^power e^{lam m} W_k[m-1] at every level of a (K, M, d, d)
+    kernel stack: Phi'_M (power 1) and Phi''_M (power 2)."""
+    m = np.arange(1, ker.shape[1] + 1)
+    return np.einsum("m,kmij->kij", m**power * np.exp(lam * m), ker)
+
+
 def _derivative_terms(phis: np.ndarray, dphis: np.ndarray, mu0: np.ndarray | None = None,
                       nu0: np.ndarray | None = None) -> np.ndarray:
-    """mu_k Phi'_k nu_{k+1} / (mu_k Phi_k nu_{k+1}) at every level, mu rolled
-    forward from mu0 and nu backward from nu0 at level n (both uniform when
-    omitted). On a window the uniform starts make the mean the exact
-    lambda-derivative of the value estimate."""
-    Z, R = _roll_left(phis, mu0)[0][:-1], _roll_right(phis, nu0)[0][1:]
+    """mu_k Phi'_k nu_{k+1} / (mu_k Phi_k nu_{k+1}) at every level, with the
+    directions of `_directions`. On a window the uniform starts make the
+    mean the exact lambda-derivative of the value estimate."""
+    Z, R = _directions(phis, mu0, nu0)
     return _bilinear(Z, dphis, R) / _bilinear(Z, phis, R)
 
 
@@ -336,9 +357,8 @@ class LmgfEvaluator:
     def derivative_truncated(self, lam: float, M: int) -> LmgfEstimate:
         return self._truncated(lam, M, "truncated-derivative")
 
-    def _truncated(self, lam: float, M: int, kind: str) -> LmgfEstimate:
-        """Lambda_M (kind 'truncated') or Lambda'_M from the depth-M kernels,
-        weighted by e^{lam m} (Phi_M) and by m e^{lam m} (Phi'_M)."""
+    def _truncated_phis(self, lam: float, M: int):
+        """(kernels, Phi_M(lam)) of depth M, with Phi_M's positivity enforced."""
         ker = self._kernels(M)
         phis = truncated_phis(ker, lam)
         # M >= N_kappa guarantees positive truncated matrices; rather than a
@@ -349,36 +369,85 @@ class LmgfEvaluator:
                 f"M={M} too small: truncated matrices lose strict positivity "
                 f"(M >= N_kappa = {n_kappa(self.spec.kappa)} guarantees it)"
             )
+        return ker, phis
+
+    def _truncated(self, lam: float, M: int, kind: str) -> LmgfEstimate:
+        """Lambda_M (kind 'truncated') or Lambda'_M from the depth-M kernels,
+        weighted by e^{lam m} (Phi_M) and by m e^{lam m} (Phi'_M)."""
+        ker, phis = self._truncated_phis(lam, M)
         mu0, nu0 = self._starts(phis, nu=kind != "truncated")
         if kind == "truncated":
             terms = _log_terms(phis, mu0)
         else:
-            m = np.arange(1, M + 1)
-            dphis = np.einsum("m,kmij->kij", m * np.exp(lam * m), ker)
-            terms = _derivative_terms(phis, dphis, mu0, nu0)
+            terms = _derivative_terms(phis, _m_weighted(ker, lam, 1), mu0, nu0)
         return self._estimate(lam, terms, _paper_window_bound(_measured_c(phis), self.n_levels),
                               kind, M)
 
-    def solve_tilt(self, t: float, M: int, tol: float = 1e-9) -> float:
-        """lambda_{t,M}: the root of Lambda'_M(lambda) = t (exists for 1 < t < M-2)."""
+    def _tilt_pass(self, lam: float, M: int) -> tuple[float, float]:
+        """(Lambda'_M(lam), its slope) from one pass over the depth-M kernels.
+
+        Lambda'_M is `derivative_truncated(lam, M).value` bit for bit. The
+        slope is the mean over levels of mu Phi''_M nu / mu Phi_M nu -
+        (mu Phi'_M nu / mu Phi_M nu)^2 on the same directions, Phi''_M
+        weighted by m^2 e^{lam m}: exact at d = 1, where Lambda_M is a mean
+        of logs; at d >= 2, where the directions move with lam too, an
+        estimate."""
+        ker, phis = self._truncated_phis(lam, M)
+        Z, R = _directions(phis, *self._starts(phis))
+        den = _bilinear(Z, phis, R)
+        g = _bilinear(Z, _m_weighted(ker, lam, 1), R) / den
+        h = _bilinear(Z, _m_weighted(ker, lam, 2), R) / den
+        return float(np.mean(g)), float(np.mean(h - g * g))
+
+    def solve_tilt(self, t: float, M: int, start: float = 0.0) -> float:
+        """lambda_{t,M}: the root of Lambda'_M(lambda) = t (exists for
+        1 < t < M-2), by safeguarded Newton from `start`.
+
+        Lambda'_M increases in lambda. Each step is one `_tilt_pass`, which
+        gives Lambda'_M and its slope, and then a Newton step on
+        log Lambda'_M. The evaluated lambdas keep a sign bracket [a, b] of
+        the root; an end not yet evaluated is a trial end, at first -2 and
+        2, which doubles past each evaluated lambda beyond it on the wrong
+        side of the root. A Newton step that leaves (a, b), or a slope
+        <= 0, gives way to the trial end on the root's side if there is one,
+        else to the midpoint of [a, b]. The search ends on the evaluated
+        lambda closest to the root once |Lambda'_M - t| <= SLOPE_RTOL t or
+        the last step was at most SLOPE_XTOL. A trial end past +-700 raises
+        ConvergenceError, and lambda M above TRUNCATED_EXP_CAP the
+        ValueError of `truncated_phis`.
+        """
         if not 1.0 < t < M - 2:
             raise ValueError(f"need 1 < t < M-2 (t={t}, M={M})")
-        lo, hi = -2.0, 2.0
-        while self.derivative_truncated(lo, M).value > t:
-            lo *= 2.0
-            if lo < -700:
-                raise ConvergenceError(float("nan"), 0)
-        while self.derivative_truncated(hi, M).value < t:
-            hi *= 2.0
-            if hi > 700:
-                raise ConvergenceError(float("nan"), 0)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.derivative_truncated(mid, M).value < t:
-                lo = mid
+        a, b = -2.0, 2.0
+        a_known = b_known = False
+        x, step, best = float(start), math.inf, None
+        for _ in range(SLOPE_MAX_EVALS):
+            v, slope = self._tilt_pass(x, M)
+            if best is None or abs(v - t) < abs(best[1] - t):
+                best = (x, v)
+            if v < t:
+                a, a_known = x, True
+                b = b if x < b else 2.0 * x
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                b, b_known = x, True
+                a = a if x > a else 2.0 * x
+            if a < -700 or b > 700:
+                raise ConvergenceError(float("nan"), 0)
+            if abs(v - t) <= SLOPE_RTOL * t or abs(step) <= SLOPE_XTOL:
+                break
+            # Newton on log Lambda'_M = log t (Lambda'_M >= 1, a mean excursion
+            # length): from lambda = 0 up to a root above it Lambda'_M rises
+            # convexly, and plain Newton overshoots further than on the log
+            y = x + math.log(t / v) * v / slope if slope > 0 else math.nan
+            if not a < y < b:
+                if v < t and not b_known:
+                    y = b
+                elif v > t and not a_known:
+                    y = a
+                else:
+                    y = 0.5 * (a + b)
+            step, x = y - x, y
+        return best[0]
 
 
 # ---------------------------------------------------------------------------

@@ -793,8 +793,9 @@ def importance_sample_hitting(
 ):
     """Tilted estimate of P(T_n >= t n, all excursions <= M) at rate scale.
 
-    The tilt lambda_{t,M} solves Lambda'_M = t, so the tilted walk
-    concentrates at T_n ~ t n and the event is no longer rare. Quenched:
+    The tilt lambda_{t,M} solves Lambda'_M = t (safeguarded Newton,
+    `LmgfEvaluator.solve_tilt`), so the tilted walk concentrates at
+    T_n ~ t n and the event is no longer rare. Quenched:
     the evaluator's window (a margin of at least M levels) is the one
     environment, n is its level count, and its seed also seeds the trials.
     With `return_samples`, returns (estimate, T, log_Z, lambda_{t,M}).

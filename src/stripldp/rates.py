@@ -15,7 +15,8 @@ Lambda(lambda_crit) for t past t*. Golden section remains only for the
 coordinate ascent over tilt weights.
 
 The truncated rate J_M(t) = lambda_{t,M} t - Lambda_M(lambda_{t,M}) takes
-the tilt that solves Lambda'_M = t, with the same t = 1 limit.
+the tilt that solves Lambda'_M = t (`LmgfEvaluator.solve_tilt`, started
+from the previous grid point's tilt), with the same t = 1 limit.
 
 Speed rates come from I(x) = |x| J(1/|x|), read off the spec for x > 0 and
 off its reflection for x < 0, and I(0) = lambda_crit (`_speed`).
@@ -41,14 +42,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import EnvironmentSpec, SpecValidationError, lambda_crit_cap
-from .lmgf import DEFAULT_MARGIN, EnvironmentAnalysis, LmgfEvaluator, _classify, analyze_environment
+from .lmgf import (
+    DEFAULT_MARGIN,
+    SLOPE_MAX_EVALS,
+    SLOPE_RTOL,
+    SLOPE_XTOL,
+    EnvironmentAnalysis,
+    LmgfEvaluator,
+    _classify,
+    analyze_environment,
+)
 from .phi import estimate_lambda_crit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LAMBDA_NEG_LIMIT = -30.0  # lambda used for the t = 1 limit
-SLOPE_RTOL = 1e-13  # |Lambda' - t| / t that ends a Legendre search
-SLOPE_XTOL = 1e-12  # secant step or bracket width in lambda that ends it
-SLOPE_MAX_EVALS = 100  # bounds the loop; bisection alone ends it in under 50
 
 
 @dataclass(frozen=True)
@@ -250,9 +257,15 @@ def _rate(ev: LmgfEvaluator, analysis: EnvironmentAnalysis):
 
 def _truncated_rate(ev: LmgfEvaluator, M: int):
     """t -> J_M(t) = lambda_{t,M} t - Lambda_M(lambda_{t,M}) on ev, with the
-    t = 1 limit at LAMBDA_NEG_LIMIT as in legendre_point."""
+    t = 1 limit at LAMBDA_NEG_LIMIT as in legendre_point. Each tilt's search
+    starts from the previous grid point's tilt."""
+    start = [0.0]
+
     def point(t: float):
-        lam = LAMBDA_NEG_LIMIT if t == 1.0 else ev.solve_tilt(t, M)
+        if t == 1.0:
+            lam = LAMBDA_NEG_LIMIT
+        else:
+            lam = start[0] = ev.solve_tilt(t, M, start[0])
         est = ev.value_truncated(lam, M)
         return lam * t - est.value, lam, est.deterministic_error, est.statistical_error
     return point

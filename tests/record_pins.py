@@ -5,7 +5,10 @@
 `pinned_estimates.json` holds the repr of every estimate that
 `test_lmgf.all_estimates` forms on four specs (`test_estimates_pinned`);
 `pinned_curves.json` holds the CSV, tilt trace and warnings of every curve
-in `test_rates.PINNED_CURVES` (`test_curves_pinned`). Re-record only in a
+in `test_rates.PINNED_CURVES` (`test_curves_pinned`);
+`pinned_importance.json` holds the importance-sampled estimates that
+`test_montecarlo.is_pin` forms, with the digests of their samples
+(`test_importance_sampling_pinned`). Re-record only in a
 change that means to move these outputs, and say in CHANGES.md which values
 moved and why: the script prints every pin entry it changes, each value
 that moved (old -> new) and the entry's largest relative change. With
@@ -20,6 +23,7 @@ import sys
 from pathlib import Path
 
 from test_lmgf import ROLL_SPECS, all_estimates
+from test_montecarlo import IS_PIN_M, is_pin
 from test_rates import PINNED_CURVES, curve_pin
 
 HERE = Path(__file__).parent
@@ -97,6 +101,9 @@ def main(argv: list) -> int:
     }, check)
     changed |= write("pinned_curves.json", {
         name: curve_pin(make()) for name, make in PINNED_CURVES.items()
+    }, check)
+    changed |= write("pinned_importance.json", {
+        name: is_pin(name) for name in IS_PIN_M
     }, check)
     return int(check and changed)
 

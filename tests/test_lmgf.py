@@ -13,6 +13,7 @@ from stripldp.env import (
     sample_window,
     two_point_d1_spec,
 )
+import stripldp.lmgf as lmgf
 from stripldp.lmgf import LmgfEvaluator, analyze_environment
 from stripldp.phi import solve_phi_periodic, solve_phi_window
 from stripldp.rates import _analyze_pair
@@ -20,6 +21,7 @@ from stripldp.rates import _analyze_pair
 from conftest import (
     d1_lambda_crit,
     d1_phi_closed,
+    d1_truncated_ldp,
     random_d2_iid_spec,
     ref_derivative_terms,
     ref_log_terms,
@@ -494,3 +496,65 @@ def test_reflection_analysis_from_the_swapped_pair(name):
     for got, want in ((_analyze_pair(ev, ev_inv), analyze_environment(spec, 800, 0)),
                       (_analyze_pair(ev_inv, ev), analyze_environment(spec.invert(), 800, 0))):
         assert repr(got.as_dict()) == repr(want.as_dict())
+
+
+# ---------------------------------------------------------------------------
+# the truncated tilt lambda_{t,M}: safeguarded Newton on Lambda'_M = t
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t, M", [(2.5, 16), (3.0, 16), (3.0, 24)])
+def test_tilt_matches_the_closed_form(t, M):
+    """At d = 1, lambda_{t,M} is the tilt whose tilted mean of the Catalan
+    excursion law is t; solve_tilt finds it to 1e-12."""
+    ev = LmgfEvaluator(homogeneous_d1_spec(0.75), n_levels=200)
+    assert abs(ev.solve_tilt(t, M) - d1_truncated_ldp(0.75, t, M).lam) <= 1e-12
+
+
+TILT_SPECS = {
+    "two-point": lambda: two_point_d1_spec([0.7, 0.8], [0.5, 0.5]),
+    "d2": lambda: random_d2_iid_spec(1, drift=0.4),
+}
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+@pytest.mark.parametrize("name", sorted(TILT_SPECS))
+def test_tilt_certificate_and_cost(name, n, monkeypatch):
+    """On the windows and depths of the benchmark's Monte Carlo workload,
+    each solve from lambda = 0 passes over the kernel stack at most 8
+    times and ends where |Lambda'_M - t| <= 1e-13 t."""
+    ev = LmgfEvaluator(TILT_SPECS[name](), n_levels=n, seed=0, margin=320)
+    passes = []
+    truncated_phis = lmgf.truncated_phis
+
+    def counted(ker, lam):
+        passes.append(lam)
+        return truncated_phis(ker, lam)
+
+    monkeypatch.setattr(lmgf, "truncated_phis", counted)
+    for M in (16, 24):
+        for t in (2.0, 3.0, 4.0, 5.0, 6.0):
+            passes.clear()
+            lam = ev.solve_tilt(t, M)
+            assert len(passes) <= 8 and lam in passes, (M, t, passes)
+            assert type(lam) is float
+            assert abs(ev.derivative_truncated(lam, M).value - t) <= 1e-13 * t, (M, t)
+
+
+@pytest.mark.parametrize("name", sorted(TILT_SPECS))
+def test_tilt_from_far_starts(name):
+    """From starts far on either side of the root, through the doubled
+    trial ends and the bisections of the bracket, a solve at t near 1 or
+    near M - 2 ends with the certificate |Lambda'_M - t| <= 1e-13 t, and
+    J_M there agrees with the solve from lambda = 0 to 1e-12."""
+    ev = LmgfEvaluator(TILT_SPECS[name](), n_levels=200, seed=0, margin=320)
+
+    def j_m(lam, t):
+        return lam * t - ev.value_truncated(lam, 16).value
+
+    for t in (1.001, 13.9):
+        lam0 = ev.solve_tilt(t, 16)
+        for start in (-20.0, 5.0, 20.0):
+            lam = ev.solve_tilt(t, 16, start)
+            assert abs(ev.derivative_truncated(lam, 16).value - t) <= 1e-13 * t, (t, start)
+            assert abs(j_m(lam, t) - j_m(lam0, t)) <= 1e-12, (t, start)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,18 +538,18 @@ PINNED = {
         ess=2000.0, mode="quenched", hits=987, one_sided=False, spec_hash="2de32045ad05530c",
         seed=1, prob=0.4935),
 }
-PINNED_IS = [
-    ("d1", 16, "2c9214f149e2cdb5", dict(
-        event="T_n >= 3.0*n & tau <= 16", n=40, method="importance-sampled",
-        point=0.14260254044959048, ci=[0.14094005908760057, 0.14438350113073573], trials=3000,
-        ess=639.5108017583283, mode="quenched", hits=1481, one_sided=False,
-        spec_hash="74fc14c5f6d8d07e", seed=3, prob=0.00333226969197799)),
-    ("d2", 24, "356b6e4690d7c0c4", dict(
-        event="T_n >= 3.0*n & tau <= 24", n=40, method="importance-sampled",
-        point=0.04049371504748728, ci=[0.03904559729391614, 0.04203090023848448], trials=3000,
-        ess=794.4022666412619, mode="quenched", hits=1415, one_sided=False,
-        spec_hash="2de32045ad05530c", seed=3, prob=0.1979484566948799)),
-]
+IS_PIN_M = {"d1": 16, "d2": 24}  # truncation depth of each spec's pinned IS run
+
+
+def is_pin(name: str) -> dict:
+    """The importance-sampled estimate of T_n >= 3n on PIN_SPECS[name]'s
+    40-level window, with the digest of its T samples; pinned in
+    pinned_importance.json (rewrite it with tests/record_pins.py)."""
+    est, T, _, _ = importance_sample_hitting(
+        LmgfEvaluator(PIN_SPECS[name], n_levels=40, seed=3, margin=320), t=3.0,
+        M=IS_PIN_M[name], trials=3000, return_samples=True,
+    )
+    return {**est.as_dict(), "T_digest": hashlib.sha256(T.tobytes()).hexdigest()[:16]}
 
 
 @pytest.mark.parametrize("key", list(PINNED), ids="-".join)
@@ -557,14 +558,10 @@ def test_direct_estimates_pinned(key):
     assert PIN_CALLS[kind](PIN_SPECS[spec], mode).as_dict() == PINNED[key]
 
 
-@pytest.mark.parametrize("spec, M, digest, pinned", PINNED_IS, ids=["d1", "d2"])
-def test_importance_sampling_pinned(spec, M, digest, pinned):
-    est, T, _, _ = importance_sample_hitting(
-        LmgfEvaluator(PIN_SPECS[spec], n_levels=40, seed=3, margin=320), t=3.0, M=M,
-        trials=3000, return_samples=True,
-    )
-    assert est.as_dict() == pinned
-    assert hashlib.sha256(T.tobytes()).hexdigest()[:16] == digest
+@pytest.mark.parametrize("name", sorted(IS_PIN_M))
+def test_importance_sampling_pinned(name):
+    pinned = json.loads(Path(__file__).with_name("pinned_importance.json").read_text())
+    assert is_pin(name) == pinned[name]
 
 
 def test_estimates_do_not_depend_on_the_trial_chunk(monkeypatch):
@@ -578,8 +575,8 @@ def test_estimates_do_not_depend_on_the_trial_chunk(monkeypatch):
     for key, pinned in PINNED.items():
         spec, kind, mode = key
         assert PIN_CALLS[kind](PIN_SPECS[spec], mode).as_dict() == pinned, key
-    for spec, M, digest, pinned in PINNED_IS:
-        test_importance_sampling_pinned(spec, M, digest, pinned)
+    for name in IS_PIN_M:
+        test_importance_sampling_pinned(name)
 
 
 def test_averaged_direct_slowdown_draws_environments():

@@ -133,6 +133,18 @@ def test_truncated_curve_monotone_in_M(p075_spec, p075_analysis):
     assert vals[-1] == pytest.approx(brute_force_J(0.75, 3.0), abs=1e-3)
 
 
+def test_warm_started_truncated_curve_matches_single_points():
+    """Each grid point's tilt search starts from the previous point's tilt;
+    along the benchmark's 2:1:6 grid, J_M and its tilt agree with
+    one-point curves to 1e-12."""
+    spec = two_point_d1_spec([0.7, 0.8], [0.5, 0.5])
+    curve = hitting_rate_curve(spec, np.arange(2.0, 6.5), n_levels=1000, M=16)
+    for t, j, lam in zip(curve.abscissae, curve.values, curve.maximizer_trace):
+        single = hitting_rate_curve(spec, [t], n_levels=1000, M=16, analysis=curve.metadata)
+        assert abs(j - single.values[0]) <= 1e-12
+        assert abs(lam - single.maximizer_trace[0]) <= 1e-12
+
+
 def test_recurrent_rate_positive_decaying(recurrent_spec):
     an = analyze_environment(recurrent_spec, n_levels=1500, seed=0)
     grid = np.array([1.5, 3.0, 8.0, 20.0, 60.0])
