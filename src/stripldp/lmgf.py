@@ -24,9 +24,20 @@ Two evaluation paths:
 Every estimator, full or truncated, takes its directions from the two rolls
 of `products` (`_roll_left` for mu, `_roll_right` for nu), rolled once:
 over a window from uniform starts, over one period from mu_0 and nu_0, the
-left and right Perron vectors of the period product. The value terms are
-the logs of the forward roll's normalizers mu_k Phi_k 1; the derivative
-terms are one batched product mu_k Phi'_k nu_{k+1} over all levels.
+left and right Perron vectors of the period product (`_cycle_starts`; at
+d = 2 the 2x2 product is formed on floats and both vectors come in closed
+form, with no cancellation). The value terms are the logs of the forward
+roll's normalizers mu_k Phi_k 1; the derivative terms are one batched
+product mu_k Phi'_k nu_{k+1} over all levels. Every periodic estimate,
+full or truncated, builds its terms in one place, `_period_terms`, from
+flat float lists (the periodic solvers return them; a truncated Phi_M is
+flattened): at d <= 2 its rolls are `products._roll_2x2`, its terms and
+mean are formed on floats, and it calls no np.linalg; from d = 3 it takes
+the window's array builders with the Perron starts. On a 2-core x86-64
+Xeon Lambda' and Lambda at one lambda take about 35-40 us on p = 0.75 and
+110-125 us on the bench's period-3 d = 2 spec (70 and 320-370 us with
+the numpy estimates and the LAPACK Newton step; 60 and 140-145 us with
+the generated Newton step but the numpy estimates).
 
 `LmgfEvaluator` forms every estimate in one place: the mean of the
 per-level terms, with a 95% CLT bar over a window's n levels (0 on a
@@ -51,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import truediv
 
 import numpy as np
 
@@ -67,7 +79,7 @@ from .phi import (
     truncated_kernels_range,
     truncated_phis,
 )
-from .products import _roll_left, _roll_right
+from .products import _roll_2x2, _roll_left, _roll_right
 
 DEFAULT_MARGIN = 320
 REGIME_TOL = 1e-8  # floor of _classify's regime threshold on |Lambda(0)|
@@ -106,12 +118,28 @@ def _det_cap(kappa: float, lam: float, d: int) -> float:
     return math.log(2.0 * d / (kappa * kappa))
 
 
-def _measured_c(entries: np.ndarray) -> float:
-    lo = float(entries.min())
-    hi = float(entries.max())
+def _measured_c(entries) -> float:
+    """min(lo, 1/hi) over the entries of an array or of a flat float list,
+    floored at 1e-12 (and 1e-12 when an entry is 0)."""
+    if isinstance(entries, list):
+        lo, hi = min(entries), max(entries)
+    else:
+        lo, hi = float(entries.min()), float(entries.max())
     if lo <= 0:
         return 1e-12
     return max(min(lo, 1.0 / hi), 1e-12)
+
+
+def _mean(terms) -> float:
+    """np.mean's bits on a sequence of floats: below 8 terms numpy adds
+    them in order from 0.0, past that it sums pairwise (numpy's own
+    call)."""
+    if len(terms) >= 8:
+        return float(np.mean(terms))
+    total = 0.0
+    for x in terms:
+        total += x
+    return float(total / len(terms))
 
 
 def _sandwich_check(lam: float, value: float, kappa: float, slack: float) -> None:
@@ -137,21 +165,50 @@ def _perron(m: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def _cycle_starts(phis: np.ndarray, nu: bool = True):
-    """(mu_0, nu_0): the left and right Perron vectors of the period product
-    P = Phi_0 ... Phi_{n-1} (Seneta, Non-negative Matrices and Markov Chains,
-    ch. 1 and 3), so one period's forward roll from mu_0 and backward roll
-    from nu_0 come back to them. P is formed one factor at a time and
-    normalized after each product; nu_0 is None unless `nu`. At d = 1 both
-    are the unit vector."""
-    d = phis.shape[1]
+def _perron_2x2(a: float, b: float, c: float, d: float) -> list:
+    """The right Perron vector of the nonnegative [[a, b], [c, d]], scaled to
+    sum 1, in closed form: with h = (a - d) / 2 and s = sqrt(h^2 + b c),
+    rho = (a + d) / 2 + s, and (rho - d, c) = (h + s, c) and
+    (b, rho - a) = (b, s - h) both solve (P - rho) v = 0. The one taken,
+    the first for h >= 0, the second below, adds nonnegative terms only,
+    so nothing cancels, and an exact zero entry (a zero column's) stays
+    0.0."""
+    h = 0.5 * (a - d)
+    s = math.sqrt(h * h + b * c)
+    v0, v1 = (h + s, c) if h >= 0.0 else (b, s - h)
+    t = v0 + v1
+    return [v0 / t, v1 / t]
+
+
+def _cycle_starts(vals: list, d: int, nu: bool = True):
+    """(mu_0, nu_0) as lists of floats: the left and right Perron vectors
+    of the period product P = Phi_0 ... Phi_{n-1} (Seneta, Non-negative
+    Matrices and Markov Chains, ch. 1 and 3) of the flat, row-major levels
+    `vals`, so one period's forward roll from mu_0 and backward roll from
+    nu_0 come back to them. P is formed one factor at a time and
+    normalized to entry sum 1 after each product; nu_0 is None unless
+    `nu`. At d = 1 both are the unit vector; at d = 2 P is formed on
+    floats and both vectors are _perron_2x2's closed form, 1.7 us on the
+    bench's period-3 spec against 42 us with numpy's products and two
+    np.linalg.eig (2-core x86-64 Xeon); from d = 3 one np.linalg.eig
+    each."""
     if d == 1:
-        return np.ones(1), (np.ones(1) if nu else None)
+        return [1.0], ([1.0] if nu else None)
+    if d == 2:
+        p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
+        it = iter(vals)
+        for a00, a01, a10, a11 in zip(it, it, it, it):
+            p00, p01, p10, p11 = (p00 * a00 + p01 * a10, p00 * a01 + p01 * a11,
+                                  p10 * a00 + p11 * a10, p10 * a01 + p11 * a11)
+            t = p00 + p01 + p10 + p11
+            p00, p01, p10, p11 = p00 / t, p01 / t, p10 / t, p11 / t
+        return (_perron_2x2(p00, p10, p01, p11),
+                _perron_2x2(p00, p01, p10, p11) if nu else None)
     P = np.eye(d)
-    for phi in phis:
+    for phi in np.reshape(vals, (-1, d, d)):
         P = P @ phi
         P /= P.sum()
-    return _perron(P.T), (_perron(P) if nu else None)
+    return _perron(P.T).tolist(), (_perron(P).tolist() if nu else None)
 
 
 def _bilinear(Z: np.ndarray, phis: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -193,6 +250,43 @@ def _derivative_terms(phis: np.ndarray, dphis: np.ndarray, mu0: np.ndarray | Non
     mean the exact lambda-derivative of the value estimate."""
     Z, R = _directions(phis, mu0, nu0)
     return _bilinear(Z, dphis, R) / _bilinear(Z, phis, R)
+
+
+def _period_terms(vals: list, d: int, dvals: list | None = None) -> list:
+    """One period's value terms log(mu_k Phi_k 1) or, given its Phi'
+    `dvals`, its derivative terms mu_k Phi'_k nu_{k+1} / (mu_k Phi_k
+    nu_{k+1}), as floats, from flat, row-major levels (the periodic
+    solvers' lists, or a period's Phi_M and Phi'_M flattened), with mu
+    and nu rolled from _cycle_starts: the one term builder of every
+    periodic estimate, full or truncated. At d = 1
+    every direction is 1: the value terms are np.log's (as `_log_terms`'),
+    the derivative terms Phi'_k / Phi_k. At d = 2 both rolls are
+    `_roll_2x2`'s (nu's over the transposed levels in reverse order) and
+    each bilinear form is (mu_k Phi_k) nu_{k+1} on floats, as
+    `_bilinear` groups it; from d = 3 the array path of `_log_terms` and
+    `_derivative_terms`."""
+    if d == 1:
+        return np.log(vals).tolist() if dvals is None else list(map(truediv, dvals, vals))
+    mu0, nu0 = _cycle_starts(vals, d, nu=dvals is not None)
+    if d > 2:
+        phis = np.reshape(vals, (-1, d, d))
+        if dvals is None:
+            return _log_terms(phis, mu0).tolist()
+        return _derivative_terms(phis, np.reshape(dvals, phis.shape), mu0, nu0).tolist()
+    it = iter(vals)
+    rows = list(zip(it, it, it, it))
+    Z, s = _roll_2x2(rows, *mu0)
+    if dvals is None:
+        return list(map(math.log, s))
+    R = _roll_2x2([(a, c, b, e) for a, b, c, e in reversed(rows)], *nu0)[0]
+    nus = list(zip(R[0::2], R[1::2]))[-2::-1]  # nu_1 .. nu_n (R holds nu_n first)
+    terms = []
+    it = iter(dvals)
+    for (a00, a01, a10, a11), (z0, z1), (r0, r1), g00, g01, g10, g11 in zip(
+            rows, zip(Z[0::2], Z[1::2]), nus, it, it, it, it):
+        num = (z0 * g00 + z1 * g10) * r0 + (z0 * g01 + z1 * g11) * r1
+        terms.append(num / ((z0 * a00 + z1 * a10) * r0 + (z0 * a01 + z1 * a11) * r1))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +333,15 @@ class LmgfEvaluator:
         level has no spread to measure, so a one-level window's bar is
         unmeasured: inf."""
         n = self.n_levels
-        stat = 0.0
-        if self.window is not None:
+        if self.window is None:
+            stat, value = 0.0, _mean(terms)
+        else:
             stat = 1.96 * float(np.std(terms, ddof=1)) / math.sqrt(n) if n > 1 else math.inf
+            value = float(np.mean(terms))
         return LmgfEstimate(
-            lam=lam, value=float(np.mean(terms)), deterministic_error=det,
+            lam=lam, value=value, deterministic_error=det,
             statistical_error=stat, n=n, kind=kind, M=M, boundary_bias=bias,
         )
-
-    def _starts(self, phis: np.ndarray, nu: bool = True):
-        """(mu_0, nu_0) for the direction rolls over `phis`: uniform (None)
-        on a window, the Perron vectors of the period product on a period.
-        Value terms roll mu only; without `nu`, nu_0 is None."""
-        return (None, None) if self.window is not None else _cycle_starts(phis, nu)
 
     def _memoized(self, kind: str, lam: float, estimator) -> LmgfEstimate:
         """estimator(lam), once per kind and lambda: the window is fixed, so a
@@ -297,9 +387,9 @@ class LmgfEvaluator:
     def _value(self, lam: float) -> LmgfEstimate:
         if self.window is None:
             pp = self._phi(lam)
-            phis = pp.phis
-            c = _measured_c(phis)
+            c = _measured_c(pp.vals)
             bias = 2.0 * pp.tail / c
+            terms = _period_terms(pp.vals, self.spec.d)
         else:
             sol = self._phi(lam)
             i0 = self.window.index_of(0)
@@ -308,10 +398,10 @@ class LmgfEvaluator:
             gaps = sol.boundary_gap[i0:]
             gaps = gaps[np.isfinite(gaps)]
             bias = 2.0 * float(gaps.sum()) / (c * len(gaps)) if gaps.size else 0.0
+            terms = _log_terms(phis)
         det = min(_paper_window_bound(c, self.n_levels),
                   _det_cap(self.spec.kappa, lam, self.spec.d)) + bias
-        mu0 = self._starts(phis, nu=False)[0]
-        est = self._estimate(lam, _log_terms(phis, mu0), det, "full", bias=bias)
+        est = self._estimate(lam, terms, det, "full", bias=bias)
         _sandwich_check(lam, est.value, self.spec.kappa,
                         slack=1e-10 + 4 * est.statistical_error)
         return est
@@ -325,14 +415,15 @@ class LmgfEvaluator:
     def _derivative(self, lam: float) -> LmgfEstimate:
         sol = self._phi(lam, derivative=True)
         if self.window is None:
-            phis, dphis = sol.phis, periodic_phi_derivative(self.spec, lam, sol)
-        else:
-            i0 = self.window.index_of(0)
-            phis, dphis = sol.phis[i0:], phi_derivative(self.window, lam, phi_solution=sol)[i0:]
-        terms = _derivative_terms(phis, dphis, *self._starts(phis))
+            dvals = periodic_phi_derivative(self.spec, lam, sol)
+            terms = _period_terms(sol.vals, self.spec.d, dvals)
+            return self._estimate(lam, terms, _paper_window_bound(_measured_c(sol.vals),
+                                                                  self.n_levels), "derivative")
+        i0 = self.window.index_of(0)
+        phis, dphis = sol.phis[i0:], phi_derivative(self.window, lam, phi_solution=sol)[i0:]
+        terms = _derivative_terms(phis, dphis)
         det = _paper_window_bound(_measured_c(phis), self.n_levels)
-        if self.window is not None:
-            det *= 1.0 + abs(float(terms.mean()))
+        det *= 1.0 + abs(float(terms.mean()))
         return self._estimate(lam, terms, det, "derivative")
 
     # -- truncated ------------------------------------------------------------
@@ -375,11 +466,13 @@ class LmgfEvaluator:
         """Lambda_M (kind 'truncated') or Lambda'_M from the depth-M kernels,
         weighted by e^{lam m} (Phi_M) and by m e^{lam m} (Phi'_M)."""
         ker, phis = self._truncated_phis(lam, M)
-        mu0, nu0 = self._starts(phis, nu=kind != "truncated")
-        if kind == "truncated":
-            terms = _log_terms(phis, mu0)
+        if self.window is None:
+            dvals = None if kind == "truncated" else _m_weighted(ker, lam, 1).ravel().tolist()
+            terms = _period_terms(phis.ravel().tolist(), self.spec.d, dvals)
+        elif kind == "truncated":
+            terms = _log_terms(phis)
         else:
-            terms = _derivative_terms(phis, _m_weighted(ker, lam, 1), mu0, nu0)
+            terms = _derivative_terms(phis, _m_weighted(ker, lam, 1))
         return self._estimate(lam, terms, _paper_window_bound(_measured_c(phis), self.n_levels),
                               kind, M)
 
@@ -393,10 +486,15 @@ class LmgfEvaluator:
         of logs; at d >= 2, where the directions move with lam too, an
         estimate."""
         ker, phis = self._truncated_phis(lam, M)
-        Z, R = _directions(phis, *self._starts(phis))
-        den = _bilinear(Z, phis, R)
-        g = _bilinear(Z, _m_weighted(ker, lam, 1), R) / den
-        h = _bilinear(Z, _m_weighted(ker, lam, 2), R) / den
+        if self.window is None:  # the directions of _period_terms, rolled twice
+            vals, d = phis.ravel().tolist(), self.spec.d
+            g, h = (np.array(_period_terms(vals, d, _m_weighted(ker, lam, k).ravel().tolist()))
+                    for k in (1, 2))
+        else:
+            Z, R = _directions(phis)
+            den = _bilinear(Z, phis, R)
+            g = _bilinear(Z, _m_weighted(ker, lam, 1), R) / den
+            h = _bilinear(Z, _m_weighted(ker, lam, 2), R) / den
         return float(np.mean(g)), float(np.mean(h - g * g))
 
     def solve_tilt(self, t: float, M: int, start: float = 0.0) -> float:

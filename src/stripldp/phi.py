@@ -44,12 +44,19 @@ main sweep's bits; the boundary gap it measures past the meeting level
 is exactly 0.
 
 The periodic Phi is the minimal fixed point of the cyclic sweep, found by
-Newton's method on Phi_{-1}: one Phi pass over the period, its Jacobian
-from the d^2 + 1 Phi' lanes of one more pass (_period_map, whose map the
-periodic Phi' solves too), and one d^2 x d^2 LAPACK solve whose
-nonnegative inverse is the step's M-matrix certificate; at d = 1 that
-solve is the division res / (1 - T), certified by 1 - T > 0. One Newton loop serves every d;
-_cycle_loops hands it the passes and the step of the spec's d.
+Newton's method on Phi_{-1}: one Phi pass over the period, its Jacobian T
+from the d^2 + 1 Phi' lanes of one more pass (whose affine map the
+periodic Phi' solves too), and one solve of (I - T) delta = res. The
+step is generated like the levels (_affine_source), at every d one
+text: res, the solve, the clamped update and the norms. At d <= 2 the
+solve is written out in it, the same elimination, with no row exchange,
+of the 4 x 4 I - T on Python floats (one division at d = 1), whose
+positive pivots certify rho(T) < 1; from d = 3 the step calls one
+d^2 x d^2 LAPACK solve, certified by its nonnegative inverse. So the
+d <= 2 periodic path makes no numpy call but the result array. One
+Newton loop serves every d; _cycle_loops hands it the passes and the
+step of the spec's d, over the spec's period or over a word of its
+slices (solve_phi_periodic).
 
 Truncated matrices Phi_{k,M} are computed exactly: one dynamic program
 over time steps gives the hitting kernels of a whole range of start levels
@@ -59,16 +66,17 @@ forward sensitivity of the same fixed point.
 
 Every Phi sequence leaves this module as one (n, d, d) array, level k at
 row k - lo: PhiSolution.phis over a window, PeriodicPhi.phis over a
-period, and the arrays of phi_derivative, periodic_phi_derivative and
-truncated_phis.
+period, and the arrays of phi_derivative and truncated_phis. The periodic
+ones also leave as the level loops' flat, row-major float lists, which
+the periodic estimates read: PeriodicPhi.vals and the periodic Phi' of
+periodic_phi_derivative.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,6 +127,66 @@ def divergence_bound(kappa: float, lam: float, tol: float = 1e-12) -> float:
     return 1.0 + 10.0 * tol
 
 
+def _names(x: str, n: int) -> list:
+    """The n x n matrix of source names x{i}_{j}."""
+    return [[f"{x}{i}_{j}" for j in range(n)] for i in range(n)]
+
+
+def _flat(m: list) -> list:
+    return [x for row in m for x in row]
+
+
+def _plus(terms) -> str:
+    return " + ".join(terms)
+
+
+def _u(i: int, j: int) -> str:
+    """The name of u_ij after stage i of _elimination: row 0 keeps m's."""
+    return f"m0_{j}" if i == 0 else f"u{i}_{j}"
+
+
+def _elimination(level: list, fail: str | None = None) -> list:
+    """Source lines of the stages of _level_source's elimination of I - M,
+    for the n x n M given entrywise by the expressions `level`. With
+    `fail`, a pivot not > 0 returns it."""
+    n = len(level)
+    m = _names("m", n)
+    # m_ii is used once, in the pivot a_i, so it is written there
+    lines = [f"{m[i][j]} = {level[i][j]}" for i in range(n) for j in range(n) if i != j]
+    for i in range(n):
+        for j in range(i):
+            num = _plus([m[i][j]] + [f"t{i}_{k} * {_u(k, j)}" for k in range(j)])
+            lines.append(f"t{i}_{j} = ({num}) / a{j}")
+        lines.append(" - ".join([f"a{i} = 1.0 - {level[i][i]}"]
+                                + [f"t{i}_{k} * {_u(k, i)}" for k in range(i)]))
+        if fail is not None:
+            lines += [f"if not a{i} > 0.0:", f"    return {fail}"]
+        if i:
+            lines += [f"u{i}_{j} = "
+                      + _plus([m[i][j]] + [f"t{i}_{k} * {_u(k, j)}" for k in range(i)])
+                      for j in range(i + 1, n)]
+    return lines
+
+
+def _substitution(rhs: list, x: list) -> list:
+    """Source lines solving (I - M) x = rhs after _elimination: the right
+    side's columns (rows of expressions `rhs`) forward, then back into the
+    names `x`."""
+    n, cols = len(rhs), range(len(rhs[0]))
+    b, lines = {}, []
+    for i in range(n):
+        for j in cols:
+            b[i, j] = _plus([rhs[i][j]] + [f"t{i}_{k} * {b[k, j]}" for k in range(i)])
+            if i < n - 1:
+                lines.append(f"b{i}_{j} = {b[i, j]}")
+                b[i, j] = f"b{i}_{j}"
+    for i in reversed(range(n)):
+        for j in cols:
+            num = _plus([b[i, j]] + [f"{_u(i, l)} * {x[l][j]}" for l in range(i + 1, n)])
+            lines.append(f"{x[i][j]} = ({num}) / a{i}")
+    return lines
+
+
 def _level_source(d: int, lanes: int | None = None) -> str:
     """Python source of the level loop at d: one straight-line Gaussian
     elimination of I - M, M = e^l (r_k + q_k Phi_{k-1}), written out for
@@ -161,53 +229,14 @@ def _level_source(d: int, lanes: int | None = None) -> str:
     """
     ix = range(d)
 
-    def mat(x):
-        return [[f"{x}{i}_{j}" for j in ix] for i in ix]
-
-    def flat(m):
-        return [x for row in m for x in row]
-
-    def plus(terms):
-        return " + ".join(terms)
-
     def product(a, b):
-        return [[plus(f"{a[i][l]} * {b[l][j]}" for l in ix) for j in ix] for i in ix]
+        return [[_plus(f"{a[i][l]} * {b[l][j]}" for l in ix) for j in ix] for i in ix]
 
-    q, r, p, f, m, h = (mat(x) for x in "qrpfmh")
+    q, r, p, f, h = (_names(x, d) for x in "qrpfh")
     fail = "len(vals)" if d == 1 else f"len(vals) // {d * d}"
     qf = product(q, f)
     level = [[f"el * ({r[i][j]} + ({qf[i][j]}))" for j in ix] for i in ix]  # M, entrywise
-    # m_ii is used once, in the pivot a_i, so it is written there
-    factor = [f"{m[i][j]} = {level[i][j]}" for i in ix for j in ix if i != j]
-    t, u = {}, {}
-    for i in ix:
-        for j in range(i):
-            t[i, j] = f"t{i}_{j}"
-            num = plus([m[i][j]] + [f"{t[i, k]} * {u[k, j]}" for k in range(j)])
-            factor.append(f"{t[i, j]} = ({num}) / a{j}")
-        factor.append(" - ".join([f"a{i} = 1.0 - {level[i][i]}"]
-                                 + [f"{t[i, k]} * {u[k, i]}" for k in range(i)]))
-        if lanes is None:
-            factor += [f"if not a{i} > 0.0:", f"    return {fail}"]
-        for j in range(i + 1, d):
-            u[i, j] = plus([m[i][j]] + [f"{t[i, k]} * {u[k, j]}" for k in range(i)])
-            if i:
-                factor.append(f"u{i}_{j} = {u[i, j]}")
-                u[i, j] = f"u{i}_{j}"
-
-    def solve(rhs, x):
-        b, lines = {}, []
-        for i in ix:
-            for j in ix:
-                b[i, j] = plus([rhs[i][j]] + [f"{t[i, k]} * {b[k, j]}" for k in range(i)])
-                if i < d - 1:
-                    lines.append(f"b{i}_{j} = {b[i, j]}")
-                    b[i, j] = f"b{i}_{j}"
-        for i in reversed(ix):
-            for j in ix:
-                num = plus([b[i, j]] + [f"{u[i, l]} * {x[l][j]}" for l in range(i + 1, d)])
-                lines.append(f"{x[i][j]} = ({num}) / a{i}")
-        return lines
+    factor = _elimination(level, fail if lanes is None else None)
 
     def derivative(cur, g):
         qg = product(q, g)
@@ -218,34 +247,34 @@ def _level_source(d: int, lanes: int | None = None) -> str:
                             for j, e in enumerate(row)]
         rhs = [[f"{cur[i][j]} + el * ({e})" for j, e in enumerate(row)]
                for i, row in enumerate(product(hs, cur))]
-        return lines + solve(rhs, g)
+        return lines + _substitution(rhs, g)
 
     def extend(target, names):
         return f"{target}.append({names[0]})" if d == 1 else f"{target} += {', '.join(names)}"
 
-    row = ", ".join(flat(q) + flat(r) + flat(p))
+    row = ", ".join(_flat(q) + _flat(r) + _flat(p))
     if lanes is None:
-        g = mat("g")
+        g = _names("g", d)
         head = ["def level_loop(rows, el, f, bound, vals, dvals=None):",
-                f"    {', '.join(flat(f))}, = f",
-                f"    {' = '.join(flat(g))} = 0.0",
+                f"    {', '.join(_flat(f))}, = f",
+                f"    {' = '.join(_flat(g))} = 0.0",
                 f"    for {row} in rows:"]
-        body = (factor + solve([[f"el * {x}" for x in line] for line in p], f)
-                + [f"if {' or '.join(x + ' > bound' for x in flat(f))}:",
-                   f"    return {fail}", extend("vals", flat(f)), "if dvals is not None:"]
-                + ["    " + x for x in derivative(f, g) + [extend("dvals", flat(g))]])
+        body = (factor + _substitution([[f"el * {x}" for x in line] for line in p], f)
+                + [f"if {' or '.join(x + ' > bound' for x in _flat(f))}:",
+                   f"    return {fail}", extend("vals", _flat(f)), "if dvals is not None:"]
+                + ["    " + x for x in derivative(f, g) + [extend("dvals", _flat(g))]])
         tail = "    return -1"
     else:
-        c, gs = mat("c"), [mat(f"g{k}_") for k in range(lanes)]
-        every = [x for g in gs for x in flat(g)]
+        c, gs = _names("c", d), [_names(f"g{k}_", d) for k in range(lanes)]
+        every = [x for g in gs for x in _flat(g)]
         levels = "phis" if d == 1 else ", ".join(["it"] * (d * d))
         head = ["def level_loop(rows, el, phis, f, starts, out=None):",
-                f"    {', '.join(flat(f))}, = f",
+                f"    {', '.join(_flat(f))}, = f",
                 f"    {', '.join(every)}, = starts"] + ["    it = iter(phis)"] * (d > 1) + [
-                f"    for ({row}), {', '.join(flat(c))} in zip(rows, {levels}):"]
+                f"    for ({row}), {', '.join(_flat(c))} in zip(rows, {levels}):"]
         body = (factor + [x for g in gs for x in derivative(c, g)]
                 + ["if out is not None:", "    " + extend("out", every)]
-                + [f"{a} = {b}" for a, b in zip(flat(f), flat(c))])
+                + [f"{a} = {b}" for a, b in zip(_flat(f), _flat(c))])
         tail = f"    return [{', '.join(every)}]"
     return "\n".join(head + ["        " + x for x in body] + [tail]) + "\n"
 
@@ -272,10 +301,78 @@ def _level_loop(d: int, lanes: int | None = None):
     (_sweep takes _lapack_levels itself there)."""
     if not _generated(d, lanes):
         return _lapack_pass if lanes is None else _lapack_lanes
-    scope = {}
-    exec(compile(_level_source(d, lanes), f"<phi level loop d={d} lanes={lanes}>", "exec"),
-         scope)
-    return scope["level_loop"]
+    return _compiled(_level_source(d, lanes), f"level loop d={d} lanes={lanes}")["level_loop"]
+
+
+def _compiled(source: str, label: str, scope: dict | None = None) -> dict:
+    """The names that `source` defines, compiled, in a copy of `scope`."""
+    scope = dict(scope or {})
+    exec(compile(source, f"<phi {label}>", "exec"), scope)
+    return scope
+
+
+# the most unknowns of a generated affine solve: n = d^2 <= 4, d <= 2. On a
+# 2-core x86-64 Xeon (random 0.9-contractive T, best of 5) the generated
+# solve takes 1.4-2 us at n = 4 against 15-17 us for _affine_solve's LAPACK
+# call, and 9 us at n = 9 (d = 3) against 20 us. The cut is not the
+# crossover: from d = 3 the LAPACK solve stays, so that every d >= 3
+# periodic output keeps its bits.
+GENERATED_AFFINE_UNKNOWNS = 4
+
+
+def _affine_source(n: int) -> str:
+    """Python source of the periodic Newton step's solves over n unknowns:
+    newton_step(ends, f, x) -> (x', |y|, |c|), with c = f - x,
+    (I - T) y = c and x' = max(x + y, 0) (the norms the largest entries in
+    absolute value), returning None where the solve refuses; and, up to
+    GENERATED_AFFINE_UNKNOWNS, the solve itself, affine_solve(ends, c) -> y,
+    which newton_step writes out in place. Past it newton_step calls the
+    affine_solve of its scope, the LAPACK one (_affine_loop), so the step's
+    update is this one text at every n.
+
+    T is the n x n Jacobian that the lanes' ends give, T_ij = (the j-th
+    unit lane's entry i - s_i) / LANE_SCALE with s the zero lane's ends,
+    and the written-out solve is _level_source's elimination of I - T (no
+    row exchange, the same stage order) with one right side, returning
+    None at the first pivot not > 0. T >= 0 as computed (a lane's entries
+    are monotone in its start, like F1 of estimate_lambda_crit), so I - T
+    is a Z-matrix, whose pivots are all positive iff it is a nonsingular
+    M-matrix, that is iff (I - T)^{-1} >= 0, iff rho(T) < 1: they are the
+    whole certificate. At n = 1 the solve is the division c / (1 - T)."""
+    ix = range(n)
+    c, f, x, y = ([f"{v}{i}" for i in ix] for v in "cfxy")
+    if n <= GENERATED_AFFINE_UNKNOWNS:
+        s = [f"s{i}" for i in ix]
+        lane = [[f"l{j}_{i}" for i in ix] for j in ix]  # lane j from LANE_SCALE e_j
+        level = [[f"({lane[j][i]} - {s[i]}) / {LANE_SCALE!r}" for j in ix] for i in ix]
+        solve = ([f"{', '.join(s + _flat(lane))}, = ends"] + _elimination(level, "None")
+                 + _substitution([[v] for v in c], [[v] for v in y]))
+        head = (["def affine_solve(ends, c):", f"    {', '.join(c)}, = c"]
+                + ["    " + v for v in solve] + [f"    return [{', '.join(y)}]", "", ""])
+    else:
+        solve = [f"y = affine_solve(ends, [{', '.join(c)}])", "if y is None:",
+                 "    return None", f"{', '.join(y)}, = y"]
+        head = []
+
+    def largest(names):
+        return f"max({', '.join(f'abs({v})' for v in names)})" if n > 1 else f"abs({names[0]})"
+
+    return "\n".join(
+        head + ["def newton_step(ends, f, x):", f"    {', '.join(f)}, = f",
+                f"    {', '.join(x)}, = x"]
+        + [f"    {a} = {b} - {v}" for a, b, v in zip(c, f, x)] + ["    " + v for v in solve]
+        + [f"    return [{', '.join(f'max({v} + {w}, 0.0)' for v, w in zip(x, y))}], "
+           f"{largest(y)}, {largest(c)}"]) + "\n"
+
+
+@functools.cache
+def _affine_loop(n: int) -> tuple:
+    """(affine_solve, newton_step) of _affine_source(n), compiled on first
+    use; past GENERATED_AFFINE_UNKNOWNS affine_solve is the LAPACK solve of
+    the same signature (_affine_solve), which newton_step calls."""
+    lapack = {} if n <= GENERATED_AFFINE_UNKNOWNS else {"affine_solve": _affine_solve}
+    scope = _compiled(_affine_source(n), f"affine solve n={n}", lapack)
+    return scope["affine_solve"], scope["newton_step"]
 
 
 def _levels(vals: list, d: int) -> np.ndarray:
@@ -511,22 +608,29 @@ class PeriodicPhi:
     `iterations` counts Newton steps; `tail` is the size of the last one,
     which bounds the remaining distance to the fixed point both where
     Newton converges quadratically and where it halves the distance each
-    step (at a singular root, the recurrent boundary).
+    step (at a singular root, the recurrent boundary). `vals` is `phis`
+    flat and row-major, as the level loops return it; `loops` are the
+    _cycle_loops that solved it, which periodic_phi_derivative reuses at
+    the same spec, lambda and word.
     """
 
     phis: np.ndarray  # (period, d, d)
     lam: float
     iterations: int
     tail: float
+    vals: list = field(repr=False)
+    loops: tuple | None = field(default=None, repr=False)
 
     @property
     def period(self) -> int:
         return self.phis.shape[0]
 
 
-def _cycle_loops(spec: EnvironmentSpec, lam: float) -> tuple:
-    """(zero, sweep, newton, derivative): the periodic solvers' passes and
-    steps at lambda, over the spec's float rows (`EnvironmentSpec.rows`).
+def _cycle_loops(spec: EnvironmentSpec, lam: float, word: tuple | None = None) -> tuple:
+    """(key, zero, sweep, newton, derivative): the periodic solvers' passes
+    and steps at lambda over the word's float rows (`EnvironmentSpec.rows`
+    indexed by `word`; all of them, in order, when it is None), and
+    key = (spec, lam, word).
 
     `zero` is Newton's start x = Phi_{-1} = 0. sweep(x, bound, vals)
     appends the Phi pass from Phi_{-1} = x to `vals` (flat, row-major) and
@@ -535,20 +639,28 @@ def _cycle_loops(spec: EnvironmentSpec, lam: float) -> tuple:
     res = Phi_{period-1} - x, T the pass's Jacobian in x,
     (I - T) delta = res and x' = max(x + delta, 0), with the norms the
     largest entries in absolute value; it raises SupercriticalError when
-    I - T is singular or (I - T)^{-1} has a negative entry. derivative(vals)
-    is the periodic Phi' over the solved Phi `vals`, flat, and raises
-    ConvergenceError on the same failures.
+    the solve refuses. derivative(vals) is the periodic Phi' over the
+    solved Phi `vals`, flat, and raises ConvergenceError when it refuses.
 
     Every pass is a level loop of the spec's d (_level_loop): the Phi
-    pass, the d^2 + 1 Phi' lanes that give T (_period_map, written out on
-    floats at d = 1), and the one lane of the periodic Phi'. x is a flat
-    list of d^2 floats. The LAPACK loops past GENERATED_LEVEL_WORK share
-    one list of the period's row arrays (_row_arrays), built here once.
-    At d = 1 each solve is the division by 1 - T, refused unless
-    1 - T > 0; at d >= 2 one d^2 x d^2 LAPACK solve (_affine_solve).
+    pass, the d^2 + 1 Phi' lanes whose ends give T (the zero lane and the
+    LANE_SCALE unit lanes, _unit_lanes), and the one lane of the periodic
+    Phi'. x is a flat list of d^2 floats. The LAPACK loops past
+    GENERATED_LEVEL_WORK share one list of the word's row arrays
+    (_row_arrays), built here once. Each solve of (I - T) y = b, and the
+    Newton step around it, is _affine_loop(d^2)'s: at d <= 2 the
+    generated elimination on floats, which refuses at a pivot not > 0
+    (rho(T) >= 1), one division at d = 1; from d = 3 one LAPACK solve
+    (_affine_solve). On a 2-core x86-64 Xeon a d = 2 Newton step on the
+    bench's period-3 spec costs 11-14 us, most of it the lanes' pass; the
+    generated step, solve and update, takes 2.3-2.5 us of it, against
+    3.4-3.7 us for the same update written in Python around the generated
+    solve and 18-20 us around the LAPACK solve (0.4 against 1.45 us at
+    d = 1).
     """
     el = math.exp(lam)
-    d, rows = spec.d, spec.rows
+    d = spec.d
+    rows = spec.rows if word is None else [spec.rows[i] for i in word]
     dd = d * d
     arrays = None if _generated(d, dd + 1) else _row_arrays(rows, d, el)
 
@@ -557,63 +669,59 @@ def _cycle_loops(spec: EnvironmentSpec, lam: float) -> tuple:
                                  rows if _generated(d, lanes) else arrays, el)
 
     sweep, jacobian = loop(), loop(dd + 1)
+    affine, newton_step = _affine_loop(dd)
+    lanes = _unit_lanes(dd)
 
-    if d == 1:
-        lanes = _unit_lanes(1)
+    def newton(vals, x):
+        step = newton_step(jacobian(vals, x, lanes), vals[-dd:], x)
+        if step is None:
+            raise SupercriticalError(lam, detail="period map expands")
+        return step
 
-        def newton(vals, x):
-            s, t = jacobian(vals, x, lanes)
-            a = 1.0 - (t - s) / LANE_SCALE  # I - T; a^{-1} >= 0 iff T < 1
-            if a == 0.0:
-                raise SupercriticalError(lam, detail="singular Newton step")
-            if not a > 0.0:
-                raise SupercriticalError(lam, detail="period map expands")
-            res = vals[-1] - x[0]
-            delta = res / a
-            return [max(x[0] + delta, 0.0)], abs(delta), abs(res)
+    def derivative(vals):
+        prev = vals[-dd:]
+        ends = jacobian(vals, prev, lanes)
+        y = affine(ends, ends[:dd])
+        if y is None:
+            raise ConvergenceError(float("inf"), 1)
+        out = []
+        loop(1)(vals, prev, y, out)
+        return out
 
-        def derivative(vals):
-            prev = vals[-1:]
-            s, t = jacobian(vals, prev, lanes)
-            a = 1.0 - (t - s) / LANE_SCALE
-            if not a > 0.0:
-                raise ConvergenceError(float("inf"), 1)
-            out = []
-            loop(1)(vals, prev, (s / a,), out)
-            return out
-    else:
-        def newton(vals, x):
-            res = list(map(operator.sub, vals[-dd:], x))
-            delta, failure = _affine_solve(_period_map(jacobian, vals, x)[1], res)
-            if failure:
-                raise SupercriticalError(lam, detail=failure)
-            return ([max(a + b, 0.0) for a, b in zip(x, delta)],
-                    max(map(abs, delta)), max(map(abs, res)))
-
-        def derivative(vals):
-            prev = vals[-dd:]
-            s, T = _period_map(jacobian, vals, prev)
-            y, failure = _affine_solve(T, s)
-            if failure:
-                raise ConvergenceError(float("inf"), 1)
-            out = []
-            loop(1)(vals, prev, y, out)
-            return out
-
-    return [0.0] * dd, sweep, newton, derivative
+    return (spec, lam, word), [0.0] * dd, sweep, newton, derivative
 
 
-def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) -> PeriodicPhi:
+def _word(spec: EnvironmentSpec, word) -> tuple | None:
+    """`word` as a tuple of indices into spec.slices, at least one; None
+    (the spec's own period) needs a periodic spec."""
+    if word is None:
+        if spec.kind != "periodic":
+            raise ValueError("a periodic solve needs a periodic spec or a word")
+        return None
+    word = tuple(word)
+    if not word or min(word) < 0 or max(word) >= len(spec.slices):
+        raise ValueError(f"a word needs at least one letter, each in 0..{len(spec.slices) - 1}")
+    return word
+
+
+def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13,
+                       word=None) -> PeriodicPhi:
     """The minimal fixed point of the cyclic sweep (position 0 fed by
     position period-1), equal to the bi-infinite Phi of the periodic
     environment, by Newton's method on x = Phi_{-1}.
+
+    The environment is the periodic spec's period, or, given `word`, the
+    slices spec.slices[i] for i in word, read cyclically, on any spec: a
+    word builds and validates no spec, and the identity word is the spec
+    call bit for bit.
 
     One sweep pass from x over the period gives Phi_0..Phi_{period-1} (with
     the sweeps' per-level certificate and entry bound); the Phi' lanes of
     one more pass give its Jacobian T in x, and one solve of
     (I - T) delta = Phi_{period-1} - x the step, x <- max(x + delta, 0). As
-    T >= 0, (I - T)^{-1} >= 0 iff rho(T) < 1; a singular I - T or a
-    negative entry of its inverse raises SupercriticalError. From the zero
+    T >= 0, (I - T)^{-1} >= 0 iff rho(T) < 1; a solve that refuses (a pivot
+    not > 0 at d <= 2, a singular I - T or a negative entry of its inverse
+    past that) raises SupercriticalError. From the zero
     start on this monotone, order-convex map the steps rise to the minimal
     solution (Latouche 1994, Newton's iteration for non-linear equations in
     Markov chains). Newton stops when |delta| <= tol, or when |delta| stops
@@ -623,13 +731,19 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
     raised, at every lambda.
 
     The passes are the level loops of the spec's d over its float rows,
-    and the step one division at d = 1 and one d^2 x d^2 LAPACK solve at
-    d >= 2 (_cycle_loops).
+    and the step the generated elimination of I - T on floats at d <= 2
+    (one division at d = 1) and one d^2 x d^2 LAPACK solve from d = 3
+    (_cycle_loops). On a 2-core x86-64 Xeon a solve takes 15-19 us on
+    p = 0.75 (4-5 steps) and 48-76 us on the bench's period-3 d = 2 spec
+    (3-5 steps), against 100-157 us with the LAPACK step; the 1374
+    necklaces of that spec's slices up to length 8 solve as words at
+    lambda = -0.5 in 0.12 s, against 0.64 s for a loop that builds a
+    periodic spec for each and solves it with the LAPACK step.
     """
-    if spec.kind != "periodic":
-        raise ValueError("solve_phi_periodic needs a periodic spec")
+    word = _word(spec, word)
     bound = divergence_bound(spec.kappa, lam, tol)
-    x, sweep, newton, _ = _cycle_loops(spec, lam)
+    loops = _cycle_loops(spec, lam, word)
+    _, x, sweep, newton, _ = loops
     step = math.inf
     done = False
     for it in range(NEWTON_MAX_STEPS + 1):
@@ -644,7 +758,8 @@ def solve_phi_periodic(spec: EnvironmentSpec, lam: float, tol: float = 1e-13) ->
         done = step <= tol or (step >= last and res <= tol)
     if not done:
         raise ConvergenceError(step, it)
-    return PeriodicPhi(phis=_levels(vals, spec.d), lam=lam, iterations=it, tail=step)
+    return PeriodicPhi(phis=_levels(vals, spec.d), lam=lam, iterations=it, tail=step,
+                       vals=vals, loops=loops)
 
 
 try:
@@ -671,21 +786,24 @@ def _linalg_errstate():
                        divide="ignore", under="ignore")
 
 
-def _affine_solve(T: list, b: list):
-    """(y, None) with (I - T) y = b, for T >= 0 given row-major as a flat
-    list, by one LAPACK solve of (I - T)[y | Y] = [b | I], when
-    Y = (I - T)^{-1} >= 0, that is rho(T) < 1; else (None, why): I - T is
-    singular, or Y has an entry below NEG_ENTRY_TOL."""
+def _affine_solve(ends: list, b: list):
+    """_affine_loop's solve from d = 3: y with (I - T) y = b, T formed from
+    the lanes' ends as in _affine_source, by one LAPACK solve of
+    (I - T)[y | Y] = [b | I], when Y = (I - T)^{-1} >= 0, that is
+    rho(T) < 1; else None: I - T is singular, or Y has an entry below
+    NEG_ENTRY_TOL."""
     n = len(b)
+    s = np.array(ends[:n])
+    T = (np.reshape(ends[n:], (n, n)).T - s[:, None]) / LANE_SCALE
     eye2 = np.eye(n)
     try:
         with _linalg_errstate():
-            sol = _solve(eye2 - np.reshape(T, (n, n)), np.column_stack((b, eye2)))
+            sol = _solve(eye2 - T, np.column_stack((b, eye2)))
     except np.linalg.LinAlgError:
-        return None, "singular Newton step"
+        return None
     if sol[:, 1:].min() < NEG_ENTRY_TOL:
-        return None, "period map expands"
-    return sol[:, 0].tolist(), None
+        return None
+    return sol[:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -706,19 +824,6 @@ def _unit_lanes(dd: int) -> tuple:
     together."""
     return (0.0,) * dd + tuple(LANE_SCALE if i == j else 0.0
                                for j in range(dd) for i in range(dd))
-
-
-def _period_map(lanes, vals, prev):
-    """(s, T): one period of phi_derivative's recursion over the solved
-    levels `vals`, fed by Phi_{-1} = prev, is the affine map y -> T y + s of
-    y = vec Phi'_{-1} (row-major). T alone is the Jacobian of the Phi pass
-    in Phi_{-1} = prev. One pass of the d^2 + 1 `lanes` (_cycle_loops), the
-    zero lane and the d^2 unit lanes, gives both, T row-major as a flat
-    list."""
-    dd = len(prev)
-    ends = lanes(vals, prev, _unit_lanes(dd))
-    s = ends[:dd]
-    return s, [(e - si) / LANE_SCALE for i, si in enumerate(s) for e in ends[dd + i::dd]]
 
 
 def phi_derivative(
@@ -759,21 +864,33 @@ def periodic_phi_derivative(
     spec: EnvironmentSpec,
     lam: float,
     periodic: PeriodicPhi,
-) -> np.ndarray:
-    """Cyclic analogue of phi_derivative; returns (period, d, d).
+    word=None,
+) -> list:
+    """Cyclic analogue of phi_derivative; returns the period's Phi' as the
+    level loops return it, a flat, row-major list of period * d^2 floats.
 
     With Phi fixed, one period of phi_derivative's recursion is an affine map
     x -> T x + s of x = vec Phi'_{-1} = vec Phi'_{period-1}. One pass of the
-    zero and the d^2 (scaled) unit lanes gives s and T (_period_map); one
-    _affine_solve, a d^2 x d^2 solve, O(d^6), gives x and certifies
-    (I - T)^{-1} >= 0, that is rho(T) < 1 (the sweeps' M-matrix
-    certificate); one pass from x gives every position. A singular I - T
-    or a negative entry of its inverse raises ConvergenceError: there is no
-    finite fixed point. The passes are the Phi' lanes of the spec's d over
-    the given Phi (_cycle_loops), and at d = 1 the solve is the division
-    x = s / (1 - T), certified by 1 - T > 0.
+    zero and the d^2 (scaled) unit lanes gives s and T (_affine_source
+    reads T off the lanes' ends); one solve of (I - T) x = s gives x and
+    certifies (I - T)^{-1} >= 0, that is
+    rho(T) < 1 (the sweeps' M-matrix certificate); one pass from x gives
+    every position. A solve that refuses raises ConvergenceError: there is
+    no finite fixed point. The solve is _cycle_loops': the generated
+    elimination on floats at d <= 2 (at d = 1 the division s / (1 - T)),
+    certified by its positive pivots, and one d^2 x d^2 LAPACK solve from
+    d = 3. The passes are the Phi' lanes of the spec's d over the given
+    Phi, through the loops that solved `periodic` when it was solved at
+    this spec, lambda and `word` (solve_phi_periodic's): no loop is built
+    twice for one lambda. At d = 2 it takes about 14 us on the bench's
+    period-3 spec (31-49 us with the LAPACK solve and arrays) on a 2-core
+    x86-64 Xeon.
     """
-    return _levels(_cycle_loops(spec, lam)[3](periodic.phis.ravel().tolist()), spec.d)
+    word = _word(spec, word)
+    loops = periodic.loops
+    if loops is None or loops[0] != (spec, lam, word):
+        loops = _cycle_loops(spec, lam, word)
+    return loops[4](periodic.vals)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +911,11 @@ def truncated_kernels_range(
     levels (k-M, k] with absorption at level k+1 (levels below k-M are
     unreachable before time M). Requires the window to cover (k0-M, k1-1].
     Start levels go in blocks of at most KERNEL_BLOCK_ENTRIES entries per
-    stack; rows are independent, so the blocking moves no bit.
+    stack; rows are independent, so the blocking moves no bit. Time step m
+    moves only the levels the walk can reach by then, (k-m, k]: the
+    blocks below hold exact zeros. On a 2-core x86-64 Xeon this halves
+    the DP's cost at d = 2, M = 24 (200 start levels: 11.2 -> 6.4 ms) and
+    takes 5.1 -> 3.2 ms at d = 1, M = 16 (1000 start levels).
     """
     if M < 1:
         raise ValueError("need M >= 1")
@@ -827,14 +948,17 @@ def _kernel_block(window: EnvironmentWindow, M: int, k0: int, W: np.ndarray) -> 
         W[:, m - 1] = cur[:, M - 1] @ p[:, M - 1]
         if m == M:
             break
-        # into each level: the p-term from below, then the r-term, then the
-        # q-term from above, the order of a loop over one start level's
-        # blocks; the all-zero blocks such a loop skips add exact zeros
-        # here, so every row is that loop's result bit for bit
+        # after m - 1 steps from l = M - 1 the paths stand at l >= lo, so
+        # only those blocks move: into each level the p-term from below,
+        # then the r-term, then the q-term from above, the order of a loop
+        # over one start level's blocks; the all-zero blocks such a loop
+        # skips add exact zeros here, so every row is that loop's result
+        # bit for bit
+        lo = M - m
         nxt = np.zeros_like(cur)
-        nxt[:, 1:] += cur[:, :-1] @ p[:, :-1]
-        nxt += cur @ r
-        nxt[:, :-1] += cur[:, 1:] @ q[:, 1:]
+        nxt[:, lo + 1:] += cur[:, lo:-1] @ p[:, lo:-1]
+        nxt[:, lo:] += cur[:, lo:] @ r[:, lo:]
+        nxt[:, lo - 1:-1] += cur[:, lo:] @ q[:, lo:]
         cur = nxt
 
 

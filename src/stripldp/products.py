@@ -93,7 +93,8 @@ def _roll_left(factors: np.ndarray, start: np.ndarray | None = None):
         return np.ones((n + 1, 1)), factors[:, 0, 0]
     z = np.full(d, 1.0 / d) if start is None else np.asarray(start, dtype=float)
     if d == 2:
-        return _roll_2x2(factors.reshape(n, 4).tolist(), *z.tolist())
+        Z, s = _roll_2x2(factors.reshape(n, 4).tolist(), *z.tolist())
+        return np.array(Z).reshape(-1, 2), np.array(s)
     ones, w = np.ones(d), np.empty(d)
     Z = np.empty((n + 1, d))
     s = np.empty(n)
@@ -119,7 +120,7 @@ def _roll_right(factors: np.ndarray, start: np.ndarray | None = None):
     r = np.full(d, 1.0 / d) if start is None else np.asarray(start, dtype=float)
     if d == 2:
         R, s = _roll_2x2(factors[::-1].transpose(0, 2, 1).reshape(n, 4).tolist(), *r.tolist())
-        return R[::-1].copy(), s[::-1].copy()
+        return np.array(R).reshape(-1, 2)[::-1].copy(), np.array(s[::-1])
     ones, w = np.ones(d), np.empty(d)
     R = np.empty((n + 1, d))
     s = np.empty(n)
@@ -131,11 +132,13 @@ def _roll_right(factors: np.ndarray, start: np.ndarray | None = None):
     return R, s
 
 
-def _roll_2x2(rows: list, z0: float, z1: float):
+def _roll_2x2(rows, z0: float, z1: float):
     """The forward roll of `_roll_left` over 2x2 factors given as row-major
     float rows, from the direction (z0, z1): w_j = z0 a_0j + z1 a_1j, then
-    t = w0 + w1 and z = w / t, with no numpy call. This is the plain float
-    recurrence, not numpy's `z @ phi` to the last bit (module docstring)."""
+    t = w0 + w1 and z = w / t, with no numpy call. Returns the directions
+    as one flat list (z0, z1 of each of the n + 1) and the n normalizers t.
+    This is the plain float recurrence, not numpy's `z @ phi` to the last
+    bit (module docstring)."""
     Z = [z0, z1]
     s = []
     for a00, a01, a10, a11 in rows:
@@ -146,7 +149,7 @@ def _roll_2x2(rows: list, z0: float, z1: float):
         z1 = w1 / t
         Z += z0, z1
         s.append(t)
-    return np.array(Z).reshape(-1, 2), np.array(s)
+    return Z, s
 
 
 def _contractions(arr: np.ndarray) -> np.ndarray:

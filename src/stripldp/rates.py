@@ -10,9 +10,10 @@ and the first grid point from the lambdas at which the analysis evaluated
 t0 and t*; it ends on a lambda whose Lambda' was evaluated, so J there
 reuses that Phi sweep. Piecewise structure: +infinity for t < 1; the
 lambda -> -infinity limit at t = 1 (evaluated at lambda = -30, where the
-residual is e^{-60}-scale); the exact linear branch lambda_crit * t -
-Lambda(lambda_crit) for t past t*. Golden section remains only for the
-coordinate ascent over tilt weights.
+residual is e^{-60}-scale); the linear branch lambda_crit * t -
+Lambda(lambda_crit) for t past t*, whose bars are those of the Lambda
+estimate plus t times the width of the lambda_crit bracket. Golden section
+remains only for the coordinate ascent over tilt weights.
 
 The truncated rate J_M(t) = lambda_{t,M} t - Lambda_M(lambda_{t,M}) takes
 the tilt that solves Lambda'_M = t (`LmgfEvaluator.solve_tilt`, started
@@ -152,6 +153,7 @@ def legendre_point(
     t_star: float = float("inf"),
     value_at_crit: float | None = None,
     start: list | None = None,
+    crit_errors: tuple = (0.0, 0.0, 0.0),
 ):
     """One point of the Legendre transform: (J(t), argmax lambda, errors).
 
@@ -159,7 +161,10 @@ def legendre_point(
     Lambda'. The maximizer is the root of Lambda' = t in the bracket
     [lo, lambda_crit] (`_slope_root`, warm-started from `start`), and J is
     evaluated there. For t >= t* the linear branch lambda_crit * t -
-    Lambda(lambda_crit) is returned exactly; the t = 1 boundary uses the
+    Lambda(lambda_crit) is returned, with `crit_errors` = (det, stat, w),
+    the bars of value_at_crit and the width w of the lambda_crit bracket:
+    its det bar is det + t w (lambda_crit * t moves by up to t w across the
+    bracket) and its stat bar stat. The t = 1 boundary uses the
     lambda -> -infinity limit evaluated at -30.
     """
     if t < 1.0:
@@ -169,7 +174,8 @@ def legendre_point(
         return (LAMBDA_NEG_LIMIT - est.value, LAMBDA_NEG_LIMIT,
                 est.deterministic_error, est.statistical_error)
     if t >= t_star and value_at_crit is not None:
-        return lambda_crit * t - value_at_crit, lambda_crit, 0.0, 0.0
+        det, stat, width = crit_errors
+        return lambda_crit * t - value_at_crit, lambda_crit, det + t * width, stat
 
     k_t = math.log(kappa) / (t - 1.0)
     # below -37 the e^{2 lambda} corrections to Lambda sit under machine eps
@@ -245,14 +251,18 @@ def _analyze_pair(ev: LmgfEvaluator, ev_inv: LmgfEvaluator) -> EnvironmentAnalys
 
 def _rate(ev: LmgfEvaluator, analysis: EnvironmentAnalysis):
     """t -> legendre_point of J on ev; past t* the linear branch, with
-    Lambda(lambda_crit) approached from below (one-sided error)."""
-    lc = analysis.lambda_crit.bracket[0]
-    v_crit = ev.value(lc - 1e-7).value if math.isfinite(analysis.t_star) else None
+    Lambda(lambda_crit) approached from below (one-sided error) and the
+    bars of that estimate and of the lambda_crit bracket."""
+    lc, hi = analysis.lambda_crit.bracket
+    v_crit, errors = None, (0.0, 0.0, 0.0)
+    if math.isfinite(analysis.t_star):
+        est = ev.value(lc - 1e-7)
+        v_crit, errors = est.value, (est.deterministic_error, est.statistical_error, hi - lc)
     # where the analysis of a transient spec evaluated Lambda' (t0, t*) on ev
     start = [-1e-6, lc - analysis.lambda_crit.tolerance]
     return lambda t: legendre_point(ev.value, ev.derivative, t, lc, ev.spec.kappa,
                                     t_star=analysis.t_star, value_at_crit=v_crit,
-                                    start=start)
+                                    start=start, crit_errors=errors)
 
 
 def _truncated_rate(ev: LmgfEvaluator, M: int):

@@ -416,10 +416,30 @@ def ref_solve_phi_periodic(spec, lam, tol=1e-13, max_iter=200_000):
             f[k] = np.maximum(new, 0.0)
             carry = f[k]
         if change <= tol:
-            return PeriodicPhi(phis=f, lam=lam, iterations=it,
+            return PeriodicPhi(phis=f, lam=lam, iterations=it, vals=f.ravel().tolist(),
                                tail=_tail_estimate(change, prev_change))
         prev_change = change
     raise ConvergenceError(change, max_iter)
+
+
+def necklaces(k, n):
+    """Every necklace of length n over the letters 0..k-1 (a word up to
+    rotation), as its lexicographically least rotation, in lexicographic
+    order: Duval's generation of the Lyndon words of length at most n
+    (Duval 1988, Generation of a section of conjugacy classes and Lyndon
+    words of bounded length), each Lyndon word w of a length m dividing n
+    giving the necklace w^(n/m)."""
+    out, w = [], [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if n % m == 0:
+            out.append(tuple(w) * (n // m))
+        while len(w) < n:
+            w.append(w[-m])
+        while w and w[-1] == k - 1:
+            w.pop()
+    return out
 
 
 def ref_estimate_lambda_crit(spec, window_len=6000, tol=1e-6, seed=0):

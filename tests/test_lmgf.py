@@ -302,12 +302,13 @@ def all_estimates(spec):
 
 def checked_against(terms, ref_terms, n_arrays):
     """A stand-in for the term builder `terms`, whose first n_arrays
-    arguments are stacks and the rest start vectors (None on a window):
-    window terms must equal ref_terms' bit for bit, and are returned from
-    ref_terms; periodic terms must agree with ref_terms' cyclic directions
-    to 1e-13 relative, and are returned as built."""
+    arguments are stacks and the rest start vectors (none, or None, on a
+    window): window terms must equal ref_terms' bit for bit, and are
+    returned from ref_terms; periodic terms must agree with ref_terms'
+    cyclic directions to 1e-13 relative, and are returned as built."""
     def both(*args):
-        arrays, periodic = args[:n_arrays], args[n_arrays] is not None
+        arrays = args[:n_arrays]
+        periodic = len(args) > n_arrays and args[n_arrays] is not None
         got = np.asarray(terms(*args))
         want = np.asarray(ref_terms(*arrays, periodic))
         if periodic:
@@ -318,14 +319,32 @@ def checked_against(terms, ref_terms, n_arrays):
     return both
 
 
+def period_checked(period_terms, seen):
+    """A stand-in for lmgf._period_terms(vals, d, dvals=None): its float
+    terms, of every periodic estimate, full or truncated, must agree to
+    1e-13 relative with the reference cycle's; each call is appended to
+    `seen`."""
+    def both(vals, d, dvals=None):
+        got = period_terms(vals, d, dvals)
+        phis = np.reshape(vals, (-1, d, d))
+        want = (ref_log_terms(phis, True) if dvals is None
+                else ref_derivative_terms(phis, np.reshape(dvals, phis.shape), True))
+        assert all(type(x) is float for x in got)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        seen.append(d)
+        return got
+    return both
+
+
 @pytest.mark.parametrize("name", sorted(ROLL_SPECS))
 def test_estimators_match_reference_loops(name, monkeypatch):
     """On a window, every per-level term, and every field of every estimate,
     equals bit for bit (repr round-trips a float exactly) the one built on
     the reference per-level loops; at d = 3 too, where bit equality holds
     and not only the 1e-13 agreement that would be acceptable there. On a
-    period every term agrees to 1e-13 relative with the terms of the
-    reference cycle, whose mu mixes two cycles."""
+    period every term, full or truncated (all built by _period_terms),
+    agrees to 1e-13 relative with the terms of the reference cycle, whose
+    mu mixes two cycles."""
     import stripldp.lmgf as lmgf
 
     spec = ROLL_SPECS[name]()
@@ -334,8 +353,12 @@ def test_estimators_match_reference_loops(name, monkeypatch):
     monkeypatch.setattr(lmgf, "_log_terms", checked_against(lmgf._log_terms, ref_log_terms, 1))
     monkeypatch.setattr(lmgf, "_derivative_terms",
                         checked_against(lmgf._derivative_terms, ref_derivative_terms, 2))
+    periods = []
+    monkeypatch.setattr(lmgf, "_period_terms", period_checked(lmgf._period_terms, periods))
     want = all_estimates(spec)
     assert [repr(e) for e in got] == [repr(e) for e in want]
+    # every finite estimate of a period: 3 values, 3 derivatives, 4 truncated
+    assert len(periods) == (10 if spec.kind == "periodic" else 0)
 
 
 PERIODIC_SPECS = {
@@ -370,30 +393,39 @@ def test_periodic_terms_roll_one_cycle(name, monkeypatch):
     averages are log(mu_k Phi_k 1) with mu_k rolled one period from the
     mu_0 that _cycle_starts returns, bit for bit; and one period's forward
     roll from mu_0, like its backward roll from nu_0, comes back to it
-    within 1e-14."""
+    within 1e-14. Both kinds build them in _period_terms, on floats up
+    to d = 2."""
     import stripldp.lmgf as lmgf
 
     seen = []
-    log_terms = lmgf._log_terms
+    log_terms, period_terms = lmgf._log_terms, lmgf._period_terms
 
     def recorded(phis, mu0=None):
         seen.append((phis, mu0, log_terms(phis, mu0)))
         return seen[-1][2]
 
+    def recorded_period(vals, d, dvals=None):
+        terms = period_terms(vals, d, dvals)
+        seen.append((np.reshape(vals, (-1, d, d)), None, terms))
+        return terms
+
     monkeypatch.setattr(lmgf, "_log_terms", recorded)
+    monkeypatch.setattr(lmgf, "_period_terms", recorded_period)
     spec = PERIODIC_SPECS[name]()
     ev = LmgfEvaluator(spec)
     for lam in np.linspace(-1.5, 0.0, 12):
         ev.value(float(lam))
         ev.value_truncated(float(lam), 16)
-    assert len(seen) == 24
+    # from d = 3 _period_terms takes the array path, through _log_terms
+    assert len(seen) == (48 if spec.d > 2 else 24)
     log = np.log if spec.d == 1 else np.vectorize(math.log)
     for phis, mu0, terms in seen:
-        mu0_again, nu0 = lmgf._cycle_starts(phis)
-        assert mu0.tobytes() == mu0_again.tobytes()
-        Z, s = roll_loop(phis, mu0)
+        mu0_again, nu0 = map(np.array, lmgf._cycle_starts(phis.ravel().tolist(), spec.d))
+        if mu0 is not None:
+            assert np.asarray(mu0).tobytes() == mu0_again.tobytes()
+        Z, s = roll_loop(phis, mu0_again)
         assert np.asarray(terms).tobytes() == log(np.array(s)).tobytes()
-        assert np.abs(Z[-1] - mu0).max() <= 1e-14
+        assert np.abs(Z[-1] - mu0_again).max() <= 1e-14
         R = lmgf._roll_right(phis, nu0)[0]
         assert np.abs(R[0] - nu0).max() <= 1e-14
 
@@ -415,7 +447,7 @@ def test_periodic_starts_are_perron_vectors(name):
     spec = STARTS_SPECS[name]()
     for lam in (-30.0, -1.0, 0.0):
         phis = solve_phi_periodic(spec, lam).phis
-        mu0, nu0 = lmgf._cycle_starts(phis)
+        mu0, nu0 = map(np.array, lmgf._cycle_starts(phis.ravel().tolist(), spec.d))
         P = np.eye(spec.d)
         for phi in phis:
             P = P @ phi
@@ -558,3 +590,15 @@ def test_tilt_from_far_starts(name):
             lam = ev.solve_tilt(t, 16, start)
             assert abs(ev.derivative_truncated(lam, 16).value - t) <= 1e-13 * t, (t, start)
             assert abs(j_m(lam, t) - j_m(lam0, t)) <= 1e-12, (t, start)
+
+
+def test_float_mean_is_numpys():
+    """lmgf._mean, which the periodic estimates take on float lists, gives
+    np.mean's bits on 1 to 40 terms of mixed signs and magnitudes (numpy
+    adds fewer than 8 in order from 0.0 and sums more pairwise)."""
+    rng = np.random.default_rng(3)
+    for n in range(1, 41):
+        for _ in range(50):
+            terms = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-6, 7, n)).tolist()
+            got = lmgf._mean(terms)
+            assert type(got) is float and got == float(np.mean(terms))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,7 @@ from conftest import (
     d1_phi_closed,
     d1_phi_prime_closed,
     enumerate_truncated_phi,
+    necklaces,
     qbd_lambda_crit,
     random_d2_iid_spec,
     ref_estimate_lambda_crit,
@@ -371,7 +373,7 @@ def check_periodic_derivative(spec, lam, pp):
     point that contracts by rho, 1e-14 * max(1, max|Phi'|) / (1 - rho), is
     added. On the specs of this module the difference reaches 0.48 of that
     bound."""
-    dph = periodic_phi_derivative(spec, lam, pp)
+    dph = np.reshape(periodic_phi_derivative(spec, lam, pp), pp.phis.shape)
     scale = max(1.0, float(np.abs(dph).max()))
     assert cyclic_derivative_residual(spec, lam, pp.phis, dph) <= 1e-13 * scale
     changes = []
@@ -434,15 +436,18 @@ class _NoLinalg:
         raise AssertionError(f"np.linalg.{name} called")
 
 
-def test_d1_periodic_solvers_call_no_linear_algebra(p075_spec, monkeypatch):
-    """At d = 1, solve_phi_periodic and periodic_phi_derivative run on
-    Python floats: with np.linalg made to raise and phi._solve counted,
-    both solve p = 0.75 and a period-3 spec at -1, 0 and 1e-6 below
-    lambda_crit with no solve, to the cyclic equations' residual bounds of
-    test_periodic_kernels_match_reference and check_periodic_derivative.
-    At d = 2 and d = 3 the passes run on floats too, and the only LAPACK
-    call is the d^2 x d^2 solve: one for each Newton step and one for the
-    periodic Phi'."""
+def test_periodic_solvers_call_no_linear_algebra_up_to_d2(p075_spec, monkeypatch):
+    """At d <= 2, solve_phi_periodic, periodic_phi_derivative and the
+    periodic estimates run on Python floats: with np.linalg made to raise
+    and phi._solve counted, both solvers solve p = 0.75 and period-3 specs
+    at d = 1 and d = 2 at -1, 0 and 1e-6 below lambda_crit with no LAPACK
+    call, to the cyclic equations' residual bounds of
+    test_periodic_kernels_match_reference and check_periodic_derivative,
+    and there an evaluator's Lambda and Lambda', with their Perron starts
+    (lmgf._cycle_starts), make no np.linalg call either. At d = 3 the
+    passes run on floats too, and the only LAPACK call is the d^2 x d^2
+    solve: one for each Newton step and one for the periodic Phi'."""
+    import stripldp.lmgf as lmgf
     import stripldp.phi as phi
 
     def period3(d):
@@ -459,12 +464,17 @@ def test_d1_periodic_solvers_call_no_linear_algebra(p075_spec, monkeypatch):
         calls.clear()
         pp = solve_phi_periodic(spec, lam)
         newton = len(calls)
-        dph = periodic_phi_derivative(spec, lam, pp)
+        dph = np.reshape(periodic_phi_derivative(spec, lam, pp), pp.phis.shape)
         solved.append((pp, dph, spec, lam, newton, len(calls) - newton))
+        if spec.d <= 2:
+            ev = lmgf.LmgfEvaluator(spec)
+            estimates = ev.value(lam), ev.derivative(lam)
+            assert all(math.isfinite(e.value) for e in estimates)
+            assert len(lmgf._cycle_starts(pp.vals, spec.d)) == 2
     monkeypatch.undo()
     for pp, dph, spec, lam, newton, derivative in solved:
         d = spec.d
-        assert (newton, derivative) == ((0, 0) if d == 1 else (pp.iterations, 1))
+        assert (newton, derivative) == ((0, 0) if d <= 2 else (pp.iterations, 1))
         assert pp.phis.shape == dph.shape == (spec.period, d, d)
         assert cyclic_phi_residual(spec, lam, pp.phis) <= 1e-14 * max(1.0, float(pp.phis.max()))
         scale = max(1.0, float(np.abs(dph).max()))
@@ -569,10 +579,11 @@ def test_wide_periodic_kernels_match_reference(d):
 def test_wide_periodic_solves_build_their_row_arrays_once(monkeypatch):
     """At d = 6 every periodic pass is a LAPACK loop over the period's row
     arrays: a period-3 solve_phi_periodic (4 Newton steps, 5 Phi passes and
-    4 Jacobian passes) builds them once, and so does its
-    periodic_phi_derivative (2 passes). Phi and Phi' keep the bytes of
-    the passes that built them each time (sha256, recorded with numpy's
-    bundled OpenBLAS on x86-64)."""
+    4 Jacobian passes) builds them once, and its periodic_phi_derivative
+    (2 passes) reuses the solve's loops and builds none; a Phi solved
+    elsewhere gets loops, and arrays, of its own. Phi and Phi' keep the
+    bytes of the passes that built them each time (sha256, recorded with
+    numpy's bundled OpenBLAS on x86-64)."""
     import stripldp.phi as phi
 
     built = []
@@ -587,11 +598,188 @@ def test_wide_periodic_solves_build_their_row_arrays_once(monkeypatch):
     pp = solve_phi_periodic(spec, -0.3)
     assert (pp.iterations, built) == (4, [3])
     dphis = periodic_phi_derivative(spec, -0.3, pp)
+    assert built == [3]
+    again = PeriodicPhi(phis=pp.phis, lam=pp.lam, iterations=pp.iterations, tail=pp.tail,
+                        vals=pp.vals)
+    assert bitwise_equal(periodic_phi_derivative(spec, -0.3, again), dphis)
     assert built == [3, 3]
     assert hashlib.sha256(pp.phis.tobytes()).hexdigest() == (
         "b22e5043ccef4efea19fb3a104688106c52e6b9cc034c078bde106ea0dd700f9")
-    assert hashlib.sha256(dphis.tobytes()).hexdigest() == (
+    assert hashlib.sha256(np.array(dphis).tobytes()).hexdigest() == (
         "976196cbf6e16272c8ec52e5c9f8259f97ac846cd3308b9c63fdbc8608596bef")
+
+
+# ---------------------------------------------------------------------------
+# the Newton step's generated solve, and words over one spec's rows
+# ---------------------------------------------------------------------------
+
+
+def newton_lanes(T, s):
+    """The ends of the Newton lanes that give the Jacobian T: the zero
+    lane's s, then for each unit lane j the column s + LANE_SCALE T e_j."""
+    import stripldp.phi as phi
+
+    n = len(s)
+    return list(s) + [s[i] + phi.LANE_SCALE * T[i, j] for j in range(n) for i in range(n)]
+
+
+def exact_affine(ends, c):
+    """(smallest pivot, y) of the elimination of I - T with no row
+    exchange, in exact rational arithmetic, T formed from the lanes' ends
+    as the solves form it, (e - s) / LANE_SCALE in floats; y solves
+    (I - T) y = c, or is None when a pivot is not > 0."""
+    import stripldp.phi as phi
+
+    n = len(c)
+    a = [[Fraction(int(i == j)) - Fraction((ends[n + j * n + i] - ends[i]) / phi.LANE_SCALE)
+          for j in range(n)] + [Fraction(c[i])] for i in range(n)]
+    pivots = []
+    for k in range(n):
+        pivots.append(a[k][k])
+        if pivots[-1] <= 0:
+            return min(pivots), None
+        for i in range(k + 1, n):
+            a[i] = [x - a[i][k] / a[k][k] * y for x, y in zip(a[i], a[k])]
+    y = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        y[i] = (a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))) / a[i][i]
+    return min(pivots), [float(v) for v in y]
+
+
+def normwise_error(got, want):
+    """max |got - want| / max |want|: the right sides mix signs, so an
+    entry of the solution may sit near 0."""
+    return max(abs(a - b) for a, b in zip(got, want)) / max(map(abs, want))
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99, 1 - 1e-6, 1 + 1e-6, 2.0])
+def test_generated_newton_solve_against_lapack(rho):
+    """The generated 4 x 4 solve of the d = 2 Newton step and periodic Phi'
+    (_affine_loop(4)), on 200 random T >= 0 (about a fifth of the entries 0)
+    scaled to spectral radius rho: it refuses exactly where the elimination
+    of I - T in exact rational arithmetic meets a pivot not > 0, so at
+    every rho > 1, as the LAPACK solve (_affine_solve) does. Below 1 it
+    accepts every draw. Where LAPACK accepts too, both lie within
+    1e-15 / (1 - rho) of the exact solution and at rho <= 0.99 within
+    1e-13 of each other (normwise_error); at rho = 1 - 1e-6, where I - T
+    has a condition number near 1e6, they agree only to about 1e-10. There
+    LAPACK also refuses 4 of the 200 draws (seed 0) that the exact pivots
+    certify: T is reducible, an entry of (I - T)^{-1} is exactly 0, and
+    LAPACK gives it as about -3e-11, below NEG_ENTRY_TOL. The Newton form
+    (newton_step) is the solve of f - x bit for bit."""
+    import stripldp.phi as phi
+
+    solve, newton_step = phi._affine_loop(4)
+    assert solve is not phi._affine_solve
+    rng = np.random.default_rng(0)
+    lapack_only = 0
+    for _ in range(200):
+        T = rng.uniform(0.0, 1.0, (4, 4)) * (rng.uniform(size=(4, 4)) < 0.8)
+        T *= rho / max(abs(np.linalg.eigvals(T)))
+        ends = newton_lanes(T, rng.uniform(0.0, 1.0, 4))
+        f, x = rng.uniform(0.0, 1.0, 4).tolist(), rng.uniform(0.0, 1.0, 4).tolist()
+        c = [a - b for a, b in zip(f, x)]
+        got, want = solve(ends, c), phi._affine_solve(ends, c)
+        pivot, exact = exact_affine(ends, c)
+        assert (got is None) == (pivot <= 0) == (rho > 1.0)
+        if got is None:
+            assert want is None and newton_step(ends, f, x) is None
+            continue
+        assert newton_step(ends, f, x) == ([max(a + b, 0.0) for a, b in zip(x, got)],
+                                           max(map(abs, got)), max(map(abs, c)))
+        assert normwise_error(got, exact) <= 1e-15 / (1.0 - rho)
+        if want is None:
+            lapack_only += 1
+            assert (T == 0.0).any()
+            continue
+        assert normwise_error(want, exact) <= 1e-15 / (1.0 - rho)
+        if rho <= 0.99:
+            assert normwise_error(got, want) <= 1e-13
+    assert lapack_only == (4 if rho == 1 - 1e-6 else 0)
+
+
+@pytest.mark.parametrize("rho", [0.5, 2.0])
+def test_newton_step_past_the_generated_solves(rho):
+    """From d = 3 (9 unknowns) the solve is LAPACK's (_affine_solve) and the
+    Newton step is the same generated update around it: on random 9 x 9
+    T >= 0 it is the solve of f - x bit for bit, and None where the solve
+    refuses."""
+    import stripldp.phi as phi
+
+    solve, newton_step = phi._affine_loop(9)
+    assert solve is phi._affine_solve
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        T = rng.uniform(0.0, 1.0, (9, 9))
+        T *= rho / max(abs(np.linalg.eigvals(T)))
+        ends = newton_lanes(T, rng.uniform(0.0, 1.0, 9))
+        f, x = rng.uniform(0.0, 1.0, 9).tolist(), rng.uniform(0.0, 1.0, 9).tolist()
+        c = [a - b for a, b in zip(f, x)]
+        y = solve(ends, c)
+        assert (y is None) == (rho > 1.0)
+        assert newton_step(ends, f, x) == (None if y is None else (
+            [max(a + b, 0.0) for a, b in zip(x, y)], max(map(abs, y)), max(map(abs, c))))
+
+
+def test_necklaces_of_the_bench_support():
+    """Duval's generation gives 3, 6, 11, 24, 51, 130, 315 and 834
+    necklaces of lengths 1 to 8 over three letters (1374 in all; OEIS
+    A001867), each its least rotation, none twice."""
+    counts = []
+    for n in range(1, 9):
+        words = necklaces(3, n)
+        assert all(len(w) == n and w == min(w[i:] + w[:i] for i in range(n)) for w in words)
+        assert len(set(words)) == len(words) and words == sorted(words)
+        counts.append(len(words))
+    assert counts == [3, 6, 11, 24, 51, 130, 315, 834] and sum(counts) == 1374
+
+
+@pytest.mark.parametrize("name", ["p075", "period3-d1", "period3-d2", "period3-d3"])
+def test_identity_word_is_the_spec_call(name, p075_spec):
+    """The word (0, ..., period - 1) over a periodic spec's own rows solves
+    bit for bit as the spec call: Phi, its Newton steps and tail, and the
+    periodic Phi' through the solve's loops or fresh ones."""
+    spec = p075_spec if name == "p075" else periodic_of(random_d2_iid_spec(
+        1, drift=0.4, d=int(name[-1])))
+    word = tuple(range(spec.period))
+    for lam in (-1.0, -0.1, 0.0):
+        pp, pw = solve_phi_periodic(spec, lam), solve_phi_periodic(spec, lam, word=word)
+        assert pp.phis.tobytes() == pw.phis.tobytes()
+        assert (pp.iterations, pp.tail) == (pw.iterations, pw.tail)
+        dph = periodic_phi_derivative(spec, lam, pp)
+        assert bitwise_equal(periodic_phi_derivative(spec, lam, pw, word=word), dph)
+        assert bitwise_equal(periodic_phi_derivative(spec, lam, pp, word=list(word)), dph)
+
+
+def test_words_solve_like_their_periodic_specs():
+    """Random words of lengths 1 to 8 over the bench d = 2 spec's three
+    slices solve bit for bit like the periodic spec built from their
+    slices, Phi and Phi', with no spec built for a word; past lambda_crit
+    both refuse. A word needs at least one letter, each an index of the
+    spec's slices, and a spec call without one a periodic spec."""
+    spec = random_d2_iid_spec(1, drift=0.4)
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        for _ in range(4):
+            word = tuple(rng.integers(0, 3, n).tolist())
+            own = EnvironmentSpec(kind="periodic", d=2, kappa=spec.kappa,
+                                  slices=tuple(spec.slices[i] for i in word))
+            for lam in (-0.5, 0.0, 0.02):
+                pw = solve_phi_periodic(spec, lam, word=word)
+                po = solve_phi_periodic(own, lam)
+                assert pw.phis.tobytes() == po.phis.tobytes()
+                assert (pw.iterations, pw.tail) == (po.iterations, po.tail)
+                assert bitwise_equal(periodic_phi_derivative(spec, lam, pw, word=word),
+                                     periodic_phi_derivative(own, lam, po))
+            with pytest.raises(SupercriticalError):
+                solve_phi_periodic(spec, 0.5, word=word)
+            with pytest.raises(SupercriticalError):
+                solve_phi_periodic(own, 0.5)
+    for word in ((), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            solve_phi_periodic(spec, -0.5, word=word)
+    with pytest.raises(ValueError):
+        solve_phi_periodic(spec, -0.5)
 
 
 @pytest.mark.parametrize("p, r", [(0.75, 0.0), (0.6, 0.1)])
@@ -869,10 +1057,11 @@ def test_periodic_derivative_closed_form(p, r):
     for lam in (-1.0, -0.3, 0.0, 0.1, lam_c - 1e-6):
         if lam >= lam_c:
             continue
-        pp = PeriodicPhi(phis=np.full((1, 1, 1), d1_phi_closed(p, lam, r)), lam=lam,
-                         iterations=0, tail=0.0)
+        phi = d1_phi_closed(p, lam, r)
+        pp = PeriodicPhi(phis=np.full((1, 1, 1), phi), lam=lam, iterations=0, tail=0.0,
+                         vals=[phi])
         want = d1_phi_prime_closed(p, lam, r)
-        assert periodic_phi_derivative(spec, lam, pp)[0, 0, 0] == pytest.approx(want, rel=1e-13)
+        assert periodic_phi_derivative(spec, lam, pp)[0] == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -894,7 +1083,7 @@ def test_periodic_derivative_refuses_spectral_radius_above_one(d, monkeypatch):
     lam = 0.0
     pp = solve_phi_periodic(spec, lam)
     big = PeriodicPhi(phis=1.7 * pp.phis, lam=lam, iterations=pp.iterations,
-                      tail=pp.tail)
+                      tail=pp.tail, vals=(1.7 * pp.phis).ravel().tolist())
     q, r, _ = spec.stacks
     T = np.eye(d * d)
     for k in range(spec.period):

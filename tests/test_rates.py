@@ -98,6 +98,26 @@ def test_legendre_linear_branch_exact(p075_evaluator):
     assert lam == 0.1438
 
 
+def test_linear_branch_carries_the_bars_of_lambda_at_crit():
+    """Past t* the linear branch lambda_crit t - Lambda(lambda_crit) is
+    made of two estimates, and reports both bars: on the two-point spec
+    (t* ~ 213 on the default 3000 levels) a point at t = 300 carries the
+    det bar of the Lambda estimate at lambda_crit - 1e-7 plus t times the
+    width of the lambda_crit bracket, and that estimate's stat bar, both
+    nonzero."""
+    spec = two_point_d1_spec([0.7, 0.8], [0.5, 0.5])
+    analysis = analyze_environment(spec, seed=0)
+    assert 200.0 < analysis.t_star < 230.0
+    ev = LmgfEvaluator(spec, seed=0)
+    t = 300.0
+    j, lam, det, stat = _rate(ev, analysis)(t)
+    lo, hi = analysis.lambda_crit.bracket
+    est = ev.value(lo - 1e-7)
+    assert (j, lam) == (lo * t - est.value, lo)
+    assert det == est.deterministic_error + t * (hi - lo) and det > 0.0
+    assert stat == est.statistical_error and stat > 0.0
+
+
 def test_hitting_curve_shape(p075_spec, p075_analysis):
     grid = refined_t_grid(2.0, 1.0, 6.0, 21)
     curve = hitting_rate_curve(p075_spec, grid, n_levels=2000, seed=0,
