@@ -1001,6 +1001,71 @@ class CriticalExponent:
             raise ValueError("lambda_crit must lie inside its bracket")
 
 
+QBD_NEWTON_STEPS = 100  # steps of periodic_lambda_crit's safeguarded Newton
+
+
+def periodic_lambda_crit(slices) -> float:
+    """lambda_crit of the periodic environment that reads `slices` in turn.
+
+    Read n = len(slices) levels at a time, the strip is a level-independent
+    quasi-birth-death walk on n d phases: A_0 holds position j's r on its
+    diagonal block, p_j above it and q_j below it; A_1 holds p_{n-1} from the
+    last position to the first of the block above, A_{-1} q_0 from the first
+    position to the last of the block below. Its critical exponent is
+    -min_s g(s), g(s) = log rho(A_1 e^{-s} + A_0 + A_{-1} e^{s}) (Neuts 1981;
+    Latouche & Ramaswami 1999), and g(0) = 0, the matrix being stochastic.
+
+    g is convex (Kingman 1961), so a safeguarded Newton finds its minimum:
+    the s where g' < 0 and > 0 so far bracket it, a Newton step that leaves
+    the bracket or meets g'' <= 0 bisects it instead, and while one side is
+    open the steps towards it are at most 1, 2, 4, ... long. g' and g''
+    come from one np.linalg.eig and the inverse of its eigenvector matrix,
+    by first- and second-order perturbation of the Perron root rho. It
+    starts from s_0 = sum_j 1/2 log(sum p_j / sum q_j), exact for a d = 1
+    spec of one slice, and stops when Newton's predicted decrease of g
+    falls to 1e-16.
+    """
+    n, d = len(slices), slices[0].d
+    up, stay, down = (np.zeros((n * d, n * d)) for _ in range(3))
+    for j, s in enumerate(slices):
+        at, above, below = (slice(k % n * d, k % n * d + d) for k in (j, j + 1, j - 1))
+        stay[at, at] = s.r
+        (up if j == n - 1 else stay)[at, above] = s.p
+        (down if j == 0 else stay)[at, below] = s.q
+    lo, hi, reach, best = -math.inf, math.inf, 1.0, math.inf
+    s = sum(0.5 * math.log(x.p.sum() / x.q.sum()) for x in slices)
+    for _ in range(QBD_NEWTON_STEPS):
+        a, b = up * math.exp(-s), down * math.exp(s)
+        w, vec = np.linalg.eig(a + stay + b)
+        k = int(np.argmax(w.real))
+        left = np.linalg.inv(vec)
+        dm = left @ (b - a) @ vec  # dm[i, j] = u_i M' v_j
+        rho, r1 = w[k].real, dm[k, k].real
+        r2 = (left[k] @ (a + b) @ vec[:, k]
+              + 2.0 * (np.delete(dm[k] * dm[:, k], k) / np.delete(w[k] - w, k)).sum()).real
+        g1 = r1 / rho
+        g2 = r2 / rho - g1 * g1
+        best = min(best, math.log(rho))
+        if g1 < 0:
+            lo = s
+        elif g1 > 0:
+            hi = s
+        else:
+            break
+        step = -g1 / g2 if 0 < g2 < math.inf else math.copysign(math.inf, -g1)
+        if -g1 * step <= 2e-16:
+            break
+        if math.isinf(hi - lo) and abs(step) > reach:
+            step = math.copysign(reach, step)
+            reach *= 2.0
+        elif not lo < s + step < hi:
+            step = 0.5 * (lo + hi) - s
+        if s + step in (lo, hi):
+            break
+        s += step
+    return -best
+
+
 CERTIFICATE_HALF_WIDTH = 128  # levels either side of the binding site in a certificate pass
 # a certificate pass runs only while the window holds CERTIFICATE_SPAN of
 # them. On 41 windows (40 random d = 2 and d = 3 specs of 300 to 6000
@@ -1017,18 +1082,27 @@ def estimate_lambda_crit(
     tol: float = 1e-6,
     seed: int | None = 0,
 ) -> CriticalExponent:
-    """Bisect [0, -log(kappa^2/2)] on Phi-solver feasibility.
+    """The critical exponent of `spec`, in a bracket of width tol.
 
-    lambda = 0 is feasible a priori (entries of Phi(0) are probabilities)
-    and is never asked. A window solve that diverges, exceeds the a-priori
-    entry bound, or fails to converge counts as infeasible, shrinking the
-    verdict conservatively. The exact verdict at lambda is one Newton solve
-    on a periodic spec, else one zero-start _sweep over the window, of
-    which only the failing level's index is read: no pass makes a level
-    array. The bracket is the plain bisection's, which asks the exact
-    verdict at every midpoint, bit for bit; on a window of d <= 2 most
-    verdicts come cheaper, by three facts about the generated level loop
-    (_level_source), which hold at every d:
+    A periodic spec takes the closed form (periodic_lambda_crit), capped at
+    -log(kappa^2/2), and the bracket (lambda* - tol/2, lambda* + tol/2), its
+    lower end clamped at 0 and its upper end nudged down until the width is
+    at most tol. Two Newton solves (solve_phi_periodic) certify it: one that
+    succeeds at the lower end (unless that is 0, feasible a priori and never
+    asked) and one that fails at the upper end. If either disagrees, the
+    half-width doubles and both are asked again, so a reported bracket is
+    always certified, and wider than tol only where the closed form missed.
+
+    Else the bracket bisects [0, -log(kappa^2/2)] on Phi-solver feasibility
+    over a sampled window. lambda = 0 is feasible a priori and is never
+    asked. A window solve that diverges, exceeds the a-priori entry bound,
+    or fails to converge counts as infeasible, shrinking the verdict
+    conservatively. The exact verdict at lambda is one zero-start _sweep
+    over the window, of which only the failing level's index is read: no
+    pass makes a level array. The bracket is the plain bisection's, which
+    asks the exact verdict at every midpoint, bit for bit; on a window of
+    d <= 2 most verdicts come cheaper, by three facts about the generated
+    level loop (_level_source), which hold at every d:
 
     F1, monotone in the tilt. Let two passes run at the computed pairs
     (el', bound') <= (el, bound) in el and >= in bound. Every level forms
@@ -1064,36 +1138,46 @@ def estimate_lambda_crit(
     the midpoints no verdict implies. Certificate passes run only while the
     window holds CERTIFICATE_SPAN of them; past that every verdict is
     exact, as in the plain bisection. It ends: each rerun adds an exact
-    infeasible verdict below the last. Periodic specs, where F1 is not
-    shown for the Newton solve, and windows of d >= 3 ask the exact verdict
-    at every midpoint, once: F1 and F2 hold for the generated loop at
-    d = 3 too, but there the certified path swept more levels than the
+    infeasible verdict below the last. Windows of d >= 3 ask the exact
+    verdict at every midpoint, once: F1 and F2 hold for the generated loop
+    at d = 3 too, but there the certified path swept more levels than the
     plain bisection on 10 of 16 random windows of 3000 and 6000 levels (up
     to 1.48 times), against 6 of 16 at d = 2, the bench's two specs not
     among them; past GENERATED_LEVEL_WORK the loop is LAPACK's, with row
     exchanges, a tolerance and a clamp, for which F1 is not shown.
     """
     cap = lambda_crit_cap(spec.kappa)
+    if spec.kind == "periodic":
+        def feasible(lam: float) -> bool:
+            try:
+                solve_phi_periodic(spec, lam)
+                return True
+            except (SupercriticalError, ConvergenceError):
+                return False
+
+        lam, radius = min(max(0.0, periodic_lambda_crit(spec.slices)), cap), 0.5 * tol
+        while True:
+            lo, hi = max(lam - radius, 0.0), lam + radius
+            while hi - lo > 2.0 * radius:
+                hi = math.nextafter(hi, lo)
+            if not feasible(hi):
+                if lo == 0.0 or feasible(lo):
+                    return CriticalExponent(lambda_crit=lam, bracket=(lo, hi), tolerance=tol)
+            elif lo == 0.0 and hi >= cap:
+                # feasible past the a-priori bound: degenerate; report the cap
+                return CriticalExponent(lambda_crit=cap, bracket=(cap - tol, cap),
+                                        tolerance=tol)
+            radius *= 2.0
     exact = {}  # lambda -> its exact verdict
-    certified = spec.kind != "periodic" and spec.d <= 2
+    certified = spec.d <= 2
     ok = no = site = None
     half = CERTIFICATE_HALF_WIDTH
-    if spec.kind == "periodic":
-        ptol = min(1e-13, tol * 1e-4)
+    window = sample_window(spec, 0, window_len, seed=seed)
+    phi0 = np.zeros((spec.d, spec.d))
 
-        def solve(lam: float) -> int:
-            try:
-                solve_phi_periodic(spec, lam, tol=ptol)
-                return -1
-            except (SupercriticalError, ConvergenceError):
-                return 0
-    else:
-        window = sample_window(spec, 0, window_len, seed=seed)
-        phi0 = np.zeros((spec.d, spec.d))
-
-        def solve(lam: float, start: int = 0, stop: int | None = None) -> int:
-            return _sweep(window, lam, phi0, divergence_bound(spec.kappa, lam), start, stop,
-                          keep=False)[2]
+    def solve(lam: float, start: int = 0, stop: int | None = None) -> int:
+        return _sweep(window, lam, phi0, divergence_bound(spec.kappa, lam), start, stop,
+                      keep=False)[2]
 
     def verdict(lam: float, confirm: bool) -> bool | None:
         """Exact feasibility of lam, or None for a tentative pass (unless

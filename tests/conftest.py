@@ -34,13 +34,30 @@ def d1_lambda_crit(p, r=0.0):
     return math.log(1.0 / (r + 2.0 * math.sqrt(p * q)))
 
 
-def qbd_lambda_crit(slice_):
-    """lambda_crit of the homogeneous spec of one slice, -log min_{c>0}
-    rho(p/c + r + c q): rho is log-convex in log c, and a golden-section
+def qbd_lambda_crit(word):
+    """lambda_crit of the periodic environment that reads the slices of
+    `word` in turn: read len(word) levels at a time it is a homogeneous
+    quasi-birth-death walk, whose lambda_crit is
+    -log min_{c>0} rho(A_1/c + A_0 + c A_{-1}) (Neuts 1981). The blocks are
+    laid out position by position: A_0 moves within a period (r_j to itself,
+    p_j one position up, q_j one down), A_1 from the last position to the
+    first of the next period (p_{n-1}) and A_{-1} from the first to the last
+    of the one below (q_0). rho is log-convex in log c, and a golden-section
     search on log c over [-20, 20] finds its minimum."""
+    n, d = len(word), word[0].d
+    zero = np.zeros((d, d))
+
+    def blocks(pick):
+        return np.block([[pick(i, j) for j in range(n)] for i in range(n)])
+
+    a0 = blocks(lambda i, j: word[i].r if i == j else
+                word[i].p if j == i + 1 else word[i].q if j == i - 1 else zero)
+    a1 = blocks(lambda i, j: word[i].p if (i, j) == (n - 1, 0) else zero)
+    am = blocks(lambda i, j: word[i].q if (i, j) == (0, n - 1) else zero)
+
     def rho(t):
         c = math.exp(t)
-        return float(np.abs(np.linalg.eigvals(slice_.p / c + slice_.r + c * slice_.q)).max())
+        return float(np.abs(np.linalg.eigvals(a1 / c + a0 + c * am)).max())
 
     g = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = -20.0, 20.0

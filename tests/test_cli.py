@@ -319,6 +319,20 @@ def test_simulate_slowdown_exact(p075_path, tmp_path, capsys):
     assert "lambda_crit" in doc["comparison"]
 
 
+def test_simulate_slowdown_lambda_crit_ignores_tol(p075_path, tmp_path):
+    """--tol sets the width of the lambda_crit bracket, not its value: with
+    and without it the slowdown compares against the closed form
+    -1/2 log(4 p q) = -1/2 log 0.75."""
+    reported = []
+    for extra in ([], ["--tol", "0.01"]):
+        out = str(tmp_path / f"sd{len(extra)}.json")
+        assert main(["simulate", "--spec", p075_path, "--slowdown", "--method", "exact",
+                     "--levels", "40", "--out", out, *extra]) == 0
+        reported.append(json.loads(open(out).read())["comparison"]["lambda_crit"])
+    for value in reported:
+        assert value == pytest.approx(-0.5 * math.log(0.75), abs=1e-12)
+
+
 def test_simulate_slowdown_direct_averaged(two_point_path, tmp_path):
     runs = {}
     for mode in ("quenched", "averaged"):

@@ -22,6 +22,7 @@ from stripldp.phi import (
     SupercriticalError,
     divergence_bound,
     estimate_lambda_crit,
+    periodic_lambda_crit,
     periodic_phi_derivative,
     phi_derivative,
     solve_phi_periodic,
@@ -1183,10 +1184,12 @@ def test_lambda_crit_sweeps_under_half_the_plain_levels(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["periodic", "d3", "d6"])
 def test_lambda_crit_exact_kinds_solve_as_often_as_plain(kind, monkeypatch):
-    """Periodic specs and d >= 3 windows (at d = 6 the LAPACK loop) ask the
-    exact verdict at every midpoint, and once only: as many solves as the
-    plain bisection. The d = 3 window is long enough to hold
-    CERTIFICATE_SPAN certificate passes."""
+    """d >= 3 windows (at d = 6 the LAPACK loop) ask the exact verdict at
+    every midpoint, and once only: as many solves as the plain bisection.
+    The d = 3 window is long enough to hold CERTIFICATE_SPAN certificate
+    passes. A periodic spec asks two Newton solves, the closed form's
+    certificate, where the plain bisection asks one a midpoint, and its
+    bracket contains the plain bisection's midpoint."""
     import conftest
     import stripldp.phi as phi
 
@@ -1203,9 +1206,15 @@ def test_lambda_crit_exact_kinds_solve_as_often_as_plain(kind, monkeypatch):
             counts[_name] = counts.get(_name, 0) + 1
             return _solve(*a, **k)
         monkeypatch.setattr(module, name, counting)
-    assert estimate_lambda_crit(spec, **args) == ref_estimate_lambda_crit(spec, **args)
+    got, plain = estimate_lambda_crit(spec, **args), ref_estimate_lambda_crit(spec, **args)
     ours, ref = (counts[name] for _, name in solvers)
-    assert ours == ref > 20
+    assert ref > 20
+    if kind == "periodic":
+        assert got.bracket[0] <= plain.lambda_crit <= got.bracket[1]
+        assert ours == 2
+    else:
+        assert got == plain
+        assert ours == ref
 
 
 def record_plain_sweeps(monkeypatch) -> list:
@@ -1313,8 +1322,12 @@ def test_window_pass_from_a_later_zero_start_stays_below(seed, d, drift, window_
 
 @pytest.mark.parametrize("seed, tol", [(1, 1e-6), (3, 1e-4), (7, 1e-2)])
 def test_lambda_crit_d2_periodic_matches_plain_bisection(seed, tol):
+    """The closed form's certified bracket, at most tol wide, contains the
+    midpoint of the plain bisection on the Newton verdict."""
     spec = periodic_of(random_d2_iid_spec(seed, drift=0.4, n_support=1 + seed % 3))
-    assert estimate_lambda_crit(spec, tol=tol) == ref_estimate_lambda_crit(spec, tol=tol)
+    lo, hi = estimate_lambda_crit(spec, tol=tol).bracket
+    assert lo <= ref_estimate_lambda_crit(spec, tol=tol).lambda_crit <= hi
+    assert hi - lo <= tol
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-2])
@@ -1333,12 +1346,109 @@ def test_lambda_crit_d2_near_recurrent_matches_plain_bisection(tol):
 def test_lambda_crit_periodic_brackets_the_qbd_formula(seed, drift):
     """A one-slice periodic spec is a homogeneous quasi-birth-death walk,
     whose lambda_crit is -log min_{c>0} rho(p/c + r + c q)
-    (qbd_lambda_crit); the bracket of the Newton verdict contains it."""
+    (qbd_lambda_crit): the closed form equals it, and the certified bracket
+    contains it."""
     base = random_d2_iid_spec(seed, drift=drift)
     for s in base.slices:
         spec = EnvironmentSpec(kind="periodic", d=2, kappa=base.kappa, slices=(s,))
-        lo, hi = estimate_lambda_crit(spec).bracket
-        assert lo <= qbd_lambda_crit(s) <= hi
+        got, want = estimate_lambda_crit(spec), qbd_lambda_crit((s,))
+        assert got.lambda_crit == pytest.approx(want, abs=1e-12)
+        assert got.bracket[0] <= want <= got.bracket[1]
+
+
+PERIODIC_WORDS = {
+    "p075": lambda: homogeneous_d1_spec(0.75, kappa=0.25),
+    "period3-d2": lambda: periodic_of(random_d2_iid_spec(1, drift=0.4)),
+    "period4-d3": lambda: periodic_of(random_d2_iid_spec(4, n_support=4, drift=0.3, d=3)),
+    "bj21": lambda: embed_bounded_jump([0.35, 0.35, 0.0, 0.30], 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC_WORDS))
+def test_periodic_lambda_crit_is_the_blocked_qbd_value(name):
+    """A whole period's closed form against the blocked matrices and golden
+    search of conftest.qbd_lambda_crit, to 1e-12; estimate_lambda_crit
+    reports it, and the reflected spec the same value (criterion 8)."""
+    spec = PERIODIC_WORDS[name]()
+    got = periodic_lambda_crit(spec.slices)
+    assert got == pytest.approx(qbd_lambda_crit(spec.slices), abs=1e-12)
+    assert estimate_lambda_crit(spec).lambda_crit == got
+    assert estimate_lambda_crit(spec.invert()).lambda_crit == pytest.approx(got, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, r", [(0.75, 0.0), (0.7, 0.0), (0.8, 0.0), (0.6, 0.3), (0.35, 0.2)])
+def test_periodic_lambda_crit_d1_closed_form(p, r):
+    """One d = 1 slice: -log(r + 2 sqrt(p q)), -1/2 log(4 p q) at r = 0
+    (p = 0.7 and 0.8: the two-point spec's slices)."""
+    spec = homogeneous_d1_spec(p, r=r)
+    assert periodic_lambda_crit(spec.slices) == pytest.approx(d1_lambda_crit(p, r), abs=1e-12)
+    lo, hi = estimate_lambda_crit(spec).bracket
+    assert lo <= d1_lambda_crit(p, r) <= hi
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10_000),
+    d=st.integers(1, 3),
+    period=st.integers(1, 4),
+    drift=st.floats(0.0, 0.7),
+    reflect=st.booleans(),
+)
+@pytest.mark.parametrize("tol", [1e-6, 1e-2])
+def test_lambda_crit_periodic_bracket_property(tol, seed, d, period, drift, reflect):
+    """On random periodic specs the certified bracket is at most tol wide
+    and contains the midpoint of the plain bisection on the Newton
+    verdict."""
+    spec = periodic_of(random_d2_iid_spec(seed, drift=drift, d=d, n_support=period))
+    spec = spec.invert() if reflect else spec
+    lo, hi = estimate_lambda_crit(spec, tol=tol).bracket
+    assert hi - lo <= tol
+    assert lo <= ref_estimate_lambda_crit(spec, tol=tol).lambda_crit <= hi
+
+
+def count_periodic_solves(monkeypatch, refuse=()) -> list:
+    """The lambdas of every phi.solve_phi_periodic call from here on; a call
+    at a lambda in `refuse` raises SupercriticalError instead."""
+    import stripldp.phi as phi
+
+    solve, asked = phi.solve_phi_periodic, []
+
+    def counting(spec, lam, *a, **k):
+        asked.append(lam)
+        if lam in refuse:
+            raise SupercriticalError(lam, detail="refused by the test")
+        return solve(spec, lam, *a, **k)
+
+    monkeypatch.setattr(phi, "solve_phi_periodic", counting)
+    return asked
+
+
+def test_lambda_crit_recurrent_periodic_bracket(recurrent_spec, monkeypatch):
+    """p = q: lambda* = 0, the bracket is [0, tol/2], and its lower end,
+    feasible a priori, is never solved."""
+    asked = count_periodic_solves(monkeypatch)
+    lc = estimate_lambda_crit(recurrent_spec, tol=1e-6)
+    assert lc.lambda_crit == 0.0
+    assert lc.bracket == (0.0, 5e-7)
+    assert asked == [5e-7]
+
+
+def test_lambda_crit_widens_a_refused_certificate(p075_spec, monkeypatch):
+    """A lower end that the solver refuses doubles the half-width; the
+    bracket reported is certified by the unpatched solver at both ends."""
+    tol = 1e-6
+    first = estimate_lambda_crit(p075_spec, tol=tol)
+    asked = count_periodic_solves(monkeypatch, refuse=(first.bracket[0],))
+    lc = estimate_lambda_crit(p075_spec, tol=tol)
+    lo, hi = lc.bracket
+    assert lc.lambda_crit == first.lambda_crit
+    assert lo < first.bracket[0] and hi > first.bracket[1]
+    assert hi - lo <= 2 * tol
+    assert asked == [first.bracket[1], first.bracket[0], hi, lo]
+    monkeypatch.undo()
+    solve_phi_periodic(p075_spec, lo)
+    with pytest.raises((SupercriticalError, ConvergenceError)):
+        solve_phi_periodic(p075_spec, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,15 @@ def test_speed_curve_values(p075_spec, p075_analysis):
     assert curve.warnings == []
 
 
+def test_speed_at_zero_is_the_closed_form_lambda_crit(p075_spec, p075_analysis):
+    """I(0) = lambda_crit, which a periodic spec takes in closed form:
+    -1/2 log(4 p q) on p = 0.75, inside the certified bracket."""
+    lo, hi = p075_analysis.lambda_crit.bracket
+    assert lo <= d1_lambda_crit(0.75) <= hi
+    curve = speed_rate_curve(p075_spec, [0.0], n_levels=2000, seed=0, analysis=p075_analysis)
+    assert curve.values[0] == pytest.approx(-0.5 * math.log(0.75), abs=1e-12)
+
+
 def test_speed_symmetric_spec(recurrent_spec):
     an = analyze_environment(recurrent_spec, n_levels=1500, seed=0)
     grid = np.array([-0.8, -0.4, -0.1, 0.1, 0.4, 0.8])
